@@ -23,12 +23,14 @@ domain to live on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import ConsistencyError, ContractError, DimensionError, InputError
 from .groups import FiniteMatrixGroup, QuotientGroup, close_group, subgroup_from_indices
 from .zmod import (
+    LinearSolver,
     ModMatrix,
     ModulusContext,
     ModVector,
@@ -46,10 +48,6 @@ TORSION = "p_torsion"
 QUOTIENT = "mod_p_quotient"
 
 _MODULE_LABELS = {FULL: "V", TORSION: "V[p]", QUOTIENT: "V/V[p]"}
-
-# Above this size the all-pairs cocycle identity check is replaced by the
-# per-Cayley-edge check, which implies it (induction on word length).
-FULL_VERIFY_LIMIT = 600
 
 # Caps for the enumeration-based cross check of the local cohomology order.
 CLASS_ENUM_LIMIT = 10**5
@@ -129,10 +127,6 @@ def parse_module(ctx: ModulusContext, label: str) -> GModule:
 # Group adapters.
 
 
-def _group_ctx(group: GroupLike) -> ModulusContext:
-    return group.ctx
-
-
 def _gen_indices(group: GroupLike) -> list[int]:
     if isinstance(group, FiniteMatrixGroup):
         return group.distinct_generator_indices()
@@ -207,12 +201,21 @@ class Cocycle:
             raise DimensionError("cocycles live on different groups or modules")
 
 
-def verify_cocycle(c: Cocycle, full: Optional[bool] = None) -> bool:
-    """Check the defining identity.
+def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
+    """Check the defining identity Z(ab) = Z(a) + a.Z(b).
 
-    full=True checks every pair (a, b); the default checks every Cayley
-    edge (a, generator), which implies the all-pairs identity by induction
-    on the word length of b, and checks all pairs outright on small groups.
+    The default checks Z(1) = 0 and every Cayley edge (a, g), g a listed
+    generator, at every group size.  That implies the identity for all
+    pairs, by induction on the length of b as a word in the generators: the
+    base case Z(a.1) = Z(a) + a.Z(1) is Z(1) = 0, and from the edge (ab, g)
+    and the pair (a, b) follows Z(abg) = Z(ab) + ab.Z(g) = Z(a) + a.Z(bg).
+    Positive words reach every element of a finite group once the
+    generators generate it, which close_group guarantees for an enumerated
+    group and QuotientGroup.generator_cosets (the images of the parent's
+    generators) for a quotient.
+
+    full=True checks every pair (a, b) outright, for hand-written class
+    tables and as the test oracle of the per-edge check.
     """
     group, module = c.group, c.module
     _check_action_well_defined(group, module)
@@ -231,8 +234,6 @@ def verify_cocycle(c: Cocycle, full: Optional[bool] = None) -> bool:
             and vab[1] == (va[1] + m[2] * vb[0] + m[3] * vb[1]) % q
         )
 
-    if full is None:
-        full = n <= FULL_VERIFY_LIMIT
     if full:
         return all(ok(a, b) for a in range(n) for b in range(n))
     gens = _gen_indices(group)
@@ -241,6 +242,30 @@ def verify_cocycle(c: Cocycle, full: Optional[bool] = None) -> bool:
 
 # ---------------------------------------------------------------------------
 # The generator-coordinate system.
+
+
+class LocalEntry:
+    """The local condition Z(g) in Im(g - Id) for one action of g, in the
+    two forms the engine uses; each is computed on first use.
+
+    annihilator: rows k with k.(g - Id) = 0; since Z/p^n is self-injective,
+    Z(g) lies in the image exactly when k.Z(g) = 0 for every row.
+    solver: a LinearSolver of g - Id, which decides membership directly by
+    reducing Z(g) against a Howell basis of the column span.
+    """
+
+    def __init__(self, shifted: ModMatrix):
+        self.shifted = shifted  # g - Id, acting on the module's coordinates
+
+    @cached_property
+    def annihilator(self) -> list[list[int]]:
+        # k.(g - Id) = 0 is (g - Id)^T k = 0.
+        columns = self.shifted.transpose()
+        return _kernel_raw(columns.row_lists(), 2, columns.ctx)
+
+    @cached_property
+    def solver(self) -> LinearSolver:
+        return LinearSolver(self.shifted)
 
 
 class CocycleSystem:
@@ -253,7 +278,7 @@ class CocycleSystem:
     """
 
     def __init__(self, group: GroupLike, module: GModule):
-        if _group_ctx(group) != module.ctx:
+        if group.ctx != module.ctx:
             raise DimensionError("module coefficients do not match the group ring")
         _check_action_well_defined(group, module)
         self.group = group
@@ -305,6 +330,7 @@ class CocycleSystem:
         self._z1: Optional[SubmoduleBasis] = None
         self._b1: Optional[SubmoduleBasis] = None
         self._z1loc: Optional[SubmoduleBasis] = None
+        self._local: Optional[list[LocalEntry]] = None
 
     # -- spaces ------------------------------------------------------------
 
@@ -338,18 +364,27 @@ class CocycleSystem:
                 raise ConsistencyError("coboundaries must be cocycles")
         return self._b1
 
+    def local_entries(self) -> list[LocalEntry]:
+        """The local entry of every element; elements whose actions on the
+        module coincide (common for V[p] and V/V[p]) share one entry."""
+        if self._local is None:
+            q = self.q
+            by_action: dict[tuple[int, int, int, int], LocalEntry] = {}
+            for act in self.acts:
+                if act not in by_action:
+                    a, b, c, d = act
+                    shifted = ModMatrix(self.cctx, 2, 2, ((a - 1) % q, b % q, c % q, (d - 1) % q))
+                    by_action[act] = LocalEntry(shifted)
+            self._local = [by_action[act] for act in self.acts]
+        return self._local
+
     def local_constraint_rows(self) -> list[list[int]]:
+        """k.L[g] u = 0 for every element g and annihilator row k of g."""
         rows: list[list[int]] = []
         q = self.q
-        cctx = self.cctx
-        for i in range(len(self.group)):
-            a, b, c, d = self.acts[i]
-            shifted = [[(a - 1) % q, b % q], [c % q, (d - 1) % q]]
-            image_rows = _howell_raw([[shifted[0][0], shifted[1][0]], [shifted[0][1], shifted[1][1]]], 2, cctx)
-            dual = _kernel_raw(image_rows, 2, cctx)
-            li = self.L[i]
-            for k0, k1 in dual:
-                rows.append([(k0 * li[0][j] + k1 * li[1][j]) % q for j in range(self.dim)])
+        for (l0, l1), entry in zip(self.L, self.local_entries()):
+            for k0, k1 in entry.annihilator:
+                rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
         return rows
 
     def z1_local(self) -> SubmoduleBasis:
@@ -388,16 +423,13 @@ class CocycleSystem:
         return self.b1().reduce(u).coords
 
     def is_local_table(self, c: Cocycle) -> bool:
-        """Direct per-element test: every value lies in the image of g - Id."""
-        q = self.q
+        """Direct per-element test: every value lies in the image of g - Id,
+        decided by a column-span solve, not by the annihilator rows."""
         cctx = self.cctx
-        for i in range(len(self.group)):
-            a, b, c2, d = self.acts[i]
-            mat = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, c2 % q, (d - 1) % q))
-            target = ModVector(cctx, c.values[i])
-            if not solve_linear(mat, target).solvable:
-                return False
-        return True
+        return all(
+            entry.solver.solve(ModVector(cctx, value)).solvable
+            for value, entry in zip(c.values, self.local_entries())
+        )
 
 
 @dataclass(frozen=True)
@@ -508,9 +540,12 @@ def h1(group: GroupLike, module: GModule) -> H1Report:
 def h1_loc(group: GroupLike, module: GModule, cross_check: bool = True) -> H1Report:
     """The first local cohomology group: local cocycles modulo coboundaries.
 
-    When feasible the order is recomputed a second way, by enumerating the
-    classes of H^1 and testing a representative of each against the local
-    conditions element by element; a mismatch raises ConsistencyError.
+    The main path imposes the local conditions as annihilator rows: Z(g) is
+    in Im(g - Id) iff every row that kills Im(g - Id) kills Z(g).  When
+    feasible the order is recomputed a second way, by enumerating the
+    classes of H^1 and testing a representative of each at every element
+    with a column-span solve of (g - Id) x = Z(g); a mismatch raises
+    ConsistencyError.
     """
     system = CocycleSystem(group, module)
     report = _quotient_report(system, system.z1_local(), witness_wanted=True)
@@ -646,7 +681,6 @@ class HomSpace:
 
 
 def _is_injective_mod_p(phi: ModMatrix) -> bool:
-    p = phi.ctx.p
     cols = phi.transpose().row_lists()
     return len(_howell_raw(cols, phi.rows, phi.ctx)) == phi.cols
 
@@ -740,14 +774,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GM
     injective = False
     if dh <= 2 and mats:
         injective = any(_is_injective_mod_p(phi) for phi in space.enumerate_maps())
-    return HomSpace(
-        group=space.group,
-        subgroup_indices=space.subgroup_indices,
-        h_basis=space.h_basis,
-        coordinates=space.coordinates,
-        basis_matrices=space.basis_matrices,
-        injective_exists=injective,
-    )
+    return replace(space, injective_exists=injective)
 
 
 # ---------------------------------------------------------------------------

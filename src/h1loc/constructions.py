@@ -42,7 +42,7 @@ from .cohomology import (
     torsion_module,
     verify_cocycle,
 )
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteMatrixGroup,
@@ -136,7 +136,6 @@ def canonical_unit_lift(p: int) -> int:
     _require_admissible_prime(p)
     g0 = None
     for cand in range(2, p):
-        seen = 1
         order = 0
         x = 1
         for k in range(1, p):
@@ -147,7 +146,8 @@ def canonical_unit_lift(p: int) -> int:
         if order == p - 1:
             g0 = cand
             break
-    assert g0 is not None
+    if g0 is None:
+        raise ConsistencyError(f"no primitive root found modulo the prime {p}")
     return pow(g0, p, p * p)
 
 

@@ -466,17 +466,29 @@ def group_to_json(g: FiniteMatrixGroup) -> dict:
     }
 
 
+def _is_integer(x) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not an entry."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
     """Build a group from {"p":..., "n":..., "generators":[...], "label":...}.
 
+    p, n and the matrix entries must be integers (not booleans, floats or
+    strings) and the label a string or null; anything else is an InputError.
     Entries may be negative; they are reduced modulo p^n on ingestion.
     """
+    if not isinstance(data, dict):
+        raise InputError("group definition must be a JSON object")
     try:
-        p = int(data["p"])
-        n = int(data["n"])
-        gens = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"group definition is missing or malformed: {exc}") from exc
+        p, n, gens = data["p"], data["n"], data["generators"]
+    except KeyError as exc:
+        raise InputError(f"group definition is missing the key {exc}") from None
+    if not (_is_integer(p) and _is_integer(n)):
+        raise InputError(f"p and n must be integers, got p = {p!r}, n = {n!r}")
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputError(f"label must be a string or null, got {label!r}")
     ctx = ModulusContext(p, n)
     if not isinstance(gens, list) or not gens:
         raise InputError("group definition needs a non-empty generator list")
@@ -485,8 +497,8 @@ def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGro
         if not (
             isinstance(gmat, list)
             and len(gmat) == 2
-            and all(isinstance(r, list) and len(r) == 2 for r in gmat)
+            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_integer, r)) for r in gmat)
         ):
-            raise InputError("each generator must be a 2x2 integer matrix")
+            raise InputError(f"each generator must be a 2x2 integer matrix, got {gmat!r}")
         mats.append(ModMatrix.from_rows(ctx, gmat))
-    return close_group(mats, ctx, cap=cap, label=data.get("label"))
+    return close_group(mats, ctx, cap=cap, label=label)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .errors import ContainmentError, DimensionError, InputError
+from .errors import ConsistencyError, ContainmentError, DimensionError, InputError
 
 MAX_MODULUS = 2**63 - 1
 
@@ -448,45 +448,71 @@ class LinearSolution:
             yield self.solution + k
 
 
-def solve_linear(a: ModMatrix, b: ModVector) -> LinearSolution:
-    """One solution of a x = b (if any) together with the kernel of a.
+class LinearSolver:
+    """Solves a x = b for one fixed matrix a and any number of right-hand sides.
 
-    The full solution set is solution + kernel.  Works by expressing b in
-    the column span of a while tracking the combination coefficients.
+    The Howell form of the augmented transpose [a^T | Id] is computed once.
+    Its rows with a nonzero left part pair a Howell basis of the column span
+    of a with the combination coefficients that produce each basis vector;
+    its rows with a zero left part are a basis of the kernel of a.  Each
+    solve is then one reduction of b against that column-span basis.
     """
-    if a.ctx != b.ctx or len(b) != a.rows:
-        raise DimensionError("right-hand side does not match the matrix")
-    ctx = a.ctx
-    q = ctx.modulus
-    m, ncols = a.rows, a.cols
-    aug = []
-    for j in range(ncols):
-        row = [a.entry(i, j) for i in range(m)]
-        row.extend(1 if k == j else 0 for k in range(ncols))
-        aug.append(row)
-    h = _howell_raw(aug, m + ncols, ctx)
-    bb = list(b.coords)
-    x = [0] * ncols
-    kernel_rows = []
-    for row in h:
-        left = row[:m]
-        if any(left):
-            col = next(j for j, e in enumerate(left) if e)
-            piv = left[col]
+
+    def __init__(self, a: ModMatrix):
+        self.a = a
+        m, ncols = a.rows, a.cols
+        aug = []
+        for j in range(ncols):
+            row = [a.entry(i, j) for i in range(m)]
+            row.extend(1 if k == j else 0 for k in range(ncols))
+            aug.append(row)
+        # (pivot column, pivot value, column-span vector, its coefficients)
+        self._image: list[tuple[int, int, list[int], list[int]]] = []
+        kernel_rows = []
+        for row in _howell_raw(aug, m + ncols, a.ctx):
+            left = row[:m]
+            col = next((j for j, e in enumerate(left) if e), None)
+            if col is None:
+                kernel_rows.append(row[m:])
+            else:
+                self._image.append((col, left[col], left, row[m:]))
+        self.kernel = SubmoduleBasis.from_raw(a.ctx, ncols, kernel_rows)
+
+    def solve(self, b: ModVector) -> LinearSolution:
+        """One solution of a x = b (if any) together with the kernel of a.
+
+        A solution found is re-checked against a x = b; a mismatch raises
+        ConsistencyError.
+        """
+        a = self.a
+        if a.ctx != b.ctx or len(b) != a.rows:
+            raise DimensionError("right-hand side does not match the matrix")
+        q = a.ctx.modulus
+        m, ncols = a.rows, a.cols
+        bb = list(b.coords)
+        x = [0] * ncols
+        for col, piv, left, coeffs in self._image:
             c = bb[col] // piv
             if c:
                 for j in range(m):
                     bb[j] = (bb[j] - c * left[j]) % q
                 for j in range(ncols):
-                    x[j] = (x[j] + c * row[m + j]) % q
-        else:
-            kernel_rows.append(row[m:])
-    kern = SubmoduleBasis.from_raw(ctx, ncols, kernel_rows)
-    if any(bb):
-        return LinearSolution(None, kern)
-    sol = ModVector(ctx, tuple(x))
-    assert a.vec_mul(sol) == b
-    return LinearSolution(sol, kern)
+                    x[j] = (x[j] + c * coeffs[j]) % q
+        if any(bb):
+            return LinearSolution(None, self.kernel)
+        sol = ModVector(a.ctx, tuple(x))
+        if a.vec_mul(sol) != b:
+            raise ConsistencyError("solver result fails the re-check a x = b")
+        return LinearSolution(sol, self.kernel)
+
+
+def solve_linear(a: ModMatrix, b: ModVector) -> LinearSolution:
+    """One solution of a x = b (if any) together with the kernel of a.
+
+    The full solution set is solution + kernel.  For many right-hand sides
+    against the same matrix, build one LinearSolver and reuse it.
+    """
+    return LinearSolver(a).solve(b)
 
 
 def membership(basis: SubmoduleBasis, v: ModVector) -> bool:

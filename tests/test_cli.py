@@ -1,6 +1,9 @@
 """End-to-end command line behavior and exit codes."""
 
 import json
+import time
+
+import pytest
 
 from h1loc.cli import (
     EXIT_INPUT,
@@ -138,3 +141,28 @@ def test_power_identity_command(tmp_path, capsys):
     results = json.loads(out.read_text())
     assert {(r["p"], r["n"]) for r in results} == {(5, 2), (5, 3)}
     assert all(r["passed"] == r["trials"] == 200 for r in results)
+
+
+GROUP = {"p": 5, "n": 2, "generators": [[[1, 1], [0, 1]]], "label": None}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        dict(GROUP, generators=[[["a", 0], [0, 1]]]),
+        dict(GROUP, generators=[[[1.5, 0], [0, 1]]]),
+        dict(GROUP, generators=[[[True, 0], [0, 1]]]),
+        dict(GROUP, p=5.0),
+        dict(GROUP, n="2"),
+        dict(GROUP, label=7),
+        [GROUP],
+    ],
+    ids=["string-entry", "float-entry", "bool-entry", "float-p", "string-n", "int-label", "not-an-object"],
+)
+def test_malformed_group_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["h1loc", "--input", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "input error" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from h1loc import (
     CocycleSystem,
     ContractError,
     GModule,
+    ModMatrix,
     ModulusContext,
     ModVector,
     close_group,
@@ -27,6 +28,7 @@ from h1loc import (
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
+    solve_linear,
     subgroup_from_indices,
     torsion_module,
     verify_cocycle,
@@ -35,6 +37,7 @@ from h1loc.constructions import (
     borel_shared_generators,
     borel_shared_witness,
     build_borel_disjoint_group,
+    build_borel_index2_group,
     build_borel_shared_group,
     build_cyclic_quotient_group,
     build_s3_quotient_group,
@@ -362,3 +365,96 @@ def test_module_labels_and_validation():
         parse_module(CTX25, "W")
     with pytest.raises(InputError):
         GModule(ModulusContext(5, 1), "mod_p_quotient")
+
+
+def _construction_groups(p):
+    """Every construction group at p with its reduction-kernel quotient."""
+    builders = [build_cyclic_quotient_group, build_borel_shared_group, build_borel_index2_group]
+    if p % 3 == 2:
+        builders.append(build_s3_quotient_group)
+    groups = [b(p) for b in builders]
+    groups += [build_borel_disjoint_group(p, variant=v) for v in ("canonical", "extra-diagonal")]
+    out = []
+    for g in groups:
+        out.append((g, full_module(g.ctx)))
+        out.append((quotient_group(g, reduction_kernel(g)), torsion_module(g.ctx)))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_per_edge_cocycle_check_matches_all_pairs(p):
+    # Orders from 50 to 686, small and large groups alike.
+    for group, module in _construction_groups(p):
+        system = CocycleSystem(group, module)
+        n = len(group)
+        assert system.z1().rows
+        for row in system.z1().rows:
+            c = system.expand(row.coords)
+            assert verify_cocycle(c) and verify_cocycle(c, full=True)
+            for i in sorted({1, n // 2, n - 1}):
+                vals = list(c.values)
+                vals[i] = ((vals[i][0] + 1) % system.q, vals[i][1])
+                broken = Cocycle(group, module, tuple(vals))
+                assert not verify_cocycle(broken)
+                assert not verify_cocycle(broken, full=True)
+        # Generator values off Z^1, expanded along the breadth-first tree:
+        # the identity holds on every tree edge and fails only off the tree.
+        for j in range(system.dim):
+            coords = [0] * system.dim
+            coords[j] = 1
+            if system.z1().contains(ModVector(system.cctx, tuple(coords))):
+                continue
+            off = system.expand(coords)
+            assert not verify_cocycle(off)
+            assert not verify_cocycle(off, full=True)
+
+
+def _local_by_uncached_solves(group, module, c):
+    """Per-element solve_linear with a fresh matrix each time: no cache."""
+    q = module.coeff_modulus
+    cctx = module.coeff_ctx
+    for i in range(len(group)):
+        a, b, cc, d = module.action_entries(group.elements[i].mat)
+        shifted = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, cc % q, (d - 1) % q))
+        if not solve_linear(shifted, ModVector(cctx, c.values[i])).solvable:
+            return False
+    return True
+
+
+def _assert_local_test_matches_oracle(group, module, samples=12, seed=5):
+    """Every class of H^1, then class representatives with the value at one
+    random element replaced, which tests that element's entry."""
+    system = CocycleSystem(group, module)
+    classes = h1(group, module).classes()
+    tables = list(classes)
+    rng = random.Random(seed)
+    q = system.q
+    for _ in range(samples):
+        vals = list(rng.choice(classes).values)
+        vals[rng.randrange(1, len(group))] = (rng.randrange(q), rng.randrange(q))
+        tables.append(Cocycle(group, module, tuple(vals)))
+    verdicts = [system.is_local_table(c) for c in tables]
+    assert verdicts == [_local_by_uncached_solves(group, module, c) for c in tables]
+    return system, verdicts
+
+
+def test_cached_local_test_matches_uncached_oracle_borel_shared():
+    g = build_borel_shared_group(5)
+    _, verdicts = _assert_local_test_matches_oracle(g, full_module(g.ctx))
+    # H^1 = H^1_loc has order 5 here, so its 5 classes are all local.
+    assert all(verdicts[:5]) and False in verdicts
+
+
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_cached_local_test_matches_uncached_oracle_over_z125(kind):
+    ctx = ModulusContext(5, 3)
+    g = close_group([[[1, 0], [0, -1]], [[6, 1], [10, 6]]], ctx)
+    module = GModule(ctx, kind)
+    system, verdicts = _assert_local_test_matches_oracle(g, module)
+    assert True in verdicts and False in verdicts
+    distinct = len({id(e) for e in system.local_entries()})
+    if kind == "full":
+        assert distinct == len(g)
+    else:
+        # The reduced actions repeat, so many elements share one entry.
+        assert distinct * 10 <= len(g)

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from h1loc import (
+    ConsistencyError,
     ContainmentError,
     DimensionError,
     InputError,
+    LinearSolver,
     ModMatrix,
     ModulusContext,
     ModVector,
@@ -24,6 +26,7 @@ from h1loc import (
     solve_linear,
     zero_basis,
 )
+from h1loc.zmod import _howell_raw
 
 CTX25 = ModulusContext(5, 2)
 
@@ -327,3 +330,76 @@ def test_vector_additive_order():
     assert vec([5, 0]).additive_order() == 5
     assert vec([1, 5]).additive_order() == 25
     assert vec([0, 0]).additive_order() == 1
+
+
+def _reference_solve(a, b):
+    """Single-use reference for LinearSolver: one Howell form of [a^T | Id]
+    per call, then one reduction of b, with nothing kept between calls."""
+    ctx = a.ctx
+    q = ctx.modulus
+    m, ncols = a.rows, a.cols
+    aug = []
+    for j in range(ncols):
+        row = [a.entry(i, j) for i in range(m)]
+        row.extend(1 if k == j else 0 for k in range(ncols))
+        aug.append(row)
+    h = _howell_raw(aug, m + ncols, ctx)
+    bb = list(b.coords)
+    x = [0] * ncols
+    kernel_rows = []
+    for row in h:
+        left = row[:m]
+        if any(left):
+            col = next(j for j, e in enumerate(left) if e)
+            c = bb[col] // left[col]
+            if c:
+                for j in range(m):
+                    bb[j] = (bb[j] - c * left[j]) % q
+                for j in range(ncols):
+                    x[j] = (x[j] + c * row[m + j]) % q
+        else:
+            kernel_rows.append(row[m:])
+    solution = None if any(bb) else tuple(x)
+    return solution, [tuple(r) for r in kernel_rows]
+
+
+def test_linear_solver_matches_single_use_reference():
+    rng = random.Random(2024)
+    solvable_seen = unsolvable_seen = 0
+    for _ in range(300):
+        p = rng.choice([3, 5, 7])
+        n = rng.choice([1, 2, 3])
+        ctx = ModulusContext(p, n)
+        q = ctx.modulus
+        rows_n, cols_n = rng.choice([(2, 2), (3, 3), (2, 3), (3, 2), (4, 2), (1, 3)])
+        # Entries skewed towards multiples of p, so valuations vary.
+        a = ModMatrix.from_rows(
+            ctx, [[rng.randrange(q) * p ** rng.randrange(n + 1) for _ in range(cols_n)] for _ in range(rows_n)]
+        )
+        solver = LinearSolver(a)
+        for _ in range(4):
+            if rng.random() < 0.5:
+                b = a.vec_mul(ModVector.make(ctx, [rng.randrange(q) for _ in range(cols_n)]))
+            else:
+                b = ModVector.make(ctx, [rng.randrange(q) for _ in range(rows_n)])
+            want_sol, want_kernel = _reference_solve(a, b)
+            for got in (solver.solve(b), solve_linear(a, b)):
+                assert got.solvable == (want_sol is not None)
+                assert (got.solution.coords if got.solvable else None) == want_sol
+                assert [r.coords for r in got.kernel.rows] == want_kernel
+            if want_sol is None:
+                unsolvable_seen += 1
+            else:
+                solvable_seen += 1
+    assert solvable_seen > 300 and unsolvable_seen > 100
+
+
+def test_linear_solver_recheck_raises_consistency_error():
+    a = mat([[5, 0], [0, 20]])
+    solver = LinearSolver(a)
+    # Corrupt the cached coefficients: the reduction still succeeds, so the
+    # wrong solution can only be caught by the re-check against a x = b.
+    col, piv, left, coeffs = solver._image[0]
+    solver._image[0] = (col, piv, left, [(c + 1) % 25 for c in coeffs])
+    with pytest.raises(ConsistencyError):
+        solver.solve(vec([5, 0]))
