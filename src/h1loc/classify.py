@@ -23,6 +23,10 @@ from typing import Optional
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import (
     FiniteMatrixGroup,
+    _close_keys,
+    _inv4,
+    _mul4,
+    _powers4,
     borel_check,
     close_group,
     closure_indices,
@@ -276,30 +280,6 @@ def _gl2_elements(p: int):
                         yield (a, b, c, d)
 
 
-def _mat_order(key, p: int) -> int:
-    ident = (1, 0, 0, 1)
-    cur = key
-    k = 1
-    while cur != ident:
-        a, b, c, d = cur
-        e, f, g2, h = key
-        cur = ((a * e + b * g2) % p, (a * f + b * h) % p, (c * e + d * g2) % p, (c * f + d * h) % p)
-        k += 1
-    return k
-
-
-def _span_keys(key, p: int) -> frozenset:
-    ident = (1, 0, 0, 1)
-    out = {ident}
-    cur = key
-    while cur != ident:
-        out.add(cur)
-        a, b, c, d = cur
-        e, f, g2, h = key
-        cur = ((a * e + b * g2) % p, (a * f + b * h) % p, (c * e + d * g2) % p, (c * f + d * h) % p)
-    return frozenset(out)
-
-
 def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
     """Inventory of the candidate subgroups of GL_2(F_p) of order prime
     to p, classified case by case.
@@ -319,45 +299,24 @@ def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
     order2 = []
     order3 = []
     for key in _gl2_elements(p):
-        o = _mat_order(key, p)
+        span = _powers4(key, p)
+        o = len(span)
         orders[key] = o
         if o == 2:
             order2.append(key)
         elif o == 3:
             order3.append(key)
         if o % p:
-            s = _span_keys(key, p)
+            s = frozenset(span)
             if s not in subgroups:
                 subgroups[s] = (key,)
 
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g2, h = y
-        return ((a * e + b * g2) % p, (a * f + b * h) % p, (c * e + d * g2) % p, (c * f + d * h) % p)
-
-    def inv2(x):
-        a, b, c, d = x
-        det = (a * d - b * c) % p
-        di = pow(det, -1, p)
-        return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
-
     for x in order3:
-        xinv = inv2(x)
+        xinv = _inv4(x, p)
         for y in order2:
-            if mul(mul(y, x), inv2(y)) == xinv:
-                members = set()
-                frontier = [(1, 0, 0, 1)]
-                seen = {(1, 0, 0, 1)}
-                while frontier:
-                    nxt = []
-                    for m in frontier:
-                        for gen in (x, y):
-                            prod = mul(m, gen)
-                            if prod not in seen:
-                                seen.add(prod)
-                                nxt.append(prod)
-                    frontier = nxt
-                members = frozenset(seen)
+            # y has order 2, so y x y^-1 = y x y.
+            if _mul4(_mul4(y, x, p), y, p) == xinv:
+                members = frozenset(_close_keys((x, y), p)[0])
                 if members not in subgroups:
                     subgroups[members] = (x, y)
 

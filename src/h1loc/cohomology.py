@@ -28,7 +28,13 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import ConsistencyError, ContractError, DimensionError, InputError
-from .groups import FiniteMatrixGroup, QuotientGroup, close_group, subgroup_from_indices
+from .groups import (
+    FiniteMatrixGroup,
+    QuotientGroup,
+    close_group,
+    element_order,
+    subgroup_from_indices,
+)
 from .zmod import (
     LinearSolver,
     ModMatrix,
@@ -220,24 +226,25 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     group, module = c.group, c.module
     _check_action_well_defined(group, module)
     n = len(group)
-    q = module.coeff_modulus
     acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
-    if c.values[0] != (0, 0):
+    bs = range(n) if full else _gen_indices(group)
+    return _cocycle_holds(group, acts, bs, c.values, module.coeff_modulus)
+
+
+def _cocycle_holds(group: GroupLike, acts, bs, values, q: int) -> bool:
+    """Z(1) = 0 and Z(ab) = Z(a) + a.Z(b) for every element a and every b
+    in bs, where acts[a] is the action of a on the module."""
+    if values[0] != (0, 0):
         return False
-
-    def ok(a: int, b: int) -> bool:
-        ab = group.mult(a, b)
-        va, vb, vab = c.values[a], c.values[b], c.values[ab]
-        m = acts[a]
-        return (
-            vab[0] == (va[0] + m[0] * vb[0] + m[1] * vb[1]) % q
-            and vab[1] == (va[1] + m[2] * vb[0] + m[3] * vb[1]) % q
-        )
-
-    if full:
-        return all(ok(a, b) for a in range(n) for b in range(n))
-    gens = _gen_indices(group)
-    return all(ok(a, g) for a in range(n) for g in gens)
+    mult = group.mult
+    for a, (m0, m1, m2, m3) in enumerate(acts):
+        va0, va1 = values[a]
+        for b in bs:
+            vb0, vb1 = values[b]
+            vab = values[mult(a, b)]
+            if vab[0] != (va0 + m0 * vb0 + m1 * vb1) % q or vab[1] != (va1 + m2 * vb0 + m3 * vb1) % q:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +346,7 @@ class CocycleSystem:
             rows = _kernel_raw(self.constraints, self.dim, self.cctx) if self.dim else []
             self._z1 = SubmoduleBasis.from_raw(self.cctx, self.dim, rows)
             for r in self._z1.rows:
-                c = self.expand(r.coords)
-                if not verify_cocycle(c):
+                if not self.is_cocycle(self.expand(r.coords)):
                     raise ConsistencyError("computed cocycle basis fails the cocycle identity")
         return self._z1
 
@@ -410,6 +416,10 @@ class CocycleSystem:
             v = vals[parent]
             vals[child] = ((v[0] + a * g0 + b * g1) % q, (v[1] + c * g0 + d * g1) % q)
         return Cocycle(self.group, self.module, tuple(vals))
+
+    def is_cocycle(self, c: Cocycle) -> bool:
+        """verify_cocycle(c) on the system's own action table and generators."""
+        return _cocycle_holds(self.group, self.acts, self.gens, c.values, self.q)
 
     def compress(self, c: Cocycle) -> tuple[int, ...]:
         out = []
@@ -510,7 +520,7 @@ def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted:
         order *= d
     gens = tuple(system.expand(vec.coords) for _, vec in structure)
     for c in gens:
-        if not verify_cocycle(c):
+        if not system.is_cocycle(c):
             raise ConsistencyError("quotient generator fails the cocycle identity")
     orders = tuple(d for d, _ in structure)
     witness = None
@@ -705,13 +715,8 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GM
             if g.mult(a, b) != g.mult(b, a):
                 raise InputError("subgroup is not abelian")
     for a in sub:
-        if a != 0:
-            k, cur = 1, a
-            while cur != 0:
-                cur = g.mult(cur, a)
-                k += 1
-            if k != p:
-                raise InputError("subgroup is not elementary abelian of exponent p")
+        if a != 0 and element_order(g.elements[a]) != p:
+            raise InputError("subgroup is not elementary abelian of exponent p")
     # Greedy basis in index order, then coordinates by full enumeration.
     basis: list[int] = []
     span = {0: ()}

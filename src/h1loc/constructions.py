@@ -230,14 +230,14 @@ def borel_shared_witness(group: FiniteMatrixGroup) -> BorelSharedWitness:
         for i2 in range(p):
             cos = quo.coset_of(idx)
             if values[cos] is not None:
-                raise AssertionError("normal form hit the same coset twice")
+                raise ConsistencyError("normal form hit the same coset twice")
             values[cos] = shared_class_value(p, i1, i2)
             idx = group.mult(idx, s_idx)
     if any(v is None for v in values):
-        raise AssertionError("normal form g^i1 sigma^i2 missed a coset")
+        raise ConsistencyError("normal form g^i1 sigma^i2 missed a coset")
     table = Cocycle(quo, GModule(ctx, "p_torsion"), tuple(values))  # type: ignore[arg-type]
     if not verify_cocycle(table, full=True):
-        raise AssertionError("closed-form class table fails the cocycle identity")
+        raise ConsistencyError("closed-form class table fails the cocycle identity")
     inflated = inflate_cocycle(quo, table)
     return BorelSharedWitness(group, quo, table, inflated, inflated.to_full_module())
 
@@ -455,7 +455,7 @@ def decompose_kernel_element(
         lam_acc += step
         cur = cur @ sigma.power((p * step) % ord_sigma)
     if cur.entry(0, 1) != 0:
-        raise AssertionError("top-right clearing did not terminate")
+        raise ConsistencyError("top-right clearing did not terminate")
     tau_l_full = cur
     diag = ModMatrix.from_rows(ctx, [[tau_l_full.entry(0, 0), 0], [0, tau_l_full.entry(1, 1)]])
     unit = diag.inverse() @ tau_l_full
@@ -465,12 +465,12 @@ def decompose_kernel_element(
     d_idx = group.index_of(diag)
     u_idx = group.index_of(unit)
     if d_idx not in kernel or u_idx not in kernel:
-        raise AssertionError("decomposition factors left the kernel")
+        raise ConsistencyError("decomposition factors left the kernel")
     if unit.entry(0, 1) != 0 or unit.entry(0, 0) != 1 or unit.entry(1, 1) != 1:
-        raise AssertionError("second factor is not lower unitriangular")
+        raise ConsistencyError("second factor is not lower unitriangular")
     recomposed = diag @ unit @ sig_p.power(exponent)
     if recomposed != tau:
-        raise AssertionError("decomposition does not multiply back")
+        raise ConsistencyError("decomposition does not multiply back")
     return KernelDecomposition(d_idx, u_idx, exponent)
 
 
@@ -725,7 +725,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     bundle = borel_shared_witness(group)
     checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table, full=True)))
     cyc_ok = all(
-        bundle.class_table.values[bundle.quotient.coset_of(_power_index(group, sig_i, i2))]
+        bundle.class_table.values[bundle.quotient.coset_of(group.index_of(sigma.power(i2)))]
         == ((i2 * (i2 - 1) // 2) % p, i2 % p)
         for i2 in range(p)
     )
@@ -790,12 +790,6 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
         checks=tuple(checks),
     )
 
-
-def _power_index(group: FiniteMatrixGroup, base_index: int, exponent: int) -> int:
-    idx = 0
-    for _ in range(exponent):
-        idx = group.mult(idx, base_index)
-    return idx
 
 
 def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:

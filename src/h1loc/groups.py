@@ -3,17 +3,19 @@
 Groups are closed from generators with a breadth-first traversal whose
 frontier order is fixed by the generator list, so element indices are
 reproducible run to run.  Elements are stored as 4-tuples of reduced
-entries; index 0 is always the identity.  Everything is immutable after
-construction and safe to share between threads.
+entries (keys); index 0 is always the identity.  _mul4, _inv4, _powers4
+and _close_keys are the package's only arithmetic on keys.  Everything is
+immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
 from .zmod import (
     ModMatrix,
     ModulusContext,
@@ -36,10 +38,63 @@ def _as_matrix(ctx: ModulusContext, m: MatrixLike) -> ModMatrix:
     return ModMatrix.from_rows(ctx, m)
 
 
+_IDENTITY = (1, 0, 0, 1)
+
+
 def _mul4(x, y, q):
     a, b, c, d = x
     e, f, g, h = y
     return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def _inv4(x, q):
+    a, b, c, d = x
+    di = pow((a * d - b * c) % q, -1, q)
+    return ((d * di) % q, (-b * di) % q, (-c * di) % q, (a * di) % q)
+
+
+def _powers4(x, q) -> list:
+    """[Id, x, x^2, ..., x^(k-1)] for the order k of the invertible key x:
+    the cyclic span in power order, so its length is the order of x."""
+    out = [_IDENTITY]
+    cur = x
+    # The order of an element of GL_2(Z/q) is below q^2 (at most
+    # p^(n-1) (p^2 - 1) for q = p^n); the bound only guards the loop.
+    for _ in range(4 * q * q):
+        if cur == _IDENTITY:
+            return out
+        out.append(cur)
+        cur = _mul4(cur, x, q)
+    raise ConsistencyError("order computation did not terminate")
+
+
+def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP):
+    """Breadth-first closure of gen_keys under right multiplication.
+
+    Returns (keys, index, parent, slot): keys[0] is the identity, index maps
+    each key to its position, and keys[i] = keys[parent[i]] * gen_keys[slot[i]]
+    for i >= 1.  One tree edge per element (a Schreier vector) keeps memory
+    linear in the group order; words are rebuilt from it on demand.  Raises
+    ResourceLimitError when the closure passes cap.
+    """
+    keys = [_IDENTITY]
+    index = {_IDENTITY: 0}
+    parent = array("q", [0])
+    slot = array("q", [0])
+    i = 0
+    while i < len(keys):
+        base = keys[i]
+        for j, gk in enumerate(gen_keys):
+            prod = _mul4(base, gk, q)
+            if prod not in index:
+                if len(keys) >= cap:
+                    raise ResourceLimitError(f"group closure exceeded the cap of {cap} elements")
+                index[prod] = len(keys)
+                keys.append(prod)
+                parent.append(i)
+                slot.append(j)
+        i += 1
+    return keys, index, parent, slot
 
 
 @dataclass(frozen=True)
@@ -50,9 +105,6 @@ class GroupElement:
     mat: ModMatrix
     index: int
 
-    def key(self) -> tuple[int, ...]:
-        return self.mat.entries
-
 
 class FiniteMatrixGroup:
     """A fully enumerated subgroup of GL_2(Z/p^n).
@@ -60,37 +112,30 @@ class FiniteMatrixGroup:
     Built through close_group; do not mutate after construction.
     """
 
-    def __init__(self, ctx, gen_mats, keys, words, label):
+    def __init__(self, ctx, gen_mats, closure, label):
         self.ctx = ctx
         self.label = label
         q = ctx.modulus
         self._q = q
-        self._keys = keys
-        self._index = {k: i for i, k in enumerate(keys)}
-        self.gen_words = tuple(words)
+        self._keys, self._index, self._parent, self._slot = closure
         self.elements = tuple(
-            GroupElement(ctx, ModMatrix(ctx, 2, 2, k), i) for i, k in enumerate(keys)
+            GroupElement(ctx, ModMatrix(ctx, 2, 2, k), i) for i, k in enumerate(self._keys)
         )
         self.generators = tuple(self.elements[self._index[m.entries]] for m in gen_mats)
-        inv = []
-        p = ctx.p
-        for k in keys:
-            a, b, c, d = k
-            det = (a * d - b * c) % q
-            di = pow(det, -1, q)
-            inv.append(self._index[((d * di) % q, (-b * di) % q, (-c * di) % q, (a * di) % q)])
-        self._inv = tuple(inv)
+        self._inv = tuple(self._index[_inv4(k, q)] for k in self._keys)
         self._table = None
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def size(self) -> int:
-        return len(self._keys)
-
-    def element(self, i: int) -> GroupElement:
-        return self.elements[i]
+    def word(self, i: int) -> tuple[int, ...]:
+        """Generator positions whose product, left to right, is element i;
+        a shortest such word, read off the breadth-first tree."""
+        out = []
+        while i:
+            out.append(self._slot[i])
+            i = self._parent[i]
+        return tuple(reversed(out))
 
     def index_of(self, m: MatrixLike) -> int:
         mat = _as_matrix(self.ctx, m)
@@ -162,32 +207,14 @@ def close_group(
     Breadth-first over right multiplication by the generators in their
     listed order; raises ResourceLimitError when the closure passes cap.
     """
-    q = ctx.modulus
     mats = [_as_matrix(ctx, g) for g in gens]
     for m in mats:
         if m.rows != 2 or m.cols != 2:
             raise InputError("generators must be 2x2")
         if not m.is_invertible():
             raise InputError("generator determinant is not a unit: not invertible")
-    ident = (1, 0, 0, 1)
-    keys = [ident]
-    index = {ident: 0}
-    words: list[tuple[int, ...]] = [()]
-    gen_keys = [m.entries for m in mats]
-    i = 0
-    while i < len(keys):
-        base = keys[i]
-        wbase = words[i]
-        for j, gk in enumerate(gen_keys):
-            prod = _mul4(base, gk, q)
-            if prod not in index:
-                if len(keys) >= cap:
-                    raise ResourceLimitError(f"group closure exceeded the cap of {cap} elements")
-                index[prod] = len(keys)
-                keys.append(prod)
-                words.append(wbase + (j,))
-        i += 1
-    return FiniteMatrixGroup(ctx, mats, keys, words, label)
+    closure = _close_keys([m.entries for m in mats], ctx.modulus, cap)
+    return FiniteMatrixGroup(ctx, mats, closure, label)
 
 
 def element_order(x: Union[GroupElement, ModMatrix]) -> int:
@@ -195,17 +222,7 @@ def element_order(x: Union[GroupElement, ModMatrix]) -> int:
     mat = x.mat if isinstance(x, GroupElement) else x
     if not mat.is_invertible():
         raise InputError("order is defined for invertible matrices only")
-    q = mat.ctx.modulus
-    ident = (1, 0, 0, 1)
-    cur = mat.entries
-    k = 1
-    bound = q * q * 4
-    while cur != ident:
-        cur = _mul4(cur, mat.entries, q)
-        k += 1
-        if k > bound:
-            raise AssertionError("order computation did not terminate")
-    return k
+    return len(_powers4(mat.entries, mat.ctx.modulus))
 
 
 def reduction_kernel(g: FiniteMatrixGroup) -> frozenset[int]:
@@ -254,17 +271,13 @@ class QuotientGroup:
         self.coset_index = tuple(coset_index)
         m = len(reps)
         if m * len(s) != n:
-            raise AssertionError("coset count times subgroup order must equal the group order")
+            raise ConsistencyError("coset count times subgroup order must equal the group order")
         self._mult = tuple(
             tuple(coset_index[parent.mult(reps[a], reps[b])] for b in range(m)) for a in range(m)
         )
         self._inv = tuple(coset_index[parent.inv(reps[a])] for a in range(m))
 
     def __len__(self) -> int:
-        return len(self.reps)
-
-    @property
-    def size(self) -> int:
         return len(self.reps)
 
     @property
@@ -295,13 +308,6 @@ class QuotientGroup:
         m = len(self)
         return all(self._mult[a][b] == self._mult[b][a] for a in range(m) for b in range(m))
 
-    def coset_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != 0:
-            cur = self.mult(cur, a)
-            k += 1
-        return k
-
 
 def quotient_group(g: FiniteMatrixGroup, normal_indices: Iterable[int]) -> QuotientGroup:
     return QuotientGroup(g, normal_indices)
@@ -309,18 +315,8 @@ def quotient_group(g: FiniteMatrixGroup, normal_indices: Iterable[int]) -> Quoti
 
 def closure_indices(g: FiniteMatrixGroup, gen_indices: Sequence[int]) -> frozenset[int]:
     """Subgroup of g generated by the given element indices."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in gen_indices:
-                k = g.mult(i, j)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(k)
-        frontier = nxt
-    return frozenset(seen)
+    keys = _close_keys([g._keys[i] for i in gen_indices], g._q, len(g))[0]
+    return frozenset(map(g._index.__getitem__, keys))
 
 
 def subgroup_from_indices(
@@ -343,7 +339,7 @@ def subgroup_from_indices(
     gen_mats = [g.elements[i].mat for i in gens] or [ModMatrix.identity(g.ctx, 2)]
     sub = close_group(gen_mats, g.ctx, label=label)
     if len(sub) != len(target):
-        raise AssertionError("subgroup re-enumeration changed the element count")
+        raise ConsistencyError("subgroup re-enumeration changed the element count")
     return sub
 
 

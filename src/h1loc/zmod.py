@@ -26,14 +26,33 @@ from .errors import ConsistencyError, ContainmentError, DimensionError, InputErr
 MAX_MODULUS = 2**63 - 1
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every m < 3.3 * 10^24 (Sorenson and Webster, 2015), far above
+# MAX_MODULUS.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact for m < 3.3 * 10^24."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -46,17 +65,15 @@ class ModulusContext:
     modulus: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
+        if self.p < 3 or (self.p <= MAX_MODULUS and not is_prime(self.p)):
             raise InputError(f"p = {self.p} must be an odd prime >= 3")
         if self.n < 1:
             raise InputError(f"exponent n = {self.n} must be >= 1")
-        m = self.p**self.n
-        if m > MAX_MODULUS:
-            raise InputError(f"modulus p^n = {m} does not fit a 63-bit word")
-        object.__setattr__(self, "modulus", m)
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
+        # p >= 3, so p^n passes MAX_MODULUS once n >= 40: never raise p to a
+        # huge n, and never test a p above MAX_MODULUS for primality.
+        if self.p > MAX_MODULUS or self.n >= 64 or self.p**self.n > MAX_MODULUS:
+            raise InputError(f"modulus p^n = {self.p}^{self.n} does not fit a 63-bit word")
+        object.__setattr__(self, "modulus", self.p**self.n)
 
     def valuation(self, x: int) -> tuple[int, int]:
         """Split a residue as unit * p^v; the zero residue gives (n, 1)."""
@@ -515,10 +532,6 @@ def solve_linear(a: ModMatrix, b: ModVector) -> LinearSolution:
     return LinearSolver(a).solve(b)
 
 
-def membership(basis: SubmoduleBasis, v: ModVector) -> bool:
-    return basis.contains(v)
-
-
 def dual_constraints(basis: SubmoduleBasis) -> ModMatrix:
     """A matrix K with ker(K) = span(basis).
 
@@ -534,7 +547,7 @@ def dual_constraints(basis: SubmoduleBasis) -> ModMatrix:
         k = ModMatrix.from_rows(ctx, kern_rows)
     back = kernel_basis(k)
     if back != howell_from_rows(ctx, d, basis.raw_rows()):
-        raise AssertionError("double-dual check failed; basis was not in Howell form?")
+        raise ConsistencyError("double-dual check failed; basis was not in Howell form?")
     return k
 
 
@@ -643,7 +656,7 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     rel.extend([q if i == j else 0 for j in range(r)] for i in range(r))
     diag, vinv = _smith_diag_with_vinv(rel, r)
     if any(d == 0 for d in diag):
-        raise AssertionError("relation lattice unexpectedly not of full rank")
+        raise ConsistencyError("relation lattice unexpectedly not of full rank")
     big_raw = big.raw_rows()
     out = []
     for i, d in enumerate(diag):
@@ -660,7 +673,7 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     for d, _ in out:
         prod *= d
     if prod != index:
-        raise AssertionError(f"invariant factor product {prod} != index {index}")
+        raise ConsistencyError(f"invariant factor product {prod} != index {index}")
     return out
 
 

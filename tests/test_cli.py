@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -156,8 +157,10 @@ GROUP = {"p": 5, "n": 2, "generators": [[[1, 1], [0, 1]]], "label": None}
         dict(GROUP, n="2"),
         dict(GROUP, label=7),
         [GROUP],
+        dict(GROUP, n=10**8),
     ],
-    ids=["string-entry", "float-entry", "bool-entry", "float-p", "string-n", "int-label", "not-an-object"],
+    ids=["string-entry", "float-entry", "bool-entry", "float-p", "string-n", "int-label", "not-an-object",
+         "huge-n"],
 )
 def test_malformed_group_is_input_error(tmp_path, capsys, data):
     path = tmp_path / "group.json"
@@ -166,3 +169,29 @@ def test_malformed_group_is_input_error(tmp_path, capsys, data):
     assert main(["h1loc", "--input", str(path)]) == EXIT_INPUT
     assert time.perf_counter() - start < 1.0
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (5, "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871"),
+        (7, "00b671a9584318443d45d047da72af8a34263e2f7c69fcda6a4bc807cd45e613"),
+    ],
+)
+def test_scan_stdout_is_pinned(capsys, p, digest):
+    # sha256 of the stdout of `h1loc scan --p 5` and `--p 7` as first recorded,
+    # before the scanner shared the groups closure and power walk.
+    assert main(["scan", "--p", str(p)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_large_prime_modulus_is_fast(tmp_path, capsys):
+    # 2^61 - 1 passes MAX_MODULUS; deciding that it is prime must not take
+    # trial division up to its square root.
+    p = 2**61 - 1
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"p": p, "n": 1, "generators": [[[-1, 0], [0, 1]]], "label": None}))
+    start = time.perf_counter()
+    assert main(["h1loc", "--input", str(path)]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["order"] == 1

@@ -1,6 +1,8 @@
 """Group enumeration, structure queries, and the power identity."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,16 @@ from h1loc import (
     reduction_kernel,
     subgroup_from_indices,
 )
-from h1loc.constructions import borel_shared_generators, s3_generators
+from h1loc.constructions import (
+    borel_shared_generators,
+    build_borel_disjoint_group,
+    build_borel_index2_group,
+    build_borel_shared_group,
+    build_cyclic_quotient_group,
+    build_s3_quotient_group,
+    s3_generators,
+)
+from h1loc.groups import _powers4
 
 CTX25 = ModulusContext(5, 2)
 
@@ -62,7 +73,7 @@ def test_closure_determinism():
     a = close_group(gens, CTX25)
     b = close_group(gens, CTX25)
     assert [e.mat.entries for e in a.elements] == [e.mat.entries for e in b.elements]
-    assert a.gen_words == b.gen_words
+    assert [a.word(i) for i in range(len(a))] == [b.word(i) for i in range(len(b))]
 
 
 def test_element_orders():
@@ -91,7 +102,8 @@ def test_lagrange_and_words():
     h = reduction_kernel(g)
     assert len(g) % len(h) == 0
     # Generator words reproduce the elements.
-    for e, word in zip(g.elements, g.gen_words):
+    for e in g.elements:
+        word = g.word(e.index)
         acc = ModMatrix.identity(CTX25, 2)
         for j in word:
             acc = acc @ g.generators[j].mat
@@ -280,3 +292,72 @@ def test_vector_matrix_arithmetic():
     m = ModMatrix.from_rows(CTX25, [[1, 2], [3, 4]])
     assert m.vec_mul(v).coords == (11, 0)
     assert (m @ m.inverse()) == ModMatrix.identity(CTX25, 2)
+
+
+def test_power_walk_matches_element_order_on_gl2_f5():
+    # The walk that gives both the order and the cyclic span, against
+    # binary exponentiation by ModMatrix.power as the independent oracle.
+    ctx = ModulusContext(5, 1)
+    ident = ModMatrix.identity(ctx, 2)
+    count = 0
+    for key in itertools.product(range(5), repeat=4):
+        m = ModMatrix(ctx, 2, 2, key)
+        if not m.is_invertible():
+            continue
+        count += 1
+        walk = _powers4(key, 5)
+        order = next(k for k in range(1, 481) if m.power(k) == ident)
+        assert element_order(m) == len(walk) == order
+        assert walk == [m.power(j).entries for j in range(order)]
+    assert count == 480
+
+
+CONSTRUCTION_GROUPS_P5 = [
+    build_s3_quotient_group,
+    build_cyclic_quotient_group,
+    build_borel_shared_group,
+    build_borel_index2_group,
+    lambda p: build_borel_disjoint_group(p, variant="canonical"),
+    lambda p: build_borel_disjoint_group(p, variant="extra-diagonal"),
+]
+
+
+@pytest.mark.parametrize("build", CONSTRUCTION_GROUPS_P5,
+                         ids=["s3", "cyclic", "borel-shared", "borel-index2",
+                              "disjoint-canonical", "disjoint-extra"])
+def test_words_rebuild_every_element(build):
+    g = build(5)
+    previous = 0
+    for e in g.elements:
+        word = g.word(e.index)
+        acc = ModMatrix.identity(g.ctx, 2)
+        for j in word:
+            acc = acc @ g.generators[j].mat
+        assert acc == e.mat
+        # Breadth-first order: words never get shorter along the indices.
+        assert len(word) >= previous
+        previous = len(word)
+
+
+def test_closure_memory_is_linear_in_group_order():
+    # <diag(3, 1)> over Z/7^6: 3 is a primitive root mod 7^6, so the group
+    # has 6 * 7^5 = 100,842 elements, each one BFS step deeper than the last.
+    tracemalloc.start()
+    try:
+        size = len(close_group([[[3, 0], [0, 1]]], ModulusContext(7, 6)))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert size == 100_842
+    assert peak < 100
+
+
+def test_closure_cap_bounds_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            close_group([[[3, 0], [0, 1]]], ModulusContext(7, 6), cap=40_000)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 20

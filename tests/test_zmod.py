@@ -19,8 +19,8 @@ from h1loc import (
     howell_form,
     howell_from_rows,
     image_basis,
+    is_prime,
     kernel_basis,
-    membership,
     quotient_invariants,
     quotient_structure,
     solve_linear,
@@ -199,7 +199,7 @@ def test_solver_random_soundness_and_completeness():
 def test_image_basis_examples():
     sigma_minus_id = mat([[5, 1], [10, 5]])
     img = image_basis(sigma_minus_id)
-    assert membership(img, vec([0, 5]))
+    assert img.contains(vec([0, 5]))
 
     assert image_basis(ModMatrix.identity(CTX25, 2)) == full_basis(CTX25, 2)
 
@@ -209,8 +209,8 @@ def test_image_basis_examples():
 
 def test_membership_examples():
     pv = howell_form(mat([[5, 0], [0, 5]]))
-    assert membership(pv, vec([5, 20]))
-    assert not membership(pv, vec([1, 0]))
+    assert pv.contains(vec([5, 20]))
+    assert not pv.contains(vec([1, 0]))
     img = image_basis(mat([[5, 1], [10, 5]]))
     enumerated = {v.coords for v in img.enumerate_span()}
     assert (0, 5) in enumerated
@@ -224,7 +224,7 @@ def test_membership_matches_enumeration_randomized():
         enumerated = {v.coords for v in basis.enumerate_span()}
         for _ in range(20):
             v = vec([rng.randrange(25), rng.randrange(25)])
-            assert membership(basis, v) == (v.coords in enumerated)
+            assert basis.contains(v) == (v.coords in enumerated)
 
 
 def test_quotient_invariants_examples():
@@ -403,3 +403,24 @@ def test_linear_solver_recheck_raises_consistency_error():
     solver._image[0] = (col, piv, left, [(c + 1) % 25 for c in coeffs])
     with pytest.raises(ConsistencyError):
         solver.solve(vec([5, 0]))
+
+
+def _is_prime_by_trial_division(m):
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(m) == _is_prime_by_trial_division(m) for m in range(10**5))
+    # Strong pseudoprimes to base 2, and to bases 2, 3, 5 and 7.
+    for m in (2047, 3215031751):
+        assert not _is_prime_by_trial_division(m)
+        assert not is_prime(m)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
