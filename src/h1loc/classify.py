@@ -18,13 +18,13 @@ classifies them, and also applies the coarser necessary-condition filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import (
     FiniteMatrixGroup,
     _close_keys,
-    _inv4,
     _mul4,
     _powers4,
     borel_check,
@@ -280,42 +280,63 @@ def _gl2_elements(p: int):
                         yield (a, b, c, d)
 
 
-def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
-    """Inventory of the candidate subgroups of GL_2(F_p) of order prime
-    to p, classified case by case.
+def _cyclic_pass(p: int):
+    """The scanner's first pass over GL_2(F_p), in _gl2_elements order.
 
-    Enumerates every cyclic subgroup generated by an element of order
-    coprime to p, plus every subgroup generated by an order-3 element and
-    an order-2 element inverting it.  Deduplication is up to conjugacy via
-    the multiset of (order, determinant, trace) fingerprints; within one
-    fingerprint class the representative with the lexicographically least
-    element set is kept.
+    Returns (orders, subgroups, order2, order3): the order of every
+    element (the identity included), each cyclic subgroup of order prime
+    to p keyed by its element set and mapped to (first generator,), and
+    the elements of order 2 and of order 3 in enumeration order.
+
+    Each cyclic subgroup is walked once, from its first generator x in
+    enumeration order: the power list [Id, x, ..., x^(k-1)] is the whole
+    subgroup, and x^j with gcd(j, k) = 1 are exactly its other generators,
+    so they get order k without a walk of their own.
     """
-    if p not in SCAN_PRIMES:
-        raise ResourceLimitError(f"scan is capped to p in {SCAN_PRIMES}")
-    ctx = ModulusContext(p, 1)
     orders: dict[tuple, int] = {}
     subgroups: dict[frozenset, tuple] = {}
     order2 = []
     order3 = []
     for key in _gl2_elements(p):
-        span = _powers4(key, p)
-        o = len(span)
-        orders[key] = o
+        o = orders.get(key)
+        if o is None:
+            span = _powers4(key, p)
+            o = len(span)
+            # j = 0 passes only for k = 1, where it records the identity.
+            for j in range(o):
+                if gcd(j, o) == 1:
+                    orders[span[j]] = o
+            if o % p:
+                subgroups[frozenset(span)] = (key,)
         if o == 2:
             order2.append(key)
         elif o == 3:
             order3.append(key)
-        if o % p:
-            s = frozenset(span)
-            if s not in subgroups:
-                subgroups[s] = (key,)
+    return orders, subgroups, order2, order3
+
+
+def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
+    """Inventory of the candidate subgroups of GL_2(F_p) of order prime
+    to p, classified case by case.
+
+    Enumerates every cyclic subgroup generated by an element of order
+    coprime to p, walking each one once and keeping its first generator
+    in enumeration order, plus every subgroup generated by an order-3
+    element and an order-2 element inverting it.  Deduplication is up to
+    conjugacy via the multiset of (order, determinant, trace) fingerprints;
+    within one fingerprint class the representative with the
+    lexicographically least element set is kept.
+    """
+    if p not in SCAN_PRIMES:
+        raise ResourceLimitError(f"scan is capped to p in {SCAN_PRIMES}")
+    ctx = ModulusContext(p, 1)
+    orders, subgroups, order2, order3 = _cyclic_pass(p)
 
     for x in order3:
-        xinv = _inv4(x, p)
         for y in order2:
-            # y has order 2, so y x y^-1 = y x y.
-            if _mul4(_mul4(y, x, p), y, p) == xinv:
+            # y = y^-1, so y x y = x^-1 iff (y x)^2 = Id; y x = Id cannot
+            # hold, as x and y have different orders.
+            if orders[_mul4(y, x, p)] == 2:
                 members = frozenset(_close_keys((x, y), p)[0])
                 if members not in subgroups:
                     subgroups[members] = (x, y)

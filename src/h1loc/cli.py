@@ -79,8 +79,11 @@ def _emit(payload, path: Optional[str]) -> None:
     if path is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_group(path: str, cap: int):

@@ -6,6 +6,9 @@ engine they are used to check.
 """
 
 import itertools
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,19 @@ ACCEPTANCE_RESULTS = []
 
 def record_acceptance(number: int, name: str, passed: bool):
     ACCEPTANCE_RESULTS.append((number, name, passed))
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from local source files in its
+    # home directory, ./.hypothesis by default, while it collects tests; give
+    # it a temporary home instead, removed when the session ends.
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    home = Path(tempfile.mkdtemp(prefix="h1loc-hypothesis-"))
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -19,11 +19,13 @@ from h1loc import (
     reverify_verdict,
     scan_prime_to_p_subgroups,
 )
+from h1loc.classify import _cyclic_pass, _gl2_elements
 from h1loc.constructions import (
     build_borel_shared_group,
     build_cyclic_quotient_group,
     build_s3_quotient_group,
 )
+from h1loc.groups import _inv4, _mul4, _powers4
 
 F5 = ModulusContext(5, 1)
 
@@ -153,3 +155,52 @@ def test_nonvanishing_implies_shape_filter_p5():
         rep = h1_loc(g, full_module(ctx))
         if rep.order > 1:
             assert e.shape_filter.passes
+
+
+def _reference_cyclic_pass(p):
+    """The scanner's first pass as it was before each cyclic subgroup was
+    walked once: every element walks its full span, the first generator in
+    enumeration order registers the subgroup.  Kept as the oracle."""
+    orders = {}
+    subgroups = {}
+    order2 = []
+    order3 = []
+    for key in _gl2_elements(p):
+        span = _powers4(key, p)
+        o = len(span)
+        orders[key] = o
+        if o == 2:
+            order2.append(key)
+        elif o == 3:
+            order3.append(key)
+        if o % p:
+            s = frozenset(span)
+            if s not in subgroups:
+                subgroups[s] = (key,)
+    return orders, subgroups, order2, order3
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_cyclic_pass_matches_per_element_walk(p):
+    orders, subgroups, order2, order3 = _cyclic_pass(p)
+    ref_orders, ref_subgroups, ref_order2, ref_order3 = _reference_cyclic_pass(p)
+    assert len(orders) == (p * p - 1) * (p * p - p)
+    assert orders == ref_orders
+    assert subgroups == ref_subgroups
+    assert order2 == ref_order2
+    assert order3 == ref_order3
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_dihedral_test_by_order_of_product(p):
+    # The scanner tests y x y = x^-1 as orders[y x] == 2 (y has order 2).
+    orders, _, order2, order3 = _cyclic_pass(p)
+    inverting = 0
+    for x in order3:
+        xinv = _inv4(x, p)
+        for y in order2:
+            yx = _mul4(y, x, p)
+            dihedral = _mul4(yx, y, p) == xinv
+            assert (orders[yx] == 2) == dihedral
+            inverting += dihedral
+    assert inverting

@@ -136,6 +136,18 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "doomed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scan", "h1loc"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command, target):
+    out = tmp_path / "absent" / "x.json" if target == "missing-dir" else tmp_path
+    argv = ["scan", "--p", "5"] if command == "scan" else ["h1loc", "--input", write_group(tmp_path)]
+    assert main([*argv, "--output", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_power_identity_command(tmp_path, capsys):
     out = tmp_path / "power.json"
     assert main(["power-identity", "--primes", "5", "--seed", "3", "--output", str(out)]) == EXIT_OK
@@ -176,11 +188,13 @@ def test_malformed_group_is_input_error(tmp_path, capsys, data):
     [
         (5, "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871"),
         (7, "00b671a9584318443d45d047da72af8a34263e2f7c69fcda6a4bc807cd45e613"),
+        (11, "3b3c7e5c8fa6c4c76566009c23d28a4d66a8dcbce401d0193633ab66b69f9b4e"),
     ],
 )
 def test_scan_stdout_is_pinned(capsys, p, digest):
     # sha256 of the stdout of `h1loc scan --p 5` and `--p 7` as first recorded,
-    # before the scanner shared the groups closure and power walk.
+    # before the scanner shared the groups closure and power walk; `--p 11`
+    # as recorded while the scanner still walked every element's full span.
     assert main(["scan", "--p", str(p)]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
