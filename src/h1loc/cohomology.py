@@ -11,9 +11,11 @@ set.  The engine therefore works in the coordinate space of generator
 values: a breadth-first walk of the Cayley graph expresses every
 element's value as a linear function of the generator values, each
 revisited element contributes a linear consistency constraint, and Z^1
-is the kernel of the stacked constraints.  Local conditions add, for
-every group element g, the linear equations that pin Z(g) inside the
-image of g - Id.
+is the kernel of the stacked constraints.  Local conditions add the
+linear equations that pin Z(g) inside the image of g - Id, for one
+generator g of each conjugacy class of maximal cyclic subgroups; on a
+cocycle they imply the condition at every group element (see
+CocycleSystem.local_representatives).
 
 Works uniformly for an enumerated matrix group and for a quotient by a
 normal subgroup acting trivially on the module, so inflation has a
@@ -23,11 +25,12 @@ domain to live on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .errors import ConsistencyError, ContractError, DimensionError, InputError
+from .errors import ConsistencyError, ContractError, DimensionError, InputError, ResourceLimitError
 from .groups import (
     FiniteMatrixGroup,
     QuotientGroup,
@@ -58,6 +61,10 @@ _MODULE_LABELS = {FULL: "V", TORSION: "V[p]", QUOTIENT: "V/V[p]"}
 # Caps for the enumeration-based cross check of the local cohomology order.
 CLASS_ENUM_LIMIT = 10**5
 CLASS_ENUM_WORK_LIMIT = 2 * 10**6
+# Cap on |G| * dim, checked before a CocycleSystem allocates anything per
+# element: its table L holds 2 * dim entries per element, and its harvest
+# walks |G| * dim / 2 Cayley edges.
+SYSTEM_WORK_LIMIT = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -257,8 +264,8 @@ class LocalEntry:
 
     annihilator: rows k with k.(g - Id) = 0; since Z/p^n is self-injective,
     Z(g) lies in the image exactly when k.Z(g) = 0 for every row.
-    solver: a LinearSolver of g - Id, which decides membership directly by
-    reducing Z(g) against a Howell basis of the column span.
+    solver: a LinearSolver of g - Id, whose column-span basis decides
+    membership directly (admits).
     """
 
     def __init__(self, shifted: ModMatrix):
@@ -274,6 +281,31 @@ class LocalEntry:
     def solver(self) -> LinearSolver:
         return LinearSolver(self.shifted)
 
+    def admits(self, value: tuple[int, int]) -> bool:
+        """Whether the reduced pair value lies in Im(g - Id).
+
+        The pair is reduced against the solver's column-span basis, as
+        LinearSolver.solve does, but on plain integers.  A solution found
+        is re-checked against (g - Id) x = value; a mismatch raises
+        ConsistencyError.
+        """
+        q = self.shifted.ctx.modulus
+        b0, b1 = value
+        x0 = x1 = 0
+        for col, piv, (l0, l1), (c0, c1) in self.solver._image:
+            c = (b1 if col else b0) // piv
+            if c:
+                b0 = (b0 - c * l0) % q
+                b1 = (b1 - c * l1) % q
+                x0 = (x0 + c * c0) % q
+                x1 = (x1 + c * c1) % q
+        if b0 or b1:
+            return False
+        s00, s01, s10, s11 = self.shifted.entries
+        if ((s00 * x0 + s01 * x1) % q, (s10 * x0 + s11 * x1) % q) != value:
+            raise ConsistencyError("local solve fails the re-check (g - Id) x = Z(g)")
+        return True
+
 
 class CocycleSystem:
     """Shared scaffolding for one (group, module) pair.
@@ -282,6 +314,8 @@ class CocycleSystem:
     a linear map from generator values, the harvested consistency
     constraints, and lazily computed bases of Z^1, B^1 and the local
     cocycle space, all in the generator coordinate space (Z/q)^(2k).
+    Raises ResourceLimitError before any per-element table is built when
+    |G| * dim passes SYSTEM_WORK_LIMIT.
     """
 
     def __init__(self, group: GroupLike, module: GModule):
@@ -293,9 +327,14 @@ class CocycleSystem:
         self.gens = _gen_indices(group)
         self.k = len(self.gens)
         self.dim = 2 * self.k
+        n = len(group)
+        if n * self.dim > SYSTEM_WORK_LIMIT:
+            raise ResourceLimitError(
+                f"cocycle system: work |G|*dim = {n}*{self.dim} = {n * self.dim} "
+                f"exceeds the cap of {SYSTEM_WORK_LIMIT}"
+            )
         self.q = module.coeff_modulus
         self.cctx = module.coeff_ctx
-        n = len(group)
         self.acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
         # L[i] is a 2 x dim matrix (pair of rows) with Z(element i) = L[i] u.
         self.L: list[Optional[tuple[list[int], list[int]]]] = [None] * n
@@ -341,9 +380,14 @@ class CocycleSystem:
 
     # -- spaces ------------------------------------------------------------
 
+    @cached_property
+    def constraint_basis(self) -> list[list[int]]:
+        """Howell basis of the harvested constraints, shared by z1 and z1_local."""
+        return _howell_raw(self.constraints, self.dim, self.cctx)
+
     def z1(self) -> SubmoduleBasis:
         if self._z1 is None:
-            rows = _kernel_raw(self.constraints, self.dim, self.cctx) if self.dim else []
+            rows = _kernel_raw(self.constraint_basis, self.dim, self.cctx) if self.dim else []
             self._z1 = SubmoduleBasis.from_raw(self.cctx, self.dim, rows)
             for r in self._z1.rows:
                 if not self.is_cocycle(self.expand(r.coords)):
@@ -370,6 +414,59 @@ class CocycleSystem:
                 raise ConsistencyError("coboundaries must be cocycles")
         return self._b1
 
+    @cached_property
+    def local_representatives(self) -> list[int]:
+        """One generator of each conjugacy class of maximal cyclic subgroups.
+
+        On a cocycle Z these local conditions imply Z(g) in Im(g - Id) at
+        every element g.  If Z(g) = (g - 1)m, then Z(g^k) = (g^k - 1)m, so
+        the condition holds on all of <g>; and for any h,
+        Z(hgh^-1) = Z(h) + h Z(g) + hg Z(h^-1) = (hgh^-1 - 1)(h m - Z(h)),
+        so it holds on every conjugate of <g>.  Every element lies in a
+        maximal cyclic subgroup, so one generator per conjugacy class of
+        those suffices.
+
+        Each cyclic subgroup is walked once, from its first generator in
+        index order (its owner); the walk marks the subgroup's other
+        elements either as generators with the same owner or as lying in
+        a larger cyclic subgroup.  The maximal subgroups are then merged
+        under conjugation by the generators of the group, with the owner
+        naming the conjugate subgroup, and the least owner of each class
+        is its representative.
+        """
+        group = self.group
+        mult, inv = group.mult, group.inv
+        n = len(group)
+        owner = [-1] * n  # -1 unvisited, 0 in a larger cyclic subgroup
+        owner[0] = 0
+        for x in range(1, n):
+            if owner[x] != -1:
+                continue
+            powers = [x]
+            cur = mult(x, x)
+            while cur != 0:
+                powers.append(cur)
+                cur = mult(cur, x)
+            k = len(powers) + 1
+            for j, y in enumerate(powers, 1):
+                owner[y] = x if math.gcd(j, k) == 1 else 0
+        reps = []
+        merged = bytearray(n)
+        for x in range(1, n):
+            if owner[x] != x or merged[x]:
+                continue
+            reps.append(x)
+            merged[x] = 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for h in self.gens:
+                    z = owner[mult(mult(h, y), inv(h))]
+                    if not merged[z]:
+                        merged[z] = 1
+                        stack.append(z)
+        return reps
+
     def local_entries(self) -> list[LocalEntry]:
         """The local entry of every element; elements whose actions on the
         module coincide (common for V[p] and V/V[p]) share one entry."""
@@ -385,17 +482,20 @@ class CocycleSystem:
         return self._local
 
     def local_constraint_rows(self) -> list[list[int]]:
-        """k.L[g] u = 0 for every element g and annihilator row k of g."""
+        """k.L[g] u = 0 for every local representative g and annihilator
+        row k of g."""
         rows: list[list[int]] = []
         q = self.q
-        for (l0, l1), entry in zip(self.L, self.local_entries()):
-            for k0, k1 in entry.annihilator:
+        entries = self.local_entries()
+        for g in self.local_representatives:
+            l0, l1 = self.L[g]
+            for k0, k1 in entries[g].annihilator:
                 rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
         return rows
 
     def z1_local(self) -> SubmoduleBasis:
         if self._z1loc is None:
-            rows = self.constraints + self.local_constraint_rows()
+            rows = self.constraint_basis + self.local_constraint_rows()
             kern = _kernel_raw(rows, self.dim, self.cctx) if self.dim else []
             self._z1loc = SubmoduleBasis.from_raw(self.cctx, self.dim, kern)
             b1 = self.b1()
@@ -433,20 +533,19 @@ class CocycleSystem:
         return self.b1().reduce(u).coords
 
     def is_local_table(self, c: Cocycle) -> bool:
-        """Direct per-element test: every value lies in the image of g - Id,
-        decided by a column-span solve, not by the annihilator rows."""
-        cctx = self.cctx
-        return all(
-            entry.solver.solve(ModVector(cctx, value)).solvable
-            for value, entry in zip(c.values, self.local_entries())
-        )
+        """Direct test at every element, not only the representatives:
+        each value lies in the image of g - Id, decided by the column span
+        of g - Id (LocalEntry.admits), not by the annihilator rows."""
+        return all(entry.admits(value) for value, entry in zip(c.values, self.local_entries()))
 
 
 @dataclass(frozen=True)
 class H1Report:
     """Order, invariant factors and generating cocycles of H^1 or its local
     subgroup; for a non-trivial local computation the witness is a concrete
-    local cocycle that is not a coboundary."""
+    local cocycle that is not a coboundary.  cross_check says whether
+    h1_loc's class-enumeration cross-check ran, with its size, or why it
+    was skipped (None for H^1); it stays out of to_json."""
 
     group_label: Optional[str]
     module_label: str
@@ -455,6 +554,7 @@ class H1Report:
     generator_cocycles: tuple[Cocycle, ...]
     zero_cocycle: Cocycle
     witness: Optional[Cocycle]
+    cross_check: Optional[str] = None
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -550,25 +650,35 @@ def h1(group: GroupLike, module: GModule) -> H1Report:
 def h1_loc(group: GroupLike, module: GModule, cross_check: bool = True) -> H1Report:
     """The first local cohomology group: local cocycles modulo coboundaries.
 
-    The main path imposes the local conditions as annihilator rows: Z(g) is
-    in Im(g - Id) iff every row that kills Im(g - Id) kills Z(g).  When
-    feasible the order is recomputed a second way, by enumerating the
-    classes of H^1 and testing a representative of each at every element
-    with a column-span solve of (g - Id) x = Z(g); a mismatch raises
-    ConsistencyError.
+    The main path imposes the local conditions as annihilator rows, Z(g) in
+    Im(g - Id) iff every row that kills Im(g - Id) kills Z(g), at one
+    generator g of each conjugacy class of maximal cyclic subgroups (see
+    CocycleSystem.local_representatives).  When feasible the order is
+    recomputed a second way, by enumerating the classes of H^1 and testing
+    a representative of each at every element against the column span of
+    g - Id; a mismatch raises ConsistencyError.  The zero class is local
+    (0 = (g - 1)0) and is counted without a test.  report.cross_check
+    records whether this ran.
     """
     system = CocycleSystem(group, module)
     report = _quotient_report(system, system.z1_local(), witness_wanted=True)
-    if cross_check:
-        full = _quotient_report(system, system.z1(), witness_wanted=False)
-        work = full.order * len(group)
-        if full.order <= CLASS_ENUM_LIMIT and work <= CLASS_ENUM_WORK_LIMIT:
-            count = sum(1 for rep in full.classes() if system.is_local_table(rep))
-            if count != report.order:
-                raise ConsistencyError(
-                    f"local class count {count} disagrees with the computed order {report.order}"
-                )
-    return report
+    if not cross_check:
+        return replace(report, cross_check="skipped: not requested")
+    full = _quotient_report(system, system.z1(), witness_wanted=False)
+    work = full.order * len(group)
+    if full.order > CLASS_ENUM_LIMIT:
+        note = f"skipped: {full.order} classes > cap {CLASS_ENUM_LIMIT}"
+    elif work > CLASS_ENUM_WORK_LIMIT:
+        note = f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}"
+    else:
+        classes = full.classes()
+        count = 1 + sum(1 for rep in classes[1:] if system.is_local_table(rep))
+        if count != report.order:
+            raise ConsistencyError(
+                f"local class count {count} disagrees with the computed order {report.order}"
+            )
+        note = f"ran: {full.order} classes x {len(group)} elements"
+    return replace(report, cross_check=note)
 
 
 def is_coboundary(group: GroupLike, module: GModule, c: Cocycle) -> Optional[ModVector]:
@@ -806,7 +916,6 @@ def inflation_restriction_check(g: FiniteMatrixGroup, module: Optional[GModule] 
     checks whether restriction lands bijectively on the G/H-equivariant
     homomorphisms from H (which carries the invariants of H^1(H, V[p])).
     """
-    from .errors import ResourceLimitError
     from .groups import quotient_group, reduction_kernel
 
     module = module if module is not None else torsion_module(g.ctx)

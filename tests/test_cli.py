@@ -199,6 +199,46 @@ def test_scan_stdout_is_pinned(capsys, p, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+BOREL_SHARED_5 = {"p": 5, "n": 2, "label": "borel-shared",
+                  "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]], [[6, 0], [0, -4]]]}
+Z125_GROUP = {"p": 5, "n": 3, "label": "z125", "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]]]}
+
+
+@pytest.mark.parametrize(
+    "group, module, digest",
+    [
+        (BOREL_SHARED_5, "V", "aaf0588f9686cedf5322ce94230bcff0a971ee56ead7ffdfc113e63370250281"),
+        (Z125_GROUP, "V", "29720bdc7c0be3a28fe9b87fe602725b6ca84dc6a3c84719737bee58bef496fd"),
+        (Z125_GROUP, "V[p]", "cb8e30eaded3482b7116cce48ae1c654d1e7e7700a87ed442a156ff207dc60af"),
+        (Z125_GROUP, "V/V[p]", "34f4918a95c0b1c5cbb8a7cd36bc5bb8dc95b00cc61360cb31cfb2f4dc22f4bb"),
+    ],
+    ids=["borel-shared-5-V", "z125-V", "z125-V[p]", "z125-V/V[p]"],
+)
+def test_h1loc_stdout_is_pinned(tmp_path, capsys, group, module, digest):
+    # sha256 of `h1loc h1loc` stdout as recorded while the local conditions
+    # were still imposed at every group element.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(group))
+    assert main(["h1loc", "--input", str(path), "--module", module]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cocycle_system_work_cap_is_resource_error(tmp_path, capsys):
+    # The cyclic group of order 10006 generated by 5 mod 10007, listed with
+    # 11 distinct generators: |G| * dim = 10006 * 22 passes the cap.
+    p = 10007
+    gens = [[[pow(5, j, p), 0], [0, 1]] for j in range(1, 12)]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"p": p, "n": 1, "generators": gens, "label": None}))
+    start = time.perf_counter()
+    assert main(["h1loc", "--input", str(path)]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cocycle system" in captured.err and "220132" in captured.err and "200000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_large_prime_modulus_is_fast(tmp_path, capsys):
     # 2^61 - 1 passes MAX_MODULUS; deciding that it is prime must not take
     # trial division up to its square root.

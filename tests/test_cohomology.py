@@ -1,12 +1,16 @@
 """The cocycle engine against brute force, examples, and its own axioms."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from h1loc import (
     Cocycle,
     CocycleSystem,
+    ConsistencyError,
     ContractError,
     GModule,
     ModMatrix,
@@ -24,15 +28,20 @@ from h1loc import (
     inflate_cocycle,
     inflation_restriction_check,
     is_coboundary,
+    kernel_basis,
     local_cocycle_space,
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
+    ResourceLimitError,
+    SubmoduleBasis,
     solve_linear,
     subgroup_from_indices,
     torsion_module,
     verify_cocycle,
 )
+from h1loc import cohomology
+from h1loc.cohomology import LocalEntry
 from h1loc.constructions import (
     borel_shared_generators,
     borel_shared_witness,
@@ -44,6 +53,7 @@ from h1loc.constructions import (
     cyclic_generators,
     s3_generators,
 )
+from h1loc.zmod import _howell_raw, _kernel_raw
 from conftest import (
     brute_coboundary_tables,
     brute_cocycle_tables,
@@ -458,3 +468,254 @@ def test_cached_local_test_matches_uncached_oracle_over_z125(kind):
     else:
         # The reduced actions repeat, so many elements share one entry.
         assert distinct * 10 <= len(g)
+
+
+# ---------------------------------------------------------------------------
+# Local conditions at representatives against the all-element stack.
+
+
+def _all_element_local_basis(system):
+    """The all-element oracle: the harvested constraints stacked with the
+    annihilator rows of every element, each annihilator computed afresh as
+    the kernel of (g - Id)^T."""
+    q, cctx = system.q, system.cctx
+    annihilators = {}
+    rows = list(system.constraints)
+    for (l0, l1), act in zip(system.L, system.acts):
+        if act not in annihilators:
+            a, b, c, d = act
+            shifted_t = ModMatrix(cctx, 2, 2, ((a - 1) % q, c % q, b % q, (d - 1) % q))
+            annihilators[act] = [k.coords for k in kernel_basis(shifted_t).rows]
+        for k0, k1 in annihilators[act]:
+            rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
+    return SubmoduleBasis.from_raw(cctx, system.dim, _kernel_raw(rows, system.dim, cctx))
+
+
+Z9 = ModulusContext(3, 2)
+Z125 = ModulusContext(5, 3)
+Z125_GROUPS = {
+    "z125": [[[1, 0], [0, -1]], [[6, 1], [10, 6]]],
+    "z125-unipotent": [[[1, 1], [0, 1]], [[6, 0], [0, -4]]],
+}
+
+
+def _representative_cases(p):
+    """Every construction group at p on V and V[p], and its reduction-kernel
+    quotient on V[p]."""
+    out = []
+    for group, module in _construction_groups(p):
+        out.append((group, module))
+        if module.kind == "full":
+            out.append((group, torsion_module(group.ctx)))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_representative_local_rows_match_all_elements_constructions(p):
+    for group, module in _representative_cases(p):
+        system = CocycleSystem(group, module)
+        assert system.z1_local() == _all_element_local_basis(system)
+        assert len(system.local_representatives) < len(group)
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_representative_local_rows_match_all_elements_over_z125(name, kind):
+    group = close_group(Z125_GROUPS[name], Z125)
+    system = CocycleSystem(group, GModule(Z125, kind))
+    assert system.z1_local() == _all_element_local_basis(system)
+
+
+def _max_cyclic_classes(group):
+    """Conjugacy classes of maximal cyclic subgroups, by brute force: every
+    element's cyclic subgroup as a set, and conjugation by every element."""
+    n = len(group)
+    cyclic = []
+    for x in range(n):
+        span, cur = {0}, x
+        while cur != 0:
+            span.add(cur)
+            cur = group.mult(cur, x)
+        cyclic.append(frozenset(span))
+    subgroups = set(cyclic)
+    maximal = {c for c in subgroups if not any(c < d for d in subgroups)}
+    classes = []
+    for c in sorted(maximal, key=min):
+        x = next(y for y in c if cyclic[y] == c)
+        orbit = frozenset(cyclic[group.mult(group.mult(h, x), group.inv(h))] for h in range(n))
+        if orbit not in classes:
+            classes.append(orbit)
+    return cyclic, classes
+
+
+@pytest.mark.parametrize("source", ["p=5", "p=7", "z125"])
+def test_local_representatives_are_one_per_conjugacy_class(source):
+    if source == "z125":
+        cases = [(close_group(gens, Z125), full_module(Z125)) for gens in Z125_GROUPS.values()]
+    else:
+        cases = _construction_groups(int(source[2:]))
+    for group, module in cases:
+        cyclic, classes = _max_cyclic_classes(group)
+        reps = CocycleSystem(group, module).local_representatives
+        assert len(reps) == len(classes)
+        assert sorted(next(i for i, cls in enumerate(classes) if cyclic[x] in cls) for x in reps) == list(
+            range(len(classes))
+        )
+
+
+def test_local_representative_counts():
+    g = build_borel_shared_group(11)
+    assert len(CocycleSystem(g, full_module(g.ctx)).local_representatives) == 7
+    u = close_group(Z125_GROUPS["z125-unipotent"], Z125)
+    assert len(u) == 3125
+    assert len(CocycleSystem(u, full_module(Z125)).local_representatives) == 10
+
+
+def test_harvest_basis_is_shared():
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    assert system.z1() == SubmoduleBasis.from_raw(
+        system.cctx, system.dim, _kernel_raw(system.constraints, system.dim, system.cctx)
+    )
+    assert system.constraint_basis == _howell_raw(system.constraints, system.dim, system.cctx)
+
+
+GROUP_CAP = 120
+
+
+@st.composite
+def _small_groups(draw):
+    """A group over Z/9 or Z/25 from one or two generators, with at most
+    GROUP_CAP elements.  A second generator is a unit of Z/q[g], an element
+    of the reduction kernel, or over Z/9 any invertible matrix or, with an
+    upper triangular first one, another upper triangular matrix mod p."""
+    p = draw(st.sampled_from([3, 5]))
+    ctx = ModulusContext(p, 2)
+    q = ctx.modulus
+    entry = st.integers(0, q - 1)
+    kinds = (["borel", "any"] if p == 3 else []) + ["kernel", "commuting", "cyclic"]
+    kind = draw(st.sampled_from(kinds))
+
+    def matrix(lower=entry):
+        return draw(st.tuples(entry, entry, lower, entry).filter(lambda m: (m[0] * m[3] - m[1] * m[2]) % p))
+
+    if kind == "borel":
+        lower = st.integers(0, p - 1).map(lambda c: c * p)
+        gens = [matrix(lower), matrix(lower)]
+    else:
+        gens = [matrix()]
+    g1 = gens[0]
+    if kind == "commuting":
+        a, b = draw(entry), draw(entry)
+        gens.append(tuple((b * e + (a if i in (0, 3) else 0)) % q for i, e in enumerate(g1)))
+    elif kind == "kernel":
+        n = draw(st.tuples(*[st.integers(0, p - 1)] * 4))
+        gens.append(tuple(((1 if i in (0, 3) else 0) + p * e) % q for i, e in enumerate(n)))
+    elif kind == "any":
+        gens.append(matrix())
+    mats = [ModMatrix(ctx, 2, 2, m) for m in gens]
+    assume(all(m.is_invertible() for m in mats))
+    try:
+        group = close_group(mats, ctx, cap=GROUP_CAP)
+    except ResourceLimitError:
+        assume(False)
+    return group, GModule(ctx, draw(st.sampled_from(["full", "p_torsion", "mod_p_quotient"])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_small_groups())
+@example((close_group([[[1, 3], [6, 4]], [[7, 3], [6, 7]]], Z9), full_module(Z9)))  # H^1_loc of order 9
+@example((close_group([[[1, 8], [3, 4]], [[7, 8], [3, 7]]], Z9), full_module(Z9)))  # |G| = 27, order 9
+def test_h1_loc_matches_brute_force_on_random_groups(case):
+    group, module = case
+    system = CocycleSystem(group, module)
+    full = h1(group, module)
+    local_classes = brute_local_tables(group, module, {c.values for c in full.classes()})
+    report = h1_loc(group, module)
+    assert report.order == len(local_classes)
+    # Every basis row of Z^1_loc is local by brute force; with the order,
+    # that makes the local span exactly the brute-force local cocycles.
+    rows = {system.expand(r.coords).values for r in system.z1_local().rows}
+    assert brute_local_tables(group, module, rows) == rows
+
+
+# ---------------------------------------------------------------------------
+# The cross-check's membership test.
+
+
+def test_admits_matches_solver_for_every_matrix_mod_9():
+    ctx = ModulusContext(3, 2)
+    pairs = [(x, y) for x in range(9) for y in range(9)]
+    vectors = [ModVector(ctx, v) for v in pairs]
+    for entries in itertools.product(range(9), repeat=4):
+        entry = LocalEntry(ModMatrix(ctx, 2, 2, entries))
+        a, b, c, d = entries
+        image = {((a * x + b * y) % 9, (c * x + d * y) % 9) for x, y in pairs}
+        for v, mv in zip(pairs, vectors):
+            admitted = entry.admits(v)
+            assert admitted == entry.solver.solve(mv).solvable
+            assert admitted == (v in image)
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (5, 3)])
+def test_admits_matches_solver_on_random_matrices(p, n):
+    ctx = ModulusContext(p, n)
+    q = ctx.modulus
+    rng = random.Random(q)
+    hits = 0
+    for _ in range(3000):
+        # Entries with a random valuation, so that singular matrices are common.
+        entries = tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4))
+        entry = LocalEntry(ModMatrix(ctx, 2, 2, entries))
+        a, b, c, d = entries
+        x, y = rng.randrange(q), rng.randrange(q)
+        for v in (((a * x + b * y) % q, (c * x + d * y) % q), (rng.randrange(q), rng.randrange(q))):
+            admitted = entry.admits(v)
+            assert admitted == entry.solver.solve(ModVector(ctx, v)).solvable
+            hits += admitted
+    assert 3000 < hits < 6000
+
+
+def test_admits_recheck_catches_a_corrupted_solver():
+    ctx = ModulusContext(5, 2)
+    entry = LocalEntry(ModMatrix(ctx, 2, 2, (5, 1, 10, 5)))
+    assert entry.admits((1, 5))
+    # Corrupt the coefficients of the first column-span row: the reduction
+    # still succeeds, so only the re-check against (g - Id) x = v can tell.
+    col, piv, left, coeffs = entry.solver._image[0]
+    entry.solver._image[0] = (col, piv, left, [(c + 1) % 25 for c in coeffs])
+    with pytest.raises(ConsistencyError):
+        entry.admits((1, 5))
+
+
+# ---------------------------------------------------------------------------
+# Whether the cross-check ran, and the work cap of the cocycle system.
+
+
+def test_cross_check_ran_is_recorded():
+    g = build_borel_shared_group(5)
+    rep = h1_loc(g, full_module(g.ctx))
+    assert rep.cross_check == f"ran: 5 classes x {len(g)} elements"
+    assert "cross_check" not in rep.to_json()
+    assert h1(g, full_module(g.ctx)).cross_check is None
+
+
+def test_cross_check_skips_are_recorded(monkeypatch):
+    g = build_borel_shared_group(5)
+    mod = full_module(g.ctx)
+    assert h1_loc(g, mod, cross_check=False).cross_check == "skipped: not requested"
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", 1000)
+    assert h1_loc(g, mod).cross_check == f"skipped: work {5 * len(g)} > cap 1000"
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_LIMIT", 4)
+    assert h1_loc(g, mod).cross_check == "skipped: 5 classes > cap 4"
+
+
+def test_system_work_cap(monkeypatch):
+    g = build_borel_shared_group(5)
+    work = 6 * len(g)  # three distinct generators, so dim = 6
+    monkeypatch.setattr(cohomology, "SYSTEM_WORK_LIMIT", work - 1)
+    with pytest.raises(ResourceLimitError, match=f"cocycle system: .*= {work} exceeds the cap of {work - 1}$"):
+        CocycleSystem(g, full_module(g.ctx))
+    monkeypatch.setattr(cohomology, "SYSTEM_WORK_LIMIT", work)
+    CocycleSystem(g, full_module(g.ctx))
