@@ -86,6 +86,11 @@ def _emit(payload, path: Optional[str]) -> None:
             raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise InputError(f"--cap must be a positive element count, got {cap}")
+
+
 def _load_group(path: str, cap: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,6 +105,7 @@ def _load_group(path: str, cap: int):
 
 
 def _cmd_cohomology(args, local: bool) -> int:
+    _check_cap(args.cap)
     group = _load_group(args.input, args.cap)
     module = parse_module(group.ctx, args.module)
     report = h1_loc(group, module) if local else h1(group, module)
@@ -111,6 +117,7 @@ def _cmd_verify(args) -> int:
     for p in args.primes:
         if not is_prime(p) or p < 5:
             raise InputError(f"--primes entries must be primes >= 5, got {p}")
+    _check_cap(args.cap)
     reports = verify_all(args.primes, cap=args.cap)
     _emit([r.to_json() for r in reports], args.output)
     failed = [r for r in reports if r.status == "failed"]

@@ -39,14 +39,15 @@ from .groups import (
     subgroup_from_indices,
 )
 from .zmod import (
-    LinearSolver,
     ModMatrix,
     ModulusContext,
     ModVector,
     SubmoduleBasis,
     _howell_raw,
     _kernel_raw,
+    column_span2,
     howell_from_rows,
+    solve2,
     solve_linear,
 )
 
@@ -234,22 +235,25 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     _check_action_well_defined(group, module)
     n = len(group)
     acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
-    bs = range(n) if full else _gen_indices(group)
-    return _cocycle_holds(group, acts, bs, c.values, module.coeff_modulus)
+    if full:
+        mult = group.mult
+        edges = ((b, [mult(a, b) for a in range(n)]) for b in range(n))
+    else:
+        edges = zip(_gen_indices(group), group.edge_targets())
+    return _cocycle_holds(acts, edges, c.values, module.coeff_modulus)
 
 
-def _cocycle_holds(group: GroupLike, acts, bs, values, q: int) -> bool:
-    """Z(1) = 0 and Z(ab) = Z(a) + a.Z(b) for every element a and every b
-    in bs, where acts[a] is the action of a on the module."""
+def _cocycle_holds(acts, edges, values, q: int) -> bool:
+    """Z(1) = 0 and Z(ab) = Z(a) + a.Z(b) for every element a and every
+    (b, targets) in edges, where targets[a] is the index of ab and acts[a]
+    is the action of a on the module."""
     if values[0] != (0, 0):
         return False
-    mult = group.mult
-    for a, (m0, m1, m2, m3) in enumerate(acts):
-        va0, va1 = values[a]
-        for b in bs:
-            vb0, vb1 = values[b]
-            vab = values[mult(a, b)]
-            if vab[0] != (va0 + m0 * vb0 + m1 * vb1) % q or vab[1] != (va1 + m2 * vb0 + m3 * vb1) % q:
+    for b, targets in edges:
+        vb0, vb1 = values[b]
+        for (m0, m1, m2, m3), (va0, va1), t in zip(acts, values, targets):
+            w0, w1 = values[t]
+            if w0 != (va0 + m0 * vb0 + m1 * vb1) % q or w1 != (va1 + m2 * vb0 + m3 * vb1) % q:
                 return False
     return True
 
@@ -264,8 +268,8 @@ class LocalEntry:
 
     annihilator: rows k with k.(g - Id) = 0; since Z/p^n is self-injective,
     Z(g) lies in the image exactly when k.Z(g) = 0 for every row.
-    solver: a LinearSolver of g - Id, whose column-span basis decides
-    membership directly (admits).
+    span: the closed-form column-span basis of g - Id (zmod.column_span2),
+    which decides membership directly (admits).
     """
 
     def __init__(self, shifted: ModMatrix):
@@ -278,33 +282,15 @@ class LocalEntry:
         return _kernel_raw(columns.row_lists(), 2, columns.ctx)
 
     @cached_property
-    def solver(self) -> LinearSolver:
-        return LinearSolver(self.shifted)
+    def span(self) -> list:
+        return column_span2(self.shifted)
 
     def admits(self, value: tuple[int, int]) -> bool:
-        """Whether the reduced pair value lies in Im(g - Id).
-
-        The pair is reduced against the solver's column-span basis, as
-        LinearSolver.solve does, but on plain integers.  A solution found
-        is re-checked against (g - Id) x = value; a mismatch raises
-        ConsistencyError.
-        """
-        q = self.shifted.ctx.modulus
-        b0, b1 = value
-        x0 = x1 = 0
-        for col, piv, (l0, l1), (c0, c1) in self.solver._image:
-            c = (b1 if col else b0) // piv
-            if c:
-                b0 = (b0 - c * l0) % q
-                b1 = (b1 - c * l1) % q
-                x0 = (x0 + c * c0) % q
-                x1 = (x1 + c * c1) % q
-        if b0 or b1:
-            return False
-        s00, s01, s10, s11 = self.shifted.entries
-        if ((s00 * x0 + s01 * x1) % q, (s10 * x0 + s11 * x1) % q) != value:
-            raise ConsistencyError("local solve fails the re-check (g - Id) x = Z(g)")
-        return True
+        """Whether the reduced pair value lies in Im(g - Id): it is reduced
+        against the column-span basis, and a solution found is re-checked
+        against (g - Id) x = value (zmod.solve2; a mismatch raises
+        ConsistencyError)."""
+        return solve2(self.shifted, self.span, value) is not None
 
 
 class CocycleSystem:
@@ -336,6 +322,8 @@ class CocycleSystem:
         self.q = module.coeff_modulus
         self.cctx = module.coeff_ctx
         self.acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
+        # targets[slot][i] is the index of element i times generator slot.
+        self.targets = group.edge_targets()
         # L[i] is a 2 x dim matrix (pair of rows) with Z(element i) = L[i] u.
         self.L: list[Optional[tuple[list[int], list[int]]]] = [None] * n
         self.L[0] = ([0] * self.dim, [0] * self.dim)
@@ -349,8 +337,8 @@ class CocycleSystem:
             head += 1
             lx = self.L[x]
             a, b, c, d = self.acts[x]
-            for slot, g in enumerate(self.gens):
-                y = group.mult(x, g)
+            for slot, tg in enumerate(self.targets):
+                y = tg[x]
                 r0 = lx[0][:]
                 r1 = lx[1][:]
                 j0, j1 = 2 * slot, 2 * slot + 1
@@ -519,7 +507,7 @@ class CocycleSystem:
 
     def is_cocycle(self, c: Cocycle) -> bool:
         """verify_cocycle(c) on the system's own action table and generators."""
-        return _cocycle_holds(self.group, self.acts, self.gens, c.values, self.q)
+        return _cocycle_holds(self.acts, zip(self.gens, self.targets), c.values, self.q)
 
     def compress(self, c: Cocycle) -> tuple[int, ...]:
         out = []
@@ -818,12 +806,13 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GM
     p = g.ctx.p
     ctx_p = ModulusContext(p, 1)
     sub = tuple(sorted(frozenset(subgroup_indices)))
-    if not g.is_subgroup_set(sub):
+    sub_gens = g.subgroup_generators(sub)
+    if sub_gens is None:
         raise ContractError("subgroup indices are not closed")
-    for a in sub:
-        for b in sub:
-            if g.mult(a, b) != g.mult(b, a):
-                raise InputError("subgroup is not abelian")
+    # A group is abelian exactly when its generators commute pairwise.
+    for a, b in itertools.combinations(sub_gens, 2):
+        if g.mult(a, b) != g.mult(b, a):
+            raise InputError("subgroup is not abelian")
     for a in sub:
         if a != 0 and element_order(g.elements[a]) != p:
             raise InputError("subgroup is not elementary abelian of exponent p")

@@ -55,7 +55,7 @@ from .groups import (
     quotient_group,
     reduction_kernel,
 )
-from .zmod import ModMatrix, ModulusContext, ModVector, is_prime, solve_linear
+from .zmod import ModMatrix, ModulusContext, ModVector, column_span2, is_prime, solve2, solve_linear
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -528,6 +528,20 @@ class ConstructionReport:
         }
 
 
+def torsion_shape_admits(mat: ModMatrix, value: tuple[int, int]) -> bool:
+    """Whether (mat - Id) x = value has a solution x with p x_1 = 0.
+
+    Over Z/p^n, p x_1 = 0 exactly when x_1 = p^(n-1) t, so this is the 2x2
+    system [[a - 1, b p^(n-1)], [c, (d - 1) p^(n-1)]] (x_0, t) = value,
+    decided in closed form (zmod.column_span2) and re-checked by solve2.
+    """
+    ctx = mat.ctx
+    q, s = ctx.modulus, ctx.p ** (ctx.n - 1)
+    a, b, c, d = mat.entries
+    m = ModMatrix(ctx, 2, 2, ((a - 1) % q, b * s % q, c, (d - 1) * s % q))
+    return solve2(m, column_span2(m), value) is not None
+
+
 def _solution_set(a: ModMatrix, b: ModVector, limit: int = 20000):
     sol = solve_linear(a, b)
     if not sol.solvable:
@@ -740,18 +754,10 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(Check("witness_value_at_sigma", w.values[sig_i] == (0, p)))
     checks.append(Check("witness_vanishes_on_kernel", all(w.values[i] == (0, 0) for i in kernel)))
 
-    ident = ModMatrix.identity(ctx, 2)
-    shaped = True
-    for i in range(len(group)):
-        mat = group.elements[i].mat
-        a, b, c, d = mat.entries
-        sys_rows = ModMatrix.from_rows(ctx, [[a - 1, b], [c, d - 1], [0, p]])
-        rhs = ModVector.make(ctx, [w.values[i][0], w.values[i][1], 0])
-        if not solve_linear(sys_rows, rhs).solvable:
-            shaped = False
-            break
+    shaped = all(torsion_shape_admits(e.mat, w.values[e.index]) for e in group.elements)
     checks.append(Check("witness_locally_solvable_with_torsion_shape", shaped))
 
+    ident = ModMatrix.identity(ctx, 2)
     sig_sols = _solution_set(sigma - ident, ModVector.make(ctx, [0, p]))
     checks.append(
         Check(

@@ -71,30 +71,36 @@ def _powers4(x, q) -> list:
 def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP):
     """Breadth-first closure of gen_keys under right multiplication.
 
-    Returns (keys, index, parent, slot): keys[0] is the identity, index maps
-    each key to its position, and keys[i] = keys[parent[i]] * gen_keys[slot[i]]
-    for i >= 1.  One tree edge per element (a Schreier vector) keeps memory
-    linear in the group order; words are rebuilt from it on demand.  Raises
-    ResourceLimitError when the closure passes cap.
+    Returns (keys, index, parent, slot, right): keys[0] is the identity,
+    index maps each key to its position, keys[i] = keys[parent[i]] *
+    gen_keys[slot[i]] for i >= 1, and right[i * K + j] is the index of
+    keys[i] * gen_keys[j] for K = len(gen_keys).  One tree edge per element
+    (a Schreier vector) plus the K edge targets the walk computes anyway
+    keep memory linear in the group order; words are rebuilt from the tree
+    on demand.  Raises ResourceLimitError when the closure passes cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
     parent = array("q", [0])
     slot = array("q", [0])
+    right = array("q")
     i = 0
     while i < len(keys):
         base = keys[i]
         for j, gk in enumerate(gen_keys):
             prod = _mul4(base, gk, q)
-            if prod not in index:
-                if len(keys) >= cap:
+            t = index.get(prod)
+            if t is None:
+                t = len(keys)
+                if t >= cap:
                     raise ResourceLimitError(f"group closure exceeded the cap of {cap} elements")
-                index[prod] = len(keys)
+                index[prod] = t
                 keys.append(prod)
                 parent.append(i)
                 slot.append(j)
+            right.append(t)
         i += 1
-    return keys, index, parent, slot
+    return keys, index, parent, slot, right
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ class FiniteMatrixGroup:
         self.label = label
         q = ctx.modulus
         self._q = q
-        self._keys, self._index, self._parent, self._slot = closure
+        self._keys, self._index, self._parent, self._slot, self._right = closure
         self.elements = tuple(
             GroupElement(ctx, ModMatrix(ctx, 2, 2, k), i) for i, k in enumerate(self._keys)
         )
@@ -181,15 +187,40 @@ class FiniteMatrixGroup:
                 out.append(g.index)
         return out
 
+    def edge_targets(self) -> list[array]:
+        """Cayley edges of the distinct generators, read off the closure:
+        out[s][a] = mult(a, distinct_generator_indices()[s])."""
+        k = len(self.generators)
+        slots = [g.index for g in self.generators]
+        return [self._right[slots.index(g) :: k] for g in self.distinct_generator_indices()]
+
     def conjugate_set(self, g_index: int, indices: Iterable[int]) -> frozenset[int]:
         gi = self.inv(g_index)
         return frozenset(self.mult(self.mult(g_index, s), gi) for s in indices)
 
+    def subgroup_generators(self, indices: Iterable[int]) -> Optional[list[int]]:
+        """Generators of the index set if it is a subgroup, else None.
+
+        Picked greedily in index order: each element not yet spanned joins
+        the generators.  The set is a subgroup exactly when it holds the
+        identity and the closure of these generators equals it; the walk
+        stops as soon as a closure leaves the set.
+        """
+        target = frozenset(indices)
+        if 0 not in target:
+            return None
+        gens: list[int] = []
+        spanned = frozenset({0})
+        for i in sorted(target):
+            if i not in spanned:
+                gens.append(i)
+                spanned = closure_indices(self, gens)
+                if not spanned <= target:
+                    return None
+        return gens
+
     def is_subgroup_set(self, indices: Iterable[int]) -> bool:
-        s = frozenset(indices)
-        if 0 not in s:
-            return False
-        return all(self.mult(a, b) in s for a in s for b in s) and all(self.inv(a) in s for a in s)
+        return self.subgroup_generators(indices) is not None
 
     def is_normal_set(self, indices: Iterable[int]) -> bool:
         s = frozenset(indices)
@@ -304,6 +335,11 @@ class QuotientGroup:
                 out.append(c)
         return out
 
+    def edge_targets(self) -> list[array]:
+        """Cayley edges of the generator cosets, read off the dense table:
+        out[s][a] = mult(a, generator_cosets()[s])."""
+        return [array("q", [row[c] for row in self._mult]) for c in self.generator_cosets()]
+
     def is_abelian(self) -> bool:
         m = len(self)
         return all(self._mult[a][b] == self._mult[b][a] for a in range(m) for b in range(m))
@@ -328,14 +364,9 @@ def subgroup_from_indices(
     keeps the result deterministic and the generating set small.
     """
     target = frozenset(indices)
-    if not g.is_subgroup_set(target):
+    gens = g.subgroup_generators(target)
+    if gens is None:
         raise ContractError("index set is not closed under multiplication")
-    gens: list[int] = []
-    spanned = frozenset({0})
-    for i in sorted(target):
-        if i not in spanned:
-            gens.append(i)
-            spanned = closure_indices(g, gens)
     gen_mats = [g.elements[i].mat for i in gens] or [ModMatrix.identity(g.ctx, 2)]
     sub = close_group(gen_mats, g.ctx, label=label)
     if len(sub) != len(target):

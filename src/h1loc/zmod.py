@@ -523,6 +523,69 @@ class LinearSolver:
         return LinearSolution(sol, self.kernel)
 
 
+def column_span2(m: ModMatrix) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """Howell basis of the column span of a 2x2 matrix, in closed form.
+
+    Rows are (pivot column, pivot p^v, basis vector, coefficients x with
+    m x = basis vector), the layout of LinearSolver's column-span rows.
+    The two columns of m are eliminated as in _howell_raw: the one of least
+    valuation in the first coordinate becomes the first pivot row, it
+    clears the other, and its annihilator multiple p^(n-v) joins the
+    candidates for the second coordinate, where the one of least valuation
+    is the second pivot row and the rest reduce to zero.  The first row is
+    then reduced modulo the second pivot, so the vectors are canonical.
+    """
+    if (m.rows, m.cols) != (2, 2):
+        raise DimensionError("column_span2 is for 2x2 matrices")
+    ctx = m.ctx
+    p, n, q = ctx.p, ctx.n, ctx.modulus
+    a, b, c, d = m.entries
+    rest = [(a, c, 1, 0), (b, d, 0, 1)]  # (column of m, its coefficients)
+    out = []
+    for col in (0, 1):
+        live = [(*ctx.valuation(s[col]), i) for i, s in enumerate(rest) if s[col]]
+        if not live:
+            continue
+        v, unit, i = min(live)
+        ui = pow(unit, -1, q)
+        r = tuple(ui * e % q for e in rest.pop(i))
+        piv = p**v
+        rest = [tuple((e - s[col] // piv * f) % q for e, f in zip(s, r)) for s in rest]
+        if v:
+            rest.append(tuple(p ** (n - v) * e % q for e in r))
+        out.append((col, piv, (r[0], r[1]), (r[2], r[3])))
+    if len(out) == 2:
+        (_, piv0, (t0, t1), (x0, x1)), (_, piv1, (_, s1), (y0, y1)) = out
+        k = t1 // piv1
+        out[0] = (0, piv0, (t0, (t1 - k * s1) % q), ((x0 - k * y0) % q, (x1 - k * y1) % q))
+    return out
+
+
+def solve2(m: ModMatrix, span, b: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """One x with m x = b for a 2x2 matrix m and a reduced pair b, or None.
+
+    b is reduced against span, the column-span rows of m (column_span2),
+    on plain integers.  A solution found is re-checked against m x = b; a
+    mismatch raises ConsistencyError.
+    """
+    q = m.ctx.modulus
+    b0, b1 = b
+    x0 = x1 = 0
+    for col, piv, (l0, l1), (c0, c1) in span:
+        c = (b1 if col else b0) // piv
+        if c:
+            b0 = (b0 - c * l0) % q
+            b1 = (b1 - c * l1) % q
+            x0 = (x0 + c * c0) % q
+            x1 = (x1 + c * c1) % q
+    if b0 or b1:
+        return None
+    s00, s01, s10, s11 = m.entries
+    if ((s00 * x0 + s01 * x1) % q, (s10 * x0 + s11 * x1) % q) != b:
+        raise ConsistencyError("2x2 solve fails the re-check m x = b")
+    return x0, x1
+
+
 def solve_linear(a: ModMatrix, b: ModVector) -> LinearSolution:
     """One solution of a x = b (if any) together with the kernel of a.
 

@@ -46,6 +46,7 @@ from h1loc import (
     verify_cocycle,
 )
 from h1loc.classify import CASE_BOREL, CASE_CYCLIC, CASE_S3
+from h1loc.constructions import torsion_shape_admits
 from conftest import (
     brute_coboundary_tables,
     brute_cocycle_tables,
@@ -137,15 +138,27 @@ def test_criterion_3_proof_step_replication():
         )
 
     # (c) the witness value is locally a displacement of a vector with
-    # p-divisible second coordinate, at every one of the 250 elements.
+    # p-divisible second coordinate, at every one of the 250 elements (and
+    # the 686 at p=7).  The 3x2 system is the oracle of the closed-form
+    # check torsion_shape_admits, which must agree with it on the witness
+    # and on a shifted value at every element.
     w = bundle.witness
     assert len(group) == 250
-    for i in range(len(group)):
-        mat = group.elements[i].mat
-        a, b, c, d = mat.entries
-        system = ModMatrix.from_rows(ctx, [[a - 1, b], [c, d - 1], [0, p]])
-        rhs = ModVector.make(ctx, [w.values[i][0], w.values[i][1], 0])
-        assert solve_linear(system, rhs).solvable, i
+    for shape_p in (5, 7):
+        shape_group = group if shape_p == p else build_borel_shared_group(shape_p)
+        shape_ctx = shape_group.ctx
+        shape_w = w if shape_p == p else borel_shared_witness(shape_group).witness
+        sq = shape_ctx.modulus
+        for i in range(len(shape_group)):
+            mat = shape_group.elements[i].mat
+            a, b, c, d = mat.entries
+            system = ModMatrix.from_rows(shape_ctx, [[a - 1, b], [c, d - 1], [0, shape_p]])
+            v0, v1 = shape_w.values[i]
+            assert solve_linear(system, ModVector.make(shape_ctx, [v0, v1, 0])).solvable, (shape_p, i)
+            assert torsion_shape_admits(mat, (v0, v1)), (shape_p, i)
+            shifted = (v0, (v1 + 1 + i % shape_p) % sq)
+            oracle = solve_linear(system, ModVector.make(shape_ctx, [*shifted, 0])).solvable
+            assert torsion_shape_admits(mat, shifted) == oracle, (shape_p, i)
 
     # (d) the coboundary obstruction: the value at sigma forces a unit
     # first coordinate while the diagonal kernel element forbids it.

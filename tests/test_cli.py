@@ -184,6 +184,27 @@ def test_malformed_group_is_input_error(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["h1", "--cap", "-5"],
+        ["h1loc", "--cap", "0"],
+        ["verify", "--primes", "5", "--cap", "0"],
+        ["verify", "--cap", "-5"],
+    ],
+    ids=["h1-negative", "h1loc-zero", "verify-zero", "verify-negative"],
+)
+def test_non_positive_cap_is_input_error(tmp_path, capsys, argv):
+    if argv[0] != "verify":
+        argv = [argv[0], "--input", write_group(tmp_path), *argv[1:]]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: --cap" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "p, digest",
     [
         (5, "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871"),

@@ -13,10 +13,12 @@ from h1loc import (
     ConsistencyError,
     ContractError,
     GModule,
+    InputError,
     ModMatrix,
     ModulusContext,
     ModVector,
     close_group,
+    closure_indices,
     coboundary_space,
     cocycle_from_coordinates,
     cocycle_space,
@@ -34,7 +36,9 @@ from h1loc import (
     reduction_kernel,
     restrict_cocycle,
     ResourceLimitError,
+    LinearSolver,
     SubmoduleBasis,
+    image_basis,
     solve_linear,
     subgroup_from_indices,
     torsion_module,
@@ -53,7 +57,7 @@ from h1loc.constructions import (
     cyclic_generators,
     s3_generators,
 )
-from h1loc.zmod import _howell_raw, _kernel_raw
+from h1loc.zmod import _howell_raw, _kernel_raw, column_span2
 from conftest import (
     brute_coboundary_tables,
     brute_cocycle_tables,
@@ -317,6 +321,36 @@ def test_equivariant_homs_rejects_non_elementary():
 
     with pytest.raises(InputError):
         equivariant_homs(g, range(len(g)), torsion_module(CTX25))
+
+
+def test_equivariant_homs_rejections_keep_their_messages():
+    g = build_s3_quotient_group(5)
+    kernel = reduction_kernel(g)
+    torsion = torsion_module(g.ctx)
+    with pytest.raises(ContractError, match="^subgroup indices are not closed$"):
+        equivariant_homs(g, kernel - {max(kernel)}, torsion)
+    with pytest.raises(InputError, match="^subgroup is not abelian$"):
+        equivariant_homs(g, range(len(g)), torsion)
+    with pytest.raises(InputError, match="^subgroup is not elementary abelian of exponent p$"):
+        equivariant_homs(g, closure_indices(g, [g.index_of([[1, -3], [0, -1]])]), torsion)
+    line = closure_indices(g, [min(kernel - {0})])
+    with pytest.raises(ContractError, match="^subgroup is not normalized by the generators$"):
+        equivariant_homs(g, line, torsion)
+
+
+def test_equivariant_homs_abelian_test_matches_all_pairs():
+    # Generators commuting pairwise is the same as all pairs commuting.
+    g = build_borel_shared_group(5)
+    rng = random.Random(8)
+    for _ in range(40):
+        sub = closure_indices(g, rng.sample(range(1, len(g)), 2))
+        abelian = all(g.mult(a, b) == g.mult(b, a) for a in sub for b in sub)
+        try:
+            equivariant_homs(g, sub, torsion_module(g.ctx))
+            rejected = False
+        except (InputError, ContractError) as exc:
+            rejected = str(exc) == "subgroup is not abelian"
+        assert rejected == (not abelian)
 
 
 def test_inflation_restriction_exactness_s3():
@@ -652,13 +686,14 @@ def test_admits_matches_solver_for_every_matrix_mod_9():
         entry = LocalEntry(ModMatrix(ctx, 2, 2, entries))
         a, b, c, d = entries
         image = {((a * x + b * y) % 9, (c * x + d * y) % 9) for x, y in pairs}
+        solver = LinearSolver(entry.shifted)
         for v, mv in zip(pairs, vectors):
             admitted = entry.admits(v)
-            assert admitted == entry.solver.solve(mv).solvable
+            assert admitted == solver.solve(mv).solvable
             assert admitted == (v in image)
 
 
-@pytest.mark.parametrize("p, n", [(5, 2), (5, 3)])
+@pytest.mark.parametrize("p, n", [(5, 2), (5, 3), (3, 3), (7, 3), (7, 4)])
 def test_admits_matches_solver_on_random_matrices(p, n):
     ctx = ModulusContext(p, n)
     q = ctx.modulus
@@ -672,7 +707,7 @@ def test_admits_matches_solver_on_random_matrices(p, n):
         x, y = rng.randrange(q), rng.randrange(q)
         for v in (((a * x + b * y) % q, (c * x + d * y) % q), (rng.randrange(q), rng.randrange(q))):
             admitted = entry.admits(v)
-            assert admitted == entry.solver.solve(ModVector(ctx, v)).solvable
+            assert admitted == LinearSolver(entry.shifted).solve(ModVector(ctx, v)).solvable
             hits += admitted
     assert 3000 < hits < 6000
 
@@ -683,10 +718,61 @@ def test_admits_recheck_catches_a_corrupted_solver():
     assert entry.admits((1, 5))
     # Corrupt the coefficients of the first column-span row: the reduction
     # still succeeds, so only the re-check against (g - Id) x = v can tell.
-    col, piv, left, coeffs = entry.solver._image[0]
-    entry.solver._image[0] = (col, piv, left, [(c + 1) % 25 for c in coeffs])
+    col, piv, left, coeffs = entry.span[0]
+    entry.span[0] = (col, piv, left, tuple((c + 1) % 25 for c in coeffs))
     with pytest.raises(ConsistencyError):
         entry.admits((1, 5))
+
+
+def _check_column_span2(ctx, entries):
+    """column_span2 against the Howell form of the transpose, with every
+    row's coefficients producing it."""
+    q = ctx.modulus
+    m = ModMatrix(ctx, 2, 2, entries)
+    span = column_span2(m)
+    assert [list(v) for _, _, v, _ in span] == [list(r.coords) for r in image_basis(m).rows]
+    a, b, c, d = entries
+    for col, piv, (v0, v1), (x0, x1) in span:
+        assert ((a * x0 + b * x1) % q, (c * x0 + d * x1) % q) == (v0, v1)
+        assert (v0, v1)[col] == piv and (col == 1) == (v0 == 0)
+
+
+def test_column_span2_is_the_howell_basis_for_every_matrix_mod_9():
+    ctx = ModulusContext(3, 2)
+    for entries in itertools.product(range(9), repeat=4):
+        _check_column_span2(ctx, entries)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 3), (7, 3), (7, 4)])
+def test_column_span2_is_the_howell_basis_on_random_matrices(p, n):
+    ctx = ModulusContext(p, n)
+    q = ctx.modulus
+    rng = random.Random(1000 + q)
+    for _ in range(2000):
+        _check_column_span2(ctx, tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4)))
+
+
+@pytest.mark.parametrize("source", ["p=5", "p=7", "z125"])
+def test_edge_targets_match_mult(source):
+    if source == "z125":
+        groups = [close_group(gens, Z125) for gens in Z125_GROUPS.values()]
+    else:
+        groups = [group for group, _ in _construction_groups(int(source[2:]))]
+    for group in groups:
+        gens = cohomology._gen_indices(group)
+        targets = group.edge_targets()
+        assert len(targets) == len(gens)
+        for g, tg in zip(gens, targets):
+            assert list(tg) == [group.mult(a, g) for a in range(len(group))]
+
+
+def test_edge_targets_skip_repeated_and_identity_generators():
+    ctx = ModulusContext(5, 2)
+    x, y = [[1, 1], [0, 1]], [[6, 0], [0, 1]]
+    group = close_group([x, [[1, 0], [0, 1]], y, x], ctx)
+    assert group.distinct_generator_indices() == [group.index_of(x), group.index_of(y)]
+    for g, tg in zip(group.distinct_generator_indices(), group.edge_targets()):
+        assert list(tg) == [group.mult(a, g) for a in range(len(group))]
 
 
 # ---------------------------------------------------------------------------

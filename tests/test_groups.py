@@ -339,6 +339,52 @@ def test_words_rebuild_every_element(build):
         previous = len(word)
 
 
+def _all_pairs_subgroup(g, indices):
+    """The all-pairs definition: the identity, every product and every inverse."""
+    s = frozenset(indices)
+    return 0 in s and all(g.mult(a, b) in s for a in s for b in s) and all(g.inv(a) in s for a in s)
+
+
+@pytest.mark.parametrize("build", CONSTRUCTION_GROUPS_P5,
+                         ids=["s3", "cyclic", "borel-shared", "borel-index2",
+                              "disjoint-canonical", "disjoint-extra"])
+def test_is_subgroup_set_matches_all_pairs_on_kernels(build):
+    g = build(5)
+    kernel = reduction_kernel(g)
+    outside = min(frozenset(range(len(g))) - kernel)
+    for s in (kernel, kernel - {max(kernel)}, kernel - {0}, kernel | {outside}):
+        assert g.is_subgroup_set(s) == _all_pairs_subgroup(g, s)
+    assert g.is_subgroup_set(kernel)
+    assert g.subgroup_generators(kernel | {outside}) is None
+
+
+def test_is_subgroup_set_matches_all_pairs_on_random_subsets():
+    # Half of the subsets are closures of one or two random elements, some
+    # with one element added or removed; the rest are random sets with the
+    # identity.
+    g = build_cyclic_quotient_group(5)
+    n = len(g)
+    rng = random.Random(6)
+    closed = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            s = set(closure_indices(g, rng.sample(range(1, n), rng.randint(1, 2))))
+            edit = rng.random()
+            if edit < 0.25:
+                s.discard(rng.choice(sorted(s)))
+            elif edit < 0.5:
+                s.add(rng.randrange(n))
+        else:
+            s = {0, *rng.sample(range(1, n), rng.randint(0, n - 1))}
+        expected = _all_pairs_subgroup(g, s)
+        assert g.is_subgroup_set(s) == expected
+        closed += expected
+        if expected:
+            # The greedy generators generate exactly the set.
+            assert closure_indices(g, g.subgroup_generators(s) or [0]) == frozenset(s)
+    assert 50 < closed < 250
+
+
 def test_closure_memory_is_linear_in_group_order():
     # <diag(3, 1)> over Z/7^6: 3 is a primitive root mod 7^6, so the group
     # has 6 * 7^5 = 100,842 elements, each one BFS step deeper than the last.
