@@ -31,19 +31,16 @@ from .zmod import (
     quotient_invariants,
     quotient_structure,
     solve_linear,
-    zero_basis,
 )
 from .groups import (
     EigenData,
     FiniteMatrixGroup,
-    GroupElement,
     QuotientGroup,
     borel_check,
     close_group,
     closure_indices,
     eigen_data,
     element_order,
-    embed_indices,
     fixed_submodule,
     group_from_json,
     group_to_json,
@@ -60,10 +57,6 @@ from .cohomology import (
     H1Report,
     HomSpace,
     InflationRestrictionReport,
-    coboundary_space,
-    cocycle_from_coordinates,
-    cocycle_space,
-    cyclic_subgroup,
     equivariant_homs,
     full_module,
     h1,
@@ -71,9 +64,7 @@ from .cohomology import (
     inflate_cocycle,
     inflation_restriction_check,
     is_coboundary,
-    local_cocycle_space,
     parse_module,
-    quotient_module,
     restrict_cocycle,
     torsion_module,
     verify_cocycle,

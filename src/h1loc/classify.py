@@ -57,9 +57,22 @@ def _require_level_one(g: FiniteMatrixGroup):
         raise InputError("classification works on groups over F_p (n = 1)")
 
 
-def _cyclic_generators(g: FiniteMatrixGroup) -> list[int]:
-    n = len(g)
-    return [e.index for e in g.elements if element_order(e) == n]
+def _order_table(g: FiniteMatrixGroup) -> list[int]:
+    """The order of every element, by index.  One power walk per cyclic
+    subgroup not yet seen: if x has order k, x^j has order k / gcd(j, k)."""
+    orders = [0] * len(g)
+    for i, key in enumerate(g._keys):
+        if not orders[i]:
+            span = _powers4(key, g._q)
+            k = len(span)
+            for j, y in enumerate(span):
+                orders[g._index[y]] = k // gcd(j, k)
+    return orders
+
+
+def _cyclic_generators(orders: list[int]) -> list[int]:
+    n = len(orders)
+    return [i for i, o in enumerate(orders) if o == n]
 
 
 def _has_eigenvalue_one(mat: ModMatrix) -> bool:
@@ -67,13 +80,13 @@ def _has_eigenvalue_one(mat: ModMatrix) -> bool:
     return 1 in data.eigenvalues
 
 
-def _case_cyclic(g: FiniteMatrixGroup) -> Optional[dict]:
+def _case_cyclic(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     n = len(g)
     p = g.ctx.p
     if (p - 1) % n != 0:
         return None
-    for idx in _cyclic_generators(g):
-        mat = g.elements[idx].mat
+    for idx in _cyclic_generators(orders):
+        mat = g.matrix(idx)
         if _has_eigenvalue_one(mat):
             return {
                 "generator": mat.row_lists(),
@@ -83,18 +96,18 @@ def _case_cyclic(g: FiniteMatrixGroup) -> Optional[dict]:
     return None
 
 
-def _case_s3(g: FiniteMatrixGroup) -> Optional[dict]:
+def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     p = g.ctx.p
     if p % 3 != 2:
         return None
     n = len(g)
     if n not in (3, 6):
         return None
-    order3 = [e for e in g.elements if element_order(e) == 3]
-    if not order3 or any(not eigen_data(e.mat).irreducible for e in order3):
+    order3 = [g.matrix(i) for i, o in enumerate(orders) if o == 3]
+    if not order3 or any(not eigen_data(m).irreducible for m in order3):
         return None
     if n == 3:
-        if not _cyclic_generators(g):
+        if not _cyclic_generators(orders):
             return None
         iso = "C3"
     else:
@@ -106,26 +119,26 @@ def _case_s3(g: FiniteMatrixGroup) -> Optional[dict]:
     return {
         "isomorphism_type": iso,
         "order": n,
-        "order_3_element": order3[0].mat.row_lists(),
+        "order_3_element": order3[0].row_lists(),
         "irreducible_characteristic_polynomial": True,
     }
 
 
-def _case_borel(g: FiniteMatrixGroup) -> Optional[dict]:
+def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     p = g.ctx.p
     if borel_check(g) is None:
         return None
-    order_p = [e.index for e in g.elements if element_order(e) == p]
-    involutions = [e.index for e in g.elements if element_order(e) in (1, 2)]
+    order_p = [i for i, o in enumerate(orders) if o == p]
+    involutions = [i for i, o in enumerate(orders) if o in (1, 2)]
     for si in order_p:
-        s_mat = g.elements[si].mat
+        s_mat = g.matrix(si)
         s_fix = eigen_data(s_mat).vectors_for(1)
         if s_fix is None or s_fix.is_zero():
             continue
         for gi in involutions:
             if closure_indices(g, [si, gi]) != frozenset(range(len(g))):
                 continue
-            g_mat = g.elements[gi].mat
+            g_mat = g.matrix(gi)
             shared = None
             for vec in s_fix.enumerate_span():
                 if vec.is_zero():
@@ -145,13 +158,14 @@ def _case_borel(g: FiniteMatrixGroup) -> Optional[dict]:
 def classify_mod_p_group(g: FiniteMatrixGroup) -> CaseVerdict:
     """Assign the trichotomy case, trying the shapes in order 1, 2, 3."""
     _require_level_one(g)
-    ev = _case_cyclic(g)
+    orders = _order_table(g)
+    ev = _case_cyclic(g, orders)
     if ev is not None:
         return CaseVerdict(CASE_CYCLIC, ev)
-    ev = _case_s3(g)
+    ev = _case_s3(g, orders)
     if ev is not None:
         return CaseVerdict(CASE_S3, ev)
-    ev = _case_borel(g)
+    ev = _case_borel(g, orders)
     if ev is not None:
         return CaseVerdict(CASE_BOREL, ev)
     return CaseVerdict(CASE_NONE, {})
@@ -219,16 +233,17 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
     _require_level_one(g)
     p = g.ctx.p
     n = len(g)
+    orders = _order_table(g)
     reasons = []
     if n % p != 0:
         if (p - 1) % n == 0:
-            for idx in _cyclic_generators(g):
-                if _has_eigenvalue_one(g.elements[idx].mat):
+            for idx in _cyclic_generators(orders):
+                if _has_eigenvalue_one(g.matrix(idx)):
                     return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
             reasons.append("cyclic shape: no generator with eigenvalue 1")
         else:
             reasons.append("order prime to p but not dividing p - 1")
-        if p % 3 == 2 and n == 3 and _cyclic_generators(g):
+        if p % 3 == 2 and n == 3 and _cyclic_generators(orders):
             return FilterVerdict(True, ("cyclic-of-order-3",))
         if p % 3 == 2 and n == 6 and not all(
             g.mult(a, b) == g.mult(b, a) for a in range(n) for b in range(n)
@@ -238,14 +253,14 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
         return FilterVerdict(False, tuple(reasons))
     if borel_check(g) is None:
         return FilterVerdict(False, ("order divisible by p but not contained in a Borel subgroup",))
-    if n == p and _cyclic_generators(g):
+    if n == p and _cyclic_generators(orders):
         return FilterVerdict(True, ("cyclic-of-order-p",))
-    minus_id = tuple((-1) % p if i in (0, 3) else 0 for i in range(4))
-    order_p = [e.index for e in g.elements if element_order(e) == p]
+    minus_id = (p - 1, 0, 0, p - 1)
+    order_p = [i for i, o in enumerate(orders) if o == p]
     for si in order_p:
-        for e in g.elements:
-            if element_order(e) == 2 and e.mat.entries != minus_id:
-                if closure_indices(g, [si, e.index]) == frozenset(range(len(g))):
+        for i, o in enumerate(orders):
+            if o == 2 and g._keys[i] != minus_id:
+                if closure_indices(g, [si, i]) == frozenset(range(len(g))):
                     return FilterVerdict(True, ("borel-order-p-and-order-2",))
     return FilterVerdict(False, ("Borel but not generated by an order-p and an admissible order-2 element",))
 

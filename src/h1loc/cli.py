@@ -101,6 +101,10 @@ def _load_group(path: str, cap: int):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"JSON in {path} nests too deeply to parse") from None
     return group_from_json(data, cap=cap)
 
 

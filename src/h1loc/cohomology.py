@@ -34,8 +34,7 @@ from .errors import ConsistencyError, ContractError, DimensionError, InputError,
 from .groups import (
     FiniteMatrixGroup,
     QuotientGroup,
-    close_group,
-    element_order,
+    _powers4,
     subgroup_from_indices,
 )
 from .zmod import (
@@ -106,9 +105,10 @@ class GModule:
     def size(self) -> int:
         return self.coeff_modulus**2
 
-    def action_entries(self, mat: ModMatrix) -> tuple[int, int, int, int]:
+    def action_entries(self, key: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        """The action of the group element with this key on the module."""
         q = self.coeff_modulus
-        a, b, c, d = mat.entries
+        a, b, c, d = key
         return (a % q, b % q, c % q, d % q)
 
     def torsion_embedding_scale(self) -> int:
@@ -124,10 +124,6 @@ def full_module(ctx: ModulusContext) -> GModule:
 
 def torsion_module(ctx: ModulusContext) -> GModule:
     return GModule(ctx, TORSION)
-
-
-def quotient_module(ctx: ModulusContext) -> GModule:
-    return GModule(ctx, QUOTIENT)
 
 
 def parse_module(ctx: ModulusContext, label: str) -> GModule:
@@ -147,19 +143,21 @@ def _gen_indices(group: GroupLike) -> list[int]:
     return group.generator_cosets()
 
 
-def _element_matrix(group: GroupLike, i: int) -> ModMatrix:
+def _element_keys(group: GroupLike) -> Sequence[tuple]:
+    """The key of every element; of each coset's representative for a quotient."""
     if isinstance(group, FiniteMatrixGroup):
-        return group.elements[i].mat
-    return group.rep_matrix(i)
+        return group._keys
+    keys = group.parent._keys
+    return [keys[r] for r in group.reps]
 
 
 def _check_action_well_defined(group: GroupLike, module: GModule):
     if isinstance(group, QuotientGroup):
         q = module.coeff_modulus
         ident = (1 % q, 0, 0, 1 % q)
+        keys = group.parent._keys
         for s in sorted(group.normal_indices):
-            mat = group.parent.elements[s].mat
-            if module.action_entries(mat) != ident:
+            if module.action_entries(keys[s]) != ident:
                 raise InputError(
                     "the normal subgroup does not act trivially on the module; "
                     "the quotient action is not defined"
@@ -234,7 +232,7 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     group, module = c.group, c.module
     _check_action_well_defined(group, module)
     n = len(group)
-    acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
+    acts = [module.action_entries(k) for k in _element_keys(group)]
     if full:
         mult = group.mult
         edges = ((b, [mult(a, b) for a in range(n)]) for b in range(n))
@@ -321,7 +319,7 @@ class CocycleSystem:
             )
         self.q = module.coeff_modulus
         self.cctx = module.coeff_ctx
-        self.acts = [module.action_entries(_element_matrix(group, i)) for i in range(n)]
+        self.acts = [module.action_entries(k) for k in _element_keys(group)]
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
         # L[i] is a 2 x dim matrix (pair of rows) with Z(element i) = L[i] u.
@@ -418,9 +416,11 @@ class CocycleSystem:
         index order (its owner); the walk marks the subgroup's other
         elements either as generators with the same owner or as lying in
         a larger cyclic subgroup.  The maximal subgroups are then merged
-        under conjugation by the generators of the group, with the owner
-        naming the conjugate subgroup, and the least owner of each class
-        is its representative.
+        under conjugation by the inverses of the generators of the group,
+        read off the Cayley edges: for the edge targets T of a generator h,
+        inv(T[inv(T[y])]) = h^-1 y h.  Those inverses generate the same
+        group, so the classes are the same; the owner names the conjugate
+        subgroup, and the least owner of each class is its representative.
         """
         group = self.group
         mult, inv = group.mult, group.inv
@@ -448,8 +448,8 @@ class CocycleSystem:
             stack = [x]
             while stack:
                 y = stack.pop()
-                for h in self.gens:
-                    z = owner[mult(mult(h, y), inv(h))]
+                for t in self.targets:
+                    z = owner[inv(t[inv(t[y])])]
                     if not merged[z]:
                         merged[z] = 1
                         stack.append(z)
@@ -544,9 +544,6 @@ class H1Report:
     witness: Optional[Cocycle]
     cross_check: Optional[str] = None
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def classes(self) -> list[Cocycle]:
         """One representative per class, the zero class first."""
         reps = []
@@ -574,29 +571,6 @@ def _group_label(group: GroupLike) -> Optional[str]:
         return group.label
     lbl = group.parent.label
     return f"{lbl}/kernel" if lbl else None
-
-
-def cocycle_space(group: GroupLike, module: GModule) -> SubmoduleBasis:
-    """Basis of Z^1 in generator coordinates (values on the generators)."""
-    return CocycleSystem(group, module).z1()
-
-
-def coboundary_space(group: GroupLike, module: GModule) -> SubmoduleBasis:
-    """Basis of B^1 = {g -> (g - 1) m} in generator coordinates."""
-    return CocycleSystem(group, module).b1()
-
-
-def local_cocycle_space(group: GroupLike, module: GModule) -> SubmoduleBasis:
-    """Cocycles whose value at every element g lies in Im(g - Id)."""
-    return CocycleSystem(group, module).z1_local()
-
-
-def cocycle_from_coordinates(group: GroupLike, module: GModule, coords: Sequence[int]) -> Cocycle:
-    system = CocycleSystem(group, module)
-    c = system.expand(coords)
-    if not verify_cocycle(c):
-        raise ContractError("coordinates do not satisfy the cocycle constraints")
-    return c
 
 
 def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted: bool) -> H1Report:
@@ -683,10 +657,11 @@ def is_coboundary(group: GroupLike, module: GModule, c: Cocycle) -> Optional[Mod
     q = module.coeff_modulus
     if not gens:
         return ModVector(cctx, (0, 0))
+    keys = _element_keys(group)
     rows = []
     rhs = []
     for g in gens:
-        a, b, cc, d = module.action_entries(_element_matrix(group, g))
+        a, b, cc, d = module.action_entries(keys[g])
         rows.append([(a - 1) % q, b % q])
         rows.append([cc % q, (d - 1) % q])
         rhs.extend(c.values[g])
@@ -694,10 +669,10 @@ def is_coboundary(group: GroupLike, module: GModule, c: Cocycle) -> Optional[Mod
     if not sol.solvable:
         return None
     m = sol.solution
-    for i in range(len(group)):
-        a, b, cc, d = module.action_entries(_element_matrix(group, i))
+    for key, value in zip(keys, c.values):
+        a, b, cc, d = module.action_entries(key)
         got = (((a - 1) * m.coords[0] + b * m.coords[1]) % q, (cc * m.coords[0] + (d - 1) * m.coords[1]) % q)
-        if got != c.values[i]:
+        if got != value:
             return None
     return m
 
@@ -710,12 +685,10 @@ def restrict_cocycle(c: Cocycle, sub: FiniteMatrixGroup) -> Cocycle:
     if sub.ctx != parent.ctx:
         raise DimensionError("subgroup has a different coefficient ring")
     module = GModule(sub.ctx, c.module.kind)
-    vals = tuple(c.values[parent.index_of(e.mat)] for e in sub.elements)
+    if not all(k in parent._index for k in sub._keys):
+        raise InputError("the subgroup has an element outside the cocycle's group")
+    vals = tuple(c.values[parent._index[k]] for k in sub._keys)
     return Cocycle(sub, module, vals)
-
-
-def cyclic_subgroup(g: FiniteMatrixGroup, index: int, label: Optional[str] = None) -> FiniteMatrixGroup:
-    return close_group([g.elements[index].mat], g.ctx, label=label)
 
 
 def inflate_cocycle(quotient: QuotientGroup, c: Cocycle) -> Cocycle:
@@ -731,7 +704,7 @@ def inflate_cocycle(quotient: QuotientGroup, c: Cocycle) -> Cocycle:
     module = GModule(parent.ctx, c.module.kind)
     q = module.coeff_modulus
     for s in sorted(quotient.normal_indices):
-        a, b, cc, d = module.action_entries(parent.elements[s].mat)
+        a, b, cc, d = module.action_entries(parent._keys[s])
         for v0, v1 in set(c.values):
             if ((a * v0 + b * v1) % q, (cc * v0 + d * v1) % q) != (v0, v1):
                 raise ContractError("cocycle values are not fixed by the normal subgroup")
@@ -814,7 +787,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GM
         if g.mult(a, b) != g.mult(b, a):
             raise InputError("subgroup is not abelian")
     for a in sub:
-        if a != 0 and element_order(g.elements[a]) != p:
+        if a != 0 and len(_powers4(g._keys[a], g._q)) != p:
             raise InputError("subgroup is not elementary abelian of exponent p")
     # Greedy basis in index order, then coordinates by full enumeration.
     basis: list[int] = []
@@ -845,7 +818,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GM
                 raise ContractError("subgroup is not normalized by the generators")
             cols.append(span[im])
         conj.append(cols)  # cols[j] = coordinates of g b_j g^-1
-        acts.append(module.action_entries(g.elements[gi].mat))
+        acts.append(module.action_entries(g._keys[gi]))
     # Unknowns: phi[r][j], r in {0,1}, j < dh; equations per generator:
     # sum_j phi[r][j] conj[j][-> coords] = act rows applied to phi columns.
     rows = []

@@ -47,6 +47,11 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteMatrixGroup,
     QuotientGroup,
+    _invertible4,
+    _inv4,
+    _mul4,
+    _pow4,
+    _powers4,
     borel_check,
     close_group,
     closure_indices,
@@ -357,9 +362,9 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     delta = None
     from .zmod import kernel_basis
 
-    for e in group.elements:
-        if kernel_basis(e.mat - ident).is_zero():
-            delta = e.index
+    for i in range(len(group)):
+        if kernel_basis(group.matrix(i) - ident).is_zero():
+            delta = i
             break
 
     kernel = reduction_kernel(group)
@@ -377,8 +382,7 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     for idx in sorted(kernel):
         if idx == 0:
             continue
-        n_mat = kernel_displacement(group, idx)
-        if n_mat.det2() == 0:
+        if not _invertible4(kernel_displacement(group, idx).entries, p):
             failing = idx
             break
 
@@ -401,9 +405,7 @@ def kernel_displacement(group: FiniteMatrixGroup, index: int) -> ModMatrix:
     division so the matrix is well defined mod p."""
     ctx = group.ctx
     p = ctx.p
-    mat = group.elements[index].mat
-    ident = ModMatrix.identity(ctx, 2)
-    diff = mat - ident
+    diff = group.matrix(index) - ModMatrix.identity(ctx, 2)
     half = ctx.modulus // 2
     ctx_p = ModulusContext(p, 1)
     ents = tuple(((e if e <= half else e - ctx.modulus) // p) % p for e in diff.entries)
@@ -432,19 +434,19 @@ def decompose_kernel_element(
     back to the original element.
     """
     ctx = group.ctx
-    p = ctx.p
+    p, q = ctx.p, ctx.modulus
     kernel = reduction_kernel(group)
     if tau_index not in kernel:
         raise InputError("element is not in the reduction kernel")
-    sigma = group.elements[sigma_index].mat
-    tau = group.elements[tau_index].mat
+    sigma = group._keys[sigma_index]
+    tau = group._keys[tau_index]
 
     lam_acc = 0
     cur = tau
-    ord_sigma = element_order(sigma)
+    ord_sigma = len(_powers4(sigma, q))
     # Top-right entry valuation strictly increases each round.
     for _ in range(ctx.n + 1):
-        t = cur.entry(0, 1)
+        t = cur[1]
         if t == 0:
             break
         v, _unit = ctx.valuation(t)
@@ -453,22 +455,21 @@ def decompose_kernel_element(
         gi = t // (p**v)
         step = -(p ** (v - 1)) * gi
         lam_acc += step
-        cur = cur @ sigma.power((p * step) % ord_sigma)
-    if cur.entry(0, 1) != 0:
+        cur = _mul4(cur, _pow4(sigma, (p * step) % ord_sigma, q), q)
+    if cur[1] != 0:
         raise ConsistencyError("top-right clearing did not terminate")
-    tau_l_full = cur
-    diag = ModMatrix.from_rows(ctx, [[tau_l_full.entry(0, 0), 0], [0, tau_l_full.entry(1, 1)]])
-    unit = diag.inverse() @ tau_l_full
-    sig_p = sigma.power(p)
-    period = element_order(sig_p)
+    diag = (cur[0], 0, 0, cur[3])
+    unit = _mul4(_inv4(diag, q), cur, q)
+    sig_p = _pow4(sigma, p, q)
+    period = len(_powers4(sig_p, q))
     exponent = (-lam_acc) % period
-    d_idx = group.index_of(diag)
-    u_idx = group.index_of(unit)
+    d_idx = group.index_of([diag[:2], diag[2:]])
+    u_idx = group.index_of([unit[:2], unit[2:]])
     if d_idx not in kernel or u_idx not in kernel:
         raise ConsistencyError("decomposition factors left the kernel")
-    if unit.entry(0, 1) != 0 or unit.entry(0, 0) != 1 or unit.entry(1, 1) != 1:
+    if unit[1] != 0 or unit[0] != 1 or unit[3] != 1:
         raise ConsistencyError("second factor is not lower unitriangular")
-    recomposed = diag @ unit @ sig_p.power(exponent)
+    recomposed = _mul4(_mul4(diag, unit, q), _pow4(sig_p, exponent, q), q)
     if recomposed != tau:
         raise ConsistencyError("decomposition does not multiply back")
     return KernelDecomposition(d_idx, u_idx, exponent)
@@ -528,16 +529,16 @@ class ConstructionReport:
         }
 
 
-def torsion_shape_admits(mat: ModMatrix, value: tuple[int, int]) -> bool:
-    """Whether (mat - Id) x = value has a solution x with p x_1 = 0.
+def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]) -> bool:
+    """Whether (x - Id) v = value has a solution v with p v_1 = 0, for the
+    element x over ctx with this key.
 
-    Over Z/p^n, p x_1 = 0 exactly when x_1 = p^(n-1) t, so this is the 2x2
-    system [[a - 1, b p^(n-1)], [c, (d - 1) p^(n-1)]] (x_0, t) = value,
+    Over Z/p^n, p v_1 = 0 exactly when v_1 = p^(n-1) t, so this is the 2x2
+    system [[a - 1, b p^(n-1)], [c, (d - 1) p^(n-1)]] (v_0, t) = value,
     decided in closed form (zmod.column_span2) and re-checked by solve2.
     """
-    ctx = mat.ctx
     q, s = ctx.modulus, ctx.p ** (ctx.n - 1)
-    a, b, c, d = mat.entries
+    a, b, c, d = key
     m = ModMatrix(ctx, 2, 2, ((a - 1) % q, b * s % q, c, (d - 1) * s % q))
     return solve2(m, column_span2(m), value) is not None
 
@@ -559,16 +560,17 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
         )
     group = build_s3_quotient_group(p, cap=cap)
     ctx = group.ctx
+    q = ctx.modulus
     checks = []
     tau_i = group.index_of([[1, -3], [1, -2]])
     sig_i = group.index_of([[1, -3], [0, -1]])
-    checks.append(Check("tau_has_order_3", element_order(group.elements[tau_i]) == 3))
-    checks.append(Check("sigma_has_order_2", element_order(group.elements[sig_i]) == 2))
+    checks.append(Check("tau_has_order_3", len(_powers4(group._keys[tau_i], q)) == 3))
+    checks.append(Check("sigma_has_order_2", len(_powers4(group._keys[sig_i], q)) == 2))
     conj = group.mult(group.mult(sig_i, tau_i), group.inv(sig_i))
     checks.append(Check("sigma_inverts_tau_to_square", conj == group.mult(tau_i, tau_i)))
     # The pinned order-2 lift reduces to the two-parameter reflection shape.
     ctx_p = ModulusContext(p, 1)
-    sbar = group.elements[sig_i].mat.reduce_to(ctx_p)
+    sbar = group.matrix(sig_i).reduce_to(ctx_p)
     beta = sbar.entry(1, 0)
     alpha = (2 * beta - sbar.entry(1, 1)) % p
     shape = ModMatrix.from_rows(
@@ -578,7 +580,7 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
 
     family = {s3_kernel_element(ctx, a, b).entries for a in range(p) for b in range(p)}
     kernel = reduction_kernel(group)
-    kernel_mats = {group.elements[i].mat.entries for i in kernel}
+    kernel_mats = {group._keys[i] for i in kernel}
     checks.append(Check("kernel_family_size_p2", len(family) == p * p))
     checks.append(Check("family_equals_reduction_kernel", family == kernel_mats))
     for name, gi in (("tau_normalizes_family", tau_i), ("sigma_normalizes_family", sig_i)):
@@ -632,12 +634,10 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     g_i = group.index_of([[lam, 0], [0, 1]])
     h10_i = group.index_of([[1 + p, 0], [0, 1 - p]])
     h01_i = group.index_of([[1, p], [0, 1]])
-    g_mat = group.elements[g_i].mat
-    h01 = group.elements[h01_i].mat
-    h10 = group.elements[h10_i].mat
-    checks.append(
-        Check("conjugation_twists_unitriangular", g_mat @ h01 @ g_mat.inverse() == h01.power(lam))
-    )
+    g_key, h01_key, h10_key = group._keys[g_i], group._keys[h01_i], group._keys[h10_i]
+    conj = _mul4(_mul4(g_key, h01_key, q), _inv4(g_key, q), q)
+    checks.append(Check("conjugation_twists_unitriangular", conj == _pow4(h01_key, lam, q)))
+    g_mat, h01, h10 = group.matrix(g_i), group.matrix(h01_i), group.matrix(h10_i)
     checks.append(
         Check(
             "scaling_on_fixed_torsion",
@@ -657,7 +657,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     solvable_all = True
     for a in range(p):
         for b in range(p):
-            hab = h10.power(a) @ h01.power(b)
+            hab = ModMatrix(ctx, 2, 2, _mul4(_pow4(h10_key, a, q), _pow4(h01_key, b, q), q))
             rhs = ModVector.make(ctx, [b * p, 0])
             if not solve_linear(hab - ident, rhs).solvable:
                 solvable_all = False
@@ -716,13 +716,14 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
 
     sig_i = group.index_of([[1 + p, 1], [2 * p, 1 + p]])
     h_i = group.index_of([[1 + p, 0], [0, 1 - p]])
-    sigma = group.elements[sig_i].mat
-    checks.append(Check("sigma_has_order_p2", element_order(sigma) == p * p))
+    # sigma^i2 is sigma_powers[i2 % order of sigma].
+    sigma_powers = _powers4(group._keys[sig_i], q)
+    checks.append(Check("sigma_has_order_p2", len(sigma_powers) == p * p))
 
     pattern_ok = True
     for i2 in range(1, p + 1):
-        power = sigma.power(i2)
-        if power.entry(0, 1) % p != i2 % p or power.entry(1, 0) != (2 * i2 * p) % q:
+        power = sigma_powers[i2 % len(sigma_powers)]
+        if power[1] % p != i2 % p or power[2] != (2 * i2 * p) % q:
             pattern_ok = False
     checks.append(Check("sigma_power_entry_pattern", pattern_ok))
 
@@ -739,7 +740,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     bundle = borel_shared_witness(group)
     checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table, full=True)))
     cyc_ok = all(
-        bundle.class_table.values[bundle.quotient.coset_of(group.index_of(sigma.power(i2)))]
+        bundle.class_table.values[bundle.quotient.coset_of(group._index[sigma_powers[i2 % len(sigma_powers)]])]
         == ((i2 * (i2 - 1) // 2) % p, i2 % p)
         for i2 in range(p)
     )
@@ -754,19 +755,18 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(Check("witness_value_at_sigma", w.values[sig_i] == (0, p)))
     checks.append(Check("witness_vanishes_on_kernel", all(w.values[i] == (0, 0) for i in kernel)))
 
-    shaped = all(torsion_shape_admits(e.mat, w.values[e.index]) for e in group.elements)
+    shaped = all(torsion_shape_admits(ctx, k, v) for k, v in zip(group._keys, w.values))
     checks.append(Check("witness_locally_solvable_with_torsion_shape", shaped))
 
     ident = ModMatrix.identity(ctx, 2)
-    sig_sols = _solution_set(sigma - ident, ModVector.make(ctx, [0, p]))
+    sig_sols = _solution_set(group.matrix(sig_i) - ident, ModVector.make(ctx, [0, p]))
     checks.append(
         Check(
             "sigma_target_needs_unit_coordinate",
             bool(sig_sols) and all(s.coords[0] % p != 0 for s in sig_sols),
         )
     )
-    h_mat = group.elements[h_i].mat
-    h_sols = _solution_set(h_mat - ident, ModVector.make(ctx, [0, 0]))
+    h_sols = _solution_set(group.matrix(h_i) - ident, ModVector.make(ctx, [0, 0]))
     checks.append(
         Check(
             "diagonal_kernel_needs_divisible_coordinate",
@@ -804,7 +804,7 @@ def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRep
     ctx = sub.ctx
     checks = []
     checks.append(Check("subgroup_order_p3", len(sub) == p**3))
-    inside = all(e.mat in parent for e in sub.elements)
+    inside = all(k in parent._index for k in sub._keys)
     checks.append(Check("contained_in_parent", inside))
     checks.append(Check("index_2", len(parent) == 2 * len(sub)))
 
@@ -842,8 +842,8 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
             first_group = group
         ctx = group.ctx
         pn1 = p ** (ctx.n - 1)
-        g_mat = group.elements[group.index_of([[-1, 0], [0, 1]])].mat
-        s_mat = group.elements[group.index_of([[1, 1], [0, 1]])].mat
+        g_mat = group.matrix(group.index_of([[-1, 0], [0, 1]]))
+        s_mat = group.matrix(group.index_of([[1, 1], [0, 1]]))
         e1 = ModVector.make(ctx, [pn1, 0])
         e2 = ModVector.make(ctx, [0, pn1])
         pattern = (

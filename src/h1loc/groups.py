@@ -2,10 +2,13 @@
 
 Groups are closed from generators with a breadth-first traversal whose
 frontier order is fixed by the generator list, so element indices are
-reproducible run to run.  Elements are stored as 4-tuples of reduced
-entries (keys); index 0 is always the identity.  _mul4, _inv4, _powers4
-and _close_keys are the package's only arithmetic on keys.  Everything is
-immutable after construction and safe to share between threads.
+reproducible run to run.  An element is its index and its 4-tuple of
+reduced entries (its key); index 0 is always the identity, and no other
+per-element object exists (FiniteMatrixGroup.matrix builds a ModMatrix for
+one index on demand).  _mul4, _inv4, _pow4, _powers4, _invertible4 and
+_close_keys are the package's only 2x2 group arithmetic; ModMatrix has
+none.  Everything is immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ def _as_matrix(ctx: ModulusContext, m: MatrixLike) -> ModMatrix:
 _IDENTITY = (1, 0, 0, 1)
 
 
+def _invertible4(x, p) -> bool:
+    """Whether the key's determinant is a unit, that is nonzero mod p."""
+    a, b, c, d = x
+    return (a * d - b * c) % p != 0
+
+
 def _mul4(x, y, q):
     a, b, c, d = x
     e, f, g, h = y
@@ -51,6 +60,17 @@ def _inv4(x, q):
     a, b, c, d = x
     di = pow((a * d - b * c) % q, -1, q)
     return ((d * di) % q, (-b * di) % q, (-c * di) % q, (a * di) % q)
+
+
+def _pow4(x, k: int, q):
+    """x^k for k >= 0 by square and multiply."""
+    out = _IDENTITY
+    while k:
+        if k & 1:
+            out = _mul4(out, x, q)
+        x = _mul4(x, x, q)
+        k >>= 1
+    return out
 
 
 def _powers4(x, q) -> list:
@@ -103,36 +123,29 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
     return keys, index, parent, slot, right
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An invertible 2x2 matrix over Z/p^n with its index in its group."""
-
-    ctx: ModulusContext
-    mat: ModMatrix
-    index: int
-
-
 class FiniteMatrixGroup:
     """A fully enumerated subgroup of GL_2(Z/p^n).
 
-    Built through close_group; do not mutate after construction.
+    Built through close_group; do not mutate after construction.  The
+    listed generators are kept as element indices.
     """
 
-    def __init__(self, ctx, gen_mats, closure, label):
+    def __init__(self, ctx, gen_keys, closure, label):
         self.ctx = ctx
         self.label = label
         q = ctx.modulus
         self._q = q
         self._keys, self._index, self._parent, self._slot, self._right = closure
-        self.elements = tuple(
-            GroupElement(ctx, ModMatrix(ctx, 2, 2, k), i) for i, k in enumerate(self._keys)
-        )
-        self.generators = tuple(self.elements[self._index[m.entries]] for m in gen_mats)
-        self._inv = tuple(self._index[_inv4(k, q)] for k in self._keys)
+        self.generators = tuple(self._index[k] for k in gen_keys)
+        self._inv = array("q", [self._index[_inv4(k, q)] for k in self._keys])
         self._table = None
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    def matrix(self, i: int) -> ModMatrix:
+        """Element i as a ModMatrix, built on demand."""
+        return ModMatrix(self.ctx, 2, 2, self._keys[i])
 
     def word(self, i: int) -> tuple[int, ...]:
         """Generator positions whose product, left to right, is element i;
@@ -183,16 +196,15 @@ class FiniteMatrixGroup:
         """Indices of the listed generators, deduplicated, identity dropped."""
         out = []
         for g in self.generators:
-            if g.index != 0 and g.index not in out:
-                out.append(g.index)
+            if g != 0 and g not in out:
+                out.append(g)
         return out
 
     def edge_targets(self) -> list[array]:
         """Cayley edges of the distinct generators, read off the closure:
         out[s][a] = mult(a, distinct_generator_indices()[s])."""
         k = len(self.generators)
-        slots = [g.index for g in self.generators]
-        return [self._right[slots.index(g) :: k] for g in self.distinct_generator_indices()]
+        return [self._right[self.generators.index(g) :: k] for g in self.distinct_generator_indices()]
 
     def conjugate_set(self, g_index: int, indices: Iterable[int]) -> frozenset[int]:
         gi = self.inv(g_index)
@@ -238,20 +250,20 @@ def close_group(
     Breadth-first over right multiplication by the generators in their
     listed order; raises ResourceLimitError when the closure passes cap.
     """
-    mats = [_as_matrix(ctx, g) for g in gens]
-    for m in mats:
+    keys = []
+    for g in gens:
+        m = _as_matrix(ctx, g)
         if m.rows != 2 or m.cols != 2:
             raise InputError("generators must be 2x2")
-        if not m.is_invertible():
+        if not _invertible4(m.entries, ctx.p):
             raise InputError("generator determinant is not a unit: not invertible")
-    closure = _close_keys([m.entries for m in mats], ctx.modulus, cap)
-    return FiniteMatrixGroup(ctx, mats, closure, label)
+        keys.append(m.entries)
+    return FiniteMatrixGroup(ctx, keys, _close_keys(keys, ctx.modulus, cap), label)
 
 
-def element_order(x: Union[GroupElement, ModMatrix]) -> int:
-    """Least k >= 1 with x^k = Id."""
-    mat = x.mat if isinstance(x, GroupElement) else x
-    if not mat.is_invertible():
+def element_order(mat: ModMatrix) -> int:
+    """Least k >= 1 with mat^k = Id."""
+    if not _invertible4(mat.entries, mat.ctx.p):
         raise InputError("order is defined for invertible matrices only")
     return len(_powers4(mat.entries, mat.ctx.modulus))
 
@@ -324,13 +336,10 @@ class QuotientGroup:
     def coset_of(self, parent_index: int) -> int:
         return self.coset_index[parent_index]
 
-    def rep_matrix(self, a: int) -> ModMatrix:
-        return self.parent.elements[self.reps[a]].mat
-
     def generator_cosets(self) -> list[int]:
         out = []
         for g in self.parent.generators:
-            c = self.coset_index[g.index]
+            c = self.coset_index[g]
             if c != 0 and c not in out:
                 out.append(c)
         return out
@@ -367,25 +376,19 @@ def subgroup_from_indices(
     gens = g.subgroup_generators(target)
     if gens is None:
         raise ContractError("index set is not closed under multiplication")
-    gen_mats = [g.elements[i].mat for i in gens] or [ModMatrix.identity(g.ctx, 2)]
+    gen_mats = [g.matrix(i) for i in gens] or [ModMatrix.identity(g.ctx, 2)]
     sub = close_group(gen_mats, g.ctx, label=label)
     if len(sub) != len(target):
         raise ConsistencyError("subgroup re-enumeration changed the element count")
     return sub
 
 
-def embed_indices(sub: FiniteMatrixGroup, g: FiniteMatrixGroup) -> list[int]:
-    """For each element of sub, its index inside g."""
-    return [g.index_of(e.mat) for e in sub.elements]
-
-
-def fixed_submodule(ctx: ModulusContext, xs: Iterable[Union[GroupElement, ModMatrix]]) -> SubmoduleBasis:
+def fixed_submodule(ctx: ModulusContext, xs: Iterable[ModMatrix]) -> SubmoduleBasis:
     """Howell basis of {v : x v = v for every x}; the full module for xs = {}."""
     rows = []
     ident = ModMatrix.identity(ctx, 2)
     for x in xs:
-        mat = x.mat if isinstance(x, GroupElement) else x
-        rows.extend((mat - ident).row_lists())
+        rows.extend((x - ident).row_lists())
     if not rows:
         from .zmod import full_basis
 
@@ -411,8 +414,7 @@ class EigenData:
         return None
 
 
-def eigen_data(x: Union[GroupElement, ModMatrix]) -> EigenData:
-    mat = x.mat if isinstance(x, GroupElement) else x
+def eigen_data(mat: ModMatrix) -> EigenData:
     p = mat.ctx.p
     ctx_p = ModulusContext(p, 1)
     red = mat.reduce_to(ctx_p)
@@ -447,11 +449,10 @@ def borel_check(g: FiniteMatrixGroup) -> Optional[ModVector]:
     """
     p = g.ctx.p
     ctx_p = ModulusContext(p, 1)
-    gens = [g.elements[i].mat.reduce_to(ctx_p) for i in g.distinct_generator_indices()]
+    gens = [g._keys[i] for i in g.distinct_generator_indices()]
     for v0, v1 in line_representatives(p):
         ok = True
-        for m in gens:
-            a, b, c, d = m.entries
+        for a, b, c, d in gens:
             w0 = (a * v0 + b * v1) % p
             w1 = (c * v0 + d * v1) % p
             if (w0 * v1 - w1 * v0) % p != 0:
@@ -472,15 +473,15 @@ def power_identity_check(a: int, b: int, c: int, d: int, ctx: ModulusContext) ->
     if ctx.n < 2:
         raise InputError("the power identity needs n >= 2")
     p, q = ctx.p, ctx.modulus
-    m = ModMatrix.from_rows(ctx, [[1 + a * p, 1 + b * p], [c * p, 1 + d * p]])
-    expected = ModMatrix.from_rows(ctx, [[1, p ** (ctx.n - 1)], [0, 1]])
-    return m.power(p ** (ctx.n - 1)) == expected
+    m = ((1 + a * p) % q, (1 + b * p) % q, c * p % q, (1 + d * p) % q)
+    s = p ** (ctx.n - 1)
+    return _pow4(m, s, q) == (1, s, 0, 1)
 
 
 def reduce_group_mod_p(g: FiniteMatrixGroup, label: Optional[str] = None) -> FiniteMatrixGroup:
     """Close the images of the generators in GL_2(F_p)."""
     ctx_p = ModulusContext(g.ctx.p, 1)
-    mats = [e.mat.reduce_to(ctx_p) for e in g.generators]
+    mats = [g.matrix(i).reduce_to(ctx_p) for i in g.generators]
     return close_group(mats, ctx_p, label=label or (f"{g.label} mod p" if g.label else None))
 
 
@@ -488,7 +489,7 @@ def group_to_json(g: FiniteMatrixGroup) -> dict:
     return {
         "p": g.ctx.p,
         "n": g.ctx.n,
-        "generators": [e.mat.row_lists() for e in g.generators],
+        "generators": [g.matrix(i).row_lists() for i in g.generators],
         "label": g.label,
     }
 

@@ -140,7 +140,11 @@ class ModVector:
 
 @dataclass(frozen=True)
 class ModMatrix:
-    """A dense matrix over Z/p^n, stored row-major with reduced entries."""
+    """A dense matrix over Z/p^n, stored row-major with reduced entries.
+
+    A container for the linear algebra below; products, powers and inverses
+    of group elements live on 4-tuple keys in groups.
+    """
 
     ctx: ModulusContext
     rows: int
@@ -198,17 +202,6 @@ class ModMatrix:
         q = self.ctx.modulus
         return ModMatrix(self.ctx, self.rows, self.cols, tuple((a - b) % q for a, b in zip(self.entries, other.entries)))
 
-    def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
-        if self.ctx != other.ctx or self.cols != other.rows:
-            raise DimensionError("matrix product shape mismatch")
-        q = self.ctx.modulus
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)) % q)
-        return ModMatrix(self.ctx, self.rows, other.cols, tuple(out))
-
     def vec_mul(self, v: ModVector) -> ModVector:
         if self.ctx != v.ctx or self.cols != len(v):
             raise DimensionError("matrix/vector shape mismatch")
@@ -221,40 +214,6 @@ class ModMatrix:
     def scale(self, c: int) -> "ModMatrix":
         q = self.ctx.modulus
         return ModMatrix(self.ctx, self.rows, self.cols, tuple((c * a) % q for a in self.entries))
-
-    def power(self, k: int) -> "ModMatrix":
-        if self.rows != self.cols:
-            raise DimensionError("only square matrices have powers")
-        if k < 0:
-            return self.inverse().power(-k)
-        result = ModMatrix.identity(self.ctx, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
-    def det2(self) -> int:
-        if (self.rows, self.cols) != (2, 2):
-            raise DimensionError("det2 is for 2x2 matrices")
-        a, b, c, d = self.entries
-        return (a * d - b * c) % self.ctx.modulus
-
-    def is_invertible(self) -> bool:
-        return self.det2() % self.ctx.p != 0
-
-    def inverse(self) -> "ModMatrix":
-        if (self.rows, self.cols) != (2, 2):
-            raise DimensionError("inverse is implemented for 2x2 matrices")
-        det = self.det2()
-        if det % self.ctx.p == 0:
-            raise InputError("matrix is not invertible (determinant not a unit)")
-        di = self.ctx.unit_inverse(det)
-        a, b, c, d = self.entries
-        q = self.ctx.modulus
-        return ModMatrix(self.ctx, 2, 2, ((d * di) % q, (-b * di) % q, (-c * di) % q, (a * di) % q))
 
     def reduce_to(self, ctx: ModulusContext) -> "ModMatrix":
         """Reduce every entry into a smaller coefficient ring (same p)."""
@@ -359,10 +318,6 @@ class SubmoduleBasis:
     def raw_rows(self) -> list[list[int]]:
         return [list(r.coords) for r in self.rows]
 
-    def matrix(self) -> ModMatrix:
-        flat = tuple(c for r in self.rows for c in r.coords)
-        return ModMatrix(self.ctx, len(self.rows), self.ambient_dim, flat)
-
     def pivots(self) -> list[tuple[int, int]]:
         """(column, pivot value) per row; the pivot is the first nonzero entry."""
         out = []
@@ -418,10 +373,6 @@ class SubmoduleBasis:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-
-def zero_basis(ctx: ModulusContext, ambient_dim: int) -> SubmoduleBasis:
-    return SubmoduleBasis(ctx, ambient_dim, ())
 
 
 def full_basis(ctx: ModulusContext, ambient_dim: int) -> SubmoduleBasis:
@@ -712,15 +663,15 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     if r == 0:
         return []
     constraints = dual_constraints(small)
-    bt = big.matrix().transpose()
-    t = constraints @ bt
-    kq = _kernel_raw(t.row_lists(), r, ctx)
+    big_raw = big.raw_rows()
+    # Row i, column j: constraint row i applied to basis row j of big.
+    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big_raw] for krow in constraints.row_lists()]
+    kq = _kernel_raw(t, r, ctx)
     rel = [list(row) for row in kq]
     rel.extend([q if i == j else 0 for j in range(r)] for i in range(r))
     diag, vinv = _smith_diag_with_vinv(rel, r)
     if any(d == 0 for d in diag):
         raise ConsistencyError("relation lattice unexpectedly not of full rank")
-    big_raw = big.raw_rows()
     out = []
     for i, d in enumerate(diag):
         if d > 1:

@@ -10,6 +10,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
 
 from h1loc import CocycleSystem, ModulusContext, close_group
@@ -45,7 +46,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def action_of(group, module, index):
-    return module.action_entries(group.elements[index].mat)
+    return module.action_entries(group.matrix(index).entries)
+
+
+def oracle_product(keys, q):
+    """The product of 2x2 keys, left to right, mod q: numpy on Python
+    integers (object dtype), independent of the package's key arithmetic."""
+    acc = numpy.identity(2, dtype=object)
+    for k in keys:
+        acc = acc.dot(numpy.array(k, dtype=object).reshape(2, 2)) % q
+    return tuple(int(x) for x in acc.flat)
+
+
+def oracle_power(key, k, q):
+    """key^k mod q for k >= 0: numpy's matrix_power on Python integers."""
+    m = numpy.linalg.matrix_power(numpy.array(key, dtype=object).reshape(2, 2), k)
+    return tuple(int(x) % q for x in m.flat)
 
 
 def act(entries, v, q):

@@ -23,8 +23,6 @@ from h1loc import (
     check_nonvanishing_criterion,
     classify_mod_p_group,
     close_group,
-    coboundary_space,
-    cocycle_space,
     decompose_kernel_element,
     dual_constraints,
     full_module,
@@ -34,7 +32,6 @@ from h1loc import (
     is_coboundary,
     kernel_basis,
     kernel_displacement,
-    local_cocycle_space,
     power_identity_check,
     reduce_group_mod_p,
     reduction_kernel,
@@ -52,6 +49,8 @@ from conftest import (
     brute_cocycle_tables,
     brute_local_tables,
     engine_tables,
+    oracle_power,
+    oracle_product,
     record_acceptance,
 )
 
@@ -150,24 +149,24 @@ def test_criterion_3_proof_step_replication():
         shape_w = w if shape_p == p else borel_shared_witness(shape_group).witness
         sq = shape_ctx.modulus
         for i in range(len(shape_group)):
-            mat = shape_group.elements[i].mat
-            a, b, c, d = mat.entries
+            key = shape_group._keys[i]
+            a, b, c, d = key
             system = ModMatrix.from_rows(shape_ctx, [[a - 1, b], [c, d - 1], [0, shape_p]])
             v0, v1 = shape_w.values[i]
             assert solve_linear(system, ModVector.make(shape_ctx, [v0, v1, 0])).solvable, (shape_p, i)
-            assert torsion_shape_admits(mat, (v0, v1)), (shape_p, i)
+            assert torsion_shape_admits(shape_ctx, key, (v0, v1)), (shape_p, i)
             shifted = (v0, (v1 + 1 + i % shape_p) % sq)
             oracle = solve_linear(system, ModVector.make(shape_ctx, [*shifted, 0])).solvable
-            assert torsion_shape_admits(mat, shifted) == oracle, (shape_p, i)
+            assert torsion_shape_admits(shape_ctx, key, shifted) == oracle, (shape_p, i)
 
     # (d) the coboundary obstruction: the value at sigma forces a unit
     # first coordinate while the diagonal kernel element forbids it.
     ident = ModMatrix.identity(ctx, 2)
-    sig_mat = group.elements[sigma].mat
+    sig_mat = group.matrix(sigma)
     sols = solve_linear(sig_mat - ident, ModVector.make(ctx, [0, p]))
     assert sols.solvable
     assert all(s.coords[0] % p != 0 for s in sols.all_solutions())
-    h_mat = group.elements[group.index_of([[1 + p, 0], [0, 1 - p]])].mat
+    h_mat = group.matrix(group.index_of([[1 + p, 0], [0, 1 - p]]))
     hk = solve_linear(h_mat - ident, ModVector.make(ctx, [0, 0]))
     assert all(s.coords[0] % p == 0 for s in hk.all_solutions())
     assert w.values[group.index_of(h_mat)] == (0, 0)
@@ -201,9 +200,10 @@ def test_criterion_5_oracle_equivalence(oracle_instances):
         tables = brute_cocycle_tables(group, module)
         cobs = brute_coboundary_tables(group, module)
         local = brute_local_tables(group, module, tables)
-        assert engine_tables(group, module, cocycle_space(group, module)) == tables
-        assert engine_tables(group, module, coboundary_space(group, module)) == cobs
-        assert engine_tables(group, module, local_cocycle_space(group, module)) == local
+        system = CocycleSystem(group, module)
+        assert engine_tables(group, module, system.z1()) == tables
+        assert engine_tables(group, module, system.b1()) == cobs
+        assert engine_tables(group, module, system.z1_local()) == local
         assert h1_loc(group, module).order == len(local) // len(cobs)
 
 
@@ -234,11 +234,10 @@ def test_criterion_7_decomposition_round_trip():
     assert len(kernel) == 25
     for idx in kernel:
         dec = decompose_kernel_element(group, idx, sigma)
-        d = group.elements[dec.diagonal_index].mat
-        u = group.elements[dec.unitriangular_index].mat
-        s = group.elements[sigma].mat
-        recomposed = d @ u @ s.power(5 * dec.sigma_p_exponent)
-        assert recomposed == group.elements[idx].mat
+        keys = group._keys
+        s_power = oracle_power(keys[sigma], 5 * dec.sigma_p_exponent, 25)
+        recomposed = oracle_product([keys[dec.diagonal_index], keys[dec.unitriangular_index], s_power], 25)
+        assert recomposed == keys[idx]
 
 
 @criterion(8, "mod-p scan")

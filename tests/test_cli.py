@@ -160,23 +160,27 @@ GROUP = {"p": 5, "n": 2, "generators": [[[1, 1], [0, 1]]], "label": None}
 
 
 @pytest.mark.parametrize(
-    "data",
+    "raw",
     [
-        dict(GROUP, generators=[[["a", 0], [0, 1]]]),
-        dict(GROUP, generators=[[[1.5, 0], [0, 1]]]),
-        dict(GROUP, generators=[[[True, 0], [0, 1]]]),
-        dict(GROUP, p=5.0),
-        dict(GROUP, n="2"),
-        dict(GROUP, label=7),
-        [GROUP],
-        dict(GROUP, n=10**8),
+        *(json.dumps(data).encode() for data in (
+            dict(GROUP, generators=[[["a", 0], [0, 1]]]),
+            dict(GROUP, generators=[[[1.5, 0], [0, 1]]]),
+            dict(GROUP, generators=[[[True, 0], [0, 1]]]),
+            dict(GROUP, p=5.0),
+            dict(GROUP, n="2"),
+            dict(GROUP, label=7),
+            [GROUP],
+            dict(GROUP, n=10**8),
+        )),
+        b"\xff\xfe",
+        b"[" * 200_000 + b"]" * 200_000,
     ],
     ids=["string-entry", "float-entry", "bool-entry", "float-p", "string-n", "int-label", "not-an-object",
-         "huge-n"],
+         "huge-n", "not-utf8", "deep-nesting"],
 )
-def test_malformed_group_is_input_error(tmp_path, capsys, data):
+def test_malformed_group_is_input_error(tmp_path, capsys, raw):
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(raw)
     start = time.perf_counter()
     assert main(["h1loc", "--input", str(path)]) == EXIT_INPUT
     assert time.perf_counter() - start < 1.0

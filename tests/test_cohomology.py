@@ -19,10 +19,6 @@ from h1loc import (
     ModVector,
     close_group,
     closure_indices,
-    coboundary_space,
-    cocycle_from_coordinates,
-    cocycle_space,
-    cyclic_subgroup,
     equivariant_homs,
     full_module,
     h1,
@@ -31,7 +27,6 @@ from h1loc import (
     inflation_restriction_check,
     is_coboundary,
     kernel_basis,
-    local_cocycle_space,
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
@@ -71,17 +66,18 @@ CTX25 = ModulusContext(5, 2)
 def test_trivial_group_spaces():
     g = close_group([[[1, 0], [0, 1]]], CTX25)
     mod = full_module(CTX25)
-    assert cocycle_space(g, mod).span_size() == 1
-    assert coboundary_space(g, mod).span_size() == 1
-    assert local_cocycle_space(g, mod).span_size() == 1
+    system = CocycleSystem(g, mod)
+    assert system.z1().span_size() == 1
+    assert system.b1().span_size() == 1
+    assert system.z1_local().span_size() == 1
     assert h1(g, mod).order == 1
 
 
 def test_minus_identity_coprime_vanishing():
     g = close_group([[[-1, 0], [0, -1]]], CTX25)
     mod = full_module(CTX25)
-    z1 = cocycle_space(g, mod)
-    b1 = coboundary_space(g, mod)
+    system = CocycleSystem(g, mod)
+    z1, b1 = system.z1(), system.b1()
     assert z1.span_size() == 625
     assert b1 == z1
     assert h1(g, mod).order == 1
@@ -104,12 +100,12 @@ def test_coboundary_space_cases():
     # A group acting trivially on the module has no nonzero coboundaries.
     ctx9 = ModulusContext(3, 2)
     unit = close_group([[[1, 3], [0, 1]]], ctx9)
-    assert coboundary_space(unit, torsion_module(ctx9)).span_size() == 1
+    assert CocycleSystem(unit, torsion_module(ctx9)).b1().span_size() == 1
 
     # For a diagonal with both entries shifted by p, the coboundary space
     # has order |V| / |fixed| = p^2.
     h = close_group([[[1 + 5, 0], [0, 1 - 5]]], CTX25)
-    assert coboundary_space(h, full_module(CTX25)).span_size() == 25
+    assert CocycleSystem(h, full_module(CTX25)).b1().span_size() == 25
 
 
 def test_nesting_of_spaces():
@@ -138,12 +134,13 @@ def test_h1loc_divides_h1_and_is_p_power():
 def test_brute_force_oracle_equivalence(oracle_instances):
     assert len(oracle_instances) >= 20
     for group, module in oracle_instances:
+        system = CocycleSystem(group, module)
         tables = brute_cocycle_tables(group, module)
-        assert engine_tables(group, module, cocycle_space(group, module)) == tables
+        assert engine_tables(group, module, system.z1()) == tables
         cobs = brute_coboundary_tables(group, module)
-        assert engine_tables(group, module, coboundary_space(group, module)) == cobs
+        assert engine_tables(group, module, system.b1()) == cobs
         local = brute_local_tables(group, module, tables)
-        assert engine_tables(group, module, local_cocycle_space(group, module)) == local
+        assert engine_tables(group, module, system.z1_local()) == local
         assert h1_loc(group, module).order == len(local) // len(cobs)
 
 
@@ -189,7 +186,7 @@ def test_local_iff_cyclic_restrictions_are_coboundaries():
             by_elements = system.is_local_table(c)
             by_restriction = True
             for idx in range(len(g)):
-                sub = cyclic_subgroup(g, idx)
+                sub = close_group([g.matrix(idx)], g.ctx)
                 restricted = restrict_cocycle(c, sub)
                 if is_coboundary(sub, full_module(CTX25), restricted) is None:
                     by_restriction = False
@@ -204,7 +201,7 @@ def test_is_coboundary_cases():
     zero = system.expand([0] * system.dim)
     m = is_coboundary(g, mod, zero)
     assert m is not None and m.coords == (0, 0)
-    for row in coboundary_space(g, mod).rows:
+    for row in system.b1().rows:
         c = system.expand(row.coords)
         assert is_coboundary(g, mod, c) is not None
 
@@ -213,7 +210,7 @@ def test_restriction_of_coboundary_is_coboundary():
     g = build_borel_shared_group(5)
     mod = full_module(g.ctx)
     system = CocycleSystem(g, mod)
-    b_row = coboundary_space(g, mod).rows[0]
+    b_row = system.b1().rows[0]
     c = system.expand(b_row.coords)
     kernel = reduction_kernel(g)
     sub = subgroup_from_indices(g, kernel)
@@ -378,15 +375,13 @@ def test_witness_reports_on_nontrivial_families():
 
 def test_cocycle_from_coordinates_validates():
     g = close_group([[[2, 0], [0, 1]]], CTX25)
-    mod = full_module(CTX25)
-    space = cocycle_space(g, mod)
-    for row in space.rows:
-        c = cocycle_from_coordinates(g, mod, row.coords)
-        assert verify_cocycle(c, full=True)
+    system = CocycleSystem(g, full_module(CTX25))
+    for row in system.z1().rows:
+        c = system.expand(row.coords)
+        assert verify_cocycle(c) and verify_cocycle(c, full=True)
     # The norm constraint forces the second generator coordinate to be
     # divisible by p here, so (0, 1) is not a cocycle assignment.
-    with pytest.raises(ContractError):
-        cocycle_from_coordinates(g, mod, (0, 1))
+    assert not verify_cocycle(system.expand((0, 1)))
 
 
 def test_report_serialization_shape():
@@ -458,7 +453,7 @@ def _local_by_uncached_solves(group, module, c):
     q = module.coeff_modulus
     cctx = module.coeff_ctx
     for i in range(len(group)):
-        a, b, cc, d = module.action_entries(group.elements[i].mat)
+        a, b, cc, d = module.action_entries(group.matrix(i).entries)
         shifted = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, cc % q, (d - 1) % q))
         if not solve_linear(shifted, ModVector(cctx, c.values[i])).solvable:
             return False
@@ -647,10 +642,9 @@ def _small_groups(draw):
         gens.append(tuple(((1 if i in (0, 3) else 0) + p * e) % q for i, e in enumerate(n)))
     elif kind == "any":
         gens.append(matrix())
-    mats = [ModMatrix(ctx, 2, 2, m) for m in gens]
-    assume(all(m.is_invertible() for m in mats))
+    assume(all((m[0] * m[3] - m[1] * m[2]) % p for m in gens))
     try:
-        group = close_group(mats, ctx, cap=GROUP_CAP)
+        group = close_group([ModMatrix(ctx, 2, 2, m) for m in gens], ctx, cap=GROUP_CAP)
     except ResourceLimitError:
         assume(False)
     return group, GModule(ctx, draw(st.sampled_from(["full", "p_torsion", "mod_p_quotient"])))

@@ -43,3 +43,35 @@ def test_failed_rechecks_raise_consistency_error():
         if _raises_assertion_error(node)
     ]
     assert found == ["cli.py:main"]
+
+
+def _defined_functions(tree, class_name):
+    return {
+        node.name
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == class_name
+        for node in top.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_group_arithmetic_has_one_home():
+    # 2x2 products, powers, inverses and determinants of group elements
+    # live on keys in groups; ModMatrix is a linear-algebra container.
+    zmod = dict(parsed_modules())["zmod.py"]
+    methods = _defined_functions(zmod, "ModMatrix")
+    assert "vec_mul" in methods
+    assert methods.isdisjoint({"__matmul__", "power", "inverse", "det2", "is_invertible"})
+
+
+def test_no_per_element_class():
+    # A group element is its index and its key; no module defines a class
+    # that wraps one, and the package exports none.
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in parsed_modules()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and "Element" in node.name
+    ]
+    assert found == []
+    assert not hasattr(h1loc, "GroupElement")

@@ -24,7 +24,6 @@ from h1loc import (
     quotient_invariants,
     quotient_structure,
     solve_linear,
-    zero_basis,
 )
 from h1loc.zmod import _howell_raw
 
@@ -230,7 +229,7 @@ def test_membership_matches_enumeration_randomized():
 def test_quotient_invariants_examples():
     full = full_basis(CTX25, 2)
     pv = howell_form(mat([[5, 0], [0, 5]]))
-    zero = zero_basis(CTX25, 2)
+    zero = howell_from_rows(CTX25, 2, [])
     assert quotient_invariants(full, zero) == [25, 25]
     assert quotient_invariants(full, pv) == [5, 5]
     assert quotient_invariants(pv, zero) == [5, 5]
