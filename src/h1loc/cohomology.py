@@ -8,14 +8,16 @@ restriction, inflation and equivariant-homomorphism utilities.
 A cocycle is a map Z from the group to the module with
 Z(ab) = Z(a) + a.Z(b); it is determined by its values on a generating
 set.  The engine therefore works in the coordinate space of generator
-values: a breadth-first walk of the Cayley graph expresses every
-element's value as a linear function of the generator values, each
-revisited element contributes a linear consistency constraint, and Z^1
-is the kernel of the stacked constraints.  Local conditions add the
-linear equations that pin Z(g) inside the image of g - Id, for one
-generator g of each conjugacy class of maximal cyclic subgroups; on a
-cocycle they imply the condition at every group element (see
-CocycleSystem.local_representatives).
+values: a breadth-first spanning tree of the Cayley graph expresses every
+element's value as a linear function of the generator values, every
+Cayley edge off the tree gives a linear consistency constraint, and Z^1
+is their common kernel.  Only the constraints of edges that a candidate
+cocycle breaks are harvested, round by round, until every generator of
+the kernel passes the cocycle identity (see CocycleSystem).  Local
+conditions add the linear equations that pin Z(g) inside the image of
+g - Id, for one generator g of each conjugacy class of maximal cyclic
+subgroups; on a cocycle they imply the condition at every group element
+(see CocycleSystem.local_representatives).
 
 Works uniformly for an enumerated matrix group and for a quotient by a
 normal subgroup acting trivially on the module, so inflation has a
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -62,8 +65,8 @@ _MODULE_LABELS = {FULL: "V", TORSION: "V[p]", QUOTIENT: "V/V[p]"}
 CLASS_ENUM_LIMIT = 10**5
 CLASS_ENUM_WORK_LIMIT = 2 * 10**6
 # Cap on |G| * dim, checked before a CocycleSystem allocates anything per
-# element: its table L holds 2 * dim entries per element, and its harvest
-# walks |G| * dim / 2 Cayley edges.
+# element: each harvest round expands candidate cocycles into tables of |G|
+# values and checks each on |G| * dim / 2 Cayley edges.
 SYSTEM_WORK_LIMIT = 2 * 10**5
 
 
@@ -242,18 +245,23 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
 
 
 def _cocycle_holds(acts, edges, values, q: int) -> bool:
-    """Z(1) = 0 and Z(ab) = Z(a) + a.Z(b) for every element a and every
-    (b, targets) in edges, where targets[a] is the index of ab and acts[a]
-    is the action of a on the module."""
-    if values[0] != (0, 0):
-        return False
-    for b, targets in edges:
+    """Z(1) = 0 and no edge is broken (see _first_broken_edge)."""
+    return values[0] == (0, 0) and _first_broken_edge(acts, edges, values, q) is None
+
+
+def _first_broken_edge(acts, edges, values, q: int) -> Optional[tuple[int, int, int]]:
+    """The first (a, slot, ab) with Z(ab) != Z(a) + a.Z(b), where edges[slot]
+    is (b, targets), targets[a] is the index of ab and acts[a] is the action
+    of a on the module; None when the identity holds on every edge."""
+    for slot, (b, targets) in enumerate(edges):
         vb0, vb1 = values[b]
         for (m0, m1, m2, m3), (va0, va1), t in zip(acts, values, targets):
             w0, w1 = values[t]
             if w0 != (va0 + m0 * vb0 + m1 * vb1) % q or w1 != (va1 + m2 * vb0 + m3 * vb1) % q:
-                return False
-    return True
+                # Right multiplication by b is a bijection, so a is the one
+                # index with targets[a] = t.
+                return targets.index(t), slot, t
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +302,37 @@ class LocalEntry:
 class CocycleSystem:
     """Shared scaffolding for one (group, module) pair.
 
-    Holds the breadth-first expression of every element's cocycle value as
-    a linear map from generator values, the harvested consistency
-    constraints, and lazily computed bases of Z^1, B^1 and the local
-    cocycle space, all in the generator coordinate space (Z/q)^(2k).
-    Raises ResourceLimitError before any per-element table is built when
-    |G| * dim passes SYSTEM_WORK_LIMIT.
+    Holds a breadth-first spanning tree of the Cayley graph, which expresses
+    every element's cocycle value as a linear map L[i] of the generator
+    values u (Z(element i) = L[i] u), and lazily computed bases of Z^1, B^1
+    and the local cocycle space, all in the generator coordinate space
+    (Z/q)^(2k).  L[i] is rebuilt on demand from the tree parents and
+    memoised.  Raises ResourceLimitError before any per-element table is
+    built when |G| * dim passes SYSTEM_WORK_LIMIT.
+
+    Z^1 is cut out by the consistency rows L[t] - (L[a] + act(a) E_slot) of
+    the Cayley edges a -> t = a g_slot off the tree, but only the rows of
+    edges that a candidate breaks are harvested (constraint_basis).  Each
+    round takes K, the kernel of the rows so far (at first the whole
+    space), expands every row of its Howell basis into a value table, and
+    checks the cocycle identity on every Cayley edge; for each row that
+    fails, the rows of its first broken edge join the harvest.  The rounds
+    stop when every row of K passes.
+
+    Exactness: the harvested rows are some of the consistency rows, so
+    Z^1 is in K.  Every listed generator is a child of the root along its
+    own slot (they are distinct and not the identity), so the expansion of
+    u takes the value u_slot at generator slot, and a row that passes the
+    check is a cocycle's coordinates; K is spanned by such rows, so K is in
+    Z^1, and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows span
+    the annihilator of K, the same submodule as all the consistency rows,
+    and their Howell basis is the same, row for row.
+
+    Termination: the rows of a broken edge do not vanish on the row of K
+    that broke it (checked; ConsistencyError otherwise), so each round
+    strictly shrinks K.  A chain of submodules of (Z/p^n)^dim has at most
+    n * dim steps, so after n * dim + 1 rounds the harvest gives up with
+    ConsistencyError.
     """
 
     def __init__(self, group: GroupLike, module: GModule):
@@ -322,63 +355,100 @@ class CocycleSystem:
         self.acts = [module.action_entries(k) for k in _element_keys(group)]
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
-        # L[i] is a 2 x dim matrix (pair of rows) with Z(element i) = L[i] u.
-        self.L: list[Optional[tuple[list[int], list[int]]]] = [None] * n
-        self.L[0] = ([0] * self.dim, [0] * self.dim)
-        self.bfs_order = [0]
-        self.bfs_edges: list[tuple[int, int, int]] = []  # (parent, gen slot, child)
-        constraints: list[list[int]] = []
-        q = self.q
-        head = 0
-        while head < len(self.bfs_order):
-            x = self.bfs_order[head]
-            head += 1
-            lx = self.L[x]
-            a, b, c, d = self.acts[x]
+        # The tree: element i is reached from parent[i] along generator
+        # slot[i] (-1 while unreached; the root is its own parent);
+        # bfs_edges lists (parent, slot, child) in breadth-first order.
+        self.parent = array("q", [-1]) * n
+        self.parent[0] = 0
+        self.slot = array("q", [0]) * n
+        self.bfs_edges: list[tuple[int, int, int]] = []
+        order = [0]
+        for x in order:
             for slot, tg in enumerate(self.targets):
                 y = tg[x]
-                r0 = lx[0][:]
-                r1 = lx[1][:]
-                j0, j1 = 2 * slot, 2 * slot + 1
-                r0[j0] = (r0[j0] + a) % q
-                r0[j1] = (r0[j1] + b) % q
-                r1[j0] = (r1[j0] + c) % q
-                r1[j1] = (r1[j1] + d) % q
-                if self.L[y] is None:
-                    self.L[y] = (r0, r1)
-                    self.bfs_order.append(y)
+                if self.parent[y] < 0:
+                    order.append(y)
+                    self.parent[y] = x
+                    self.slot[y] = slot
                     self.bfs_edges.append((x, slot, y))
-                else:
-                    ly = self.L[y]
-                    c0 = [(u - v) % q for u, v in zip(ly[0], r0)]
-                    c1 = [(u - v) % q for u, v in zip(ly[1], r1)]
-                    if any(c0):
-                        constraints.append(c0)
-                    if any(c1):
-                        constraints.append(c1)
-        if head != n:
+        if len(order) != n:
             raise ContractError("the listed generators do not generate the group")
-        self.constraints = constraints
-        self._z1: Optional[SubmoduleBasis] = None
+        self._L = {0: ([0] * self.dim, [0] * self.dim)}
+        # The harvested consistency rows, filled by the rounds of constraint_basis.
+        self.constraints: list[list[int]] = []
         self._b1: Optional[SubmoduleBasis] = None
         self._z1loc: Optional[SubmoduleBasis] = None
         self._local: Optional[list[LocalEntry]] = None
 
+    def value_map(self, i: int) -> tuple[list[int], list[int]]:
+        """L[i], the pair of rows with Z(element i) = L[i] u, built down the
+        tree path from the nearest memoised ancestor."""
+        memo = self._L
+        path = []
+        while i not in memo:
+            path.append(i)
+            i = self.parent[i]
+        l0, l1 = memo[i]
+        q = self.q
+        for y in reversed(path):
+            a, b, c, d = self.acts[self.parent[y]]
+            j = 2 * self.slot[y]
+            l0, l1 = l0[:], l1[:]
+            l0[j] = (l0[j] + a) % q
+            l0[j + 1] = (l0[j + 1] + b) % q
+            l1[j] = (l1[j] + c) % q
+            l1[j + 1] = (l1[j + 1] + d) % q
+            memo[y] = (l0, l1)
+        return l0, l1
+
+    def edge_rows(self, a: int, slot: int, t: int) -> tuple[list[int], list[int]]:
+        """The consistency rows L[t] - (L[a] + act(a) E_slot) of the Cayley
+        edge a -> t = a g_slot: zero on u exactly when the cocycle identity
+        Z(t) = Z(a) + a.Z(g_slot) holds for the expansion of u."""
+        (a0, a1), (t0, t1) = self.value_map(a), self.value_map(t)
+        m0, m1, m2, m3 = self.acts[a]
+        q = self.q
+        r0 = [(x - y) % q for x, y in zip(t0, a0)]
+        r1 = [(x - y) % q for x, y in zip(t1, a1)]
+        j = 2 * slot
+        r0[j] = (r0[j] - m0) % q
+        r0[j + 1] = (r0[j + 1] - m1) % q
+        r1[j] = (r1[j] - m2) % q
+        r1[j + 1] = (r1[j + 1] - m3) % q
+        return r0, r1
+
     # -- spaces ------------------------------------------------------------
 
     @cached_property
+    def _harvest(self) -> tuple[list[list[int]], SubmoduleBasis]:
+        """The Howell basis of the harvested rows and its kernel Z^1, by the
+        rounds in the class docstring; the last round is Z^1's self-check."""
+        dim, cctx, q = self.dim, self.cctx, self.q
+        rows = self.constraints
+        for _ in range(cctx.n * dim + 1):
+            basis = _howell_raw(rows, dim, cctx)
+            kern = _kernel_raw(basis, dim, cctx) if dim else []
+            broken = set()
+            for r in kern:
+                edge = _first_broken_edge(self.acts, zip(self.gens, self.targets), self.expand(r).values, q)
+                if edge is None or edge in broken:
+                    continue
+                broken.add(edge)
+                pair = self.edge_rows(*edge)
+                if not any(sum(x * y for x, y in zip(row, r)) % q for row in pair):
+                    raise ConsistencyError(f"the rows of the broken Cayley edge {edge} vanish on the cocycle candidate")
+                rows.extend(row for row in pair if any(row))
+            if not broken:
+                return basis, SubmoduleBasis.from_raw(cctx, dim, kern)
+        raise ConsistencyError(f"the cocycle harvest did not settle in {cctx.n * dim + 1} rounds")
+
+    @property
     def constraint_basis(self) -> list[list[int]]:
         """Howell basis of the harvested constraints, shared by z1 and z1_local."""
-        return _howell_raw(self.constraints, self.dim, self.cctx)
+        return self._harvest[0]
 
     def z1(self) -> SubmoduleBasis:
-        if self._z1 is None:
-            rows = _kernel_raw(self.constraint_basis, self.dim, self.cctx) if self.dim else []
-            self._z1 = SubmoduleBasis.from_raw(self.cctx, self.dim, rows)
-            for r in self._z1.rows:
-                if not self.is_cocycle(self.expand(r.coords)):
-                    raise ConsistencyError("computed cocycle basis fails the cocycle identity")
-        return self._z1
+        return self._harvest[1]
 
     def b1(self) -> SubmoduleBasis:
         if self._b1 is None:
@@ -471,12 +541,12 @@ class CocycleSystem:
 
     def local_constraint_rows(self) -> list[list[int]]:
         """k.L[g] u = 0 for every local representative g and annihilator
-        row k of g."""
+        row k of g (L[g] is value_map(g))."""
         rows: list[list[int]] = []
         q = self.q
         entries = self.local_entries()
         for g in self.local_representatives:
-            l0, l1 = self.L[g]
+            l0, l1 = self.value_map(g)
             for k0, k1 in entries[g].annihilator:
                 rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
         return rows
@@ -545,15 +615,29 @@ class H1Report:
     cross_check: Optional[str] = None
 
     def classes(self) -> list[Cocycle]:
-        """One representative per class, the zero class first."""
-        reps = []
-        ranges = [range(d) for d in self.invariant_factors]
-        for combo in itertools.product(*ranges):
-            c = self.zero_cocycle
-            for coeff, gen in zip(combo, self.generator_cocycles):
-                if coeff:
-                    c = c + gen.scale(coeff)
-            reps.append(c)
+        """One representative per class, sum_i c_i gen_i with 0 <= c_i < d_i,
+        in itertools.product order of the digits c, the zero class first.
+
+        The digits run like an odometer: when i is the last digit that does
+        not wrap round, the next class is the previous one plus
+        step_i = gen_i + sum_{j > i} (1 - d_j) gen_j, one table addition
+        per class."""
+        orders = self.invariant_factors
+        steps = []
+        tail = self.zero_cocycle  # sum_{j > i} (1 - d_j) gen_j
+        for d, gen in zip(reversed(orders), reversed(self.generator_cocycles)):
+            steps.append(tail + gen)
+            tail = tail + gen.scale(1 - d)
+        steps.reverse()
+        digits = [0] * len(orders)
+        reps = [self.zero_cocycle]
+        for _ in range(self.order - 1):
+            i = len(orders) - 1
+            while digits[i] == orders[i] - 1:
+                digits[i] = 0
+                i -= 1
+            digits[i] += 1
+            reps.append(reps[-1] + steps[i])
         return reps
 
     def to_json(self) -> dict:

@@ -357,15 +357,9 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     if ctx.n != 2:
         raise InputError("the criterion checker works over Z/p^2")
     p = ctx.p
-    ident = ModMatrix.identity(ctx, 2)
-
-    delta = None
-    from .zmod import kernel_basis
-
-    for i in range(len(group)):
-        if kernel_basis(group.matrix(i) - ident).is_zero():
-            delta = i
-            break
+    # ker(g - Id) = 0 over Z/p^n exactly when det(g - Id) is a unit.
+    fixed_point_free = (i for i, (a, b, c, d) in enumerate(group._keys) if _invertible4((a - 1, b, c, d - 1), p))
+    delta = next(fixed_point_free, None)
 
     kernel = reduction_kernel(group)
     explanation = ""

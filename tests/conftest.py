@@ -150,6 +150,41 @@ def brute_local_tables(group, module, tables):
     return out
 
 
+def full_harvest(system):
+    """The eager harvest: one breadth-first walk of the Cayley graph that
+    keeps every element's linear map L[i] (Z(element i) = L[i] u, a pair of
+    rows) and stacks the nonzero consistency rows of every edge off the
+    tree.  Returns (rows, L); the engine's lazy harvest must give the same
+    Howell basis."""
+    q, dim = system.q, system.dim
+    n = len(system.group)
+    L = [None] * n
+    L[0] = ([0] * dim, [0] * dim)
+    order = [0]
+    rows = []
+    for x in order:
+        lx = L[x]
+        a, b, c, d = system.acts[x]
+        for slot, tg in enumerate(system.targets):
+            y = tg[x]
+            r0, r1 = lx[0][:], lx[1][:]
+            j0, j1 = 2 * slot, 2 * slot + 1
+            r0[j0] = (r0[j0] + a) % q
+            r0[j1] = (r0[j1] + b) % q
+            r1[j0] = (r1[j0] + c) % q
+            r1[j1] = (r1[j1] + d) % q
+            if L[y] is None:
+                L[y] = (r0, r1)
+                order.append(y)
+            else:
+                for ly, r in zip(L[y], (r0, r1)):
+                    row = [(u - v) % q for u, v in zip(ly, r)]
+                    if any(row):
+                        rows.append(row)
+    assert len(order) == n
+    return rows, L
+
+
 def engine_tables(group, module, basis):
     """Expand a generator-coordinate basis into the set of value tables."""
     system = CocycleSystem(group, module)

@@ -2,6 +2,9 @@
 
 import itertools
 import random
+from dataclasses import replace
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -58,6 +61,7 @@ from conftest import (
     brute_cocycle_tables,
     brute_local_tables,
     engine_tables,
+    full_harvest,
 )
 
 CTX25 = ModulusContext(5, 2)
@@ -504,13 +508,13 @@ def test_cached_local_test_matches_uncached_oracle_over_z125(kind):
 
 
 def _all_element_local_basis(system):
-    """The all-element oracle: the harvested constraints stacked with the
+    """The all-element oracle: the full harvest's constraints stacked with the
     annihilator rows of every element, each annihilator computed afresh as
     the kernel of (g - Id)^T."""
     q, cctx = system.q, system.cctx
     annihilators = {}
-    rows = list(system.constraints)
-    for (l0, l1), act in zip(system.L, system.acts):
+    rows, table = full_harvest(system)
+    for (l0, l1), act in zip(table, system.acts):
         if act not in annihilators:
             a, b, c, d = act
             shifted_t = ModMatrix(cctx, 2, 2, ((a - 1) % q, c % q, b % q, (d - 1) % q))
@@ -603,10 +607,146 @@ def test_local_representative_counts():
 def test_harvest_basis_is_shared():
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
-    assert system.z1() == SubmoduleBasis.from_raw(
-        system.cctx, system.dim, _kernel_raw(system.constraints, system.dim, system.cctx)
-    )
+    rows, _ = full_harvest(system)
+    assert system.z1() == SubmoduleBasis.from_raw(system.cctx, system.dim, _kernel_raw(rows, system.dim, system.cctx))
+    assert system.constraint_basis == _howell_raw(rows, system.dim, system.cctx)
     assert system.constraint_basis == _howell_raw(system.constraints, system.dim, system.cctx)
+
+
+# ---------------------------------------------------------------------------
+# H1Report.classes against scale-and-add.
+
+
+def _scale_and_add_classes(report):
+    """Every class representative built from whole tables: the zero cocycle
+    plus coeff * gen for each nonzero digit, in itertools.product order."""
+    reps = []
+    for combo in itertools.product(*(range(d) for d in report.invariant_factors)):
+        c = report.zero_cocycle
+        for coeff, gen in zip(combo, report.generator_cocycles):
+            if coeff:
+                c = c + gen.scale(coeff)
+        reps.append(c)
+    return reps
+
+
+def _assert_classes_match(report):
+    classes = report.classes()
+    assert [c.values for c in classes] == [c.values for c in _scale_and_add_classes(report)]
+    assert len(classes) == report.order and classes[0].is_zero()
+
+
+def test_classes_match_scale_and_add_constructions():
+    for group, module in _representative_cases(5):
+        _assert_classes_match(h1(group, module))
+        _assert_classes_match(h1_loc(group, module, cross_check=False))
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_classes_match_scale_and_add_over_z125(name, kind):
+    group = close_group(Z125_GROUPS[name], Z125)
+    _assert_classes_match(h1(group, GModule(Z125, kind)))
+
+
+def test_classes_carry_over_mixed_invariant_factors():
+    """Digits of different ranges, so that carries cross several digits."""
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    gens = tuple(system.expand(r.coords) for r in system.z1().rows[:3])
+    assert len(gens) == 3
+    report = replace(h1(g, full_module(g.ctx)), order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
+    _assert_classes_match(report)
+
+
+# ---------------------------------------------------------------------------
+# The lazy harvest against the full harvest.
+
+
+def _assert_lazy_harvest_matches_full(system):
+    """The lazy harvest's basis is the full harvest's, row for row; its rows
+    are a few of the full harvest's; value_map agrees with the full table."""
+    rows, table = full_harvest(system)
+    assert system.constraint_basis == _howell_raw(rows, system.dim, system.cctx)
+    assert len(system.constraints) <= 2 * system.cctx.n * system.dim
+    full_rows = {tuple(r) for r in rows}
+    assert all(tuple(r) in full_rows for r in system.constraints)
+    for i in system._L:
+        assert system.value_map(i) == table[i]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_lazy_harvest_matches_full_harvest_constructions(p):
+    for group, module in _representative_cases(p):
+        _assert_lazy_harvest_matches_full(CocycleSystem(group, module))
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_lazy_harvest_matches_full_harvest_over_z125(name, kind):
+    group = close_group(Z125_GROUPS[name], Z125)
+    _assert_lazy_harvest_matches_full(CocycleSystem(group, GModule(Z125, kind)))
+
+
+def test_value_map_matches_full_table_at_every_element():
+    group = close_group(Z125_GROUPS["z125"], Z125)
+    system = CocycleSystem(group, full_module(Z125))
+    _, table = full_harvest(system)
+    assert [system.value_map(i) for i in range(len(group))] == table
+
+
+def test_harvest_raises_when_a_broken_edge_gives_no_cut(monkeypatch):
+    """A check that reports an edge whose rows are zero (a tree edge) would
+    make no progress; the harvest must raise, not loop."""
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    tree_edge = system.bfs_edges[-1]
+    assert not any(map(any, system.edge_rows(*tree_edge)))
+    monkeypatch.setattr(cohomology, "_first_broken_edge", lambda *args: tree_edge)
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match="vanish on the cocycle candidate"):
+        system.z1()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_harvest_gives_up_after_the_round_cap(monkeypatch):
+    """With a sound kernel each round shrinks K, so the round cap is never
+    reached; a kernel routine that stopped shrinking K would loop, and the
+    cap turns that into ConsistencyError."""
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    whole_space = lambda rows, ncols, ctx: [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    monkeypatch.setattr(cohomology, "_kernel_raw", whole_space)
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match=f"did not settle in {2 * system.dim + 1} rounds"):
+        system.z1()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lazy_harvest_is_small_and_final_round_is_z1():
+    g = build_borel_shared_group(11)
+    system = CocycleSystem(g, full_module(g.ctx))
+    assert system.constraints == []
+    z1 = system.z1()
+    assert 0 < len(system.constraints) <= 2 * system.cctx.n * system.dim
+    assert all(system.is_cocycle(system.expand(r.coords)) for r in z1.rows)
+    assert z1 == SubmoduleBasis.from_raw(
+        system.cctx, system.dim, _kernel_raw(system.constraint_basis, system.dim, system.cctx)
+    )
+
+
+def test_cocycle_system_memory_is_small():
+    """The tracemalloc peak of building the system and Z^1 on borel-shared
+    p=17 (|G| = 9826): 2.7 MiB with the lazy harvest, 14.7 MiB with the
+    full one (which kept a 2 x dim table per element and 39,164 rows)."""
+    g = build_borel_shared_group(17)
+    tracemalloc.start()
+    try:
+        CocycleSystem(g, full_module(g.ctx)).z1()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 GROUP_CAP = 120
@@ -662,6 +802,8 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
     local_classes = brute_local_tables(group, module, {c.values for c in full.classes()})
     report = h1_loc(group, module)
     assert report.order == len(local_classes)
+    rows, _ = full_harvest(system)
+    assert system.constraint_basis == _howell_raw(rows, system.dim, system.cctx)
     # Every basis row of Z^1_loc is local by brute force; with the order,
     # that makes the local span exactly the brute-force local cocycles.
     rows = {system.expand(r.coords).values for r in system.z1_local().rows}

@@ -21,6 +21,7 @@ from h1loc import (
     full_module,
     h1_loc,
     is_coboundary,
+    kernel_basis,
     kernel_displacement,
     reduction_kernel,
     restrict_cocycle,
@@ -36,6 +37,7 @@ from h1loc.constructions import (
     LABEL_S3,
     report_borel_shared,
 )
+from h1loc.groups import _invertible4
 from conftest import oracle_power, oracle_product
 
 
@@ -149,6 +151,29 @@ def test_criterion_checker_cyclic_fails_third():
     # Every element here is upper triangular with lower-right entry 1 mod p,
     # so det(x - Id) is never a unit and hypothesis 1 fails as well.
     assert not checks.fixed_point_free_element
+
+
+def _criterion_groups(p):
+    """The five construction groups at p; at p = 7, 1 mod 3, the S_3 one is
+    the closure of its generators."""
+    s3 = build_s3_quotient_group(p) if p % 3 == 2 else close_group(s3_generators(p), ModulusContext(p, 2))
+    return [s3, build_cyclic_quotient_group(p), build_borel_shared_group(p), build_borel_index2_group(p),
+            build_borel_disjoint_group(p)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fixed_point_free_element_matches_kernel_oracle(p):
+    """The closed form (det(g - Id) a unit) against kernel_basis(g - Id) = 0
+    at every element, and the criterion's witness is the first such element."""
+    for g in _criterion_groups(p):
+        ident = ModMatrix.identity(g.ctx, 2)
+        oracle = [kernel_basis(g.matrix(i) - ident).is_zero() for i in range(len(g))]
+        closed = [_invertible4((a - 1, b, c, d - 1), p) for a, b, c, d in g._keys]
+        assert closed == oracle
+        checks = check_nonvanishing_criterion(g)
+        first = oracle.index(True) if True in oracle else None
+        assert checks.fixed_point_free_witness == first
+        assert checks.fixed_point_free_element == (first is not None)
 
 
 def test_criterion_checker_trivial_kernel_reports_reason():
