@@ -35,7 +35,6 @@ from .zmod import (
 from .groups import (
     EigenData,
     FiniteMatrixGroup,
-    QuotientGroup,
     borel_check,
     close_group,
     closure_indices,
@@ -44,9 +43,9 @@ from .groups import (
     fixed_submodule,
     group_from_json,
     group_to_json,
+    image_indices,
     power_identity_check,
     quotient_group,
-    reduce_group_mod_p,
     reduction_kernel,
     subgroup_from_indices,
 )

@@ -23,13 +23,14 @@ from typing import Optional
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import (
+    _IDENTITY,
     FiniteMatrixGroup,
-    _close_keys,
     _mul4,
     _powers4,
     borel_check,
     close_group,
     closure_indices,
+    cyclic_walk,
     eigen_data,
     element_order,
 )
@@ -55,19 +56,6 @@ class CaseVerdict:
 def _require_level_one(g: FiniteMatrixGroup):
     if g.ctx.n != 1:
         raise InputError("classification works on groups over F_p (n = 1)")
-
-
-def _order_table(g: FiniteMatrixGroup) -> list[int]:
-    """The order of every element, by index.  One power walk per cyclic
-    subgroup not yet seen: if x has order k, x^j has order k / gcd(j, k)."""
-    orders = [0] * len(g)
-    for i, key in enumerate(g._keys):
-        if not orders[i]:
-            span = _powers4(key, g._q)
-            k = len(span)
-            for j, y in enumerate(span):
-                orders[g._index[y]] = k // gcd(j, k)
-    return orders
 
 
 def _cyclic_generators(orders: list[int]) -> list[int]:
@@ -111,9 +99,7 @@ def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
             return None
         iso = "C3"
     else:
-        if g.multiplication_table() and all(
-            g.mult(a, b) == g.mult(b, a) for a in range(n) for b in range(n)
-        ):
+        if g.is_abelian():
             return None
         iso = "S3"
     return {
@@ -158,7 +144,7 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
 def classify_mod_p_group(g: FiniteMatrixGroup) -> CaseVerdict:
     """Assign the trichotomy case, trying the shapes in order 1, 2, 3."""
     _require_level_one(g)
-    orders = _order_table(g)
+    orders = cyclic_walk(g)[0]
     ev = _case_cyclic(g, orders)
     if ev is not None:
         return CaseVerdict(CASE_CYCLIC, ev)
@@ -233,7 +219,7 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
     _require_level_one(g)
     p = g.ctx.p
     n = len(g)
-    orders = _order_table(g)
+    orders = cyclic_walk(g)[0]
     reasons = []
     if n % p != 0:
         if (p - 1) % n == 0:
@@ -245,9 +231,7 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
             reasons.append("order prime to p but not dividing p - 1")
         if p % 3 == 2 and n == 3 and _cyclic_generators(orders):
             return FilterVerdict(True, ("cyclic-of-order-3",))
-        if p % 3 == 2 and n == 6 and not all(
-            g.mult(a, b) == g.mult(b, a) for a in range(n) for b in range(n)
-        ):
+        if p % 3 == 2 and n == 6 and not g.is_abelian():
             return FilterVerdict(True, ("s3",))
         reasons.append("not of S_3 type")
         return FilterVerdict(False, tuple(reasons))
@@ -298,10 +282,10 @@ def _gl2_elements(p: int):
 def _cyclic_pass(p: int):
     """The scanner's first pass over GL_2(F_p), in _gl2_elements order.
 
-    Returns (orders, subgroups, order2, order3): the order of every
-    element (the identity included), each cyclic subgroup of order prime
-    to p keyed by its element set and mapped to (first generator,), and
-    the elements of order 2 and of order 3 in enumeration order.
+    Returns (orders, subgroups, order2): the order of every element (the
+    identity included), each cyclic subgroup of order prime to p keyed by
+    its element set and mapped to (first generator,), in the order of the
+    first generators, and the elements of order 2 in enumeration order.
 
     Each cyclic subgroup is walked once, from its first generator x in
     enumeration order: the power list [Id, x, ..., x^(k-1)] is the whole
@@ -311,7 +295,6 @@ def _cyclic_pass(p: int):
     orders: dict[tuple, int] = {}
     subgroups: dict[frozenset, tuple] = {}
     order2 = []
-    order3 = []
     for key in _gl2_elements(p):
         o = orders.get(key)
         if o is None:
@@ -325,9 +308,7 @@ def _cyclic_pass(p: int):
                 subgroups[frozenset(span)] = (key,)
         if o == 2:
             order2.append(key)
-        elif o == 3:
-            order3.append(key)
-    return orders, subgroups, order2, order3
+    return orders, subgroups, order2
 
 
 def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
@@ -345,14 +326,20 @@ def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
     if p not in SCAN_PRIMES:
         raise ResourceLimitError(f"scan is capped to p in {SCAN_PRIMES}")
     ctx = ModulusContext(p, 1)
-    orders, subgroups, order2, order3 = _cyclic_pass(p)
+    orders, subgroups, order2 = _cyclic_pass(p)
 
-    for x in order3:
+    # x runs over the first generator of each cyclic subgroup of order 3:
+    # <x^2, y> = <x, y>, and the pairs with x come first in any case.
+    for x in [gens[0] for members, gens in subgroups.items() if len(members) == 3]:
+        x2 = _mul4(x, x, p)
         for y in order2:
             # y = y^-1, so y x y = x^-1 iff (y x)^2 = Id; y x = Id cannot
             # hold, as x and y have different orders.
-            if orders[_mul4(y, x, p)] == 2:
-                members = frozenset(_close_keys((x, y), p)[0])
+            yx = _mul4(y, x, p)
+            if orders[yx] == 2:
+                # y x = x^2 y, so the six elements below are closed under
+                # products: they are <x, y>.
+                members = frozenset((_IDENTITY, x, x2, y, yx, _mul4(yx, x, p)))
                 if members not in subgroups:
                     subgroups[members] = (x, y)
 

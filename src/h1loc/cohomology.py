@@ -19,25 +19,28 @@ g - Id, for one generator g of each conjugacy class of maximal cyclic
 subgroups; on a cocycle they imply the condition at every group element
 (see CocycleSystem.local_representatives).
 
-Works uniformly for an enumerated matrix group and for a quotient by a
-normal subgroup acting trivially on the module, so inflation has a
-domain to live on.
+Every group is an enumerated FiniteMatrixGroup.  The quotient G/G(p) by
+the reduction kernel is the mod-p image (groups.quotient_group), and
+inflation pulls a cocycle on the image with values in F_p^2 back to a
+V[p]-valued cocycle on G (inflate_cocycle).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, DimensionError, InputError, ResourceLimitError
 from .groups import (
     FiniteMatrixGroup,
-    QuotientGroup,
     _powers4,
+    cyclic_walk,
+    image_indices,
+    quotient_group,
+    reduction_kernel,
     subgroup_from_indices,
 )
 from .zmod import (
@@ -52,8 +55,6 @@ from .zmod import (
     solve2,
     solve_linear,
 )
-
-GroupLike = Union[FiniteMatrixGroup, QuotientGroup]
 
 FULL = "full"
 TORSION = "p_torsion"
@@ -136,42 +137,11 @@ def parse_module(ctx: ModulusContext, label: str) -> GModule:
     raise InputError(f"unknown module label {label!r} (expected V, V[p] or V/V[p])")
 
 
-# ---------------------------------------------------------------------------
-# Group adapters.
-
-
-def _gen_indices(group: GroupLike) -> list[int]:
-    if isinstance(group, FiniteMatrixGroup):
-        return group.distinct_generator_indices()
-    return group.generator_cosets()
-
-
-def _element_keys(group: GroupLike) -> Sequence[tuple]:
-    """The key of every element; of each coset's representative for a quotient."""
-    if isinstance(group, FiniteMatrixGroup):
-        return group._keys
-    keys = group.parent._keys
-    return [keys[r] for r in group.reps]
-
-
-def _check_action_well_defined(group: GroupLike, module: GModule):
-    if isinstance(group, QuotientGroup):
-        q = module.coeff_modulus
-        ident = (1 % q, 0, 0, 1 % q)
-        keys = group.parent._keys
-        for s in sorted(group.normal_indices):
-            if module.action_entries(keys[s]) != ident:
-                raise InputError(
-                    "the normal subgroup does not act trivially on the module; "
-                    "the quotient action is not defined"
-                )
-
-
 @dataclass(frozen=True)
 class Cocycle:
     """A cocycle as its full value table, one module vector per element."""
 
-    group: GroupLike
+    group: FiniteMatrixGroup
     module: GModule
     values: tuple[tuple[int, int], ...]
 
@@ -225,22 +195,19 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     base case Z(a.1) = Z(a) + a.Z(1) is Z(1) = 0, and from the edge (ab, g)
     and the pair (a, b) follows Z(abg) = Z(ab) + ab.Z(g) = Z(a) + a.Z(bg).
     Positive words reach every element of a finite group once the
-    generators generate it, which close_group guarantees for an enumerated
-    group and QuotientGroup.generator_cosets (the images of the parent's
-    generators) for a quotient.
+    generators generate it, which close_group guarantees.
 
     full=True checks every pair (a, b) outright, for hand-written class
     tables and as the test oracle of the per-edge check.
     """
     group, module = c.group, c.module
-    _check_action_well_defined(group, module)
     n = len(group)
-    acts = [module.action_entries(k) for k in _element_keys(group)]
+    acts = [module.action_entries(k) for k in group._keys]
     if full:
         mult = group.mult
         edges = ((b, [mult(a, b) for a in range(n)]) for b in range(n))
     else:
-        edges = zip(_gen_indices(group), group.edge_targets())
+        edges = zip(group.distinct_generator_indices(), group.edge_targets())
     return _cocycle_holds(acts, edges, c.values, module.coeff_modulus)
 
 
@@ -335,13 +302,12 @@ class CocycleSystem:
     ConsistencyError.
     """
 
-    def __init__(self, group: GroupLike, module: GModule):
+    def __init__(self, group: FiniteMatrixGroup, module: GModule):
         if group.ctx != module.ctx:
             raise DimensionError("module coefficients do not match the group ring")
-        _check_action_well_defined(group, module)
         self.group = group
         self.module = module
-        self.gens = _gen_indices(group)
+        self.gens = group.distinct_generator_indices()
         self.k = len(self.gens)
         self.dim = 2 * self.k
         n = len(group)
@@ -352,7 +318,7 @@ class CocycleSystem:
             )
         self.q = module.coeff_modulus
         self.cctx = module.coeff_ctx
-        self.acts = [module.action_entries(k) for k in _element_keys(group)]
+        self.acts = [module.action_entries(k) for k in group._keys]
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
         # The tree: element i is reached from parent[i] along generator
@@ -482,32 +448,19 @@ class CocycleSystem:
         maximal cyclic subgroup, so one generator per conjugacy class of
         those suffices.
 
-        Each cyclic subgroup is walked once, from its first generator in
-        index order (its owner); the walk marks the subgroup's other
-        elements either as generators with the same owner or as lying in
-        a larger cyclic subgroup.  The maximal subgroups are then merged
-        under conjugation by the inverses of the generators of the group,
-        read off the Cayley edges: for the edge targets T of a generator h,
-        inv(T[inv(T[y])]) = h^-1 y h.  Those inverses generate the same
-        group, so the classes are the same; the owner names the conjugate
-        subgroup, and the least owner of each class is its representative.
+        groups.cyclic_walk names each element's owner: the least generator
+        of its cyclic subgroup when that subgroup is maximal, else 0.  The
+        maximal subgroups are then merged under conjugation by the inverses
+        of the generators of the group, read off the Cayley edges: for the
+        edge targets T of a generator h, inv(T[inv(T[y])]) = h^-1 y h.
+        Those inverses generate the same group, so the classes are the
+        same; the owner names the conjugate subgroup, and the least owner
+        of each class is its representative.
         """
         group = self.group
-        mult, inv = group.mult, group.inv
+        inv = group.inv
         n = len(group)
-        owner = [-1] * n  # -1 unvisited, 0 in a larger cyclic subgroup
-        owner[0] = 0
-        for x in range(1, n):
-            if owner[x] != -1:
-                continue
-            powers = [x]
-            cur = mult(x, x)
-            while cur != 0:
-                powers.append(cur)
-                cur = mult(cur, x)
-            k = len(powers) + 1
-            for j, y in enumerate(powers, 1):
-                owner[y] = x if math.gcd(j, k) == 1 else 0
+        owner = cyclic_walk(group)[1]
         reps = []
         merged = bytearray(n)
         for x in range(1, n):
@@ -650,13 +603,6 @@ class H1Report:
         }
 
 
-def _group_label(group: GroupLike) -> Optional[str]:
-    if isinstance(group, FiniteMatrixGroup):
-        return group.label
-    lbl = group.parent.label
-    return f"{lbl}/kernel" if lbl else None
-
-
 def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted: bool) -> H1Report:
     from .zmod import quotient_structure
 
@@ -674,10 +620,10 @@ def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted:
         witness = gens[0]
         if not system.is_local_table(witness):
             raise ConsistencyError("local cohomology witness fails the local conditions")
-        if is_coboundary(system.group, system.module, witness) is not None:
+        if is_coboundary(witness) is not None:
             raise ConsistencyError("local cohomology witness is a coboundary")
     return H1Report(
-        group_label=_group_label(system.group),
+        group_label=system.group.label,
         module_label=system.module.label,
         order=order,
         invariant_factors=orders,
@@ -687,13 +633,13 @@ def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted:
     )
 
 
-def h1(group: GroupLike, module: GModule) -> H1Report:
+def h1(group: FiniteMatrixGroup, module: GModule) -> H1Report:
     """H^1(G, M) as invariant factors plus generating cocycles."""
     system = CocycleSystem(group, module)
     return _quotient_report(system, system.z1(), witness_wanted=False)
 
 
-def h1_loc(group: GroupLike, module: GModule, cross_check: bool = True) -> H1Report:
+def h1_loc(group: FiniteMatrixGroup, module: GModule, cross_check: bool = True) -> H1Report:
     """The first local cohomology group: local cocycles modulo coboundaries.
 
     The main path imposes the local conditions as annihilator rows, Z(g) in
@@ -727,21 +673,20 @@ def h1_loc(group: GroupLike, module: GModule, cross_check: bool = True) -> H1Rep
     return replace(report, cross_check=note)
 
 
-def is_coboundary(group: GroupLike, module: GModule, c: Cocycle) -> Optional[ModVector]:
-    """A module element m with c(g) = (g - 1) m for all g, or None.
+def is_coboundary(c: Cocycle) -> Optional[ModVector]:
+    """A module element m with c(g) = (g - 1) m for all g of c's group, in
+    c's module, or None.
 
     One linear solve over the generator stack decides it; the candidate is
     then re-checked against every element.
     """
-    if c.group is not group:
-        raise ContractError("cocycle does not live on the given group")
-    _check_action_well_defined(group, module)
-    gens = _gen_indices(group)
+    group, module = c.group, c.module
+    gens = group.distinct_generator_indices()
     cctx = module.coeff_ctx
     q = module.coeff_modulus
     if not gens:
         return ModVector(cctx, (0, 0))
-    keys = _element_keys(group)
+    keys = group._keys
     rows = []
     rhs = []
     for g in gens:
@@ -764,8 +709,6 @@ def is_coboundary(group: GroupLike, module: GModule, c: Cocycle) -> Optional[Mod
 def restrict_cocycle(c: Cocycle, sub: FiniteMatrixGroup) -> Cocycle:
     """Restriction along a subgroup whose elements all lie in c's group."""
     parent = c.group
-    if not isinstance(parent, FiniteMatrixGroup) or not isinstance(sub, FiniteMatrixGroup):
-        raise ContractError("restriction works between enumerated matrix groups")
     if sub.ctx != parent.ctx:
         raise DimensionError("subgroup has a different coefficient ring")
     module = GModule(sub.ctx, c.module.kind)
@@ -775,25 +718,20 @@ def restrict_cocycle(c: Cocycle, sub: FiniteMatrixGroup) -> Cocycle:
     return Cocycle(sub, module, vals)
 
 
-def inflate_cocycle(quotient: QuotientGroup, c: Cocycle) -> Cocycle:
-    """Pull a cocycle on G/H back to G along the projection.
+def inflate_cocycle(group: FiniteMatrixGroup, c: Cocycle) -> Cocycle:
+    """Pull a cocycle on the mod-p image of group back to group along
+    reduction mod p.
 
-    Requires the values to be fixed by the normal subgroup (they are the
-    values of the inflated cocycle on whole cosets).  The result is
-    re-verified against the cocycle identity.
+    c takes values in F_p^2, the full module of the image; the image acts
+    there as group acts on V[p] (both reduce the acting matrix mod p), so
+    the pull-back is a V[p]-valued table on group.  Raises ContractError
+    when c is not on the mod-p image of group or not over F_p^2.  The
+    result is re-verified against the cocycle identity.
     """
-    if c.group is not quotient:
-        raise ContractError("cocycle does not live on the given quotient")
-    parent = quotient.parent
-    module = GModule(parent.ctx, c.module.kind)
-    q = module.coeff_modulus
-    for s in sorted(quotient.normal_indices):
-        a, b, cc, d = module.action_entries(parent._keys[s])
-        for v0, v1 in set(c.values):
-            if ((a * v0 + b * v1) % q, (cc * v0 + d * v1) % q) != (v0, v1):
-                raise ContractError("cocycle values are not fixed by the normal subgroup")
-    vals = tuple(c.values[quotient.coset_of(i)] for i in range(len(parent)))
-    out = Cocycle(parent, module, vals)
+    if c.module != full_module(ModulusContext(group.ctx.p, 1)):
+        raise ContractError("inflation takes a cocycle with values in F_p^2")
+    idx = image_indices(group, c.group)
+    out = Cocycle(group, torsion_module(group.ctx), tuple(c.values[j] for j in idx))
     if not verify_cocycle(out):
         raise ContractError("inflated table fails the cocycle identity")
     return out
@@ -954,35 +892,31 @@ class InflationRestrictionReport:
     restriction_bijective_onto_invariants: bool
 
 
-def inflation_restriction_check(g: FiniteMatrixGroup, module: Optional[GModule] = None) -> InflationRestrictionReport:
+def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionReport:
     """Exactness of inflation then restriction at H^1(G, V[p]).
 
     Uses the reduction kernel H: computes ker(res: H^1(G) -> H^1(H)) and
     im(inf: H^1(G/H) -> H^1(G)) class by class and compares them, and also
     checks whether restriction lands bijectively on the G/H-equivariant
     homomorphisms from H (which carries the invariants of H^1(H, V[p])).
+    G/H is the mod-p image, acting on F_p^2 as G acts on V[p].
     """
-    from .groups import quotient_group, reduction_kernel
-
-    module = module if module is not None else torsion_module(g.ctx)
     h_idx = reduction_kernel(g)
-    quo = quotient_group(g, h_idx)
+    image = quotient_group(g)
     hsub = subgroup_from_indices(g, h_idx, label="reduction-kernel")
-    system = CocycleSystem(g, module)
+    system = CocycleSystem(g, torsion_module(g.ctx))
     rep_g = _quotient_report(system, system.z1(), witness_wanted=False)
     if rep_g.order > CLASS_ENUM_LIMIT:
         raise ResourceLimitError(f"H^1 of order {rep_g.order} is too large to enumerate classes")
-    rep_q = h1(quo, GModule(quo.parent.ctx, module.kind))
+    rep_q = h1(image, full_module(image.ctx))
     zero_form = system.class_form(system.expand([0] * system.dim))
     ker_res = set()
     for rep in rep_g.classes():
-        restricted = restrict_cocycle(rep, hsub)
-        if is_coboundary(hsub, GModule(hsub.ctx, module.kind), restricted) is not None:
+        if is_coboundary(restrict_cocycle(rep, hsub)) is not None:
             ker_res.add(system.class_form(rep))
     im_inf = set()
     for rep in rep_q.classes():
-        inflated = inflate_cocycle(quo, rep)
-        im_inf.add(system.class_form(inflated))
+        im_inf.add(system.class_form(inflate_cocycle(g, rep)))
     hom = equivariant_homs(g, h_idx, torsion_module(g.ctx))
     hom_order = g.ctx.p**hom.dimension
     return InflationRestrictionReport(

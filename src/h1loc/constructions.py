@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .cohomology import (
     Cocycle,
     CocycleSystem,
-    GModule,
     H1Report,
     equivariant_homs,
     full_module,
@@ -46,7 +45,6 @@ from .errors import ConsistencyError, InputError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteMatrixGroup,
-    QuotientGroup,
     _invertible4,
     _inv4,
     _mul4,
@@ -56,6 +54,7 @@ from .groups import (
     close_group,
     closure_indices,
     element_order,
+    image_indices,
     power_identity_check,
     quotient_group,
     reduction_kernel,
@@ -211,11 +210,11 @@ def shared_class_value(p: int, i1: int, i2: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class BorelSharedWitness:
     """The explicit generator of the local cohomology of the borel-shared
-    group: a class table on the quotient, its inflation, and its image in
-    the full module."""
+    group: an F_p^2-valued class table on the mod-p image, its inflation
+    to V[p], and its image in the full module."""
 
     group: FiniteMatrixGroup
-    quotient: QuotientGroup
+    image: FiniteMatrixGroup
     class_table: Cocycle
     inflated: Cocycle
     witness: Cocycle
@@ -223,28 +222,27 @@ class BorelSharedWitness:
 
 def borel_shared_witness(group: FiniteMatrixGroup) -> BorelSharedWitness:
     """Build the explicit witness cocycle from the closed-form class table."""
-    ctx = group.ctx
-    p = ctx.p
-    kernel = reduction_kernel(group)
-    quo = quotient_group(group, kernel)
+    p = group.ctx.p
+    image = quotient_group(group)
+    to_image = image_indices(group, image)
     g_idx = group.index_of([[1, 0], [0, -1]])
     s_idx = group.index_of([[1 + p, 1], [2 * p, 1 + p]])
-    values: list[Optional[tuple[int, int]]] = [None] * len(quo)
+    values: list[Optional[tuple[int, int]]] = [None] * len(image)
     for i1 in range(2):
         idx = 0 if i1 == 0 else g_idx
         for i2 in range(p):
-            cos = quo.coset_of(idx)
-            if values[cos] is not None:
-                raise ConsistencyError("normal form hit the same coset twice")
-            values[cos] = shared_class_value(p, i1, i2)
+            j = to_image[idx]
+            if values[j] is not None:
+                raise ConsistencyError("normal form hit the same image element twice")
+            values[j] = shared_class_value(p, i1, i2)
             idx = group.mult(idx, s_idx)
     if any(v is None for v in values):
-        raise ConsistencyError("normal form g^i1 sigma^i2 missed a coset")
-    table = Cocycle(quo, GModule(ctx, "p_torsion"), tuple(values))  # type: ignore[arg-type]
+        raise ConsistencyError("normal form g^i1 sigma^i2 missed an image element")
+    table = Cocycle(image, full_module(image.ctx), tuple(values))
     if not verify_cocycle(table, full=True):
         raise ConsistencyError("closed-form class table fails the cocycle identity")
-    inflated = inflate_cocycle(quo, table)
-    return BorelSharedWitness(group, quo, table, inflated, inflated.to_full_module())
+    inflated = inflate_cocycle(group, table)
+    return BorelSharedWitness(group, image, table, inflated, inflated.to_full_module())
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +580,10 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
         checks.append(Check(name, conj_set == kernel))
 
     checks.append(Check("group_order_6p2", len(group) == 6 * p * p))
-    quo = quotient_group(group, kernel)
-    checks.append(Check("quotient_is_s3", len(quo) == 6 and not quo.is_abelian()))
-    quo_h1 = h1(quo, GModule(ctx, "p_torsion"))
-    checks.append(Check("quotient_torsion_h1_trivial", quo_h1.order == 1))
+    image = quotient_group(group)
+    checks.append(Check("quotient_is_s3", len(image) == 6 and not image.is_abelian()))
+    image_h1 = h1(image, full_module(image.ctx))
+    checks.append(Check("quotient_torsion_h1_trivial", image_h1.order == 1))
 
     crit = check_nonvanishing_criterion(group)
     checks.append(Check("criterion_hypotheses_all_hold", crit.all_hold(), str(crit.as_tuple())))
@@ -594,14 +592,14 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
     checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
     if rep.witness is not None:
-        checks.append(Check("witness_not_coboundary", is_coboundary(group, full_module(ctx), rep.witness) is None))
+        checks.append(Check("witness_not_coboundary", is_coboundary(rep.witness) is None))
     return ConstructionReport(
         label=LABEL_S3,
         p=p,
         expected_nontrivial=True,
         group_order=len(group),
         kernel_order=len(kernel),
-        quotient_order=len(quo),
+        quotient_order=len(image),
         h1loc=rep,
         checks=tuple(checks),
     )
@@ -622,8 +620,8 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     checks.append(Check("group_order", len(group) == (p - 1) * p * p))
     kernel = reduction_kernel(group)
     checks.append(Check("kernel_order_p2", len(kernel) == p * p))
-    quo = quotient_group(group, kernel)
-    checks.append(Check("quotient_cyclic_order_p_minus_1", len(quo) == p - 1 and quo.is_abelian()))
+    image = quotient_group(group)
+    checks.append(Check("quotient_cyclic_order_p_minus_1", len(image) == p - 1 and image.is_abelian()))
 
     g_i = group.index_of([[lam, 0], [0, 1]])
     h10_i = group.index_of([[1 + p, 0], [0, 1 - p]])
@@ -684,14 +682,14 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
     checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
     if rep.witness is not None:
-        checks.append(Check("witness_not_coboundary", is_coboundary(group, full_module(ctx), rep.witness) is None))
+        checks.append(Check("witness_not_coboundary", is_coboundary(rep.witness) is None))
     return ConstructionReport(
         label=LABEL_CYCLIC,
         p=p,
         expected_nontrivial=True,
         group_order=len(group),
         kernel_order=len(kernel),
-        quotient_order=len(quo),
+        quotient_order=len(image),
         h1loc=rep,
         checks=tuple(checks),
     )
@@ -705,8 +703,8 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(Check("group_order_2p3", len(group) == 2 * p**3))
     kernel = reduction_kernel(group)
     checks.append(Check("kernel_order_p2", len(kernel) == p * p))
-    quo = quotient_group(group, kernel)
-    checks.append(Check("quotient_order_2p", len(quo) == 2 * p))
+    image = quotient_group(group)
+    checks.append(Check("quotient_order_2p", len(image) == 2 * p))
 
     sig_i = group.index_of([[1 + p, 1], [2 * p, 1 + p]])
     h_i = group.index_of([[1 + p, 0], [0, 1 - p]])
@@ -732,17 +730,18 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(Check("unipotent_power_identity_random", power_ok, f"{tuples} tuples, seed {seed}"))
 
     bundle = borel_shared_witness(group)
+    to_image = image_indices(group, bundle.image)
     checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table, full=True)))
     cyc_ok = all(
-        bundle.class_table.values[bundle.quotient.coset_of(group._index[sigma_powers[i2 % len(sigma_powers)]])]
+        bundle.class_table.values[to_image[group._index[sigma_powers[i2 % len(sigma_powers)]]]]
         == ((i2 * (i2 - 1) // 2) % p, i2 % p)
         for i2 in range(p)
     )
     checks.append(Check("class_table_cyclic_sector", cyc_ok))
     # The reflection value is forced: zeroing it breaks the identity.
     broken = list(bundle.class_table.values)
-    broken[bundle.quotient.coset_of(group.index_of([[1, 0], [0, -1]]))] = (0, 0)
-    naive = Cocycle(bundle.quotient, bundle.class_table.module, tuple(broken))
+    broken[to_image[group.index_of([[1, 0], [0, -1]])]] = (0, 0)
+    naive = Cocycle(bundle.image, bundle.class_table.module, tuple(broken))
     checks.append(Check("reflection_value_forced_by_relation", not verify_cocycle(naive, full=True)))
 
     w = bundle.witness
@@ -767,7 +766,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
             all(s.coords[0] % p == 0 for s in h_sols),
         )
     )
-    checks.append(Check("witness_not_coboundary", is_coboundary(group, full_module(ctx), w) is None))
+    checks.append(Check("witness_not_coboundary", is_coboundary(w) is None))
 
     rep = h1_loc(group, full_module(ctx))
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
@@ -785,7 +784,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
         expected_nontrivial=True,
         group_order=len(group),
         kernel_order=len(kernel),
-        quotient_order=len(quo),
+        quotient_order=len(image),
         h1loc=rep,
         checks=tuple(checks),
     )
@@ -807,20 +806,19 @@ def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRep
     checks.append(
         Check(
             "restricted_witness_not_coboundary",
-            is_coboundary(sub, full_module(ctx), restricted) is None,
+            is_coboundary(restricted) is None,
         )
     )
     rep = h1_loc(sub, full_module(ctx))
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
     checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
-    kernel = reduction_kernel(sub)
     return ConstructionReport(
         label=LABEL_BOREL_INDEX2,
         p=p,
         expected_nontrivial=True,
         group_order=len(sub),
-        kernel_order=len(kernel),
-        quotient_order=len(sub) // len(kernel),
+        kernel_order=len(reduction_kernel(sub)),
+        quotient_order=len(quotient_group(sub)),
         h1loc=rep,
         checks=tuple(checks),
     )
@@ -829,11 +827,8 @@ def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRep
 def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
     checks = []
     reps = {}
-    first_group = None
     for variant in DISJOINT_VARIANTS:
         group = build_borel_disjoint_group(p, variant=variant, cap=cap)
-        if first_group is None:
-            first_group = group
         ctx = group.ctx
         pn1 = p ** (ctx.n - 1)
         g_mat = group.matrix(group.index_of([[-1, 0], [0, 1]]))
@@ -847,26 +842,25 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
             and s_mat.vec_mul(e2) == ModVector.make(ctx, [pn1, pn1])
         )
         checks.append(Check(f"torsion_action_pattern[{variant}]", pattern))
-        kernel = reduction_kernel(group)
-        quo = quotient_group(group, kernel)
-        quo_h1 = h1(quo, GModule(ctx, "p_torsion"))
-        checks.append(Check(f"quotient_torsion_h1_trivial[{variant}]", quo_h1.order == 1))
+        image = quotient_group(group)
+        image_h1 = h1(image, full_module(image.ctx))
+        checks.append(Check(f"quotient_torsion_h1_trivial[{variant}]", image_h1.order == 1))
         rep = h1_loc(group, full_module(ctx))
-        reps[variant] = rep
+        reps[variant] = (group, image, rep)
         checks.append(Check(f"h1loc_trivial[{variant}]", rep.order == 1, f"order {rep.order}"))
         if variant == "canonical":
             checks.append(Check("canonical_order_2p2", len(group) == 2 * p * p))
         else:
             checks.append(Check("extra_diagonal_order_2p3", len(group) == 2 * p**3))
-    kernel = reduction_kernel(first_group)
+    group, image, rep = reps["canonical"]
     return ConstructionReport(
         label=LABEL_BOREL_DISJOINT,
         p=p,
         expected_nontrivial=False,
-        group_order=len(first_group),
-        kernel_order=len(kernel),
-        quotient_order=len(first_group) // len(kernel),
-        h1loc=reps["canonical"],
+        group_order=len(group),
+        kernel_order=len(reduction_kernel(group)),
+        quotient_order=len(image),
+        h1loc=rep,
         checks=tuple(checks),
     )
 

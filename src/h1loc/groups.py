@@ -13,9 +13,11 @@ between threads.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from array import array
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
@@ -28,7 +30,6 @@ from .zmod import (
 )
 
 DEFAULT_GROUP_CAP = 10**6
-_MULT_TABLE_LIMIT = 512
 
 MatrixLike = Union[ModMatrix, Sequence[Sequence[int]]]
 
@@ -138,7 +139,6 @@ class FiniteMatrixGroup:
         self._keys, self._index, self._parent, self._slot, self._right = closure
         self.generators = tuple(self._index[k] for k in gen_keys)
         self._inv = array("q", [self._index[_inv4(k, q)] for k in self._keys])
-        self._table = None
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -171,26 +171,10 @@ class FiniteMatrixGroup:
             return False
 
     def mult(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
         return self._index[_mul4(self._keys[i], self._keys[j], self._q)]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
-
-    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        """Dense index-by-index table; materialized once, small groups only."""
-        n = len(self)
-        if n > _MULT_TABLE_LIMIT:
-            raise ResourceLimitError(
-                f"dense multiplication table capped at {_MULT_TABLE_LIMIT} elements (group has {n})"
-            )
-        if self._table is None:
-            keys, q, index = self._keys, self._q, self._index
-            self._table = tuple(
-                tuple(index[_mul4(a, b, q)] for b in keys) for a in keys
-            )
-        return self._table
 
     def distinct_generator_indices(self) -> list[int]:
         """Indices of the listed generators, deduplicated, identity dropped."""
@@ -205,6 +189,13 @@ class FiniteMatrixGroup:
         out[s][a] = mult(a, distinct_generator_indices()[s])."""
         k = len(self.generators)
         return [self._right[self.generators.index(g) :: k] for g in self.distinct_generator_indices()]
+
+    def is_abelian(self) -> bool:
+        """Whether the distinct generators commute pairwise; exact, since
+        they generate the group."""
+        gens = [self._keys[i] for i in self.distinct_generator_indices()]
+        q = self._q
+        return all(_mul4(a, b, q) == _mul4(b, a, q) for a, b in itertools.combinations(gens, 2))
 
     def conjugate_set(self, g_index: int, indices: Iterable[int]) -> frozenset[int]:
         gi = self.inv(g_index)
@@ -233,10 +224,6 @@ class FiniteMatrixGroup:
 
     def is_subgroup_set(self, indices: Iterable[int]) -> bool:
         return self.subgroup_generators(indices) is not None
-
-    def is_normal_set(self, indices: Iterable[int]) -> bool:
-        s = frozenset(indices)
-        return all(self.conjugate_set(g, s) == s for g in self.distinct_generator_indices())
 
 
 def close_group(
@@ -284,78 +271,69 @@ def reduction_kernel(g: FiniteMatrixGroup) -> frozenset[int]:
     return out
 
 
-class QuotientGroup:
-    """G/S for a verified normal subgroup S, with its own index arithmetic.
+def quotient_group(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
+    """G/G(p) for the reduction kernel G(p), as the mod-p image of g.
 
-    Coset 0 is always the coset of the identity.  Representatives are the
-    least parent indices in each coset, so the structure is reproducible.
+    Reduction mod p is a homomorphism whose kernel is exactly G(p), so the
+    quotient is its image in GL_2(F_p).  The image is closed from the
+    reductions of the listed generators in their order, so its distinct
+    generators are the distinct non-identity reductions, in the order of
+    the first generator of g reducing to each.  image_indices maps the
+    elements of g onto it.
     """
-
-    def __init__(self, parent: FiniteMatrixGroup, normal_indices: Iterable[int]):
-        s = frozenset(normal_indices)
-        if not parent.is_subgroup_set(s):
-            raise ContractError("the given index set is not a subgroup")
-        if not parent.is_normal_set(s):
-            raise ContractError("the given subgroup is not normal")
-        self.parent = parent
-        self.normal_indices = s
-        n = len(parent)
-        coset_index = [-1] * n
-        reps = []
-        sorted_s = sorted(s)
-        for i in range(n):
-            if coset_index[i] >= 0:
-                continue
-            k = len(reps)
-            reps.append(i)
-            for t in sorted_s:
-                coset_index[parent.mult(i, t)] = k
-        self.reps = tuple(reps)
-        self.coset_index = tuple(coset_index)
-        m = len(reps)
-        if m * len(s) != n:
-            raise ConsistencyError("coset count times subgroup order must equal the group order")
-        self._mult = tuple(
-            tuple(coset_index[parent.mult(reps[a], reps[b])] for b in range(m)) for a in range(m)
-        )
-        self._inv = tuple(coset_index[parent.inv(reps[a])] for a in range(m))
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    @property
-    def ctx(self) -> ModulusContext:
-        return self.parent.ctx
-
-    def mult(self, a: int, b: int) -> int:
-        return self._mult[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def coset_of(self, parent_index: int) -> int:
-        return self.coset_index[parent_index]
-
-    def generator_cosets(self) -> list[int]:
-        out = []
-        for g in self.parent.generators:
-            c = self.coset_index[g]
-            if c != 0 and c not in out:
-                out.append(c)
-        return out
-
-    def edge_targets(self) -> list[array]:
-        """Cayley edges of the generator cosets, read off the dense table:
-        out[s][a] = mult(a, generator_cosets()[s])."""
-        return [array("q", [row[c] for row in self._mult]) for c in self.generator_cosets()]
-
-    def is_abelian(self) -> bool:
-        m = len(self)
-        return all(self._mult[a][b] == self._mult[b][a] for a in range(m) for b in range(m))
+    ctx_p = ModulusContext(g.ctx.p, 1)
+    mats = [g.matrix(i).reduce_to(ctx_p) for i in g.generators]
+    return close_group(mats, ctx_p, label=f"{g.label} mod p" if g.label else None)
 
 
-def quotient_group(g: FiniteMatrixGroup, normal_indices: Iterable[int]) -> QuotientGroup:
-    return QuotientGroup(g, normal_indices)
+def image_indices(g: FiniteMatrixGroup, image: FiniteMatrixGroup) -> array:
+    """Every element's index in the mod-p image, in one pass:
+    out[i] is the index in image of element i reduced mod p.
+
+    Raises ContractError unless image is the mod-p image of g, that is,
+    unless every element reduces into image and every element of image is
+    hit.
+    """
+    p = g.ctx.p
+    if image.ctx != ModulusContext(p, 1):
+        raise ContractError("the image must be a group over F_p for the same p")
+    index = image._index
+    try:
+        out = array("q", [index[(a % p, b % p, c % p, d % p)] for a, b, c, d in g._keys])
+    except KeyError:
+        raise ContractError("an element reduces outside the given group") from None
+    if len(set(out)) != len(image):
+        raise ContractError("the given group is larger than the mod-p image")
+    return out
+
+
+def cyclic_walk(g: FiniteMatrixGroup) -> tuple[list[int], list[int]]:
+    """(orders, owners): the order of every element, and for each element y
+    the least generator of <y> when <y> is a maximal cyclic subgroup, else
+    0 (the identity's owner is 0).
+
+    Each cyclic subgroup is walked once, from its first element in index
+    order not yet reached, x: the power list [Id, x, ..., x^(k-1)] is the
+    whole subgroup, x^j has order k / gcd(j, k), and the x^j with
+    gcd(j, k) = 1 are its other generators, which get owner x.  A power
+    with gcd(j, k) > 1 lies in the larger subgroup <x> and gets owner 0; no
+    later walk reaches a generator of <x>, since it would start inside <x>.
+    """
+    n = len(g)
+    orders = [0] * n
+    owners = [-1] * n
+    index = g._index
+    for x, key in enumerate(g._keys):
+        if orders[x]:
+            continue
+        span = _powers4(key, g._q)
+        k = len(span)
+        for j, y in enumerate(span):
+            i = index[y]
+            d = gcd(j, k)
+            orders[i] = k // d
+            owners[i] = x if d == 1 else 0
+    return orders, owners
 
 
 def closure_indices(g: FiniteMatrixGroup, gen_indices: Sequence[int]) -> frozenset[int]:
@@ -476,13 +454,6 @@ def power_identity_check(a: int, b: int, c: int, d: int, ctx: ModulusContext) ->
     m = ((1 + a * p) % q, (1 + b * p) % q, c * p % q, (1 + d * p) % q)
     s = p ** (ctx.n - 1)
     return _pow4(m, s, q) == (1, s, 0, 1)
-
-
-def reduce_group_mod_p(g: FiniteMatrixGroup, label: Optional[str] = None) -> FiniteMatrixGroup:
-    """Close the images of the generators in GL_2(F_p)."""
-    ctx_p = ModulusContext(g.ctx.p, 1)
-    mats = [g.matrix(i).reduce_to(ctx_p) for i in g.generators]
-    return close_group(mats, ctx_p, label=label or (f"{g.label} mod p" if g.label else None))
 
 
 def group_to_json(g: FiniteMatrixGroup) -> dict:

@@ -191,6 +191,25 @@ def engine_tables(group, module, basis):
     return {system.expand(v.coords).values for v in basis.enumerate_span()}
 
 
+def construction_groups(p):
+    """The six construction groups at p, labelled; at p = 7, 1 mod 3, the
+    S_3 one is the closure of its generators."""
+    from h1loc.constructions import (
+        build_borel_disjoint_group,
+        build_borel_index2_group,
+        build_borel_shared_group,
+        build_cyclic_quotient_group,
+        build_s3_quotient_group,
+        s3_generators,
+    )
+
+    s3 = (build_s3_quotient_group(p) if p % 3 == 2
+          else close_group(s3_generators(p), ModulusContext(p, 2), label="s3-quotient"))
+    return [s3, build_cyclic_quotient_group(p), build_borel_shared_group(p), build_borel_index2_group(p),
+            build_borel_disjoint_group(p, variant="canonical"),
+            build_borel_disjoint_group(p, variant="extra-diagonal")]
+
+
 def small_group(p, n, gens, label=None):
     ctx = ModulusContext(p, n)
     return close_group(gens, ctx, label=label)

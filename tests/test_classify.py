@@ -15,7 +15,7 @@ from h1loc import (
     full_module,
     h1_loc,
     necessary_shape_filter,
-    reduce_group_mod_p,
+    quotient_group,
     reverify_verdict,
     scan_prime_to_p_subgroups,
 )
@@ -25,7 +25,7 @@ from h1loc.constructions import (
     build_cyclic_quotient_group,
     build_s3_quotient_group,
 )
-from h1loc.groups import _inv4, _mul4, _powers4
+from h1loc.groups import _IDENTITY, _close_keys, _inv4, _mul4, _powers4
 
 F5 = ModulusContext(5, 1)
 
@@ -81,7 +81,7 @@ def test_construction_reductions_classify_as_expected():
         build_borel_shared_group: CASE_BOREL,
     }
     for builder, case in expected.items():
-        red = reduce_group_mod_p(builder(5))
+        red = quotient_group(builder(5))
         verdict = classify_mod_p_group(red)
         assert verdict.case == case
         assert reverify_verdict(red, verdict)
@@ -95,10 +95,10 @@ def test_shape_filter_examples():
     minus = close_group([[[-1, 0], [0, -1]]], F5)
     assert not necessary_shape_filter(minus).passes
 
-    s3_red = reduce_group_mod_p(build_s3_quotient_group(5))
+    s3_red = quotient_group(build_s3_quotient_group(5))
     assert necessary_shape_filter(s3_red).passes
 
-    borel_red = reduce_group_mod_p(build_borel_shared_group(5))
+    borel_red = quotient_group(build_borel_shared_group(5))
     assert necessary_shape_filter(borel_red).passes
 
     cyclic_p = close_group([[[1, 1], [0, 1]]], F5)
@@ -164,37 +164,53 @@ def _reference_cyclic_pass(p):
     orders = {}
     subgroups = {}
     order2 = []
-    order3 = []
     for key in _gl2_elements(p):
         span = _powers4(key, p)
         o = len(span)
         orders[key] = o
         if o == 2:
             order2.append(key)
-        elif o == 3:
-            order3.append(key)
         if o % p:
             s = frozenset(span)
             if s not in subgroups:
                 subgroups[s] = (key,)
-    return orders, subgroups, order2, order3
+    return orders, subgroups, order2
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_cyclic_pass_matches_per_element_walk(p):
-    orders, subgroups, order2, order3 = _cyclic_pass(p)
-    ref_orders, ref_subgroups, ref_order2, ref_order3 = _reference_cyclic_pass(p)
+    orders, subgroups, order2 = _cyclic_pass(p)
+    ref_orders, ref_subgroups, ref_order2 = _reference_cyclic_pass(p)
     assert len(orders) == (p * p - 1) * (p * p - p)
     assert orders == ref_orders
     assert subgroups == ref_subgroups
+    assert list(subgroups.items()) == list(ref_subgroups.items())
     assert order2 == ref_order2
-    assert order3 == ref_order3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dihedral_pair_closes_to_six_elements(p):
+    # The scanner takes <x, y> = {Id, x, x^2, y, yx, yx^2} for every pair
+    # that passes its test; the breadth-first closure is the oracle.
+    orders, _, order2 = _cyclic_pass(p)
+    order3 = [k for k in _gl2_elements(p) if orders[k] == 3]
+    passing = 0
+    for x in order3:
+        x2 = _mul4(x, x, p)
+        for y in order2:
+            yx = _mul4(y, x, p)
+            if orders[yx] == 2:
+                closed = frozenset(_close_keys((x, y), p)[0])
+                assert closed == frozenset((_IDENTITY, x, x2, y, yx, _mul4(yx, x, p)))
+                passing += 1
+    assert passing
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_dihedral_test_by_order_of_product(p):
     # The scanner tests y x y = x^-1 as orders[y x] == 2 (y has order 2).
-    orders, _, order2, order3 = _cyclic_pass(p)
+    orders, _, order2 = _cyclic_pass(p)
+    order3 = [k for k in _gl2_elements(p) if orders[k] == 3]
     inverting = 0
     for x in order3:
         xinv = _inv4(x, p)

@@ -60,6 +60,7 @@ from conftest import (
     brute_coboundary_tables,
     brute_cocycle_tables,
     brute_local_tables,
+    construction_groups,
     engine_tables,
     full_harvest,
 )
@@ -192,7 +193,7 @@ def test_local_iff_cyclic_restrictions_are_coboundaries():
             for idx in range(len(g)):
                 sub = close_group([g.matrix(idx)], g.ctx)
                 restricted = restrict_cocycle(c, sub)
-                if is_coboundary(sub, full_module(CTX25), restricted) is None:
+                if is_coboundary(restricted) is None:
                     by_restriction = False
                     break
             assert by_elements == by_restriction
@@ -203,11 +204,17 @@ def test_is_coboundary_cases():
     mod = full_module(CTX25)
     system = CocycleSystem(g, mod)
     zero = system.expand([0] * system.dim)
-    m = is_coboundary(g, mod, zero)
+    m = is_coboundary(zero)
     assert m is not None and m.coords == (0, 0)
     for row in system.b1().rows:
         c = system.expand(row.coords)
-        assert is_coboundary(g, mod, c) is not None
+        assert is_coboundary(c) is not None
+    # The cocycle carries its module: a V[p]-valued coboundary is decided,
+    # and solved, over F_p.
+    tor = CocycleSystem(g, torsion_module(CTX25))
+    for row in tor.b1().rows:
+        m = is_coboundary(tor.expand(row.coords))
+        assert m is not None and m.ctx == ModulusContext(5, 1)
 
 
 def test_restriction_of_coboundary_is_coboundary():
@@ -219,7 +226,7 @@ def test_restriction_of_coboundary_is_coboundary():
     kernel = reduction_kernel(g)
     sub = subgroup_from_indices(g, kernel)
     restricted = restrict_cocycle(c, sub)
-    assert is_coboundary(sub, full_module(sub.ctx), restricted) is not None
+    assert is_coboundary(restricted) is not None
 
 
 def test_restriction_to_identity_is_zero():
@@ -233,11 +240,11 @@ def test_restriction_to_identity_is_zero():
 def test_inflation_cases():
     g = build_borel_shared_group(5)
     kernel = reduction_kernel(g)
-    q = quotient_group(g, kernel)
-    tor = GModule(g.ctx, "p_torsion")
-    zero = Cocycle(q, tor, tuple((0, 0) for _ in range(len(q))))
-    lifted = inflate_cocycle(q, zero)
+    q = quotient_group(g)
+    zero = Cocycle(q, full_module(q.ctx), tuple((0, 0) for _ in range(len(q))))
+    lifted = inflate_cocycle(g, zero)
     assert lifted.is_zero()
+    assert lifted.group is g and lifted.module == torsion_module(g.ctx)
 
     bundle = borel_shared_witness(g)
     assert verify_cocycle(bundle.inflated)
@@ -256,34 +263,122 @@ def test_inflated_class_lies_in_cocycle_space():
     assert system.z1().contains(coords)
 
 
-def test_inflation_rejects_unfixed_values():
-    # Values not fixed by the normal subgroup cannot be inflated.
+def test_inflation_rejects_cocycles_off_the_image():
+    # Inflation takes an F_p^2-valued cocycle on the mod-p image of the group.
     g = build_borel_shared_group(5)
-    kernel = reduction_kernel(g)
-    q = quotient_group(g, kernel)
-    full = full_module(g.ctx)
-    vals = [(0, 0)] * len(q)
-    vals[1] = (1, 0)
-    bad = Cocycle(q, full, tuple(vals))
+    q = quotient_group(g)
+    table = borel_shared_witness(g).class_table
+    assert inflate_cocycle(g, table) == borel_shared_witness(g).inflated
+    on_group = Cocycle(g, torsion_module(g.ctx), tuple((0, 0) for _ in range(len(g))))
     with pytest.raises(ContractError):
-        inflate_cocycle(q, bad)
+        inflate_cocycle(g, on_group)  # on g itself, not on its image
+    other = build_borel_index2_group(5)
+    with pytest.raises(ContractError):
+        inflate_cocycle(other, table)  # on the image of a larger group
+    q_other = quotient_group(build_cyclic_quotient_group(5))
+    zero_other = Cocycle(q_other, full_module(q_other.ctx), tuple((0, 0) for _ in range(len(q_other))))
+    with pytest.raises(ContractError):
+        inflate_cocycle(g, zero_other)  # on another group's image
+    z = ModulusContext(5, 2)
+    with pytest.raises(ContractError):
+        inflate_cocycle(g, Cocycle(q, full_module(z), table.values))  # values over Z/25
 
 
 def test_quotient_h1_examples():
     s3 = build_s3_quotient_group(5)
-    q = quotient_group(s3, reduction_kernel(s3))
-    assert h1(q, GModule(s3.ctx, "p_torsion")).order == 1
+    q = quotient_group(s3)
+    assert h1(q, full_module(q.ctx)).order == 1
 
     disjoint = build_borel_disjoint_group(5)
-    qd = quotient_group(disjoint, reduction_kernel(disjoint))
-    assert h1(qd, GModule(disjoint.ctx, "p_torsion")).order == 1
+    qd = quotient_group(disjoint)
+    assert h1(qd, full_module(qd.ctx)).order == 1
 
 
 def test_h1_on_dihedral_quotient_of_shared_family():
     g = build_borel_shared_group(5)
-    q = quotient_group(g, reduction_kernel(g))
-    rep = h1(q, GModule(g.ctx, "p_torsion"))
+    q = quotient_group(g)
+    rep = h1(q, full_module(q.ctx))
     assert rep.order == 5
+
+
+# H^1 and H^1_loc of G/G(p) on V[p] as the coset quotient G/G(p) gave them,
+# before the quotient became the mod-p image: label -> ((order, invariant
+# factors) of H^1, order of H^1_loc), at p = 5 and at p = 7.
+COSET_QUOTIENT_H1 = {
+    5: {
+        "s3-quotient": ((1, ()), 1),
+        "cyclic-quotient": ((1, ()), 1),
+        "borel-shared": ((5, (5,)), 1),
+        "borel-shared-index2": ((5, (5,)), 1),
+        "borel-disjoint[canonical]": ((1, ()), 1),
+        "borel-disjoint[extra-diagonal]": ((1, ()), 1),
+    },
+    7: {
+        "s3-quotient": ((1, ()), 1),
+        "cyclic-quotient": ((1, ()), 1),
+        "borel-shared": ((7, (7,)), 1),
+        "borel-shared-index2": ((7, (7,)), 1),
+        "borel-disjoint[canonical]": ((1, ()), 1),
+        "borel-disjoint[extra-diagonal]": ((1, ()), 1),
+    },
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_h1_on_the_image_matches_the_coset_quotient(p):
+    for g in construction_groups(p):
+        (order, factors), loc_order = COSET_QUOTIENT_H1[p][g.label]
+        image = quotient_group(g)
+        rep = h1(image, full_module(image.ctx))
+        assert (rep.order, rep.invariant_factors) == (order, factors), g.label
+        assert h1_loc(image, full_module(image.ctx)).order == loc_order, g.label
+
+
+def _multiples(p, base):
+    return frozenset(tuple(k * x % p for x in base) for k in range(p))
+
+
+# inflation_restriction_check as it was on the coset quotient: label ->
+# (h1_group_order, h1_quotient_order, hom_space_order, the class form whose
+# multiples are both ker(res) and im(inf), exact, restriction_injective,
+# restriction_bijective_onto_invariants).
+INFLATION_RESTRICTION = {
+    5: {
+        "s3-quotient": (5, 1, 5, (0,) * 8, True, True, True),
+        "cyclic-quotient": (25, 1, 25, (0,) * 6, True, True, True),
+        "borel-shared": (25, 5, 5, (0, 0, 1, 2, 0, 0), True, False, False),
+        "borel-shared-index2": (25, 5, 25, (0, 1, 0, 0), True, False, False),
+        "borel-disjoint[canonical]": (1, 1, 5, (0,) * 4, True, True, False),
+    },
+    7: {
+        "cyclic-quotient": (49, 1, 49, (0,) * 6, True, True, True),
+        "borel-shared": (49, 7, 7, (0, 0, 1, 2, 0, 0), True, False, False),
+        "borel-shared-index2": (49, 7, 49, (0, 1, 0, 0), True, False, False),
+        "borel-disjoint[canonical]": (1, 1, 7, (0,) * 4, True, True, False),
+    },
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_inflation_restriction_matches_the_coset_quotient(p):
+    builders = [build_cyclic_quotient_group, build_borel_shared_group, build_borel_index2_group,
+                build_borel_disjoint_group]
+    if p % 3 == 2:
+        builders.insert(0, build_s3_quotient_group)
+    for build in builders:
+        g = build(p)
+        h1g, h1q, hom, base, exact, injective, bijective = INFLATION_RESTRICTION[p][g.label]
+        report = inflation_restriction_check(g)
+        assert report == cohomology.InflationRestrictionReport(
+            h1_group_order=h1g,
+            h1_quotient_order=h1q,
+            hom_space_order=hom,
+            kernel_of_restriction=_multiples(p, base),
+            image_of_inflation=_multiples(p, base),
+            exact=exact,
+            restriction_injective=injective,
+            restriction_bijective_onto_invariants=bijective,
+        ), g.label
 
 
 def test_equivariant_homs_trivial_action():
@@ -373,7 +468,7 @@ def test_witness_reports_on_nontrivial_families():
         assert rep.witness is not None
         system = CocycleSystem(g, mod)
         assert system.is_local_table(rep.witness)
-        assert is_coboundary(g, mod, rep.witness) is None
+        assert is_coboundary(rep.witness) is None
         assert len(rep.classes()) == rep.order
 
 
@@ -411,7 +506,8 @@ def test_module_labels_and_validation():
 
 
 def _construction_groups(p):
-    """Every construction group at p with its reduction-kernel quotient."""
+    """Every construction group at p on V, and its quotient by the
+    reduction kernel, the mod-p image, on F_p^2."""
     builders = [build_cyclic_quotient_group, build_borel_shared_group, build_borel_index2_group]
     if p % 3 == 2:
         builders.append(build_s3_quotient_group)
@@ -420,7 +516,8 @@ def _construction_groups(p):
     out = []
     for g in groups:
         out.append((g, full_module(g.ctx)))
-        out.append((quotient_group(g, reduction_kernel(g)), torsion_module(g.ctx)))
+        image = quotient_group(g)
+        out.append((image, full_module(image.ctx)))
     return out
 
 
@@ -533,12 +630,12 @@ Z125_GROUPS = {
 
 
 def _representative_cases(p):
-    """Every construction group at p on V and V[p], and its reduction-kernel
-    quotient on V[p]."""
+    """Every construction group at p on V and V[p], and its mod-p image on
+    F_p^2."""
     out = []
     for group, module in _construction_groups(p):
         out.append((group, module))
-        if module.kind == "full":
+        if group.ctx.n > 1:
             out.append((group, torsion_module(group.ctx)))
     return out
 
@@ -895,7 +992,7 @@ def test_edge_targets_match_mult(source):
     else:
         groups = [group for group, _ in _construction_groups(int(source[2:]))]
     for group in groups:
-        gens = cohomology._gen_indices(group)
+        gens = group.distinct_generator_indices()
         targets = group.edge_targets()
         assert len(targets) == len(gens)
         for g, tg in zip(gens, targets):

@@ -130,7 +130,7 @@ def test_borel_shared_witness_bundle():
     h = g.index_of([[6, 0], [0, 21]])
     assert w.values[sigma] == (0, 5)
     assert w.values[h] == (0, 0)
-    assert is_coboundary(g, full_module(g.ctx), w) is None
+    assert is_coboundary(w) is None
 
 
 def test_criterion_checker_s3():
@@ -229,7 +229,7 @@ def test_restriction_keeps_nontriviality():
     sub = build_borel_index2_group(5)
     w = borel_shared_witness(parent).witness
     restricted = restrict_cocycle(w, sub)
-    assert is_coboundary(sub, full_module(sub.ctx), restricted) is None
+    assert is_coboundary(restricted) is None
     assert h1_loc(sub, full_module(sub.ctx)).order > 1
 
 

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from h1loc import (
+    ContractError,
     InputError,
     ModMatrix,
     ModulusContext,
@@ -21,6 +22,7 @@ from h1loc import (
     fixed_submodule,
     group_from_json,
     group_to_json,
+    image_indices,
     power_identity_check,
     quotient_group,
     reduction_kernel,
@@ -35,8 +37,8 @@ from h1loc.constructions import (
     build_s3_quotient_group,
     s3_generators,
 )
-from h1loc.groups import _inv4, _pow4, _powers4
-from conftest import oracle_power, oracle_product
+from h1loc.groups import _inv4, _pow4, _powers4, cyclic_walk
+from conftest import construction_groups, oracle_power, oracle_product
 
 CTX25 = ModulusContext(5, 2)
 
@@ -88,11 +90,10 @@ def test_element_orders():
 
 def test_multiplication_table_consistency():
     g = close_group([[[1, -3], [1, -2]], [[1, -3], [0, -1]]], CTX25)
-    table = g.multiplication_table()
     for i in range(len(g)):
         for j in range(len(g)):
             prod = oracle_product([g._keys[i], g._keys[j]], 25)
-            assert g._keys[table[i][j]] == prod
+            assert g._keys[g.mult(i, j)] == prod
         assert g.mult(i, g.inv(i)) == 0
         assert g.mult(g.inv(i), i) == 0
 
@@ -119,7 +120,8 @@ def test_reduction_kernel_sizes():
 
 def test_reduction_kernel_normal():
     g = close_group(s3_generators(5), CTX25)
-    assert g.is_normal_set(reduction_kernel(g))
+    kernel = reduction_kernel(g)
+    assert all(g.conjugate_set(x, kernel) == kernel for x in range(len(g)))
 
 
 def test_reduction_kernel_level_one_notice():
@@ -132,31 +134,84 @@ def test_reduction_kernel_level_one_notice():
 
 def test_quotient_s3():
     g = close_group(s3_generators(5), CTX25)
-    q = quotient_group(g, reduction_kernel(g))
+    q = quotient_group(g)
     assert len(q) == 6
     assert not q.is_abelian()
 
 
-def test_quotient_by_whole_group_is_trivial():
-    g = close_group([[[1, -3], [1, -2]]], CTX25)
-    q = quotient_group(g, range(len(g)))
-    assert len(q) == 1
-
-
 def test_quotient_borel_shared():
     g = close_group(borel_shared_generators(5), CTX25)
-    q = quotient_group(g, reduction_kernel(g))
+    q = quotient_group(g)
     assert len(q) == 10
 
 
-def test_quotient_rejects_non_normal():
-    g = close_group(s3_generators(5), CTX25)
-    sigma_idx = g.index_of([[1, -3], [0, -1]])
-    sub = closure_indices(g, [sigma_idx])
-    from h1loc import ContractError
+@pytest.mark.parametrize("p", [5, 7])
+def test_quotient_is_the_image_with_the_reduction_kernel(p):
+    # G/G(p) has |G| / |G(p)| elements, and the index map onto it is a
+    # homomorphism whose kernel is G(p): on all pairs up to |G| = 250, on
+    # the Cayley edges above that (they determine a homomorphism, since the
+    # generators generate).
+    for g in construction_groups(p):
+        image = quotient_group(g)
+        kernel = reduction_kernel(g)
+        assert image.ctx == ModulusContext(p, 1)
+        assert len(image) == len(g) // len(kernel)
+        to_image = image_indices(g, image)
+        assert frozenset(i for i, j in enumerate(to_image) if j == 0) == kernel
+        n = len(g)
+        if n <= 250:
+            pairs = ((a, b) for a in range(n) for b in range(n))
+        else:
+            pairs = ((a, b) for b in g.distinct_generator_indices() for a in range(n))
+        for a, b in pairs:
+            assert to_image[g.mult(a, b)] == image.mult(to_image[a], to_image[b])
+        # The image's distinct generators are the reductions of g's, in order.
+        assert [image._keys[i] for i in image.distinct_generator_indices()] == [
+            image._keys[j] for j in dict.fromkeys(to_image[i] for i in g.generators) if j != 0
+        ]
 
+
+def test_image_indices_rejects_other_groups():
+    g = close_group(borel_shared_generators(5), CTX25)
+    image = quotient_group(g)
     with pytest.raises(ContractError):
-        quotient_group(g, sub)
+        image_indices(g, g)  # not over F_p
+    smaller = close_group([[[1, 1], [0, 1]]], ModulusContext(5, 1))
+    with pytest.raises(ContractError):
+        image_indices(g, smaller)  # misses an element's reduction
+    gl2 = close_group([[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]], ModulusContext(5, 1))
+    with pytest.raises(ContractError):
+        image_indices(g, gl2)  # larger than the image
+    assert len(image_indices(g, image)) == len(g)
+
+
+def _all_pairs_abelian(g):
+    return all(g.mult(a, b) == g.mult(b, a) for a in range(len(g)) for b in range(len(g)))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_is_abelian_matches_all_pairs(p):
+    seen = set()
+    for g in construction_groups(p):
+        for h in (g, quotient_group(g)):
+            assert h.is_abelian() == _all_pairs_abelian(h)
+            seen.add(h.is_abelian())
+    cyclic_p = close_group([[[1, 1], [0, 1]], [[1, 2], [0, 1]]], ModulusContext(p, 1))
+    assert cyclic_p.is_abelian() and _all_pairs_abelian(cyclic_p)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cyclic_walk_matches_per_element_spans(p):
+    # Orders by one power walk per element; owners from the definition: the
+    # least generator of a maximal cyclic subgroup, 0 inside a larger one.
+    for g in construction_groups(p)[:3]:
+        spans = [frozenset(g._index[k] for k in _powers4(key, g._q)) for key in g._keys]
+        orders, owners = cyclic_walk(g)
+        assert orders == [len(s) for s in spans]
+        for y, span in enumerate(spans):
+            maximal = not any(span < other for other in spans)
+            assert owners[y] == (min(x for x in span if spans[x] == span) if maximal else 0), y
 
 
 def test_conjugation_stabilizes_kernel_family():

@@ -75,3 +75,22 @@ def test_no_per_element_class():
     ]
     assert found == []
     assert not hasattr(h1loc, "GroupElement")
+
+
+def test_one_group_type():
+    # The quotient by the reduction kernel is the mod-p image, an ordinary
+    # FiniteMatrixGroup: no second group type, coset arithmetic or dense
+    # table survives, and cohomology never branches on a group's type.
+    package = Path(h1loc.__file__).parent
+    source = "\n".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    for name in ("QuotientGroup", "GroupLike", "coset_of", "generator_cosets", "multiplication_table",
+                 "reduce_group_mod_p"):
+        assert name not in source, name
+    cohomology = dict(parsed_modules())["cohomology.py"]
+    calls = [
+        node.lineno
+        for node in ast.walk(cohomology)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and any(isinstance(a, ast.Name) and a.id.endswith("Group") for a in ast.walk(node.args[1]))
+    ]
+    assert calls == []
