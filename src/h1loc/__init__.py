@@ -19,7 +19,6 @@ from .zmod import (
     LinearSolver,
     ModMatrix,
     ModulusContext,
-    ModVector,
     SubmoduleBasis,
     dual_constraints,
     full_basis,

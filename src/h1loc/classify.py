@@ -127,7 +127,7 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
             g_mat = g.matrix(gi)
             shared = None
             for vec in s_fix.enumerate_span():
-                if vec.is_zero():
+                if not any(vec):
                     continue
                 if g_mat.vec_mul(vec) == vec:
                     shared = vec
@@ -136,7 +136,7 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
                 return {
                     "sigma": s_mat.row_lists(),
                     "g": g_mat.row_lists(),
-                    "shared_eigenvector": list(shared.coords),
+                    "shared_eigenvector": list(shared),
                 }
     return None
 
@@ -180,13 +180,11 @@ def reverify_verdict(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
     if verdict.case == CASE_BOREL:
         s = ModMatrix.from_rows(g.ctx, ev["sigma"])
         gm = ModMatrix.from_rows(g.ctx, ev["g"])
-        from .zmod import ModVector
-
-        v = ModVector.make(g.ctx, ev["shared_eigenvector"])
+        v = tuple(x % g.ctx.modulus for x in ev["shared_eigenvector"])
         return (
             element_order(s) == p
             and element_order(gm) in (1, 2)
-            and not v.is_zero()
+            and any(v)
             and s.vec_mul(v) == v
             and gm.vec_mul(v) == v
             and closure_indices(g, [g.index_of(s), g.index_of(gm)]) == frozenset(range(len(g)))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -46,7 +46,6 @@ from .groups import (
 from .zmod import (
     ModMatrix,
     ModulusContext,
-    ModVector,
     SubmoduleBasis,
     _howell_raw,
     _kernel_raw,
@@ -82,24 +81,23 @@ class GModule:
 
     ctx: ModulusContext
     kind: str
+    # The coefficient ring Z/p^n, Z/p or Z/p^(n-1), set once from kind.
+    coeff_ctx: ModulusContext = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _MODULE_LABELS:
             raise InputError(f"unknown module kind {self.kind!r}")
         if self.kind == QUOTIENT and self.ctx.n < 2:
             raise InputError("V/V[p] is trivial for n = 1; refusing to build it")
+        if self.kind == FULL:
+            coeff = self.ctx
+        else:
+            coeff = ModulusContext(self.ctx.p, 1 if self.kind == TORSION else self.ctx.n - 1)
+        object.__setattr__(self, "coeff_ctx", coeff)
 
     @property
     def label(self) -> str:
         return _MODULE_LABELS[self.kind]
-
-    @property
-    def coeff_ctx(self) -> ModulusContext:
-        if self.kind == FULL:
-            return self.ctx
-        if self.kind == TORSION:
-            return ModulusContext(self.ctx.p, 1)
-        return ModulusContext(self.ctx.p, self.ctx.n - 1)
 
     @property
     def coeff_modulus(self) -> int:
@@ -235,37 +233,6 @@ def _first_broken_edge(acts, edges, values, q: int) -> Optional[tuple[int, int, 
 # The generator-coordinate system.
 
 
-class LocalEntry:
-    """The local condition Z(g) in Im(g - Id) for one action of g, in the
-    two forms the engine uses; each is computed on first use.
-
-    annihilator: rows k with k.(g - Id) = 0; since Z/p^n is self-injective,
-    Z(g) lies in the image exactly when k.Z(g) = 0 for every row.
-    span: the closed-form column-span basis of g - Id (zmod.column_span2),
-    which decides membership directly (admits).
-    """
-
-    def __init__(self, shifted: ModMatrix):
-        self.shifted = shifted  # g - Id, acting on the module's coordinates
-
-    @cached_property
-    def annihilator(self) -> list[list[int]]:
-        # k.(g - Id) = 0 is (g - Id)^T k = 0.
-        columns = self.shifted.transpose()
-        return _kernel_raw(columns.row_lists(), 2, columns.ctx)
-
-    @cached_property
-    def span(self) -> list:
-        return column_span2(self.shifted)
-
-    def admits(self, value: tuple[int, int]) -> bool:
-        """Whether the reduced pair value lies in Im(g - Id): it is reduced
-        against the column-span basis, and a solution found is re-checked
-        against (g - Id) x = value (zmod.solve2; a mismatch raises
-        ConsistencyError)."""
-        return solve2(self.shifted, self.span, value) is not None
-
-
 class CocycleSystem:
     """Shared scaffolding for one (group, module) pair.
 
@@ -344,7 +311,8 @@ class CocycleSystem:
         self.constraints: list[list[int]] = []
         self._b1: Optional[SubmoduleBasis] = None
         self._z1loc: Optional[SubmoduleBasis] = None
-        self._local: Optional[list[LocalEntry]] = None
+        # action -> (g - Id, its column_span2 rows), filled by is_local_table.
+        self._spans: dict[tuple[int, int, int, int], tuple] = {}
 
     def value_map(self, i: int) -> tuple[list[int], list[int]]:
         """L[i], the pair of rows with Z(element i) = L[i] u, built down the
@@ -478,29 +446,17 @@ class CocycleSystem:
                         stack.append(z)
         return reps
 
-    def local_entries(self) -> list[LocalEntry]:
-        """The local entry of every element; elements whose actions on the
-        module coincide (common for V[p] and V/V[p]) share one entry."""
-        if self._local is None:
-            q = self.q
-            by_action: dict[tuple[int, int, int, int], LocalEntry] = {}
-            for act in self.acts:
-                if act not in by_action:
-                    a, b, c, d = act
-                    shifted = ModMatrix(self.cctx, 2, 2, ((a - 1) % q, b % q, c % q, (d - 1) % q))
-                    by_action[act] = LocalEntry(shifted)
-            self._local = [by_action[act] for act in self.acts]
-        return self._local
-
     def local_constraint_rows(self) -> list[list[int]]:
         """k.L[g] u = 0 for every local representative g and annihilator
-        row k of g (L[g] is value_map(g))."""
+        row k of g - Id (L[g] is value_map(g)).  k.(g - Id) = 0 is
+        (g - Id)^T k = 0, and since Z/p^n is self-injective, Z(g) lies in
+        Im(g - Id) exactly when k.Z(g) = 0 for every such row."""
         rows: list[list[int]] = []
         q = self.q
-        entries = self.local_entries()
         for g in self.local_representatives:
+            a, b, c, d = self.acts[g]
             l0, l1 = self.value_map(g)
-            for k0, k1 in entries[g].annihilator:
+            for k0, k1 in _kernel_raw([[a - 1, c], [b, d - 1]], 2, self.cctx):
                 rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
         return rows
 
@@ -540,14 +496,26 @@ class CocycleSystem:
 
     def class_form(self, c: Cocycle) -> tuple[int, ...]:
         """Canonical coordinates of the class of c modulo coboundaries."""
-        u = ModVector(self.cctx, self.compress(c))
-        return self.b1().reduce(u).coords
+        return self.b1().reduce(self.compress(c))
 
     def is_local_table(self, c: Cocycle) -> bool:
         """Direct test at every element, not only the representatives:
         each value lies in the image of g - Id, decided by the column span
-        of g - Id (LocalEntry.admits), not by the annihilator rows."""
-        return all(entry.admits(value) for value, entry in zip(c.values, self.local_entries()))
+        of g - Id (zmod.column_span2), not by the annihilator rows.  A
+        solution found is re-checked against (g - Id) x = value (zmod.solve2;
+        a mismatch raises ConsistencyError).  Elements that act alike on the
+        module (common for V[p] and V/V[p]) share one span, computed once
+        per system on first use."""
+        q, cctx, spans = self.q, self.cctx, self._spans
+        for value, act in zip(c.values, self.acts):
+            entry = spans.get(act)
+            if entry is None:
+                a, b, cc, d = act
+                shifted = ((a - 1) % q, b, cc, (d - 1) % q)
+                entry = spans[act] = (shifted, column_span2(cctx, shifted))
+            if solve2(cctx, *entry, value) is None:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -610,7 +578,7 @@ def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted:
     order = 1
     for d, _ in structure:
         order *= d
-    gens = tuple(system.expand(vec.coords) for _, vec in structure)
+    gens = tuple(system.expand(vec) for _, vec in structure)
     for c in gens:
         if not system.is_cocycle(c):
             raise ConsistencyError("quotient generator fails the cocycle identity")
@@ -673,9 +641,9 @@ def h1_loc(group: FiniteMatrixGroup, module: GModule, cross_check: bool = True) 
     return replace(report, cross_check=note)
 
 
-def is_coboundary(c: Cocycle) -> Optional[ModVector]:
-    """A module element m with c(g) = (g - 1) m for all g of c's group, in
-    c's module, or None.
+def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
+    """A module element m with c(g) = (g - 1) m for all g of c's group, as
+    a pair of coordinates in c's module, or None.
 
     One linear solve over the generator stack decides it; the candidate is
     then re-checked against every element.
@@ -685,7 +653,7 @@ def is_coboundary(c: Cocycle) -> Optional[ModVector]:
     cctx = module.coeff_ctx
     q = module.coeff_modulus
     if not gens:
-        return ModVector(cctx, (0, 0))
+        return 0, 0
     keys = group._keys
     rows = []
     rhs = []
@@ -694,16 +662,15 @@ def is_coboundary(c: Cocycle) -> Optional[ModVector]:
         rows.append([(a - 1) % q, b % q])
         rows.append([cc % q, (d - 1) % q])
         rhs.extend(c.values[g])
-    sol = solve_linear(ModMatrix.from_rows(cctx, rows), ModVector(cctx, tuple(rhs)))
+    sol = solve_linear(ModMatrix.from_rows(cctx, rows), rhs)
     if not sol.solvable:
         return None
-    m = sol.solution
+    m0, m1 = sol.solution
     for key, value in zip(keys, c.values):
         a, b, cc, d = module.action_entries(key)
-        got = (((a - 1) * m.coords[0] + b * m.coords[1]) % q, (cc * m.coords[0] + (d - 1) * m.coords[1]) % q)
-        if got != value:
+        if (((a - 1) * m0 + b * m1) % q, (cc * m0 + (d - 1) * m1) % q) != value:
             return None
-    return m
+    return m0, m1
 
 
 def restrict_cocycle(c: Cocycle, sub: FiniteMatrixGroup) -> Cocycle:

@@ -59,7 +59,7 @@ from .groups import (
     quotient_group,
     reduction_kernel,
 )
-from .zmod import ModMatrix, ModulusContext, ModVector, column_span2, is_prime, solve2, solve_linear
+from .zmod import ModMatrix, ModulusContext, column_span2, is_prime, solve2, solve_linear
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -531,11 +531,11 @@ def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]
     """
     q, s = ctx.modulus, ctx.p ** (ctx.n - 1)
     a, b, c, d = key
-    m = ModMatrix(ctx, 2, 2, ((a - 1) % q, b * s % q, c, (d - 1) * s % q))
-    return solve2(m, column_span2(m), value) is not None
+    m = ((a - 1) % q, b * s % q, c, (d - 1) * s % q)
+    return solve2(ctx, m, column_span2(ctx, m), value) is not None
 
 
-def _solution_set(a: ModMatrix, b: ModVector, limit: int = 20000):
+def _solution_set(a: ModMatrix, b: tuple[int, ...], limit: int = 20000):
     sol = solve_linear(a, b)
     if not sol.solvable:
         return []
@@ -633,7 +633,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     checks.append(
         Check(
             "scaling_on_fixed_torsion",
-            g_mat.vec_mul(ModVector.make(ctx, [p, 0])) == ModVector.make(ctx, [p, 0]).scale(lam),
+            g_mat.vec_mul((p, 0)) == (lam * p % q, 0),
         )
     )
 
@@ -650,23 +650,22 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     for a in range(p):
         for b in range(p):
             hab = ModMatrix(ctx, 2, 2, _mul4(_pow4(h10_key, a, q), _pow4(h01_key, b, q), q))
-            rhs = ModVector.make(ctx, [b * p, 0])
-            if not solve_linear(hab - ident, rhs).solvable:
+            if not solve_linear(hab - ident, (b * p, 0)).solvable:
                 solvable_all = False
     checks.append(Check("kernel_family_locally_solvable", solvable_all))
 
-    zero_sols = _solution_set(h10 - ident, ModVector.make(ctx, [0, 0]))
+    zero_sols = _solution_set(h10 - ident, (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_forces_divisibility",
-            all(s.coords[0] % p == 0 and s.coords[1] % p == 0 for s in zero_sols),
+            all(s[0] % p == 0 and s[1] % p == 0 for s in zero_sols),
         )
     )
-    shift_sols = _solution_set(h01 - ident, ModVector.make(ctx, [p, 0]))
+    shift_sols = _solution_set(h01 - ident, (p, 0))
     checks.append(
         Check(
             "unitriangular_target_forces_unit_coordinate",
-            bool(shift_sols) and all(s.coords[1] % p == 1 for s in shift_sols),
+            bool(shift_sols) and all(s[1] % p == 1 for s in shift_sols),
         )
     )
     crit = check_nonvanishing_criterion(group)
@@ -752,18 +751,18 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(Check("witness_locally_solvable_with_torsion_shape", shaped))
 
     ident = ModMatrix.identity(ctx, 2)
-    sig_sols = _solution_set(group.matrix(sig_i) - ident, ModVector.make(ctx, [0, p]))
+    sig_sols = _solution_set(group.matrix(sig_i) - ident, (0, p))
     checks.append(
         Check(
             "sigma_target_needs_unit_coordinate",
-            bool(sig_sols) and all(s.coords[0] % p != 0 for s in sig_sols),
+            bool(sig_sols) and all(s[0] % p != 0 for s in sig_sols),
         )
     )
-    h_sols = _solution_set(group.matrix(h_i) - ident, ModVector.make(ctx, [0, 0]))
+    h_sols = _solution_set(group.matrix(h_i) - ident, (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_needs_divisible_coordinate",
-            all(s.coords[0] % p == 0 for s in h_sols),
+            all(s[0] % p == 0 for s in h_sols),
         )
     )
     checks.append(Check("witness_not_coboundary", is_coboundary(w) is None))
@@ -775,7 +774,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     checks.append(
         Check(
             "explicit_witness_in_local_space",
-            system.z1_local().contains(ModVector(system.cctx, system.compress(w))),
+            system.z1_local().contains(system.compress(w)),
         )
     )
     return ConstructionReport(
@@ -833,13 +832,12 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
         pn1 = p ** (ctx.n - 1)
         g_mat = group.matrix(group.index_of([[-1, 0], [0, 1]]))
         s_mat = group.matrix(group.index_of([[1, 1], [0, 1]]))
-        e1 = ModVector.make(ctx, [pn1, 0])
-        e2 = ModVector.make(ctx, [0, pn1])
+        e1, e2 = (pn1, 0), (0, pn1)
         pattern = (
             s_mat.vec_mul(e1) == e1
-            and g_mat.vec_mul(e1) == -e1
+            and g_mat.vec_mul(e1) == (-pn1 % ctx.modulus, 0)
             and g_mat.vec_mul(e2) == e2
-            and s_mat.vec_mul(e2) == ModVector.make(ctx, [pn1, pn1])
+            and s_mat.vec_mul(e2) == (pn1, pn1)
         )
         checks.append(Check(f"torsion_action_pattern[{variant}]", pattern))
         image = quotient_group(group)

@@ -24,7 +24,6 @@ from .errors import ConsistencyError, ContractError, InputError, ResourceLimitEr
 from .zmod import (
     ModMatrix,
     ModulusContext,
-    ModVector,
     SubmoduleBasis,
     kernel_basis,
 )
@@ -418,7 +417,7 @@ def line_representatives(p: int) -> list[tuple[int, int]]:
     return [(1, 0), (0, 1)] + [(1, t) for t in range(1, p)]
 
 
-def borel_check(g: FiniteMatrixGroup) -> Optional[ModVector]:
+def borel_check(g: FiniteMatrixGroup) -> Optional[tuple[int, int]]:
     """A mod-p vector spanning a line stabilized by every element, if any.
 
     A common eigenvector mod p is exactly what membership in a Borel
@@ -426,7 +425,6 @@ def borel_check(g: FiniteMatrixGroup) -> Optional[ModVector]:
     closed under products and inverses.
     """
     p = g.ctx.p
-    ctx_p = ModulusContext(p, 1)
     gens = [g._keys[i] for i in g.distinct_generator_indices()]
     for v0, v1 in line_representatives(p):
         ok = True
@@ -437,7 +435,7 @@ def borel_check(g: FiniteMatrixGroup) -> Optional[ModVector]:
                 ok = False
                 break
         if ok:
-            return ModVector(ctx_p, (v0, v1))
+            return v0, v1
     return None
 
 

@@ -9,6 +9,10 @@ adjoining the annihilator multiple p^(n-v) * row of each pivot row.  Pivots
 are normalized to exactly p^v and entries above a pivot are reduced modulo
 the pivot, which makes equality of submodules an entry-wise comparison.
 
+A module vector is a plain tuple of ints, reduced modulo p^n on entry;
+column_span2 and solve2 take a 2x2 matrix as its row-major 4-tuple, and
+ModMatrix is the general matrix container.
+
 Division never happens blindly: every nonzero residue is split into
 unit * p^v, units are inverted with pow(u, -1, q), and only the p-power part
 is ever divided out.  This is what keeps elimination sound in the presence
@@ -94,51 +98,6 @@ class ModulusContext:
 
 
 @dataclass(frozen=True)
-class ModVector:
-    """A coordinate vector with entries reduced modulo p^n."""
-
-    ctx: ModulusContext
-    coords: tuple[int, ...]
-
-    @staticmethod
-    def make(ctx: ModulusContext, coords: Sequence[int]) -> "ModVector":
-        return ModVector(ctx, tuple(c % ctx.modulus for c in coords))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: "ModVector") -> "ModVector":
-        self._align(other)
-        q = self.ctx.modulus
-        return ModVector(self.ctx, tuple((a + b) % q for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "ModVector") -> "ModVector":
-        self._align(other)
-        q = self.ctx.modulus
-        return ModVector(self.ctx, tuple((a - b) % q for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "ModVector":
-        q = self.ctx.modulus
-        return ModVector(self.ctx, tuple((-a) % q for a in self.coords))
-
-    def scale(self, c: int) -> "ModVector":
-        q = self.ctx.modulus
-        return ModVector(self.ctx, tuple((c * a) % q for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def additive_order(self) -> int:
-        """Smallest k >= 1 with k * v = 0; a power of p."""
-        v = min((self.ctx.valuation(c)[0] for c in self.coords), default=self.ctx.n)
-        return self.ctx.p ** (self.ctx.n - v)
-
-    def _align(self, other: "ModVector"):
-        if self.ctx != other.ctx or len(self) != len(other):
-            raise DimensionError("vectors live in different modules")
-
-
-@dataclass(frozen=True)
 class ModMatrix:
     """A dense matrix over Z/p^n, stored row-major with reduced entries.
 
@@ -202,14 +161,11 @@ class ModMatrix:
         q = self.ctx.modulus
         return ModMatrix(self.ctx, self.rows, self.cols, tuple((a - b) % q for a, b in zip(self.entries, other.entries)))
 
-    def vec_mul(self, v: ModVector) -> ModVector:
-        if self.ctx != v.ctx or self.cols != len(v):
+    def vec_mul(self, v: Sequence[int]) -> tuple[int, ...]:
+        if self.cols != len(v):
             raise DimensionError("matrix/vector shape mismatch")
         q = self.ctx.modulus
-        return ModVector(
-            self.ctx,
-            tuple(sum(self.entry(i, k) * v.coords[k] for k in range(self.cols)) % q for i in range(self.rows)),
-        )
+        return tuple(sum(self.entry(i, k) * v[k] for k in range(self.cols)) % q for i in range(self.rows))
 
     def scale(self, c: int) -> "ModMatrix":
         q = self.ctx.modulus
@@ -221,14 +177,6 @@ class ModMatrix:
             raise DimensionError("can only reduce to a quotient ring of the same p")
         q = ctx.modulus
         return ModMatrix(ctx, self.rows, self.cols, tuple(e % q for e in self.entries))
-
-    def to_json(self) -> dict:
-        return {"p": self.ctx.p, "n": self.ctx.n, "rows": self.row_lists()}
-
-    @staticmethod
-    def from_json(data: dict) -> "ModMatrix":
-        ctx = ModulusContext(int(data["p"]), int(data["n"]))
-        return ModMatrix.from_rows(ctx, data["rows"])
 
     def _align(self, other: "ModMatrix"):
         if self.ctx != other.ctx or (self.rows, self.cols) != (other.rows, other.cols):
@@ -309,20 +257,17 @@ class SubmoduleBasis:
 
     ctx: ModulusContext
     ambient_dim: int
-    rows: tuple[ModVector, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_raw(ctx: ModulusContext, ambient_dim: int, raw_rows) -> "SubmoduleBasis":
-        return SubmoduleBasis(ctx, ambient_dim, tuple(ModVector(ctx, tuple(r)) for r in raw_rows))
-
-    def raw_rows(self) -> list[list[int]]:
-        return [list(r.coords) for r in self.rows]
+        return SubmoduleBasis(ctx, ambient_dim, tuple(map(tuple, raw_rows)))
 
     def pivots(self) -> list[tuple[int, int]]:
         """(column, pivot value) per row; the pivot is the first nonzero entry."""
         out = []
         for r in self.rows:
-            for j, e in enumerate(r.coords):
+            for j, e in enumerate(r):
                 if e:
                     out.append((j, e))
                     break
@@ -335,26 +280,27 @@ class SubmoduleBasis:
             size *= q // piv
         return size
 
-    def reduce(self, v: ModVector) -> ModVector:
-        """Canonical representative of v modulo this span."""
-        if len(v) != self.ambient_dim or v.ctx != self.ctx:
+    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of v modulo this span; v is reduced
+        modulo p^n first."""
+        if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient module")
         q = self.ctx.modulus
-        cur = list(v.coords)
+        cur = [x % q for x in v]
         for (col, piv), row in zip(self.pivots(), self.rows):
             c = cur[col] // piv
             if c:
                 for j in range(col, self.ambient_dim):
-                    cur[j] = (cur[j] - c * row.coords[j]) % q
-        return ModVector(self.ctx, tuple(cur))
+                    cur[j] = (cur[j] - c * row[j]) % q
+        return tuple(cur)
 
-    def contains(self, v: ModVector) -> bool:
-        return self.reduce(v).is_zero()
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.reduce(v))
 
     def contains_basis(self, other: "SubmoduleBasis") -> bool:
         return all(self.contains(r) for r in other.rows)
 
-    def enumerate_span(self, limit: Optional[int] = None) -> Iterator[ModVector]:
+    def enumerate_span(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Every span element exactly once (Howell coefficient ranges)."""
         from .errors import ResourceLimitError
 
@@ -362,14 +308,13 @@ class SubmoduleBasis:
         if limit is not None and self.span_size() > limit:
             raise ResourceLimitError(f"span of size {self.span_size()} exceeds the cap of {limit}")
         ranges = [range(q // piv) for _, piv in self.pivots()]
-        raw = [list(r.coords) for r in self.rows]
         for combo in itertools.product(*ranges):
             acc = [0] * self.ambient_dim
-            for c, row in zip(combo, raw):
+            for c, row in zip(combo, self.rows):
                 if c:
                     for j in range(self.ambient_dim):
                         acc[j] = (acc[j] + c * row[j]) % q
-            yield ModVector(self.ctx, tuple(acc))
+            yield tuple(acc)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -402,18 +347,19 @@ def image_basis(m: ModMatrix) -> SubmoduleBasis:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    solution: Optional[ModVector]
+    solution: Optional[tuple[int, ...]]
     kernel: SubmoduleBasis
 
     @property
     def solvable(self) -> bool:
         return self.solution is not None
 
-    def all_solutions(self, limit: Optional[int] = None) -> Iterator[ModVector]:
+    def all_solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         if self.solution is None:
             return
+        q = self.kernel.ctx.modulus
         for k in self.kernel.enumerate_span(limit):
-            yield self.solution + k
+            yield tuple((a + b) % q for a, b in zip(self.solution, k))
 
 
 class LinearSolver:
@@ -446,18 +392,20 @@ class LinearSolver:
                 self._image.append((col, left[col], left, row[m:]))
         self.kernel = SubmoduleBasis.from_raw(a.ctx, ncols, kernel_rows)
 
-    def solve(self, b: ModVector) -> LinearSolution:
-        """One solution of a x = b (if any) together with the kernel of a.
+    def solve(self, b: Sequence[int]) -> LinearSolution:
+        """One solution of a x = b (if any) together with the kernel of a;
+        b is reduced modulo p^n first.
 
         A solution found is re-checked against a x = b; a mismatch raises
         ConsistencyError.
         """
         a = self.a
-        if a.ctx != b.ctx or len(b) != a.rows:
+        if len(b) != a.rows:
             raise DimensionError("right-hand side does not match the matrix")
         q = a.ctx.modulus
         m, ncols = a.rows, a.cols
-        bb = list(b.coords)
+        b = tuple(x % q for x in b)
+        bb = list(b)
         x = [0] * ncols
         for col, piv, left, coeffs in self._image:
             c = bb[col] // piv
@@ -468,14 +416,17 @@ class LinearSolver:
                     x[j] = (x[j] + c * coeffs[j]) % q
         if any(bb):
             return LinearSolution(None, self.kernel)
-        sol = ModVector(a.ctx, tuple(x))
+        sol = tuple(x)
         if a.vec_mul(sol) != b:
             raise ConsistencyError("solver result fails the re-check a x = b")
         return LinearSolution(sol, self.kernel)
 
 
-def column_span2(m: ModMatrix) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-    """Howell basis of the column span of a 2x2 matrix, in closed form.
+def column_span2(
+    ctx: ModulusContext, m: tuple[int, int, int, int]
+) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """Howell basis of the column span of the 2x2 matrix with reduced
+    row-major entries m, in closed form.
 
     Rows are (pivot column, pivot p^v, basis vector, coefficients x with
     m x = basis vector), the layout of LinearSolver's column-span rows.
@@ -486,11 +437,8 @@ def column_span2(m: ModMatrix) -> list[tuple[int, int, tuple[int, int], tuple[in
     is the second pivot row and the rest reduce to zero.  The first row is
     then reduced modulo the second pivot, so the vectors are canonical.
     """
-    if (m.rows, m.cols) != (2, 2):
-        raise DimensionError("column_span2 is for 2x2 matrices")
-    ctx = m.ctx
     p, n, q = ctx.p, ctx.n, ctx.modulus
-    a, b, c, d = m.entries
+    a, b, c, d = m
     rest = [(a, c, 1, 0), (b, d, 0, 1)]  # (column of m, its coefficients)
     out = []
     for col in (0, 1):
@@ -512,14 +460,17 @@ def column_span2(m: ModMatrix) -> list[tuple[int, int, tuple[int, int], tuple[in
     return out
 
 
-def solve2(m: ModMatrix, span, b: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """One x with m x = b for a 2x2 matrix m and a reduced pair b, or None.
+def solve2(
+    ctx: ModulusContext, m: tuple[int, int, int, int], span, b: tuple[int, int]
+) -> Optional[tuple[int, int]]:
+    """One x with m x = b for the 2x2 matrix with row-major entries m and a
+    reduced pair b, or None.
 
     b is reduced against span, the column-span rows of m (column_span2),
     on plain integers.  A solution found is re-checked against m x = b; a
     mismatch raises ConsistencyError.
     """
-    q = m.ctx.modulus
+    q = ctx.modulus
     b0, b1 = b
     x0 = x1 = 0
     for col, piv, (l0, l1), (c0, c1) in span:
@@ -531,13 +482,13 @@ def solve2(m: ModMatrix, span, b: tuple[int, int]) -> Optional[tuple[int, int]]:
             x1 = (x1 + c * c1) % q
     if b0 or b1:
         return None
-    s00, s01, s10, s11 = m.entries
+    s00, s01, s10, s11 = m
     if ((s00 * x0 + s01 * x1) % q, (s10 * x0 + s11 * x1) % q) != b:
         raise ConsistencyError("2x2 solve fails the re-check m x = b")
     return x0, x1
 
 
-def solve_linear(a: ModMatrix, b: ModVector) -> LinearSolution:
+def solve_linear(a: ModMatrix, b: Sequence[int]) -> LinearSolution:
     """One solution of a x = b (if any) together with the kernel of a.
 
     The full solution set is solution + kernel.  For many right-hand sides
@@ -554,13 +505,13 @@ def dual_constraints(basis: SubmoduleBasis) -> ModMatrix:
     """
     d = basis.ambient_dim
     ctx = basis.ctx
-    kern_rows = _kernel_raw(basis.raw_rows(), d, ctx)
+    kern_rows = _kernel_raw(basis.rows, d, ctx)
     if not kern_rows:
         k = ModMatrix.zeros(ctx, d, d)
     else:
         k = ModMatrix.from_rows(ctx, kern_rows)
     back = kernel_basis(k)
-    if back != howell_from_rows(ctx, d, basis.raw_rows()):
+    if back != howell_from_rows(ctx, d, basis.rows):
         raise ConsistencyError("double-dual check failed; basis was not in Howell form?")
     return k
 
@@ -645,7 +596,7 @@ def _smith_diag_with_vinv(rel: list[list[int]], r: int) -> tuple[list[int], list
     return diag, vinv
 
 
-def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple[int, ModVector]]:
+def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple[int, tuple[int, ...]]]:
     """Cyclic decomposition of span(big)/span(small).
 
     Returns (order, representative) pairs with orders descending; the
@@ -663,9 +614,8 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     if r == 0:
         return []
     constraints = dual_constraints(small)
-    big_raw = big.raw_rows()
     # Row i, column j: constraint row i applied to basis row j of big.
-    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big_raw] for krow in constraints.row_lists()]
+    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big.rows] for krow in constraints.row_lists()]
     kq = _kernel_raw(t, r, ctx)
     rel = [list(row) for row in kq]
     rel.extend([q if i == j else 0 for j in range(r)] for i in range(r))
@@ -679,8 +629,8 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
             for j, c in enumerate(vinv[i]):
                 if c % q:
                     for k in range(big.ambient_dim):
-                        acc[k] = (acc[k] + c * big_raw[j][k]) % q
-            out.append((d, ModVector(ctx, tuple(acc))))
+                        acc[k] = (acc[k] + c * big.rows[j][k]) % q
+            out.append((d, tuple(acc)))
     out.sort(key=lambda t: -t[0])
     index = big.span_size() // small.span_size()
     prod = 1

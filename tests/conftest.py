@@ -188,7 +188,7 @@ def full_harvest(system):
 def engine_tables(group, module, basis):
     """Expand a generator-coordinate basis into the set of value tables."""
     system = CocycleSystem(group, module)
-    return {system.expand(v.coords).values for v in basis.enumerate_span()}
+    return {system.expand(v).values for v in basis.enumerate_span()}
 
 
 def construction_groups(p):

@@ -13,7 +13,6 @@ from h1loc import (
     CocycleSystem,
     ModMatrix,
     ModulusContext,
-    ModVector,
     borel_shared_witness,
     build_borel_disjoint_group,
     build_borel_index2_group,
@@ -156,22 +155,22 @@ def test_criterion_3_proof_step_replication():
             a, b, c, d = key
             system = ModMatrix.from_rows(shape_ctx, [[a - 1, b], [c, d - 1], [0, shape_p]])
             v0, v1 = shape_w.values[i]
-            assert solve_linear(system, ModVector.make(shape_ctx, [v0, v1, 0])).solvable, (shape_p, i)
+            assert solve_linear(system, (v0, v1, 0)).solvable, (shape_p, i)
             assert torsion_shape_admits(shape_ctx, key, (v0, v1)), (shape_p, i)
             shifted = (v0, (v1 + 1 + i % shape_p) % sq)
-            oracle = solve_linear(system, ModVector.make(shape_ctx, [*shifted, 0])).solvable
+            oracle = solve_linear(system, (*shifted, 0)).solvable
             assert torsion_shape_admits(shape_ctx, key, shifted) == oracle, (shape_p, i)
 
     # (d) the coboundary obstruction: the value at sigma forces a unit
     # first coordinate while the diagonal kernel element forbids it.
     ident = ModMatrix.identity(ctx, 2)
     sig_mat = group.matrix(sigma)
-    sols = solve_linear(sig_mat - ident, ModVector.make(ctx, [0, p]))
+    sols = solve_linear(sig_mat - ident, (0, p))
     assert sols.solvable
-    assert all(s.coords[0] % p != 0 for s in sols.all_solutions())
+    assert all(s[0] % p != 0 for s in sols.all_solutions())
     h_mat = group.matrix(group.index_of([[1 + p, 0], [0, 1 - p]]))
-    hk = solve_linear(h_mat - ident, ModVector.make(ctx, [0, 0]))
-    assert all(s.coords[0] % p == 0 for s in hk.all_solutions())
+    hk = solve_linear(h_mat - ident, (0, 0))
+    assert all(s[0] % p == 0 for s in hk.all_solutions())
     assert w.values[group.index_of(h_mat)] == (0, 0)
     assert is_coboundary(w) is None
 
@@ -292,11 +291,11 @@ def test_criterion_9_linear_algebra_kernel():
         # Solver soundness and completeness against construction.
         x0 = [rng.randrange(q) for _ in range(dim)]
         a = ModMatrix.from_rows(ctx, rows)
-        b = ModVector.make(ctx, [sum(r[j] * x0[j] for j in range(dim)) % q for r in rows])
+        b = tuple(sum(r[j] * x0[j] for j in range(dim)) % q for r in rows)
         sol = solve_linear(a, b)
         assert sol.solvable
         assert a.vec_mul(sol.solution) == b
-        diff = ModVector.make(ctx, [(s - t) % q for s, t in zip(x0, sol.solution.coords)])
+        diff = [s - t for s, t in zip(x0, sol.solution)]
         assert sol.kernel.contains(diff)
 
         # Dual constraints round-trip.

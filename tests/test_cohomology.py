@@ -19,7 +19,6 @@ from h1loc import (
     InputError,
     ModMatrix,
     ModulusContext,
-    ModVector,
     close_group,
     closure_indices,
     equivariant_homs,
@@ -43,7 +42,6 @@ from h1loc import (
     verify_cocycle,
 )
 from h1loc import cohomology
-from h1loc.cohomology import LocalEntry
 from h1loc.constructions import (
     borel_shared_generators,
     borel_shared_witness,
@@ -55,7 +53,7 @@ from h1loc.constructions import (
     cyclic_generators,
     s3_generators,
 )
-from h1loc.zmod import _howell_raw, _kernel_raw, column_span2
+from h1loc.zmod import _howell_raw, _kernel_raw, column_span2, solve2
 from conftest import (
     brute_coboundary_tables,
     brute_cocycle_tables,
@@ -162,9 +160,9 @@ def test_class_independence_of_local_condition():
         if not local_vecs or not b_vecs:
             continue
         for _ in range(100):
-            lv = rng.choice(local_vecs).scale(rng.randrange(25))
-            bv = rng.choice(b_vecs).scale(rng.randrange(25))
-            c = system.expand((lv + bv).coords)
+            s, t = rng.randrange(25), rng.randrange(25)
+            lv, bv = rng.choice(local_vecs), rng.choice(b_vecs)
+            c = system.expand([s * x + t * y for x, y in zip(lv, bv)])
             assert system.is_local_table(c)
 
 
@@ -179,12 +177,12 @@ def test_local_iff_cyclic_restrictions_are_coboundaries():
         mod = full_module(CTX25)
         system = CocycleSystem(g, mod)
         z1_rows = system.z1().rows
-        samples = [row.coords for row in z1_rows]
+        samples = list(z1_rows)
         for _ in range(6):
             mix = [0] * system.dim
             for row in z1_rows:
                 c = rng.randrange(25)
-                mix = [(a + c * b) % 25 for a, b in zip(mix, row.coords)]
+                mix = [(a + c * b) % 25 for a, b in zip(mix, row)]
             samples.append(tuple(mix))
         for coords in samples:
             c = system.expand(coords)
@@ -205,16 +203,16 @@ def test_is_coboundary_cases():
     system = CocycleSystem(g, mod)
     zero = system.expand([0] * system.dim)
     m = is_coboundary(zero)
-    assert m is not None and m.coords == (0, 0)
+    assert m == (0, 0)
     for row in system.b1().rows:
-        c = system.expand(row.coords)
+        c = system.expand(row)
         assert is_coboundary(c) is not None
     # The cocycle carries its module: a V[p]-valued coboundary is decided,
     # and solved, over F_p.
     tor = CocycleSystem(g, torsion_module(CTX25))
     for row in tor.b1().rows:
-        m = is_coboundary(tor.expand(row.coords))
-        assert m is not None and m.ctx == ModulusContext(5, 1)
+        m = is_coboundary(tor.expand(row))
+        assert m is not None and all(0 <= x < 5 for x in m)
 
 
 def test_restriction_of_coboundary_is_coboundary():
@@ -222,7 +220,7 @@ def test_restriction_of_coboundary_is_coboundary():
     mod = full_module(g.ctx)
     system = CocycleSystem(g, mod)
     b_row = system.b1().rows[0]
-    c = system.expand(b_row.coords)
+    c = system.expand(b_row)
     kernel = reduction_kernel(g)
     sub = subgroup_from_indices(g, kernel)
     restricted = restrict_cocycle(c, sub)
@@ -259,8 +257,7 @@ def test_inflated_class_lies_in_cocycle_space():
     bundle = borel_shared_witness(g)
     tor = torsion_module(g.ctx)
     system = CocycleSystem(g, tor)
-    coords = ModVector(system.cctx, system.compress(bundle.inflated))
-    assert system.z1().contains(coords)
+    assert system.z1().contains(system.compress(bundle.inflated))
 
 
 def test_inflation_rejects_cocycles_off_the_image():
@@ -476,7 +473,7 @@ def test_cocycle_from_coordinates_validates():
     g = close_group([[[2, 0], [0, 1]]], CTX25)
     system = CocycleSystem(g, full_module(CTX25))
     for row in system.z1().rows:
-        c = system.expand(row.coords)
+        c = system.expand(row)
         assert verify_cocycle(c) and verify_cocycle(c, full=True)
     # The norm constraint forces the second generator coordinate to be
     # divisible by p here, so (0, 1) is not a cocycle assignment.
@@ -503,6 +500,13 @@ def test_module_labels_and_validation():
         parse_module(CTX25, "W")
     with pytest.raises(InputError):
         GModule(ModulusContext(5, 1), "mod_p_quotient")
+    # The coefficient ring is built once per module, not on every access.
+    ctx = ModulusContext(5, 3)
+    tor = GModule(ctx, "p_torsion")
+    assert tor.coeff_ctx is tor.coeff_ctx and tor.coeff_ctx == ModulusContext(5, 1)
+    assert GModule(ctx, "mod_p_quotient").coeff_ctx == ModulusContext(5, 2)
+    assert GModule(ctx, "full").coeff_ctx is ctx
+    assert tor == GModule(ctx, "p_torsion") and hash(tor) == hash(GModule(ctx, "p_torsion"))
 
 
 def _construction_groups(p):
@@ -529,7 +533,7 @@ def test_per_edge_cocycle_check_matches_all_pairs(p):
         n = len(group)
         assert system.z1().rows
         for row in system.z1().rows:
-            c = system.expand(row.coords)
+            c = system.expand(row)
             assert verify_cocycle(c) and verify_cocycle(c, full=True)
             for i in sorted({1, n // 2, n - 1}):
                 vals = list(c.values)
@@ -542,7 +546,7 @@ def test_per_edge_cocycle_check_matches_all_pairs(p):
         for j in range(system.dim):
             coords = [0] * system.dim
             coords[j] = 1
-            if system.z1().contains(ModVector(system.cctx, tuple(coords))):
+            if system.z1().contains(coords):
                 continue
             off = system.expand(coords)
             assert not verify_cocycle(off)
@@ -556,14 +560,14 @@ def _local_by_uncached_solves(group, module, c):
     for i in range(len(group)):
         a, b, cc, d = module.action_entries(group.matrix(i).entries)
         shifted = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, cc % q, (d - 1) % q))
-        if not solve_linear(shifted, ModVector(cctx, c.values[i])).solvable:
+        if not solve_linear(shifted, c.values[i]).solvable:
             return False
     return True
 
 
 def _assert_local_test_matches_oracle(group, module, samples=12, seed=5):
     """Every class of H^1, then class representatives with the value at one
-    random element replaced, which tests that element's entry."""
+    random element replaced, which tests that element's span."""
     system = CocycleSystem(group, module)
     classes = h1(group, module).classes()
     tables = list(classes)
@@ -586,17 +590,22 @@ def test_cached_local_test_matches_uncached_oracle_borel_shared():
 
 
 @pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
-def test_cached_local_test_matches_uncached_oracle_over_z125(kind):
+def test_cached_local_test_matches_uncached_oracle_over_z125(kind, monkeypatch):
     ctx = ModulusContext(5, 3)
     g = close_group([[[1, 0], [0, -1]], [[6, 1], [10, 6]]], ctx)
     module = GModule(ctx, kind)
+    spans = []
+    monkeypatch.setattr(cohomology, "column_span2", lambda *args: spans.append(args) or column_span2(*args))
     system, verdicts = _assert_local_test_matches_oracle(g, module)
     assert True in verdicts and False in verdicts
-    distinct = len({id(e) for e in system.local_entries()})
+    # A local class was tested at every element, and each distinct action
+    # had its column span computed once, however many tables were tested.
+    distinct = len(set(system.acts))
+    assert len(spans) == len(system._spans) == distinct
     if kind == "full":
         assert distinct == len(g)
     else:
-        # The reduced actions repeat, so many elements share one entry.
+        # The reduced actions repeat, so many elements share one span.
         assert distinct * 10 <= len(g)
 
 
@@ -615,7 +624,7 @@ def _all_element_local_basis(system):
         if act not in annihilators:
             a, b, c, d = act
             shifted_t = ModMatrix(cctx, 2, 2, ((a - 1) % q, c % q, b % q, (d - 1) % q))
-            annihilators[act] = [k.coords for k in kernel_basis(shifted_t).rows]
+            annihilators[act] = kernel_basis(shifted_t).rows
         for k0, k1 in annihilators[act]:
             rows.append([(k0 * x + k1 * y) % q for x, y in zip(l0, l1)])
     return SubmoduleBasis.from_raw(cctx, system.dim, _kernel_raw(rows, system.dim, cctx))
@@ -750,7 +759,7 @@ def test_classes_carry_over_mixed_invariant_factors():
     """Digits of different ranges, so that carries cross several digits."""
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
-    gens = tuple(system.expand(r.coords) for r in system.z1().rows[:3])
+    gens = tuple(system.expand(r) for r in system.z1().rows[:3])
     assert len(gens) == 3
     report = replace(h1(g, full_module(g.ctx)), order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
     _assert_classes_match(report)
@@ -826,7 +835,7 @@ def test_lazy_harvest_is_small_and_final_round_is_z1():
     assert system.constraints == []
     z1 = system.z1()
     assert 0 < len(system.constraints) <= 2 * system.cctx.n * system.dim
-    assert all(system.is_cocycle(system.expand(r.coords)) for r in z1.rows)
+    assert all(system.is_cocycle(system.expand(r)) for r in z1.rows)
     assert z1 == SubmoduleBasis.from_raw(
         system.cctx, system.dim, _kernel_raw(system.constraint_basis, system.dim, system.cctx)
     )
@@ -903,7 +912,7 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
     assert system.constraint_basis == _howell_raw(rows, system.dim, system.cctx)
     # Every basis row of Z^1_loc is local by brute force; with the order,
     # that makes the local span exactly the brute-force local cocycles.
-    rows = {system.expand(r.coords).values for r in system.z1_local().rows}
+    rows = {system.expand(r).values for r in system.z1_local().rows}
     assert brute_local_tables(group, module, rows) == rows
 
 
@@ -914,15 +923,14 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
 def test_admits_matches_solver_for_every_matrix_mod_9():
     ctx = ModulusContext(3, 2)
     pairs = [(x, y) for x in range(9) for y in range(9)]
-    vectors = [ModVector(ctx, v) for v in pairs]
     for entries in itertools.product(range(9), repeat=4):
-        entry = LocalEntry(ModMatrix(ctx, 2, 2, entries))
+        span = column_span2(ctx, entries)
         a, b, c, d = entries
         image = {((a * x + b * y) % 9, (c * x + d * y) % 9) for x, y in pairs}
-        solver = LinearSolver(entry.shifted)
-        for v, mv in zip(pairs, vectors):
-            admitted = entry.admits(v)
-            assert admitted == solver.solve(mv).solvable
+        solver = LinearSolver(ModMatrix(ctx, 2, 2, entries))
+        for v in pairs:
+            admitted = solve2(ctx, entries, span, v) is not None
+            assert admitted == solver.solve(v).solvable
             assert admitted == (v in image)
 
 
@@ -935,35 +943,35 @@ def test_admits_matches_solver_on_random_matrices(p, n):
     for _ in range(3000):
         # Entries with a random valuation, so that singular matrices are common.
         entries = tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4))
-        entry = LocalEntry(ModMatrix(ctx, 2, 2, entries))
+        span = column_span2(ctx, entries)
         a, b, c, d = entries
         x, y = rng.randrange(q), rng.randrange(q)
         for v in (((a * x + b * y) % q, (c * x + d * y) % q), (rng.randrange(q), rng.randrange(q))):
-            admitted = entry.admits(v)
-            assert admitted == LinearSolver(entry.shifted).solve(ModVector(ctx, v)).solvable
+            admitted = solve2(ctx, entries, span, v) is not None
+            assert admitted == LinearSolver(ModMatrix(ctx, 2, 2, entries)).solve(v).solvable
             hits += admitted
     assert 3000 < hits < 6000
 
 
 def test_admits_recheck_catches_a_corrupted_solver():
     ctx = ModulusContext(5, 2)
-    entry = LocalEntry(ModMatrix(ctx, 2, 2, (5, 1, 10, 5)))
-    assert entry.admits((1, 5))
+    m = (5, 1, 10, 5)
+    span = column_span2(ctx, m)
+    assert solve2(ctx, m, span, (1, 5)) is not None
     # Corrupt the coefficients of the first column-span row: the reduction
-    # still succeeds, so only the re-check against (g - Id) x = v can tell.
-    col, piv, left, coeffs = entry.span[0]
-    entry.span[0] = (col, piv, left, tuple((c + 1) % 25 for c in coeffs))
+    # still succeeds, so only the re-check against m x = v can tell.
+    col, piv, left, coeffs = span[0]
+    span[0] = (col, piv, left, tuple((c + 1) % 25 for c in coeffs))
     with pytest.raises(ConsistencyError):
-        entry.admits((1, 5))
+        solve2(ctx, m, span, (1, 5))
 
 
 def _check_column_span2(ctx, entries):
     """column_span2 against the Howell form of the transpose, with every
     row's coefficients producing it."""
     q = ctx.modulus
-    m = ModMatrix(ctx, 2, 2, entries)
-    span = column_span2(m)
-    assert [list(v) for _, _, v, _ in span] == [list(r.coords) for r in image_basis(m).rows]
+    span = column_span2(ctx, entries)
+    assert [v for _, _, v, _ in span] == list(image_basis(ModMatrix(ctx, 2, 2, entries)).rows)
     a, b, c, d = entries
     for col, piv, (v0, v1), (x0, x1) in span:
         assert ((a * x0 + b * x1) % q, (c * x0 + d * x1) % q) == (v0, v1)

@@ -12,7 +12,6 @@ from h1loc import (
     InputError,
     ModMatrix,
     ModulusContext,
-    ModVector,
     ResourceLimitError,
     borel_check,
     close_group,
@@ -229,7 +228,7 @@ def test_fixed_submodule_cases():
     assert fixed_submodule(CTX25, [ModMatrix.identity(CTX25, 2)]) == full_basis(CTX25, 2)
     d = ModMatrix.from_rows(CTX25, [[7, 0], [0, 1]])
     fixed = fixed_submodule(CTX25, [d])
-    assert [r.coords for r in fixed.rows] == [(0, 1)]
+    assert list(fixed.rows) == [(0, 1)]
     s3 = close_group(s3_generators(5), CTX25)
     assert fixed_submodule(CTX25, (s3.matrix(i) for i in range(len(s3)))).is_zero()
 
@@ -246,19 +245,19 @@ def test_eigen_data_cases():
     unipotent = eigen_data(ModMatrix.from_rows(CTX25, [[1, 1], [0, 1]]))
     assert unipotent.eigenvalues == (1, 1)
     vecs = unipotent.vectors_for(1)
-    assert [r.coords for r in vecs.rows] == [(1, 0)]
+    assert list(vecs.rows) == [(1, 0)]
 
 
 def test_borel_check_cases():
     shared = close_group(borel_shared_generators(5), CTX25)
     v = borel_check(shared)
-    assert v is not None and v.coords == (1, 0)
+    assert v == (1, 0)
 
     s3 = close_group(s3_generators(5), CTX25)
     assert borel_check(s3) is None
 
     trivial = close_group([[[1, 0], [0, 1]]], CTX25)
-    assert borel_check(trivial).coords == (1, 0)
+    assert borel_check(trivial) == (1, 0)
 
 
 def test_power_identity_specific_values():
@@ -329,20 +328,14 @@ def test_fixed_submodule_eigenvector_reading():
     # if the difference is divisible by p the torsion part survives too.
     ctx9 = ModulusContext(3, 2)
     unit_diff = fixed_submodule(ctx9, [ModMatrix.from_rows(ctx9, [[2, 0], [0, 1]])])
-    assert [r.coords for r in unit_diff.rows] == [(0, 1)]
+    assert list(unit_diff.rows) == [(0, 1)]
     p_diff = fixed_submodule(ctx9, [ModMatrix.from_rows(ctx9, [[4, 0], [0, 1]])])
-    assert [r.coords for r in p_diff.rows] == [(3, 0), (0, 1)]
+    assert list(p_diff.rows) == [(3, 0), (0, 1)]
 
 
 def test_vector_matrix_arithmetic():
-    v = ModVector.make(CTX25, [3, 4])
-    w = ModVector.make(CTX25, [30, -4])
-    assert (v + w).coords == (8, 0)
-    assert (v - w).coords == (23, 8)
-    assert (-v).coords == (22, 21)
-    assert v.scale(10).coords == (5, 15)
     m = ModMatrix.from_rows(CTX25, [[1, 2], [3, 4]])
-    assert m.vec_mul(v).coords == (11, 0)
+    assert m.vec_mul((3, 4)) == m.vec_mul((28, -21)) == (11, 0)
     m_inv = _inv4(m.entries, 25)
     assert oracle_product([m.entries, m_inv], 25) == oracle_product([m_inv, m.entries], 25) == (1, 0, 0, 1)
 

@@ -94,3 +94,26 @@ def test_one_group_type():
         and any(isinstance(a, ast.Name) and a.id.endswith("Group") for a in ast.walk(node.args[1]))
     ]
     assert calls == []
+
+
+def test_vectors_and_2x2_matrices_are_plain_tuples():
+    # A module vector is a tuple of ints, and inside the cocycle engine a
+    # 2x2 matrix is a row-major 4-tuple: no vector class or per-action local
+    # entry survives, and CocycleSystem constructs no ModMatrix.
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in parsed_modules()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in ("ModVector", "LocalEntry")
+    ]
+    assert found == []
+    assert not hasattr(h1loc, "ModVector") and not hasattr(h1loc, "LocalEntry")
+    cohomology = dict(parsed_modules())["cohomology.py"]
+    (system,) = [node for node in cohomology.body if isinstance(node, ast.ClassDef) and node.name == "CocycleSystem"]
+    uses = [
+        node.lineno
+        for node in ast.walk(system)
+        if (isinstance(node, ast.Name) and node.id == "ModMatrix")
+        or (isinstance(node, ast.Attribute) and node.attr == "ModMatrix")
+    ]
+    assert uses == []
