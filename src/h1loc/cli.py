@@ -10,7 +10,8 @@ Subcommands:
 
 All reports are JSON with sorted keys and no timestamps, so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 usage,
-2 bad input, 3 resource cap, 4 verification failure.
+2 bad input, 3 resource cap, 4 verification failure.  Each handler imports
+the layers only it uses, so a subcommand loads no module it does not run.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .cohomology import h1, h1_loc, parse_module
-from .constructions import verify_all
-from .classify import scan_prime_to_p_subgroups
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import DEFAULT_GROUP_CAP, group_from_json, power_identity_check
 from .zmod import ModulusContext, is_prime
@@ -109,6 +107,8 @@ def _load_group(path: str, cap: int):
 
 
 def _cmd_cohomology(args, local: bool) -> int:
+    from .cohomology import h1, h1_loc, parse_module
+
     _check_cap(args.cap)
     group = _load_group(args.input, args.cap)
     module = parse_module(group.ctx, args.module)
@@ -118,6 +118,8 @@ def _cmd_cohomology(args, local: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .constructions import verify_all
+
     for p in args.primes:
         if not is_prime(p) or p < 5:
             raise InputError(f"--primes entries must be primes >= 5, got {p}")
@@ -131,6 +133,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .classify import scan_prime_to_p_subgroups
+
     if not is_prime(args.p):
         raise InputError(f"--p must be prime, got {args.p}")
     entries = scan_prime_to_p_subgroups(args.p)

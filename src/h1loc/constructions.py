@@ -54,6 +54,7 @@ from .groups import (
     close_group,
     closure_indices,
     element_order,
+    fixed_submodule,
     image_indices,
     power_identity_check,
     quotient_group,
@@ -301,8 +302,6 @@ def _check_disjoint_hypotheses(group: FiniteMatrixGroup, g: ModMatrix, sigma: Mo
     g_bar, s_bar = g.reduce_to(ctx_p), sigma.reduce_to(ctx_p)
     if element_order(g_bar) != 2 or element_order(s_bar) != p:
         raise InputError("variant does not reduce to an order-2 and an order-p generator")
-    from .groups import fixed_submodule
-
     common = fixed_submodule(ctx_p, [g_bar, s_bar])
     if not common.is_zero():
         raise InputError("variant violates the hypothesis: the generators fix a common torsion vector")

@@ -25,6 +25,7 @@ from .zmod import (
     ModMatrix,
     ModulusContext,
     SubmoduleBasis,
+    full_basis,
     kernel_basis,
 )
 
@@ -367,8 +368,6 @@ def fixed_submodule(ctx: ModulusContext, xs: Iterable[ModMatrix]) -> SubmoduleBa
     for x in xs:
         rows.extend((x - ident).row_lists())
     if not rows:
-        from .zmod import full_basis
-
         return full_basis(ctx, 2)
     return kernel_basis(ModMatrix.from_rows(ctx, rows))
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .errors import ConsistencyError, ContainmentError, DimensionError, InputError
+from .errors import ConsistencyError, ContainmentError, DimensionError, InputError, ResourceLimitError
 
 MAX_MODULUS = 2**63 - 1
 
@@ -302,8 +302,6 @@ class SubmoduleBasis:
 
     def enumerate_span(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Every span element exactly once (Howell coefficient ranges)."""
-        from .errors import ResourceLimitError
-
         q = self.ctx.modulus
         if limit is not None and self.span_size() > limit:
             raise ResourceLimitError(f"span of size {self.span_size()} exceeds the cap of {limit}")

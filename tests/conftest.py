@@ -1,8 +1,10 @@
 """Shared brute-force oracles and the acceptance summary hook.
 
-The oracle helpers recompute cohomological data by exhaustive enumeration
-with their own propagation loops, so they share no code path with the
-engine they are used to check.
+The brute-force helpers recompute cohomological data by exhaustive
+enumeration with their own propagation loops, so they share no code path
+with the engine they are used to check.  assert_h1_loc_is_the_local_classes
+keeps the class enumeration that h1_loc once ran as its cross-check, as the
+oracle of the cross-check on socle lines that replaced it.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from h1loc import CocycleSystem, ModulusContext, close_group
+from h1loc import CocycleSystem, ModulusContext, close_group, h1, h1_loc
 
 ACCEPTANCE_RESULTS = []
 
@@ -183,6 +185,20 @@ def full_harvest(system):
                         rows.append(row)
     assert len(order) == n
     return rows, L
+
+
+def assert_h1_loc_is_the_local_classes(group, module):
+    """S = M against the class-enumeration oracle: every class of H^1, in
+    H1Report.classes order, is tested at every element against the column
+    span of g - Id (CocycleSystem.is_local_table), and the local ones must
+    be exactly the classes of h1_loc's answer, whose own socle-line
+    cross-check must have run."""
+    system = CocycleSystem(group, module)
+    local = {system.class_form(c) for c in h1(group, module).classes() if system.is_local_table(c)}
+    report = h1_loc(group, module)
+    assert report.cross_check.startswith("ran: "), report.cross_check
+    assert {system.class_form(c) for c in report.classes()} == local
+    return report
 
 
 def engine_tables(group, module, basis):

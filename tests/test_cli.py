@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import h1loc
 from h1loc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -122,7 +127,7 @@ def test_verify_p7_skips_s3(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    from h1loc import cli
+    from h1loc import constructions
     from h1loc.constructions import Check, ConstructionReport
 
     failing = ConstructionReport(
@@ -131,7 +136,8 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         expected_nontrivial=True,
         checks=(Check("doomed", False),),
     )
-    monkeypatch.setattr(cli, "verify_all", lambda primes, cap: [failing])
+    # The verify handler imports verify_all when it runs, so it reads the patch.
+    monkeypatch.setattr(constructions, "verify_all", lambda primes, cap: [failing])
     assert main(["verify", "--primes", "5"]) == EXIT_VERIFICATION
     assert "doomed" in capsys.readouterr().err
 
@@ -274,3 +280,53 @@ def test_large_prime_modulus_is_fast(tmp_path, capsys):
     assert main(["h1loc", "--input", str(path)]) == EXIT_OK
     assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out)["order"] == 1
+
+
+# Runs h1loc.cli.main on its arguments in a fresh interpreter, then prints
+# the exit code and every h1loc module that the run loaded.
+SCOPE_PROBE = """
+import contextlib, io, sys
+import h1loc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = h1loc.cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("h1loc")))
+"""
+
+
+def loaded_modules(*args):
+    """The h1loc modules loaded by a fresh interpreter that runs ``python
+    -c`` on the args, with the package under test first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(h1loc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout.split()
+
+
+LAYERS = {f"h1loc.{name}" for name in ("cohomology", "constructions", "classify")}
+
+
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (["h1loc", "--input", "GROUP", "--module", "V[p]"], {"h1loc.cohomology"}),
+        (["h1", "--input", "GROUP"], {"h1loc.cohomology"}),
+        (["scan", "--p", "5"], {"h1loc.classify"}),
+        (["power-identity", "--primes", "5", "--seed", "0"], set()),
+        (["verify", "--primes", "5"], {"h1loc.cohomology", "h1loc.constructions"}),
+    ],
+    ids=["h1loc", "h1", "scan", "power-identity", "verify"],
+)
+def test_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, used):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(BOREL_SHARED_5))
+    argv = [str(group) if a == "GROUP" else a for a in argv]
+    code, *modules = loaded_modules(SCOPE_PROBE, *argv)
+    assert code == str(EXIT_OK)
+    assert set(modules) & LAYERS == used
+    assert {"h1loc", "h1loc.cli", "h1loc.errors", "h1loc.zmod", "h1loc.groups"} <= set(modules)
+
+
+def test_import_h1loc_loads_no_submodule():
+    probe = "import sys, h1loc; print(*sorted(m for m in sys.modules if m.startswith('h1loc')))"
+    assert loaded_modules(probe) == ["h1loc"]

@@ -21,6 +21,7 @@ from h1loc import (
     ModulusContext,
     close_group,
     closure_indices,
+    dual_constraints,
     equivariant_homs,
     full_module,
     h1,
@@ -55,6 +56,7 @@ from h1loc.constructions import (
 )
 from h1loc.zmod import _howell_raw, _kernel_raw, column_span2, solve2
 from conftest import (
+    assert_h1_loc_is_the_local_classes,
     brute_coboundary_tables,
     brute_cocycle_tables,
     brute_local_tables,
@@ -906,7 +908,7 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
     system = CocycleSystem(group, module)
     full = h1(group, module)
     local_classes = brute_local_tables(group, module, {c.values for c in full.classes()})
-    report = h1_loc(group, module)
+    report = assert_h1_loc_is_the_local_classes(group, module)
     assert report.order == len(local_classes)
     rows, _ = full_harvest(system)
     assert system.constraint_basis == _howell_raw(rows, system.dim, system.cctx)
@@ -1017,25 +1019,102 @@ def test_edge_targets_skip_repeated_and_identity_generators():
 
 
 # ---------------------------------------------------------------------------
-# Whether the cross-check ran, and the work cap of the cocycle system.
+# The cross-check on generators and socle lines: what it ran, S = M against
+# the class-enumeration oracle, and the two mutations it must catch.
 
 
 def test_cross_check_ran_is_recorded():
     g = build_borel_shared_group(5)
     rep = h1_loc(g, full_module(g.ctx))
-    assert rep.cross_check == f"ran: 5 classes x {len(g)} elements"
+    # H^1 = H^1_loc = Z/5: its one generator is the witness, and H^1/H^1_loc
+    # has no socle.
+    assert rep.cross_check == f"ran: 1 generators + 0 socle lines x {len(g)} elements"
     assert "cross_check" not in rep.to_json()
     assert h1(g, full_module(g.ctx)).cross_check is None
+    # On V[p], H^1 = (5, 5) and H^1_loc = 0: 6 lines instead of 24 classes.
+    rep = h1_loc(g, torsion_module(g.ctx))
+    assert rep.cross_check == f"ran: 0 generators + 6 socle lines x {len(g)} elements"
 
 
 def test_cross_check_skips_are_recorded(monkeypatch):
     g = build_borel_shared_group(5)
     mod = full_module(g.ctx)
     assert h1_loc(g, mod, cross_check=False).cross_check == "skipped: not requested"
-    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", 1000)
-    assert h1_loc(g, mod).cross_check == f"skipped: work {5 * len(g)} > cap 1000"
+    # The cap bounds (generators + socle lines) x elements: 1 x |G| on V.
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", len(g) - 1)
+    assert h1_loc(g, mod).cross_check == f"skipped: work {len(g)} > cap {len(g) - 1}"
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", len(g))
+    assert h1_loc(g, mod).cross_check.startswith("ran: ")
+    # 6 x |G| on V[p].
+    work = 6 * len(g)
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", work - 1)
+    assert h1_loc(g, torsion_module(g.ctx)).cross_check == f"skipped: work {work} > cap {work - 1}"
+    # No class is enumerated, so the class cap of inflation_restriction_check
+    # no longer applies.
+    monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", work)
     monkeypatch.setattr(cohomology, "CLASS_ENUM_LIMIT", 4)
-    assert h1_loc(g, mod).cross_check == "skipped: 5 classes > cap 4"
+    assert h1_loc(g, torsion_module(g.ctx)).cross_check.startswith("ran: ")
+
+
+@pytest.mark.parametrize("kind, factors, tables",
+                         [("full", (5,), 1), ("p_torsion", (5, 5), 6), ("mod_p_quotient", (5, 5), 6)])
+def test_cross_check_tests_each_generator_and_socle_line_once(kind, factors, tables, monkeypatch):
+    # On Z/125, H^1_loc = 0 and H^1 = (5) on V and (5, 5) on V[p] and V/V[p]:
+    # one table per socle line, and none per class.
+    group = close_group(Z125_GROUPS["z125-unipotent"], Z125)
+    calls = []
+    local = CocycleSystem.is_local_table
+    monkeypatch.setattr(CocycleSystem, "is_local_table", lambda self, c: calls.append(c) or local(self, c))
+    report = h1_loc(group, GModule(Z125, kind))
+    assert report.order == 1 and h1(group, GModule(Z125, kind)).invariant_factors == factors
+    assert len(calls) == tables
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_h1_loc_is_the_enumerated_local_classes_constructions(p):
+    for group in construction_groups(p):
+        for module in (full_module(group.ctx), torsion_module(group.ctx)):
+            assert_h1_loc_is_the_local_classes(group, module)
+        image = quotient_group(group)
+        assert_h1_loc_is_the_local_classes(image, full_module(image.ctx))
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_h1_loc_is_the_enumerated_local_classes_over_z125(name, kind):
+    assert_h1_loc_is_the_local_classes(close_group(Z125_GROUPS[name], Z125), GModule(Z125, kind))
+
+
+def test_cross_check_catches_a_dropped_local_representative(monkeypatch):
+    # Without its third local representative the main path answers (3, 3)
+    # on this group of order 162, though only a subgroup of order 3 is local
+    # at every element (M > S).  The witness is still local and the second
+    # generator is not, so step (a) catches it.
+    group = close_group([[[1, 3], [4, 5]], [[3, 2], [7, 5]]], Z9)
+    module = full_module(Z9)
+    assert h1_loc(group, module).invariant_factors == (3,)
+    reps = CocycleSystem.local_representatives.func
+    monkeypatch.setattr(CocycleSystem, "local_representatives", property(lambda self: reps(self)[:2] + reps(self)[3:]))
+    assert h1_loc(group, module, cross_check=False).invariant_factors == (3, 3)
+    with pytest.raises(ConsistencyError, match="a generator of the local cohomology fails the local conditions"):
+        h1_loc(group, module)
+
+
+def test_cross_check_catches_a_spurious_local_row(monkeypatch):
+    # A row that kills every coboundary but not the class of H^1 = H^1_loc
+    # = Z/5 shrinks the main path's answer to 0 (M < S); the one socle line
+    # of H^1/M is local at every element, so step (b) catches it.
+    g = build_borel_shared_group(5)
+    module = full_module(g.ctx)
+    system = CocycleSystem(g, module)
+    q = system.q
+    spurious = next(row for row in dual_constraints(system.b1()).row_lists()
+                    if any(sum(a * b for a, b in zip(row, z)) % q for z in system.z1().rows))
+    rows = CocycleSystem.local_constraint_rows
+    monkeypatch.setattr(CocycleSystem, "local_constraint_rows", lambda self: rows(self) + [spurious])
+    assert h1_loc(g, module, cross_check=False).order == 1
+    with pytest.raises(ConsistencyError, match="a class outside the computed local cohomology is local"):
+        h1_loc(g, module)
 
 
 def test_system_work_cap(monkeypatch):

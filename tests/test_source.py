@@ -1,9 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import h1loc
+from h1loc import cohomology
 
 
 def parsed_modules():
@@ -117,3 +121,34 @@ def test_vectors_and_2x2_matrices_are_plain_tuples():
         or (isinstance(node, ast.Attribute) and node.attr == "ModMatrix")
     ]
     assert uses == []
+
+
+def test_every_exported_name_resolves_lazily():
+    assert len(h1loc.__all__) == len(set(h1loc.__all__))
+    layers = [importlib.import_module(f"h1loc.{path.stem}")
+              for path in Path(h1loc.__file__).parent.glob("*.py") if path.stem != "__init__"]
+    for name in h1loc.__all__:
+        value = getattr(h1loc, name)
+        assert any(vars(layer).get(name, None) is value for layer in layers), name
+    assert "h1_loc" not in vars(h1loc) and h1loc.h1_loc is cohomology.h1_loc
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        h1loc.no_such_name
+    with pytest.raises(ImportError):
+        from h1loc import no_such_name  # noqa: F401
+
+
+def test_imports_sit_at_module_top_except_in_cli_handlers():
+    # The package __init__ imports no submodule, and a module imports inside
+    # a function only in the cli handlers, each for the layer it alone runs.
+    modules = dict(parsed_modules())
+    assert not [node for node in modules["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) and node.level]
+    found = [
+        f"{name}:{top.name}"
+        for name, tree in modules.items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == ["cli.py:_cmd_cohomology", "cli.py:_cmd_verify", "cli.py:_cmd_scan"]
