@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* h1      --input group.json [--module V|V[p]]   first cohomology report
-* h1loc   --input group.json [--module V|V[p]]   first local cohomology report
-* verify  [--primes 5 7 11]                      run every construction report
-* scan    --p 5                                  classify GL_2(F_p) candidates
-* power-identity [--primes ...] [--seed 0]       randomized power identity runs
+* h1      --input group.json [--module V|V[p]|V/V[p]]   first cohomology report
+* h1loc   --input group.json [--module V|V[p]|V/V[p]]   first local cohomology report
+* verify  [--primes 5 7 11]                             run every construction report
+* scan    --p 5                                         classify GL_2(F_p) candidates
+* power-identity [--primes ...] [--seed 0]              randomized power identity runs
 
 All reports are JSON with sorted keys and no timestamps, so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 usage,
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ("h1loc", "first local cohomology of a group definition")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, help="group definition JSON file")
-        cmd.add_argument("--module", default="V", help="coefficient module: V or V[p]")
+        cmd.add_argument("--module", default="V", help="coefficient module: V, V[p] or V/V[p]")
         cmd.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP, help="group size cap")
         cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
 

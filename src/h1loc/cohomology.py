@@ -28,6 +28,7 @@ V[p]-valued cocycle on G (inflate_cocycle).
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -519,6 +520,78 @@ class CocycleSystem:
                 return False
         return True
 
+    # -- reports -----------------------------------------------------------
+
+    def _report(self, big: SubmoduleBasis) -> H1Report:
+        """big/B^1 as invariant factors plus generating cocycles, each
+        re-checked against the cocycle identity."""
+        structure = quotient_structure(big, self.b1())
+        orders = tuple(d for d, _ in structure)
+        gens = tuple(self.expand(vec) for _, vec in structure)
+        if not all(self.is_cocycle(c) for c in gens):
+            raise ConsistencyError("quotient generator fails the cocycle identity")
+        return H1Report(
+            group_label=self.group.label,
+            module_label=self.module.label,
+            order=math.prod(orders),
+            invariant_factors=orders,
+            generator_cocycles=gens,
+            zero_cocycle=self.expand([0] * self.dim),
+            witness=None,
+        )
+
+    def h1(self) -> H1Report:
+        """H^1(G, M) as invariant factors plus generating cocycles."""
+        return self._report(self.z1())
+
+    def h1_loc(self) -> H1Report:
+        """The first local cohomology group: local cocycles modulo coboundaries.
+
+        The main path imposes the local conditions as annihilator rows, Z(g) in
+        Im(g - Id) iff every row that kills Im(g - Id) kills Z(g), at one
+        generator g of each conjugacy class of maximal cyclic subgroups (see
+        local_representatives).  A non-trivial answer carries its first
+        generator as the witness, tested local at every element and not a
+        coboundary.  When the work fits CLASS_ENUM_WORK_LIMIT, the answer M is
+        checked against S, the classes local at every element, each tested
+        against the column span of g - Id (is_local_table); S is a subgroup of
+        H^1, since each Im(g - Id) is a submodule.  (a) Every generator of M is
+        local, so M is in S; the first is the witness, already tested.  (b) No
+        line of the socle of H^1/M is local: S/M is a subgroup of the p-group
+        H^1/M, so were it nonzero it would meet the socle, and a unit multiple
+        of a class is local exactly when the class is.  With (d_i, y_i) the
+        cyclic decomposition of Z^1/Z^1_loc, the lines are sum_i c_i (d_i/p) y_i
+        with first nonzero c_i = 1, (p^r - 1)/(p - 1) of them for r factors.  A
+        failure of (a) or (b) raises ConsistencyError.  report.cross_check
+        records whether this ran, with its size, or why it was skipped.
+        """
+        report = self._report(self.z1_local())
+        gens = report.generator_cocycles
+        if gens:
+            witness = gens[0]
+            if not self.is_local_table(witness):
+                raise ConsistencyError("local cohomology witness fails the local conditions")
+            if is_coboundary(witness) is not None:
+                raise ConsistencyError("local cohomology witness is a coboundary")
+            report = replace(report, witness=witness)
+        p, q, n = self.group.ctx.p, self.q, len(self.group)
+        socle = [[d // p * x % q for x in y] for d, y in quotient_structure(self.z1(), self.z1_local())]
+        lines = (p ** len(socle) - 1) // (p - 1)
+        work = (len(gens) + lines) * n
+        if work > CLASS_ENUM_WORK_LIMIT:
+            return replace(report, cross_check=f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}")
+        if not all(self.is_local_table(c) for c in gens[1:]):
+            raise ConsistencyError("a generator of the local cohomology fails the local conditions")
+        for i, lead in enumerate(socle):
+            for tail in itertools.product(range(p), repeat=len(socle) - i - 1):
+                vec = lead
+                for c, row in zip(tail, socle[i + 1:]):
+                    vec = [(v + c * x) % q for v, x in zip(vec, row)]
+                if self.is_local_table(self.expand(vec)):
+                    raise ConsistencyError("a class outside the computed local cohomology is local at every element")
+        note = f"ran: {len(gens)} generators + {lines} socle lines x {n} elements"
+        return replace(report, cross_check=note)
+
 
 @dataclass(frozen=True)
 class H1Report:
@@ -573,82 +646,14 @@ class H1Report:
         }
 
 
-def _quotient_report(system: CocycleSystem, big: SubmoduleBasis, witness_wanted: bool) -> H1Report:
-    structure = quotient_structure(big, system.b1())
-    order = 1
-    for d, _ in structure:
-        order *= d
-    gens = tuple(system.expand(vec) for _, vec in structure)
-    for c in gens:
-        if not system.is_cocycle(c):
-            raise ConsistencyError("quotient generator fails the cocycle identity")
-    orders = tuple(d for d, _ in structure)
-    witness = None
-    if witness_wanted and order > 1:
-        witness = gens[0]
-        if not system.is_local_table(witness):
-            raise ConsistencyError("local cohomology witness fails the local conditions")
-        if is_coboundary(witness) is not None:
-            raise ConsistencyError("local cohomology witness is a coboundary")
-    return H1Report(
-        group_label=system.group.label,
-        module_label=system.module.label,
-        order=order,
-        invariant_factors=orders,
-        generator_cocycles=gens,
-        zero_cocycle=system.expand([0] * system.dim),
-        witness=witness,
-    )
-
-
 def h1(group: FiniteMatrixGroup, module: GModule) -> H1Report:
-    """H^1(G, M) as invariant factors plus generating cocycles."""
-    system = CocycleSystem(group, module)
-    return _quotient_report(system, system.z1(), witness_wanted=False)
+    """H^1(G, M); see CocycleSystem.h1."""
+    return CocycleSystem(group, module).h1()
 
 
-def h1_loc(group: FiniteMatrixGroup, module: GModule, cross_check: bool = True) -> H1Report:
-    """The first local cohomology group: local cocycles modulo coboundaries.
-
-    The main path imposes the local conditions as annihilator rows, Z(g) in
-    Im(g - Id) iff every row that kills Im(g - Id) kills Z(g), at one
-    generator g of each conjugacy class of maximal cyclic subgroups (see
-    CocycleSystem.local_representatives).  When the work fits
-    CLASS_ENUM_WORK_LIMIT, its answer M is checked against S, the classes
-    local at every element, each tested against the column span of g - Id
-    (CocycleSystem.is_local_table); S is a subgroup of H^1, since each
-    Im(g - Id) is a submodule.  (a) Every generator of M is local, so M is
-    in S; the first is the witness, already tested.  (b) No line of the
-    socle of H^1/M is local: S/M is a subgroup of the p-group H^1/M, so
-    were it nonzero it would meet the socle, and a unit multiple of a class
-    is local exactly when the class is.  With (d_i, y_i) the cyclic
-    decomposition of Z^1/Z^1_loc, the lines are sum_i c_i (d_i/p) y_i with
-    first nonzero c_i = 1, (p^r - 1)/(p - 1) of them for r factors.  A
-    failure of (a) or (b) raises ConsistencyError.  report.cross_check
-    records whether this ran, with its size, or why it was skipped.
-    """
-    system = CocycleSystem(group, module)
-    report = _quotient_report(system, system.z1_local(), witness_wanted=True)
-    if not cross_check:
-        return replace(report, cross_check="skipped: not requested")
-    p, q = group.ctx.p, system.q
-    socle = [[d // p * x % q for x in y] for d, y in quotient_structure(system.z1(), system.z1_local())]
-    lines = (p ** len(socle) - 1) // (p - 1)
-    gens = report.generator_cocycles
-    work = (len(gens) + lines) * len(group)
-    if work > CLASS_ENUM_WORK_LIMIT:
-        return replace(report, cross_check=f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}")
-    if not all(system.is_local_table(c) for c in gens[1:]):
-        raise ConsistencyError("a generator of the local cohomology fails the local conditions")
-    for i, lead in enumerate(socle):
-        for tail in itertools.product(range(p), repeat=len(socle) - i - 1):
-            vec = lead
-            for c, row in zip(tail, socle[i + 1:]):
-                vec = [(v + c * x) % q for v, x in zip(vec, row)]
-            if system.is_local_table(system.expand(vec)):
-                raise ConsistencyError("a class outside the computed local cohomology is local at every element")
-    note = f"ran: {len(gens)} generators + {lines} socle lines x {len(group)} elements"
-    return replace(report, cross_check=note)
+def h1_loc(group: FiniteMatrixGroup, module: GModule) -> H1Report:
+    """The first local cohomology group; see CocycleSystem.h1_loc."""
+    return CocycleSystem(group, module).h1_loc()
 
 
 def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
@@ -765,16 +770,14 @@ def _is_injective_mod_p(phi: ModMatrix) -> bool:
     return len(_howell_raw(cols, phi.rows, phi.ctx)) == phi.cols
 
 
-def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices, target: Optional[GModule] = None) -> HomSpace:
+def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
     """Hom_{F_p[G/H]}(H, V[p]) for an elementary abelian normal H.
 
     H is written additively through a greedy F_p-basis; the quotient acts
     on H by conjugation and on V[p] by the reduced matrices.  Equivariance
     only needs to be imposed for the generators of g.
     """
-    module = target if target is not None else torsion_module(g.ctx)
-    if module.kind != TORSION:
-        raise InputError("the hom space targets the p-torsion module")
+    module = torsion_module(g.ctx)
     p = g.ctx.p
     ctx_p = ModulusContext(p, 1)
     sub = tuple(sorted(frozenset(subgroup_indices)))
@@ -882,7 +885,7 @@ def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionRep
     image = quotient_group(g)
     hsub = subgroup_from_indices(g, h_idx, label="reduction-kernel")
     system = CocycleSystem(g, torsion_module(g.ctx))
-    rep_g = _quotient_report(system, system.z1(), witness_wanted=False)
+    rep_g = system.h1()
     if rep_g.order > CLASS_ENUM_LIMIT:
         raise ResourceLimitError(f"H^1 of order {rep_g.order} is too large to enumerate classes")
     rep_q = h1(image, full_module(image.ctx))
@@ -894,7 +897,7 @@ def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionRep
     im_inf = set()
     for rep in rep_q.classes():
         im_inf.add(system.class_form(inflate_cocycle(g, rep)))
-    hom = equivariant_homs(g, h_idx, torsion_module(g.ctx))
+    hom = equivariant_homs(g, h_idx)
     hom_order = g.ctx.p**hom.dimension
     return InflationRestrictionReport(
         h1_group_order=rep_g.order,

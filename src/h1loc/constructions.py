@@ -38,7 +38,6 @@ from .cohomology import (
     inflate_cocycle,
     is_coboundary,
     restrict_cocycle,
-    torsion_module,
     verify_cocycle,
 )
 from .errors import ConsistencyError, InputError
@@ -67,14 +66,6 @@ LABEL_CYCLIC = "cyclic-quotient"
 LABEL_BOREL_SHARED = "borel-shared"
 LABEL_BOREL_INDEX2 = "borel-shared-index2"
 LABEL_BOREL_DISJOINT = "borel-disjoint"
-
-ALL_LABELS = (
-    LABEL_BOREL_DISJOINT,
-    LABEL_BOREL_SHARED,
-    LABEL_BOREL_INDEX2,
-    LABEL_CYCLIC,
-    LABEL_S3,
-)
 
 DISJOINT_VARIANTS = ("canonical", "extra-diagonal")
 
@@ -263,33 +254,15 @@ def borel_disjoint_generators(p: int, variant: str = "canonical") -> list[ModMat
     raise InputError(f"unknown variant {variant!r}; expected one of {DISJOINT_VARIANTS}")
 
 
-def build_borel_disjoint_group(
-    p: int,
-    n: int = 2,
-    variant: str = "canonical",
-    extra_kernel_generators: Sequence[ModMatrix] = (),
-    cap: int = DEFAULT_GROUP_CAP,
-) -> FiniteMatrixGroup:
+def build_borel_disjoint_group(p: int, variant: str = "canonical", cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
     """Borel mod-p image, order-2 and order-p generators with disjoint
     fixed torsion lines; local cohomology vanishes on these groups.
 
-    Extra generators must be congruent to the identity mod p so that the
-    quotient shape is preserved; any violation of the disjoint-fixed-vector
-    hypothesis is rejected.
+    Any violation of the disjoint-fixed-vector hypothesis is rejected.
     """
-    if n != 2:
-        raise InputError("only n = 2 instances are built here")
     gens = borel_disjoint_generators(p, variant)
-    ctx = gens[0].ctx
-    p_ = ctx.p
-    for extra in extra_kernel_generators:
-        if extra.ctx != ctx:
-            raise InputError("extra generators must live over the same ring")
-        if any(e % p_ for e in (extra - ModMatrix.identity(ctx, 2)).entries):
-            raise InputError("extra generators must be congruent to the identity mod p")
-        gens = gens + [extra]
     label = f"{LABEL_BOREL_DISJOINT}[{variant}]"
-    group = close_group(gens, ctx, cap=cap, label=label)
+    group = close_group(gens, gens[0].ctx, cap=cap, label=label)
     _check_disjoint_hypotheses(group, gens[0], gens[1])
     return group
 
@@ -365,7 +338,7 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
         hom_dim = 0
         explanation = "the reduction kernel is trivial, so no nontrivial submodule is isomorphic to it"
     else:
-        hom = equivariant_homs(group, kernel, torsion_module(ctx))
+        hom = equivariant_homs(group, kernel)
         hom_dim = hom.dimension
         embeds = hom.injective_exists
 
@@ -636,7 +609,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
         )
     )
 
-    hom = equivariant_homs(group, kernel, torsion_module(ctx))
+    hom = equivariant_homs(group, kernel)
     target = {h01_i: (1, 0), h10_i: (0, 0)}
     found = any(
         all(hom.map_values(phi)[idx] == val for idx, val in target.items())
@@ -693,15 +666,16 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     )
 
 
-def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tuples: int = 200) -> ConstructionReport:
-    group = build_borel_shared_group(p, cap=cap)
+def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
+    """The checks on the borel-shared group, reading the group, its mod-p
+    image and the explicit witness from one borel_shared_witness bundle."""
+    group, image = bundle.group, bundle.image
     ctx = group.ctx
-    q = ctx.modulus
+    p, q = ctx.p, ctx.modulus
     checks = []
     checks.append(Check("group_order_2p3", len(group) == 2 * p**3))
     kernel = reduction_kernel(group)
     checks.append(Check("kernel_order_p2", len(kernel) == p * p))
-    image = quotient_group(group)
     checks.append(Check("quotient_order_2p", len(image) == 2 * p))
 
     sig_i = group.index_of([[1 + p, 1], [2 * p, 1 + p]])
@@ -720,15 +694,14 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     gen_kernel = closure_indices(group, [group.index_of([[1, p], [0, 1]]), h_i])
     checks.append(Check("kernel_generated_by_unitriangular_and_diagonal", gen_kernel == kernel))
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     power_ok = all(
         power_identity_check(rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(q), ctx)
-        for _ in range(tuples)
+        for _ in range(200)
     )
-    checks.append(Check("unipotent_power_identity_random", power_ok, f"{tuples} tuples, seed {seed}"))
+    checks.append(Check("unipotent_power_identity_random", power_ok, "200 tuples, seed 0"))
 
-    bundle = borel_shared_witness(group)
-    to_image = image_indices(group, bundle.image)
+    to_image = image_indices(group, image)
     checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table, full=True)))
     cyc_ok = all(
         bundle.class_table.values[to_image[group._index[sigma_powers[i2 % len(sigma_powers)]]]]
@@ -739,7 +712,7 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     # The reflection value is forced: zeroing it breaks the identity.
     broken = list(bundle.class_table.values)
     broken[to_image[group.index_of([[1, 0], [0, -1]])]] = (0, 0)
-    naive = Cocycle(bundle.image, bundle.class_table.module, tuple(broken))
+    naive = Cocycle(image, bundle.class_table.module, tuple(broken))
     checks.append(Check("reflection_value_forced_by_relation", not verify_cocycle(naive, full=True)))
 
     w = bundle.witness
@@ -766,10 +739,10 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     )
     checks.append(Check("witness_not_coboundary", is_coboundary(w) is None))
 
-    rep = h1_loc(group, full_module(ctx))
+    system = CocycleSystem(group, full_module(ctx))
+    rep = system.h1_loc()
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
     checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
-    system = CocycleSystem(group, full_module(ctx))
     checks.append(
         Check(
             "explicit_witness_in_local_space",
@@ -788,9 +761,11 @@ def report_borel_shared(p: int, cap: int = DEFAULT_GROUP_CAP, seed: int = 0, tup
     )
 
 
-
-def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
-    parent = build_borel_shared_group(p, cap=cap)
+def report_borel_index2(bundle: BorelSharedWitness, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
+    """The index-2 subgroup of the bundle's borel-shared group keeps the
+    non-vanishing: the restriction of the bundle's witness is no coboundary."""
+    parent = bundle.group
+    p = parent.ctx.p
     sub = build_borel_index2_group(p, cap=cap)
     ctx = sub.ctx
     checks = []
@@ -799,7 +774,6 @@ def report_borel_index2(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRep
     checks.append(Check("contained_in_parent", inside))
     checks.append(Check("index_2", len(parent) == 2 * len(sub)))
 
-    bundle = borel_shared_witness(parent)
     restricted = restrict_cocycle(bundle.witness, sub)
     checks.append(
         Check(
@@ -862,26 +836,22 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
     )
 
 
-_REPORTERS = {
-    LABEL_BOREL_DISJOINT: report_borel_disjoint,
-    LABEL_BOREL_SHARED: report_borel_shared,
-    LABEL_BOREL_INDEX2: report_borel_index2,
-    LABEL_CYCLIC: report_cyclic_quotient,
-    LABEL_S3: report_s3_quotient,
-}
-
-
 def verify_all(primes: Sequence[int], cap: int = DEFAULT_GROUP_CAP) -> list[ConstructionReport]:
-    """Run every construction for every prime; reports sorted by label, p.
+    """Run every construction once for each distinct prime; reports sorted
+    by label, p.
 
-    The S_3 construction is reported as skipped (not failed) for
-    p = 1 mod 3, which is outside its hypothesis.
+    The borel-shared group and its witness bundle are built once per prime
+    and shared by the borel-shared and index-2 reports.  The S_3
+    construction is reported as skipped (not failed) for p = 1 mod 3, which
+    is outside its hypothesis.
     """
     for p in primes:
         _require_admissible_prime(p)
     out = []
-    for p in sorted(primes):
-        for label in ALL_LABELS:
-            out.append(_REPORTERS[label](p, cap=cap))
+    for p in sorted(set(primes)):
+        out.append(report_borel_disjoint(p, cap=cap))
+        bundle = borel_shared_witness(build_borel_shared_group(p, cap=cap))
+        out += [report_borel_shared(bundle), report_borel_index2(bundle, cap=cap)]
+        out += [report_cyclic_quotient(p, cap=cap), report_s3_quotient(p, cap=cap)]
     out.sort(key=lambda r: (r.label, r.p))
     return out

@@ -230,6 +230,23 @@ def test_scan_stdout_is_pinned(capsys, p, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+VERIFY_DIGESTS = {
+    5: "237c6b7e6701b852155ad19edc3e18a8bbc7e06c6f244d72ad40482fbd88f7a7",
+    7: "bc4f773e163d7d8ee74aedbc85dc9f54ad419a3e37f0fc99f78dbb326b423aa6",
+    11: "bd9d665b55cd88565611dd10a765c587e8c2e4472547e73b7eb58d115eeae08c",
+}
+
+
+@pytest.mark.parametrize("primes, p", [(["5"], 5), (["7"], 7), (["11"], 11), (["5", "5"], 5)],
+                         ids=["5", "7", "11", "5-5"])
+def test_verify_stdout_is_pinned(capsys, primes, p):
+    # sha256 of `h1loc verify --primes p` stdout as recorded while every
+    # report still built its own groups and cocycle systems; p = 5 and 7
+    # are the benchmark's expected digests.  A repeated prime runs once.
+    assert main(["verify", "--primes", *primes]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[p]
+
+
 BOREL_SHARED_5 = {"p": 5, "n": 2, "label": "borel-shared",
                   "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]], [[6, 0], [0, -4]]]}
 Z125_GROUP = {"p": 5, "n": 3, "label": "z125", "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]]]}

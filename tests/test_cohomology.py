@@ -30,6 +30,7 @@ from h1loc import (
     inflation_restriction_check,
     is_coboundary,
     kernel_basis,
+    quotient_invariants,
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
@@ -386,7 +387,7 @@ def test_equivariant_homs_trivial_action():
     ctx = CTX25
     g = close_group([[[1, 5], [0, 1]], [[6, 0], [0, 21]]], ctx)
     assert len(g) == 25
-    hom = equivariant_homs(g, range(len(g)), torsion_module(ctx))
+    hom = equivariant_homs(g, range(len(g)))
     assert hom.dimension == 4
     assert hom.injective_exists
 
@@ -394,7 +395,7 @@ def test_equivariant_homs_trivial_action():
 def test_equivariant_homs_cyclic_family():
     g = build_cyclic_quotient_group(5)
     kernel = reduction_kernel(g)
-    hom = equivariant_homs(g, kernel, torsion_module(g.ctx))
+    hom = equivariant_homs(g, kernel)
     h01 = g.index_of([[1, 5], [0, 1]])
     h10 = g.index_of([[6, 0], [0, 21]])
     found = any(
@@ -406,7 +407,7 @@ def test_equivariant_homs_cyclic_family():
 
 def test_equivariant_homs_s3_injective():
     g = build_s3_quotient_group(5)
-    hom = equivariant_homs(g, reduction_kernel(g), torsion_module(g.ctx))
+    hom = equivariant_homs(g, reduction_kernel(g))
     assert hom.injective_exists
 
 
@@ -415,22 +416,21 @@ def test_equivariant_homs_rejects_non_elementary():
     from h1loc import InputError
 
     with pytest.raises(InputError):
-        equivariant_homs(g, range(len(g)), torsion_module(CTX25))
+        equivariant_homs(g, range(len(g)))
 
 
 def test_equivariant_homs_rejections_keep_their_messages():
     g = build_s3_quotient_group(5)
     kernel = reduction_kernel(g)
-    torsion = torsion_module(g.ctx)
     with pytest.raises(ContractError, match="^subgroup indices are not closed$"):
-        equivariant_homs(g, kernel - {max(kernel)}, torsion)
+        equivariant_homs(g, kernel - {max(kernel)})
     with pytest.raises(InputError, match="^subgroup is not abelian$"):
-        equivariant_homs(g, range(len(g)), torsion)
+        equivariant_homs(g, range(len(g)))
     with pytest.raises(InputError, match="^subgroup is not elementary abelian of exponent p$"):
-        equivariant_homs(g, closure_indices(g, [g.index_of([[1, -3], [0, -1]])]), torsion)
+        equivariant_homs(g, closure_indices(g, [g.index_of([[1, -3], [0, -1]])]))
     line = closure_indices(g, [min(kernel - {0})])
     with pytest.raises(ContractError, match="^subgroup is not normalized by the generators$"):
-        equivariant_homs(g, line, torsion)
+        equivariant_homs(g, line)
 
 
 def test_equivariant_homs_abelian_test_matches_all_pairs():
@@ -441,7 +441,7 @@ def test_equivariant_homs_abelian_test_matches_all_pairs():
         sub = closure_indices(g, rng.sample(range(1, len(g)), 2))
         abelian = all(g.mult(a, b) == g.mult(b, a) for a in sub for b in sub)
         try:
-            equivariant_homs(g, sub, torsion_module(g.ctx))
+            equivariant_homs(g, sub)
             rejected = False
         except (InputError, ContractError) as exc:
             rejected = str(exc) == "subgroup is not abelian"
@@ -746,8 +746,11 @@ def _assert_classes_match(report):
 
 def test_classes_match_scale_and_add_constructions():
     for group, module in _representative_cases(5):
-        _assert_classes_match(h1(group, module))
-        _assert_classes_match(h1_loc(group, module, cross_check=False))
+        system = CocycleSystem(group, module)
+        _assert_classes_match(system.h1())
+        report = system.h1_loc()
+        assert list(report.invariant_factors) == quotient_invariants(system.z1_local(), system.b1())
+        _assert_classes_match(report)
 
 
 @pytest.mark.parametrize("name", sorted(Z125_GROUPS))
@@ -1039,7 +1042,6 @@ def test_cross_check_ran_is_recorded():
 def test_cross_check_skips_are_recorded(monkeypatch):
     g = build_borel_shared_group(5)
     mod = full_module(g.ctx)
-    assert h1_loc(g, mod, cross_check=False).cross_check == "skipped: not requested"
     # The cap bounds (generators + socle lines) x elements: 1 x |G| on V.
     monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", len(g) - 1)
     assert h1_loc(g, mod).cross_check == f"skipped: work {len(g)} > cap {len(g) - 1}"
@@ -1095,9 +1097,10 @@ def test_cross_check_catches_a_dropped_local_representative(monkeypatch):
     assert h1_loc(group, module).invariant_factors == (3,)
     reps = CocycleSystem.local_representatives.func
     monkeypatch.setattr(CocycleSystem, "local_representatives", property(lambda self: reps(self)[:2] + reps(self)[3:]))
-    assert h1_loc(group, module, cross_check=False).invariant_factors == (3, 3)
+    system = CocycleSystem(group, module)
+    assert quotient_invariants(system.z1_local(), system.b1()) == [3, 3]
     with pytest.raises(ConsistencyError, match="a generator of the local cohomology fails the local conditions"):
-        h1_loc(group, module)
+        system.h1_loc()
 
 
 def test_cross_check_catches_a_spurious_local_row(monkeypatch):
@@ -1112,9 +1115,9 @@ def test_cross_check_catches_a_spurious_local_row(monkeypatch):
                     if any(sum(a * b for a, b in zip(row, z)) % q for z in system.z1().rows))
     rows = CocycleSystem.local_constraint_rows
     monkeypatch.setattr(CocycleSystem, "local_constraint_rows", lambda self: rows(self) + [spurious])
-    assert h1_loc(g, module, cross_check=False).order == 1
+    assert quotient_invariants(system.z1_local(), system.b1()) == []
     with pytest.raises(ConsistencyError, match="a class outside the computed local cohomology is local"):
-        h1_loc(g, module)
+        system.h1_loc()
 
 
 def test_system_work_cap(monkeypatch):

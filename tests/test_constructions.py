@@ -2,7 +2,9 @@
 
 import pytest
 
+from h1loc import constructions, groups
 from h1loc import (
+    CocycleSystem,
     InputError,
     ModMatrix,
     ModulusContext,
@@ -95,15 +97,6 @@ def test_borel_disjoint_variants():
     assert len(extra) == 250
     with pytest.raises(InputError):
         build_borel_disjoint_group(5, variant="nonsense")
-    with pytest.raises(InputError):
-        build_borel_disjoint_group(5, n=3)
-
-
-def test_borel_disjoint_rejects_bad_extra_generator():
-    ctx = ModulusContext(5, 2)
-    not_kernel = ModMatrix.from_rows(ctx, [[2, 0], [0, 1]])
-    with pytest.raises(InputError):
-        build_borel_disjoint_group(5, extra_kernel_generators=[not_kernel])
 
 
 def test_shared_class_value_formula():
@@ -262,7 +255,7 @@ def test_disjoint_torsion_action_pattern():
 
 
 def test_report_borel_shared_all_checks():
-    report = report_borel_shared(5)
+    report = report_borel_shared(borel_shared_witness(build_borel_shared_group(5)))
     assert report.status == "passed"
     names = {c.name for c in report.checks}
     assert "class_table_is_cocycle" in names
@@ -297,8 +290,34 @@ def test_verify_all_rejects_bad_prime():
         verify_all([4])
 
 
+@pytest.mark.parametrize("p, closes, systems", [(5, 12, 9), (7, 10, 7)])
+def test_verify_all_builds_each_group_and_system_once(p, closes, systems, monkeypatch):
+    # Per prime, every distinct group is closed once (the mod-p images
+    # included) and every (group, module) pair gets one cocycle system.
+    closed, built = [], []
+    close = groups.close_group
+
+    def counting_close(*args, **kwargs):
+        group = close(*args, **kwargs)
+        closed.append(group.label)
+        return group
+
+    for module in (groups, constructions):
+        monkeypatch.setattr(module, "close_group", counting_close)
+    init = CocycleSystem.__init__
+
+    def counting_init(self, group, module):
+        built.append((group.label, module.label))
+        init(self, group, module)
+
+    monkeypatch.setattr(CocycleSystem, "__init__", counting_init)
+    verify_all([p])
+    assert len(closed) == len(set(closed)) == closes
+    assert len(built) == len(set(built)) == systems
+
+
 def test_report_json_shape():
-    report = report_borel_shared(5)
+    report = report_borel_shared(borel_shared_witness(build_borel_shared_group(5)))
     data = report.to_json()
     assert data["label"] == LABEL_BOREL_SHARED
     assert data["status"] == "passed"
