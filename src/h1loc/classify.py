@@ -25,8 +25,11 @@ from .errors import ContractError, InputError, ResourceLimitError
 from .groups import (
     _IDENTITY,
     FiniteMatrixGroup,
+    _apply4,
+    _key,
     _mul4,
     _powers4,
+    _rows,
     borel_check,
     close_group,
     closure_indices,
@@ -34,7 +37,7 @@ from .groups import (
     eigen_data,
     element_order,
 )
-from .zmod import ModMatrix, ModulusContext
+from .zmod import ModulusContext
 
 CASE_CYCLIC = "cyclic-eigenvalue-one"
 CASE_S3 = "s3-type"
@@ -63,9 +66,8 @@ def _cyclic_generators(orders: list[int]) -> list[int]:
     return [i for i, o in enumerate(orders) if o == n]
 
 
-def _has_eigenvalue_one(mat: ModMatrix) -> bool:
-    data = eigen_data(mat)
-    return 1 in data.eigenvalues
+def _has_eigenvalue_one(ctx: ModulusContext, x) -> bool:
+    return 1 in eigen_data(ctx, x).eigenvalues
 
 
 def _case_cyclic(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
@@ -74,12 +76,12 @@ def _case_cyclic(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     if (p - 1) % n != 0:
         return None
     for idx in _cyclic_generators(orders):
-        mat = g.matrix(idx)
-        if _has_eigenvalue_one(mat):
+        x = g._keys[idx]
+        if _has_eigenvalue_one(g.ctx, x):
             return {
-                "generator": mat.row_lists(),
+                "generator": _rows(x),
                 "order": n,
-                "eigenvalues": list(eigen_data(mat).eigenvalues),
+                "eigenvalues": list(eigen_data(g.ctx, x).eigenvalues),
             }
     return None
 
@@ -91,8 +93,8 @@ def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     n = len(g)
     if n not in (3, 6):
         return None
-    order3 = [g.matrix(i) for i, o in enumerate(orders) if o == 3]
-    if not order3 or any(not eigen_data(m).irreducible for m in order3):
+    order3 = [g._keys[i] for i, o in enumerate(orders) if o == 3]
+    if not order3 or any(not eigen_data(g.ctx, x).irreducible for x in order3):
         return None
     if n == 3:
         if not _cyclic_generators(orders):
@@ -105,7 +107,7 @@ def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     return {
         "isomorphism_type": iso,
         "order": n,
-        "order_3_element": order3[0].row_lists(),
+        "order_3_element": _rows(order3[0]),
         "irreducible_characteristic_polynomial": True,
     }
 
@@ -117,25 +119,25 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     order_p = [i for i, o in enumerate(orders) if o == p]
     involutions = [i for i, o in enumerate(orders) if o in (1, 2)]
     for si in order_p:
-        s_mat = g.matrix(si)
-        s_fix = eigen_data(s_mat).vectors_for(1)
+        s_key = g._keys[si]
+        s_fix = eigen_data(g.ctx, s_key).vectors_for(1)
         if s_fix is None or s_fix.is_zero():
             continue
         for gi in involutions:
             if closure_indices(g, [si, gi]) != frozenset(range(len(g))):
                 continue
-            g_mat = g.matrix(gi)
+            g_key = g._keys[gi]
             shared = None
             for vec in s_fix.enumerate_span():
                 if not any(vec):
                     continue
-                if g_mat.vec_mul(vec) == vec:
+                if _apply4(g_key, vec, p) == vec:
                     shared = vec
                     break
             if shared is not None:
                 return {
-                    "sigma": s_mat.row_lists(),
-                    "g": g_mat.row_lists(),
+                    "sigma": _rows(s_key),
+                    "g": _rows(g_key),
                     "shared_eigenvector": list(shared),
                 }
     return None
@@ -160,34 +162,33 @@ def classify_mod_p_group(g: FiniteMatrixGroup) -> CaseVerdict:
 def reverify_verdict(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
     """Re-run the defining matrix checks on the recorded evidence."""
     _require_level_one(g)
-    p = g.ctx.p
+    ctx = g.ctx
+    p = ctx.p
     ev = verdict.evidence
     if verdict.case == CASE_CYCLIC:
-        gen = ModMatrix.from_rows(g.ctx, ev["generator"])
-        idx = g.index_of(gen)
+        gen = _key(ctx, ev["generator"])
         return (
-            element_order(gen) == len(g)
+            element_order(ctx, gen) == len(g)
             and (p - 1) % len(g) == 0
-            and closure_indices(g, [idx]) == frozenset(range(len(g)))
-            and _has_eigenvalue_one(gen)
+            and closure_indices(g, [g.index_of(ev["generator"])]) == frozenset(range(len(g)))
+            and _has_eigenvalue_one(ctx, gen)
         )
     if verdict.case == CASE_S3:
-        x = ModMatrix.from_rows(g.ctx, ev["order_3_element"])
-        ok = element_order(x) == 3 and eigen_data(x).irreducible and p % 3 == 2
+        x = _key(ctx, ev["order_3_element"])
+        ok = element_order(ctx, x) == 3 and eigen_data(ctx, x).irreducible and p % 3 == 2
         if ev["isomorphism_type"] == "C3":
             return ok and len(g) == 3
         return ok and len(g) == 6
     if verdict.case == CASE_BOREL:
-        s = ModMatrix.from_rows(g.ctx, ev["sigma"])
-        gm = ModMatrix.from_rows(g.ctx, ev["g"])
-        v = tuple(x % g.ctx.modulus for x in ev["shared_eigenvector"])
+        s, gm = _key(ctx, ev["sigma"]), _key(ctx, ev["g"])
+        v = tuple(x % p for x in ev["shared_eigenvector"])
         return (
-            element_order(s) == p
-            and element_order(gm) in (1, 2)
+            element_order(ctx, s) == p
+            and element_order(ctx, gm) in (1, 2)
             and any(v)
-            and s.vec_mul(v) == v
-            and gm.vec_mul(v) == v
-            and closure_indices(g, [g.index_of(s), g.index_of(gm)]) == frozenset(range(len(g)))
+            and _apply4(s, v, p) == v
+            and _apply4(gm, v, p) == v
+            and closure_indices(g, [g.index_of(ev["sigma"]), g.index_of(ev["g"])]) == frozenset(range(len(g)))
         )
     return verdict.case == CASE_NONE
 
@@ -222,7 +223,7 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
     if n % p != 0:
         if (p - 1) % n == 0:
             for idx in _cyclic_generators(orders):
-                if _has_eigenvalue_one(g.matrix(idx)):
+                if _has_eigenvalue_one(g.ctx, g._keys[idx]):
                     return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
             reasons.append("cyclic shape: no generator with eigenvalue 1")
         else:
@@ -355,19 +356,12 @@ def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
             by_fingerprint[key] = candidate
     entries = []
     for (size, _fp), (sorted_members, gens) in sorted(by_fingerprint.items()):
-        gen_mats = [ModMatrix.from_rows(ctx, [[k[0], k[1]], [k[2], k[3]]]) for k in gens]
-        group = close_group(gen_mats, ctx)
+        gen_rows = tuple(map(_rows, gens))
+        group = close_group(gen_rows, ctx)
         if len(group) != size:
             raise ContractError("scanner generators do not close to the recorded subgroup")
         verdict = classify_mod_p_group(group)
         filt = necessary_shape_filter(group)
-        entries.append(
-            ScanEntry(
-                order=size,
-                generators=tuple([[k[0], k[1]], [k[2], k[3]]] for k in gens),
-                verdict=verdict,
-                shape_filter=filt,
-            )
-        )
+        entries.append(ScanEntry(order=size, generators=gen_rows, verdict=verdict, shape_filter=filt))
     entries.sort(key=lambda e: (e.order, e.generators))
     return entries

@@ -44,8 +44,10 @@ from .errors import ConsistencyError, InputError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteMatrixGroup,
+    _apply4,
     _invertible4,
     _inv4,
+    _key,
     _mul4,
     _pow4,
     _powers4,
@@ -79,20 +81,18 @@ def _require_admissible_prime(p: int):
 # s3-quotient
 
 
-def s3_kernel_element(ctx: ModulusContext, a: int, b: int) -> ModMatrix:
-    """The kernel family member with parameters (a, b)."""
+def s3_kernel_element(ctx: ModulusContext, a: int, b: int) -> list[list[int]]:
+    """The rows of the kernel family member with parameters (a, b)."""
     p = ctx.p
-    return ModMatrix.from_rows(
-        ctx,
-        [
-            [1 + p * (a - 2 * b), 3 * p * (b - a)],
-            [-p * b, 1 - p * (a - 2 * b)],
-        ],
-    )
+    return [
+        [1 + p * (a - 2 * b), 3 * p * (b - a)],
+        [-p * b, 1 - p * (a - 2 * b)],
+    ]
 
 
-def s3_generators(p: int) -> list[ModMatrix]:
-    """Generators of the S_3-over-kernel group, without the residue gate.
+def s3_generators(p: int) -> list[list[list[int]]]:
+    """Generators of the S_3-over-kernel group over Z/p^2, as rows, without
+    the residue gate.
 
     tau has characteristic polynomial x^2 + x + 1, hence order 3 over any
     ring; sigma is the pinned order-2 lift with sigma tau sigma^-1 = tau^2;
@@ -100,8 +100,8 @@ def s3_generators(p: int) -> list[ModMatrix]:
     """
     _require_admissible_prime(p)
     ctx = ModulusContext(p, 2)
-    tau = ModMatrix.from_rows(ctx, [[1, -3], [1, -2]])
-    sigma = ModMatrix.from_rows(ctx, [[1, -3], [0, -1]])
+    tau = [[1, -3], [1, -2]]
+    sigma = [[1, -3], [0, -1]]
     return [tau, sigma, s3_kernel_element(ctx, 1, 0), s3_kernel_element(ctx, 0, 1)]
 
 
@@ -115,8 +115,7 @@ def build_s3_quotient_group(p: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatri
     _require_admissible_prime(p)
     if p % 3 != 2:
         raise InputError(f"the S_3 construction needs p = 2 mod 3; p = {p} is 1 mod 3")
-    gens = s3_generators(p)
-    return close_group(gens, gens[0].ctx, cap=cap, label=LABEL_S3)
+    return close_group(s3_generators(p), ModulusContext(p, 2), cap=cap, label=LABEL_S3)
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +146,32 @@ def canonical_unit_lift(p: int) -> int:
     return pow(g0, p, p * p)
 
 
-def cyclic_generators(p: int) -> list[ModMatrix]:
-    _require_admissible_prime(p)
-    ctx = ModulusContext(p, 2)
+def cyclic_generators(p: int) -> list[list[list[int]]]:
+    """Generators of the cyclic-quotient group over Z/p^2, as rows."""
     lam = canonical_unit_lift(p)
-    g = ModMatrix.from_rows(ctx, [[lam, 0], [0, 1]])
-    h10 = ModMatrix.from_rows(ctx, [[1 + p, 0], [0, 1 - p]])
-    h01 = ModMatrix.from_rows(ctx, [[1, p], [0, 1]])
-    return [g, h10, h01]
+    return [[[lam, 0], [0, 1]], [[1 + p, 0], [0, 1 - p]], [[1, p], [0, 1]]]
 
 
 def build_cyclic_quotient_group(p: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
-    gens = cyclic_generators(p)
-    return close_group(gens, gens[0].ctx, cap=cap, label=LABEL_CYCLIC)
+    return close_group(cyclic_generators(p), ModulusContext(p, 2), cap=cap, label=LABEL_CYCLIC)
 
 
 # ---------------------------------------------------------------------------
 # borel-shared and its index-2 subgroup
 
 
-def borel_shared_generators(p: int) -> list[ModMatrix]:
+def borel_shared_generators(p: int) -> list[list[list[int]]]:
+    """Generators g, sigma, h of the borel-shared group over Z/p^2, as rows."""
     _require_admissible_prime(p)
-    ctx = ModulusContext(p, 2)
-    g = ModMatrix.from_rows(ctx, [[1, 0], [0, -1]])
-    sigma = ModMatrix.from_rows(ctx, [[1 + p, 1], [2 * p, 1 + p]])
-    h = ModMatrix.from_rows(ctx, [[1 + p, 0], [0, 1 - p]])
-    return [g, sigma, h]
+    return [[[1, 0], [0, -1]], [[1 + p, 1], [2 * p, 1 + p]], [[1 + p, 0], [0, 1 - p]]]
 
 
 def build_borel_shared_group(p: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
-    gens = borel_shared_generators(p)
-    return close_group(gens, gens[0].ctx, cap=cap, label=LABEL_BOREL_SHARED)
+    return close_group(borel_shared_generators(p), ModulusContext(p, 2), cap=cap, label=LABEL_BOREL_SHARED)
 
 
 def build_borel_index2_group(p: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
-    gens = borel_shared_generators(p)[1:]
-    return close_group(gens, gens[0].ctx, cap=cap, label=LABEL_BOREL_INDEX2)
+    return close_group(borel_shared_generators(p)[1:], ModulusContext(p, 2), cap=cap, label=LABEL_BOREL_INDEX2)
 
 
 def shared_class_value(p: int, i1: int, i2: int) -> tuple[int, int]:
@@ -241,16 +230,14 @@ def borel_shared_witness(group: FiniteMatrixGroup) -> BorelSharedWitness:
 # borel-disjoint
 
 
-def borel_disjoint_generators(p: int, variant: str = "canonical") -> list[ModMatrix]:
+def borel_disjoint_generators(p: int, variant: str = "canonical") -> list[list[list[int]]]:
+    """Generators g, sigma (and, for extra-diagonal, h) over Z/p^2, as rows."""
     _require_admissible_prime(p)
-    ctx = ModulusContext(p, 2)
-    g = ModMatrix.from_rows(ctx, [[-1, 0], [0, 1]])
-    sigma = ModMatrix.from_rows(ctx, [[1, 1], [0, 1]])
-    gens = [g, sigma]
+    gens = [[[-1, 0], [0, 1]], [[1, 1], [0, 1]]]
     if variant == "canonical":
         return gens
     if variant == "extra-diagonal":
-        return gens + [ModMatrix.from_rows(ctx, [[1 + p, 0], [0, 1 - p]])]
+        return gens + [[[1 + p, 0], [0, 1 - p]]]
     raise InputError(f"unknown variant {variant!r}; expected one of {DISJOINT_VARIANTS}")
 
 
@@ -262,18 +249,19 @@ def build_borel_disjoint_group(p: int, variant: str = "canonical", cap: int = DE
     """
     gens = borel_disjoint_generators(p, variant)
     label = f"{LABEL_BOREL_DISJOINT}[{variant}]"
-    group = close_group(gens, gens[0].ctx, cap=cap, label=label)
+    group = close_group(gens, ModulusContext(p, 2), cap=cap, label=label)
     _check_disjoint_hypotheses(group, gens[0], gens[1])
     return group
 
 
-def _check_disjoint_hypotheses(group: FiniteMatrixGroup, g: ModMatrix, sigma: ModMatrix):
+def _check_disjoint_hypotheses(group: FiniteMatrixGroup, g: list, sigma: list):
+    """Check the hypotheses on the generators g and sigma, given as rows."""
     p = group.ctx.p
     ctx_p = ModulusContext(p, 1)
     if borel_check(group) is None:
         raise InputError("variant violates the Borel hypothesis: no common eigenvector mod p")
-    g_bar, s_bar = g.reduce_to(ctx_p), sigma.reduce_to(ctx_p)
-    if element_order(g_bar) != 2 or element_order(s_bar) != p:
+    g_bar, s_bar = _key(ctx_p, g), _key(ctx_p, sigma)
+    if element_order(ctx_p, g_bar) != 2 or element_order(ctx_p, s_bar) != p:
         raise InputError("variant does not reduce to an order-2 and an order-p generator")
     common = fixed_submodule(ctx_p, [g_bar, s_bar])
     if not common.is_zero():
@@ -346,7 +334,7 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     for idx in sorted(kernel):
         if idx == 0:
             continue
-        if not _invertible4(kernel_displacement(group, idx).entries, p):
+        if not _invertible4(kernel_displacement(group, idx), p):
             failing = idx
             break
 
@@ -364,16 +352,14 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     )
 
 
-def kernel_displacement(group: FiniteMatrixGroup, index: int) -> ModMatrix:
-    """N with element = Id + pN, entries taken in (-p^2/2, p^2/2) before
-    division so the matrix is well defined mod p."""
-    ctx = group.ctx
-    p = ctx.p
-    diff = group.matrix(index) - ModMatrix.identity(ctx, 2)
-    half = ctx.modulus // 2
-    ctx_p = ModulusContext(p, 1)
-    ents = tuple(((e if e <= half else e - ctx.modulus) // p) % p for e in diff.entries)
-    return ModMatrix(ctx_p, 2, 2, ents)
+def kernel_displacement(group: FiniteMatrixGroup, index: int) -> tuple[int, int, int, int]:
+    """The key over F_p of N with element = Id + pN, entries taken in
+    (-p^2/2, p^2/2) before division so the matrix is well defined mod p."""
+    p, q = group.ctx.p, group.ctx.modulus
+    a, b, c, d = group._keys[index]
+    half = q // 2
+    diff = ((a - 1) % q, b, c, (d - 1) % q)
+    return tuple(((e if e <= half else e - q) // p) % p for e in diff)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +493,10 @@ def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]
     return solve2(ctx, m, column_span2(ctx, m), value) is not None
 
 
-def _solution_set(a: ModMatrix, b: tuple[int, ...], limit: int = 20000):
-    sol = solve_linear(a, b)
+def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int], limit: int = 20000):
+    """Every v with (x - Id) v = b, for the element x over ctx with this key."""
+    x00, x01, x10, x11 = key
+    sol = solve_linear(ModMatrix.from_rows(ctx, [[x00 - 1, x01], [x10, x11 - 1]]), b)
     if not sol.solvable:
         return []
     return list(sol.all_solutions(limit))
@@ -533,16 +521,13 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
     conj = group.mult(group.mult(sig_i, tau_i), group.inv(sig_i))
     checks.append(Check("sigma_inverts_tau_to_square", conj == group.mult(tau_i, tau_i)))
     # The pinned order-2 lift reduces to the two-parameter reflection shape.
-    ctx_p = ModulusContext(p, 1)
-    sbar = group.matrix(sig_i).reduce_to(ctx_p)
-    beta = sbar.entry(1, 0)
-    alpha = (2 * beta - sbar.entry(1, 1)) % p
-    shape = ModMatrix.from_rows(
-        ctx_p, [[alpha - 2 * beta, 3 * (beta - alpha)], [beta, 2 * beta - alpha]]
-    )
+    sbar = tuple(e % p for e in group._keys[sig_i])
+    beta = sbar[2]
+    alpha = (2 * beta - sbar[3]) % p
+    shape = _key(ModulusContext(p, 1), [[alpha - 2 * beta, 3 * (beta - alpha)], [beta, 2 * beta - alpha]])
     checks.append(Check("order2_lift_has_reflection_shape", shape == sbar))
 
-    family = {s3_kernel_element(ctx, a, b).entries for a in range(p) for b in range(p)}
+    family = {_key(ctx, s3_kernel_element(ctx, a, b)) for a in range(p) for b in range(p)}
     kernel = reduction_kernel(group)
     kernel_mats = {group._keys[i] for i in kernel}
     checks.append(Check("kernel_family_size_p2", len(family) == p * p))
@@ -601,11 +586,10 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     g_key, h01_key, h10_key = group._keys[g_i], group._keys[h01_i], group._keys[h10_i]
     conj = _mul4(_mul4(g_key, h01_key, q), _inv4(g_key, q), q)
     checks.append(Check("conjugation_twists_unitriangular", conj == _pow4(h01_key, lam, q)))
-    g_mat, h01, h10 = group.matrix(g_i), group.matrix(h01_i), group.matrix(h10_i)
     checks.append(
         Check(
             "scaling_on_fixed_torsion",
-            g_mat.vec_mul((p, 0)) == (lam * p % q, 0),
+            _apply4(g_key, (p, 0), q) == (lam * p % q, 0),
         )
     )
 
@@ -617,23 +601,23 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     )
     checks.append(Check("explicit_equivariant_hom_exists", found, f"hom space dim {hom.dimension}"))
 
-    ident = ModMatrix.identity(ctx, 2)
     solvable_all = True
     for a in range(p):
         for b in range(p):
-            hab = ModMatrix(ctx, 2, 2, _mul4(_pow4(h10_key, a, q), _pow4(h01_key, b, q), q))
-            if not solve_linear(hab - ident, (b * p, 0)).solvable:
+            x00, x01, x10, x11 = _mul4(_pow4(h10_key, a, q), _pow4(h01_key, b, q), q)
+            shifted = ((x00 - 1) % q, x01, x10, (x11 - 1) % q)
+            if solve2(ctx, shifted, column_span2(ctx, shifted), (b * p, 0)) is None:
                 solvable_all = False
     checks.append(Check("kernel_family_locally_solvable", solvable_all))
 
-    zero_sols = _solution_set(h10 - ident, (0, 0))
+    zero_sols = _solution_set(ctx, h10_key, (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_forces_divisibility",
             all(s[0] % p == 0 and s[1] % p == 0 for s in zero_sols),
         )
     )
-    shift_sols = _solution_set(h01 - ident, (p, 0))
+    shift_sols = _solution_set(ctx, h01_key, (p, 0))
     checks.append(
         Check(
             "unitriangular_target_forces_unit_coordinate",
@@ -722,15 +706,14 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
     shaped = all(torsion_shape_admits(ctx, k, v) for k, v in zip(group._keys, w.values))
     checks.append(Check("witness_locally_solvable_with_torsion_shape", shaped))
 
-    ident = ModMatrix.identity(ctx, 2)
-    sig_sols = _solution_set(group.matrix(sig_i) - ident, (0, p))
+    sig_sols = _solution_set(ctx, group._keys[sig_i], (0, p))
     checks.append(
         Check(
             "sigma_target_needs_unit_coordinate",
             bool(sig_sols) and all(s[0] % p != 0 for s in sig_sols),
         )
     )
-    h_sols = _solution_set(group.matrix(h_i) - ident, (0, 0))
+    h_sols = _solution_set(ctx, group._keys[h_i], (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_needs_divisible_coordinate",
@@ -784,13 +767,15 @@ def report_borel_index2(bundle: BorelSharedWitness, cap: int = DEFAULT_GROUP_CAP
     rep = h1_loc(sub, full_module(ctx))
     checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
     checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
+    kernel = reduction_kernel(sub)
     return ConstructionReport(
         label=LABEL_BOREL_INDEX2,
         p=p,
         expected_nontrivial=True,
         group_order=len(sub),
-        kernel_order=len(reduction_kernel(sub)),
-        quotient_order=len(quotient_group(sub)),
+        kernel_order=len(kernel),
+        # |G/G(p)| = |G| / |G(p)|, so the mod-p image need not be closed.
+        quotient_order=len(sub) // len(kernel),
         h1loc=rep,
         checks=tuple(checks),
     )
@@ -802,15 +787,15 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
     for variant in DISJOINT_VARIANTS:
         group = build_borel_disjoint_group(p, variant=variant, cap=cap)
         ctx = group.ctx
-        pn1 = p ** (ctx.n - 1)
-        g_mat = group.matrix(group.index_of([[-1, 0], [0, 1]]))
-        s_mat = group.matrix(group.index_of([[1, 1], [0, 1]]))
+        q, pn1 = ctx.modulus, p ** (ctx.n - 1)
+        g_key = group._keys[group.index_of([[-1, 0], [0, 1]])]
+        s_key = group._keys[group.index_of([[1, 1], [0, 1]])]
         e1, e2 = (pn1, 0), (0, pn1)
         pattern = (
-            s_mat.vec_mul(e1) == e1
-            and g_mat.vec_mul(e1) == (-pn1 % ctx.modulus, 0)
-            and g_mat.vec_mul(e2) == e2
-            and s_mat.vec_mul(e2) == (pn1, pn1)
+            _apply4(s_key, e1, q) == e1
+            and _apply4(g_key, e1, q) == (-pn1 % q, 0)
+            and _apply4(g_key, e2, q) == e2
+            and _apply4(s_key, e2, q) == (pn1, pn1)
         )
         checks.append(Check(f"torsion_action_pattern[{variant}]", pattern))
         image = quotient_group(group)

@@ -4,11 +4,13 @@ Groups are closed from generators with a breadth-first traversal whose
 frontier order is fixed by the generator list, so element indices are
 reproducible run to run.  An element is its index and its 4-tuple of
 reduced entries (its key); index 0 is always the identity, and no other
-per-element object exists (FiniteMatrixGroup.matrix builds a ModMatrix for
-one index on demand).  _mul4, _inv4, _pow4, _powers4, _invertible4 and
-_close_keys are the package's only 2x2 group arithmetic; ModMatrix has
-none.  Everything is immutable after construction and safe to share
-between threads.
+per-element object exists.  A caller writes a 2x2 matrix as rows
+[[a, b], [c, d]] (close_group, index_of, the JSON form); _key turns rows
+into a key and _rows a key back into rows, and every other function here
+takes keys.  _mul4, _inv4, _pow4, _powers4, _invertible4 and _close_keys
+are the package's only 2x2 group arithmetic, and _apply4 is its 2x2
+matrix-vector product.  Everything is immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,31 +20,40 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
-from .zmod import (
-    ModMatrix,
-    ModulusContext,
-    SubmoduleBasis,
-    full_basis,
-    kernel_basis,
-)
+from .zmod import ModulusContext, SubmoduleBasis, _kernel_raw, full_basis
 
 DEFAULT_GROUP_CAP = 10**6
 
-MatrixLike = Union[ModMatrix, Sequence[Sequence[int]]]
-
-
-def _as_matrix(ctx: ModulusContext, m: MatrixLike) -> ModMatrix:
-    if isinstance(m, ModMatrix):
-        if m.ctx != ctx:
-            raise InputError("generator has a different coefficient ring")
-        return m
-    return ModMatrix.from_rows(ctx, m)
-
-
 _IDENTITY = (1, 0, 0, 1)
+
+
+def _is_integer(x) -> bool:
+    """An integer entry; bool is an int subclass in Python but not an entry."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _key(ctx: ModulusContext, rows) -> tuple[int, int, int, int]:
+    """The key of the 2x2 matrix with integer rows [[a, b], [c, d]]: its
+    entries row-major, reduced modulo p^n.  Any other shape or entry is an
+    InputError."""
+    try:
+        (a, b), (c, d) = rows
+        valid = all(map(_is_integer, (a, b, c, d)))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InputError(f"a matrix must be 2x2 integer rows [[a, b], [c, d]], got {rows!r}")
+    q = ctx.modulus
+    return (a % q, b % q, c % q, d % q)
+
+
+def _rows(x) -> list[list[int]]:
+    """The key x as rows [[a, b], [c, d]]."""
+    a, b, c, d = x
+    return [[a, b], [c, d]]
 
 
 def _invertible4(x, p) -> bool:
@@ -55,6 +66,13 @@ def _mul4(x, y, q):
     a, b, c, d = x
     e, f, g, h = y
     return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def _apply4(x, v, q) -> tuple[int, int]:
+    """x v for the key x and the pair v, reduced modulo q."""
+    a, b, c, d = x
+    v0, v1 = v
+    return ((a * v0 + b * v1) % q, (c * v0 + d * v1) % q)
 
 
 def _inv4(x, q):
@@ -143,10 +161,6 @@ class FiniteMatrixGroup:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def matrix(self, i: int) -> ModMatrix:
-        """Element i as a ModMatrix, built on demand."""
-        return ModMatrix(self.ctx, 2, 2, self._keys[i])
-
     def word(self, i: int) -> tuple[int, ...]:
         """Generator positions whose product, left to right, is element i;
         a shortest such word, read off the breadth-first tree."""
@@ -156,16 +170,16 @@ class FiniteMatrixGroup:
             i = self._parent[i]
         return tuple(reversed(out))
 
-    def index_of(self, m: MatrixLike) -> int:
-        mat = _as_matrix(self.ctx, m)
+    def index_of(self, rows) -> int:
+        """The index of the matrix with rows [[a, b], [c, d]]."""
         try:
-            return self._index[mat.entries]
+            return self._index[_key(self.ctx, rows)]
         except KeyError:
             raise InputError("matrix is not an element of this group") from None
 
-    def __contains__(self, m) -> bool:
+    def __contains__(self, rows) -> bool:
         try:
-            self.index_of(m)
+            self.index_of(rows)
             return True
         except InputError:
             return False
@@ -227,32 +241,28 @@ class FiniteMatrixGroup:
 
 
 def close_group(
-    gens: Sequence[MatrixLike],
+    gens: Sequence,
     ctx: ModulusContext,
     cap: int = DEFAULT_GROUP_CAP,
     label: Optional[str] = None,
 ) -> FiniteMatrixGroup:
-    """Enumerate the subgroup generated by gens.
+    """Enumerate the subgroup generated by gens, each given as rows
+    [[a, b], [c, d]] and reduced modulo p^n.
 
     Breadth-first over right multiplication by the generators in their
     listed order; raises ResourceLimitError when the closure passes cap.
     """
-    keys = []
-    for g in gens:
-        m = _as_matrix(ctx, g)
-        if m.rows != 2 or m.cols != 2:
-            raise InputError("generators must be 2x2")
-        if not _invertible4(m.entries, ctx.p):
-            raise InputError("generator determinant is not a unit: not invertible")
-        keys.append(m.entries)
+    keys = [_key(ctx, g) for g in gens]
+    if not all(_invertible4(k, ctx.p) for k in keys):
+        raise InputError("generator determinant is not a unit: not invertible")
     return FiniteMatrixGroup(ctx, keys, _close_keys(keys, ctx.modulus, cap), label)
 
 
-def element_order(mat: ModMatrix) -> int:
-    """Least k >= 1 with mat^k = Id."""
-    if not _invertible4(mat.entries, mat.ctx.p):
+def element_order(ctx: ModulusContext, x) -> int:
+    """Least k >= 1 with x^k = Id, for the key x over ctx."""
+    if not _invertible4(x, ctx.p):
         raise InputError("order is defined for invertible matrices only")
-    return len(_powers4(mat.entries, mat.ctx.modulus))
+    return len(_powers4(x, ctx.modulus))
 
 
 def reduction_kernel(g: FiniteMatrixGroup) -> frozenset[int]:
@@ -282,8 +292,8 @@ def quotient_group(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
     elements of g onto it.
     """
     ctx_p = ModulusContext(g.ctx.p, 1)
-    mats = [g.matrix(i).reduce_to(ctx_p) for i in g.generators]
-    return close_group(mats, ctx_p, label=f"{g.label} mod p" if g.label else None)
+    gens = [_rows(g._keys[i]) for i in g.generators]
+    return close_group(gens, ctx_p, label=f"{g.label} mod p" if g.label else None)
 
 
 def image_indices(g: FiniteMatrixGroup, image: FiniteMatrixGroup) -> array:
@@ -354,22 +364,21 @@ def subgroup_from_indices(
     gens = g.subgroup_generators(target)
     if gens is None:
         raise ContractError("index set is not closed under multiplication")
-    gen_mats = [g.matrix(i) for i in gens] or [ModMatrix.identity(g.ctx, 2)]
-    sub = close_group(gen_mats, g.ctx, label=label)
+    sub = close_group([_rows(g._keys[i]) for i in gens] or [_rows(_IDENTITY)], g.ctx, label=label)
     if len(sub) != len(target):
         raise ConsistencyError("subgroup re-enumeration changed the element count")
     return sub
 
 
-def fixed_submodule(ctx: ModulusContext, xs: Iterable[ModMatrix]) -> SubmoduleBasis:
-    """Howell basis of {v : x v = v for every x}; the full module for xs = {}."""
+def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasis:
+    """Howell basis of {v : x v = v for every key x} over ctx, the kernel of
+    the stacked rows of x - Id; the full module for no keys."""
     rows = []
-    ident = ModMatrix.identity(ctx, 2)
-    for x in xs:
-        rows.extend((x - ident).row_lists())
+    for a, b, c, d in keys:
+        rows += [[a - 1, b], [c, d - 1]]
     if not rows:
         return full_basis(ctx, 2)
-    return kernel_basis(ModMatrix.from_rows(ctx, rows))
+    return SubmoduleBasis.from_raw(ctx, 2, _kernel_raw(rows, 2, ctx))
 
 
 @dataclass(frozen=True)
@@ -390,11 +399,11 @@ class EigenData:
         return None
 
 
-def eigen_data(mat: ModMatrix) -> EigenData:
-    p = mat.ctx.p
+def eigen_data(ctx: ModulusContext, x) -> EigenData:
+    """The mod-p spectral data of the key x over ctx."""
+    p = ctx.p
     ctx_p = ModulusContext(p, 1)
-    red = mat.reduce_to(ctx_p)
-    a, b, c, d = red.entries
+    a, b, c, d = (e % p for e in x)
     tr = (a + d) % p
     det = (a * d - b * c) % p
     roots = [lam for lam in range(p) if (lam * lam - tr * lam + det) % p == 0]
@@ -406,8 +415,8 @@ def eigen_data(mat: ModMatrix) -> EigenData:
         eigenvalues = tuple(roots)
     pairs = []
     for lam in sorted(set(roots)):
-        shifted = red - ModMatrix.identity(ctx_p, 2).scale(lam)
-        pairs.append((lam, kernel_basis(shifted)))
+        kernel = _kernel_raw([[a - lam, b], [c, d - lam]], 2, ctx_p)
+        pairs.append((lam, SubmoduleBasis.from_raw(ctx_p, 2, kernel)))
     return EigenData(p, eigenvalues, False, tuple(pairs))
 
 
@@ -426,14 +435,9 @@ def borel_check(g: FiniteMatrixGroup) -> Optional[tuple[int, int]]:
     p = g.ctx.p
     gens = [g._keys[i] for i in g.distinct_generator_indices()]
     for v0, v1 in line_representatives(p):
-        ok = True
-        for a, b, c, d in gens:
-            w0 = (a * v0 + b * v1) % p
-            w1 = (c * v0 + d * v1) % p
-            if (w0 * v1 - w1 * v0) % p != 0:
-                ok = False
-                break
-        if ok:
+        images = (_apply4(x, (v0, v1), p) for x in gens)
+        # x v lies on the line of v exactly when det [x v | v] = 0.
+        if all((w0 * v1 - w1 * v0) % p == 0 for w0, w1 in images):
             return v0, v1
     return None
 
@@ -457,14 +461,9 @@ def group_to_json(g: FiniteMatrixGroup) -> dict:
     return {
         "p": g.ctx.p,
         "n": g.ctx.n,
-        "generators": [g.matrix(i).row_lists() for i in g.generators],
+        "generators": [_rows(g._keys[i]) for i in g.generators],
         "label": g.label,
     }
-
-
-def _is_integer(x) -> bool:
-    """A JSON integer; bool is an int subclass in Python but not an entry."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
@@ -488,13 +487,4 @@ def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGro
     ctx = ModulusContext(p, n)
     if not isinstance(gens, list) or not gens:
         raise InputError("group definition needs a non-empty generator list")
-    mats = []
-    for gmat in gens:
-        if not (
-            isinstance(gmat, list)
-            and len(gmat) == 2
-            and all(isinstance(r, list) and len(r) == 2 and all(map(_is_integer, r)) for r in gmat)
-        ):
-            raise InputError(f"each generator must be a 2x2 integer matrix, got {gmat!r}")
-        mats.append(ModMatrix.from_rows(ctx, gmat))
-    return close_group(mats, ctx, cap=cap, label=label)
+    return close_group(gens, ctx, cap=cap, label=label)

@@ -101,8 +101,9 @@ class ModulusContext:
 class ModMatrix:
     """A dense matrix over Z/p^n, stored row-major with reduced entries.
 
-    A container for the linear algebra below; products, powers and inverses
-    of group elements live on 4-tuple keys in groups.
+    The input and output type of the general solvers and kernels below; a
+    2x2 matrix elsewhere is its row-major 4-tuple key, and its products,
+    powers, inverses and shifts live on keys in groups.
     """
 
     ctx: ModulusContext
@@ -127,10 +128,6 @@ class ModMatrix:
         return ModMatrix(ctx, nrows, ncols, tuple(flat))
 
     @staticmethod
-    def identity(ctx: ModulusContext, size: int) -> "ModMatrix":
-        return ModMatrix(ctx, size, size, tuple(1 if i == j else 0 for i in range(size) for j in range(size)))
-
-    @staticmethod
     def zeros(ctx: ModulusContext, rows: int, cols: int) -> "ModMatrix":
         return ModMatrix(ctx, rows, cols, (0,) * (rows * cols))
 
@@ -151,36 +148,11 @@ class ModMatrix:
             tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
-    def __add__(self, other: "ModMatrix") -> "ModMatrix":
-        self._align(other)
-        q = self.ctx.modulus
-        return ModMatrix(self.ctx, self.rows, self.cols, tuple((a + b) % q for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        self._align(other)
-        q = self.ctx.modulus
-        return ModMatrix(self.ctx, self.rows, self.cols, tuple((a - b) % q for a, b in zip(self.entries, other.entries)))
-
     def vec_mul(self, v: Sequence[int]) -> tuple[int, ...]:
         if self.cols != len(v):
             raise DimensionError("matrix/vector shape mismatch")
         q = self.ctx.modulus
         return tuple(sum(self.entry(i, k) * v[k] for k in range(self.cols)) % q for i in range(self.rows))
-
-    def scale(self, c: int) -> "ModMatrix":
-        q = self.ctx.modulus
-        return ModMatrix(self.ctx, self.rows, self.cols, tuple((c * a) % q for a in self.entries))
-
-    def reduce_to(self, ctx: ModulusContext) -> "ModMatrix":
-        """Reduce every entry into a smaller coefficient ring (same p)."""
-        if ctx.p != self.ctx.p or ctx.modulus > self.ctx.modulus:
-            raise DimensionError("can only reduce to a quotient ring of the same p")
-        q = ctx.modulus
-        return ModMatrix(ctx, self.rows, self.cols, tuple(e % q for e in self.entries))
-
-    def _align(self, other: "ModMatrix"):
-        if self.ctx != other.ctx or (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix shape or ring mismatch")
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def action_of(group, module, index):
-    return module.action_entries(group.matrix(index).entries)
+    return module.action_entries(group._keys[index])
 
 
 def oracle_product(keys, q):

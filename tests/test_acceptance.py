@@ -163,15 +163,17 @@ def test_criterion_3_proof_step_replication():
 
     # (d) the coboundary obstruction: the value at sigma forces a unit
     # first coordinate while the diagonal kernel element forbids it.
-    ident = ModMatrix.identity(ctx, 2)
-    sig_mat = group.matrix(sigma)
-    sols = solve_linear(sig_mat - ident, (0, p))
+    def minus_identity(index):
+        a, b, c, d = group._keys[index]
+        return ModMatrix.from_rows(ctx, [[a - 1, b], [c, d - 1]])
+
+    sols = solve_linear(minus_identity(sigma), (0, p))
     assert sols.solvable
     assert all(s[0] % p != 0 for s in sols.all_solutions())
-    h_mat = group.matrix(group.index_of([[1 + p, 0], [0, 1 - p]]))
-    hk = solve_linear(h_mat - ident, (0, 0))
+    h = group.index_of([[1 + p, 0], [0, 1 - p]])
+    hk = solve_linear(minus_identity(h), (0, 0))
     assert all(s[0] % p == 0 for s in hk.all_solutions())
-    assert w.values[group.index_of(h_mat)] == (0, 0)
+    assert w.values[h] == (0, 0)
     assert is_coboundary(w) is None
 
 
@@ -183,13 +185,12 @@ def test_criterion_4_hypothesis_checker():
 
     # p = 7 analogue: the third hypothesis fails at a parameter pair with
     # a^2 - ab + b^2 = 0 mod 7.
-    gens = s3_generators(7)
-    group = close_group(gens, gens[0].ctx)
+    group = close_group(s3_generators(7), ModulusContext(7, 2))
     checks = check_nonvanishing_criterion(group)
     assert not checks.kernel_displacement_invertible
     n = kernel_displacement(group, checks.failing_kernel_index)
-    b = (-n.entry(1, 0)) % 7
-    a = (n.entry(0, 0) + 2 * b) % 7
+    b = (-n[2]) % 7
+    a = (n[0] + 2 * b) % 7
     assert (a, b) != (0, 0)
     assert (a * a - a * b + b * b) % 7 == 0
 

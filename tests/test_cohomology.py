@@ -55,6 +55,7 @@ from h1loc.constructions import (
     cyclic_generators,
     s3_generators,
 )
+from h1loc.groups import _rows
 from h1loc.zmod import _howell_raw, _kernel_raw, column_span2, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
@@ -192,7 +193,7 @@ def test_local_iff_cyclic_restrictions_are_coboundaries():
             by_elements = system.is_local_table(c)
             by_restriction = True
             for idx in range(len(g)):
-                sub = close_group([g.matrix(idx)], g.ctx)
+                sub = close_group([_rows(g._keys[idx])], g.ctx)
                 restricted = restrict_cocycle(c, sub)
                 if is_coboundary(restricted) is None:
                     by_restriction = False
@@ -560,7 +561,7 @@ def _local_by_uncached_solves(group, module, c):
     q = module.coeff_modulus
     cctx = module.coeff_ctx
     for i in range(len(group)):
-        a, b, cc, d = module.action_entries(group.matrix(i).entries)
+        a, b, cc, d = module.action_entries(group._keys[i])
         shifted = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, cc % q, (d - 1) % q))
         if not solve_linear(shifted, c.values[i]).solvable:
             return False
@@ -895,7 +896,7 @@ def _small_groups(draw):
         gens.append(matrix())
     assume(all((m[0] * m[3] - m[1] * m[2]) % p for m in gens))
     try:
-        group = close_group([ModMatrix(ctx, 2, 2, m) for m in gens], ctx, cap=GROUP_CAP)
+        group = close_group([_rows(m) for m in gens], ctx, cap=GROUP_CAP)
     except ResourceLimitError:
         assume(False)
     return group, GModule(ctx, draw(st.sampled_from(["full", "p_torsion", "mod_p_quotient"])))

@@ -38,7 +38,7 @@ from h1loc.constructions import (
     LABEL_S3,
     report_borel_shared,
 )
-from h1loc.groups import _invertible4
+from h1loc.groups import _apply4, _invertible4
 from conftest import oracle_power, oracle_product
 
 
@@ -47,8 +47,8 @@ def test_s3_builder_orders_and_relations():
     assert len(g) == 150
     tau = g.index_of([[1, -3], [1, -2]])
     sigma = g.index_of([[1, -3], [0, -1]])
-    assert element_order(g.matrix(tau)) == 3
-    assert element_order(g.matrix(sigma)) == 2
+    assert element_order(g.ctx, g._keys[tau]) == 3
+    assert element_order(g.ctx, g._keys[sigma]) == 2
     tau_sq = g.mult(tau, tau)
     assert g.mult(g.mult(sigma, tau), g.inv(sigma)) == tau_sq
 
@@ -87,7 +87,7 @@ def test_borel_shared_numbers():
     assert len(reduction_kernel(g)) == 25
     sub = build_borel_index2_group(5)
     assert len(sub) == 125
-    assert all(sub.matrix(i) in g for i in range(len(sub)))
+    assert all([[a, b], [c, d]] in g for a, b, c, d in sub._keys)
 
 
 def test_borel_disjoint_variants():
@@ -138,7 +138,7 @@ def test_criterion_checker_cyclic_fails_third():
     assert not checks.kernel_displacement_invertible
     g = build_cyclic_quotient_group(5)
     n = kernel_displacement(g, checks.failing_kernel_index)
-    a, b, c, d = n.entries
+    a, b, c, d = n
     assert (a * d - b * c) % 5 == 0
     # Every element here is upper triangular with lower-right entry 1 mod p,
     # so det(x - Id) is never a unit and hypothesis 1 fails as well.
@@ -158,8 +158,9 @@ def test_fixed_point_free_element_matches_kernel_oracle(p):
     """The closed form (det(g - Id) a unit) against kernel_basis(g - Id) = 0
     at every element, and the criterion's witness is the first such element."""
     for g in _criterion_groups(p):
-        ident = ModMatrix.identity(g.ctx, 2)
-        oracle = [kernel_basis(g.matrix(i) - ident).is_zero() for i in range(len(g))]
+        oracle = [
+            kernel_basis(ModMatrix.from_rows(g.ctx, [[a - 1, b], [c, d - 1]])).is_zero() for a, b, c, d in g._keys
+        ]
         closed = [_invertible4((a - 1, b, c, d - 1), p) for a, b, c, d in g._keys]
         assert closed == oracle
         checks = check_nonvanishing_criterion(g)
@@ -179,14 +180,13 @@ def test_criterion_checker_trivial_kernel_reports_reason():
 def test_criterion_analogue_fails_for_one_mod_three():
     # p = 7 is 1 mod 3: the kernel family contains a singular displacement
     # at a parameter pair with a^2 - ab + b^2 = 0 mod 7.
-    gens = s3_generators(7)
-    g = close_group(gens, gens[0].ctx)
+    g = close_group(s3_generators(7), ModulusContext(7, 2))
     checks = check_nonvanishing_criterion(g)
     assert not checks.kernel_displacement_invertible
     n = kernel_displacement(g, checks.failing_kernel_index)
     p = 7
-    b = (-n.entry(1, 0)) % p
-    a = (n.entry(0, 0) + 2 * b) % p
+    b = (-n[2]) % p
+    a = (n[0] + 2 * b) % p
     assert (a * a - a * b + b * b) % p == 0
     assert (a, b) != (0, 0)
 
@@ -198,13 +198,14 @@ def test_decompose_kernel_elements_p5():
     assert len(kernel) == 25
     for idx in kernel:
         dec = decompose_kernel_element(g, idx, sigma)
-        d = g.matrix(dec.diagonal_index)
-        u = g.matrix(dec.unitriangular_index)
-        assert d.entry(0, 1) == 0 and d.entry(1, 0) == 0
-        assert u.entry(0, 0) == 1 and u.entry(0, 1) == 0 and u.entry(1, 1) == 1
+        d = g._keys[dec.diagonal_index]
+        u = g._keys[dec.unitriangular_index]
+        assert d[1] == 0 and d[2] == 0
+        assert u[0] == 1 and u[1] == 0 and u[3] == 1
     ident_dec = decompose_kernel_element(g, 0, sigma)
     assert ident_dec == type(ident_dec)(0, 0, 0)
-    sig_p = g.index_of(ModMatrix(g.ctx, 2, 2, oracle_power(g._keys[sigma], 5, 25)))
+    a, b, c, d = oracle_power(g._keys[sigma], 5, 25)
+    sig_p = g.index_of([[a, b], [c, d]])
     dec = decompose_kernel_element(g, sig_p, sigma)
     assert (dec.diagonal_index, dec.unitriangular_index, dec.sigma_p_exponent) == (0, 0, 1)
 
@@ -245,13 +246,14 @@ def test_witness_classes_have_order_p():
 def test_disjoint_torsion_action_pattern():
     g = build_borel_disjoint_group(5)
     ctx = g.ctx
-    gm = g.matrix(g.index_of([[-1, 0], [0, 1]]))
-    sm = g.matrix(g.index_of([[1, 1], [0, 1]]))
+    q = ctx.modulus
+    gm = g._keys[g.index_of([[-1, 0], [0, 1]])]
+    sm = g._keys[g.index_of([[1, 1], [0, 1]])]
     e1, e2 = (5, 0), (0, 5)
-    assert sm.vec_mul(e1) == e1
-    assert gm.vec_mul(e1) == (-5 % ctx.modulus, 0)
-    assert gm.vec_mul(e2) == e2
-    assert sm.vec_mul(e2) == (5, 5)
+    assert _apply4(sm, e1, q) == e1
+    assert _apply4(gm, e1, q) == (-5 % q, 0)
+    assert _apply4(gm, e2, q) == e2
+    assert _apply4(sm, e2, q) == (5, 5)
 
 
 def test_report_borel_shared_all_checks():
@@ -290,10 +292,11 @@ def test_verify_all_rejects_bad_prime():
         verify_all([4])
 
 
-@pytest.mark.parametrize("p, closes, systems", [(5, 12, 9), (7, 10, 7)])
+@pytest.mark.parametrize("p, closes, systems", [(5, 11, 9), (7, 9, 7)])
 def test_verify_all_builds_each_group_and_system_once(p, closes, systems, monkeypatch):
     # Per prime, every distinct group is closed once (the mod-p images
-    # included) and every (group, module) pair gets one cocycle system.
+    # included, except the index-2 subgroup's, whose order is |G| / |G(p)|)
+    # and every (group, module) pair gets one cocycle system.
     closed, built = [], []
     close = groups.close_group
 

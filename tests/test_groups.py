@@ -36,7 +36,7 @@ from h1loc.constructions import (
     build_s3_quotient_group,
     s3_generators,
 )
-from h1loc.groups import _inv4, _pow4, _powers4, cyclic_walk
+from h1loc.groups import _apply4, _inv4, _key, _pow4, _powers4, cyclic_walk
 from conftest import construction_groups, oracle_power, oracle_product
 
 CTX25 = ModulusContext(5, 2)
@@ -45,7 +45,7 @@ CTX25 = ModulusContext(5, 2)
 def test_close_group_identity_only():
     g = close_group([[[1, 0], [0, 1]]], CTX25)
     assert len(g) == 1
-    assert g.matrix(0) == ModMatrix.identity(CTX25, 2)
+    assert g._keys[0] == (1, 0, 0, 1)
 
 
 def test_close_group_order_three():
@@ -74,17 +74,17 @@ def test_closure_determinism():
     gens = s3_generators(5)
     a = close_group(gens, CTX25)
     b = close_group(gens, CTX25)
-    assert [a.matrix(i) for i in range(len(a))] == [b.matrix(i) for i in range(len(b))]
+    assert a._keys == b._keys
     assert [a.word(i) for i in range(len(a))] == [b.word(i) for i in range(len(b))]
 
 
 def test_element_orders():
     g = close_group([[[1, -3], [0, -1]]], CTX25)
-    assert element_order(g.matrix(0)) == 1
-    assert element_order(ModMatrix.from_rows(CTX25, [[1, -3], [0, -1]])) == 2
-    sigma = ModMatrix.from_rows(CTX25, [[6, 1], [10, 6]])
-    assert element_order(sigma) == 25
-    assert _pow4(sigma.entries, 5, 25) == (1, 5, 0, 1)
+    assert element_order(CTX25, g._keys[0]) == 1
+    assert element_order(CTX25, _key(CTX25, [[1, -3], [0, -1]])) == 2
+    sigma = _key(CTX25, [[6, 1], [10, 6]])
+    assert element_order(CTX25, sigma) == 25
+    assert _pow4(sigma, 5, 25) == (1, 5, 0, 1)
 
 
 def test_multiplication_table_consistency():
@@ -225,24 +225,24 @@ def test_conjugation_stabilizes_kernel_family():
 def test_fixed_submodule_cases():
     from h1loc import full_basis
 
-    assert fixed_submodule(CTX25, [ModMatrix.identity(CTX25, 2)]) == full_basis(CTX25, 2)
-    d = ModMatrix.from_rows(CTX25, [[7, 0], [0, 1]])
+    assert fixed_submodule(CTX25, [(1, 0, 0, 1)]) == full_basis(CTX25, 2)
+    d = _key(CTX25, [[7, 0], [0, 1]])
     fixed = fixed_submodule(CTX25, [d])
     assert list(fixed.rows) == [(0, 1)]
     s3 = close_group(s3_generators(5), CTX25)
-    assert fixed_submodule(CTX25, (s3.matrix(i) for i in range(len(s3)))).is_zero()
+    assert fixed_submodule(CTX25, s3._keys).is_zero()
 
 
 def test_eigen_data_cases():
-    split = eigen_data(ModMatrix.from_rows(CTX25, [[7, 0], [0, 1]]))
+    split = eigen_data(CTX25, _key(CTX25, [[7, 0], [0, 1]]))
     assert sorted(split.eigenvalues) == [1, 2]
     assert not split.irreducible
     assert split.vectors_for(1) is not None
 
-    tau = eigen_data(ModMatrix.from_rows(CTX25, [[1, -3], [1, -2]]))
+    tau = eigen_data(CTX25, _key(CTX25, [[1, -3], [1, -2]]))
     assert tau.irreducible and tau.eigenvalues == ()
 
-    unipotent = eigen_data(ModMatrix.from_rows(CTX25, [[1, 1], [0, 1]]))
+    unipotent = eigen_data(CTX25, _key(CTX25, [[1, 1], [0, 1]]))
     assert unipotent.eigenvalues == (1, 1)
     vecs = unipotent.vectors_for(1)
     assert list(vecs.rows) == [(1, 0)]
@@ -295,7 +295,7 @@ def test_subgroup_reenumeration_and_embedding():
     kernel = reduction_kernel(g)
     sub = subgroup_from_indices(g, kernel, label="kernel")
     assert len(sub) == 25
-    back = [g.index_of(sub.matrix(i)) for i in range(len(sub))]
+    back = [g._index[k] for k in sub._keys]
     assert frozenset(back) == kernel
 
 
@@ -314,6 +314,27 @@ def test_group_json_round_trip_with_negatives():
     assert group_from_json(out).label == "sample"
 
 
+MALFORMED_ROWS = (
+    [[1, 2], [3]],  # ragged
+    (1, 0, 0, 1),  # a key, not rows
+    [[1, 2, 3], [4, 5, 6]],  # 2x3
+    [[1, 0], [0, 1], [0, 0]],  # 3x2
+    [[1.5, 0], [0, 1]],  # a float entry never closes exactly
+)
+
+
+@pytest.mark.parametrize("rows", MALFORMED_ROWS, ids=["ragged", "key", "2x3", "3x2", "float"])
+def test_malformed_matrix_rows_are_input_errors(rows):
+    # A matrix is written as 2x2 rows [[a, b], [c, d]]; any other shape is
+    # an InputError wherever a caller passes one.
+    with pytest.raises(InputError):
+        close_group([rows], CTX25)
+    g = close_group([[[1, -3], [1, -2]]], CTX25)
+    with pytest.raises(InputError):
+        g.index_of(rows)
+    assert rows not in g
+
+
 def test_group_json_rejects_malformed():
     with pytest.raises(InputError):
         group_from_json({"p": 5, "n": 2, "generators": [[[1, 0]]]})
@@ -327,15 +348,16 @@ def test_fixed_submodule_eigenvector_reading():
     # A diagonal whose top entry differs from 1 by a unit fixes one axis;
     # if the difference is divisible by p the torsion part survives too.
     ctx9 = ModulusContext(3, 2)
-    unit_diff = fixed_submodule(ctx9, [ModMatrix.from_rows(ctx9, [[2, 0], [0, 1]])])
+    unit_diff = fixed_submodule(ctx9, [_key(ctx9, [[2, 0], [0, 1]])])
     assert list(unit_diff.rows) == [(0, 1)]
-    p_diff = fixed_submodule(ctx9, [ModMatrix.from_rows(ctx9, [[4, 0], [0, 1]])])
+    p_diff = fixed_submodule(ctx9, [_key(ctx9, [[4, 0], [0, 1]])])
     assert list(p_diff.rows) == [(3, 0), (0, 1)]
 
 
 def test_vector_matrix_arithmetic():
     m = ModMatrix.from_rows(CTX25, [[1, 2], [3, 4]])
     assert m.vec_mul((3, 4)) == m.vec_mul((28, -21)) == (11, 0)
+    assert _apply4(m.entries, (3, 4), 25) == _apply4(m.entries, (28, -21), 25) == (11, 0)
     m_inv = _inv4(m.entries, 25)
     assert oracle_product([m.entries, m_inv], 25) == oracle_product([m_inv, m.entries], 25) == (1, 0, 0, 1)
 
@@ -351,7 +373,7 @@ def test_power_walk_matches_element_order_on_gl2_f5():
         count += 1
         walk = _powers4(key, 5)
         order = next(k for k in range(1, 481) if oracle_power(key, k, 5) == (1, 0, 0, 1))
-        assert element_order(ModMatrix(ctx, 2, 2, key)) == len(walk) == order
+        assert element_order(ctx, key) == len(walk) == order
         assert walk == [oracle_power(key, j, 5) for j in range(order)]
     assert count == 480
 

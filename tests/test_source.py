@@ -59,13 +59,27 @@ def _defined_functions(tree, class_name):
     }
 
 
+def _names(tree, name):
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    ]
+
+
 def test_group_arithmetic_has_one_home():
-    # 2x2 products, powers, inverses and determinants of group elements
-    # live on keys in groups; ModMatrix is a linear-algebra container.
-    zmod = dict(parsed_modules())["zmod.py"]
-    methods = _defined_functions(zmod, "ModMatrix")
+    # 2x2 products, powers, inverses, determinants and shifts of group
+    # elements live on keys in groups; ModMatrix is the general solvers'
+    # container, and a group hands out keys, never a ModMatrix.
+    modules = dict(parsed_modules())
+    methods = _defined_functions(modules["zmod.py"], "ModMatrix")
     assert "vec_mul" in methods
     assert methods.isdisjoint({"__matmul__", "power", "inverse", "det2", "is_invertible"})
+    assert methods.isdisjoint({"identity", "__add__", "__sub__", "scale", "reduce_to"})
+    assert "matrix" not in _defined_functions(modules["groups.py"], "FiniteMatrixGroup")
+    assert _names(modules["groups.py"], "ModMatrix") == []
+    assert _names(modules["classify.py"], "ModMatrix") == []
 
 
 def test_no_per_element_class():
@@ -114,13 +128,7 @@ def test_vectors_and_2x2_matrices_are_plain_tuples():
     assert not hasattr(h1loc, "ModVector") and not hasattr(h1loc, "LocalEntry")
     cohomology = dict(parsed_modules())["cohomology.py"]
     (system,) = [node for node in cohomology.body if isinstance(node, ast.ClassDef) and node.name == "CocycleSystem"]
-    uses = [
-        node.lineno
-        for node in ast.walk(system)
-        if (isinstance(node, ast.Name) and node.id == "ModMatrix")
-        or (isinstance(node, ast.Attribute) and node.attr == "ModMatrix")
-    ]
-    assert uses == []
+    assert _names(system, "ModMatrix") == []
 
 
 def test_every_exported_name_resolves_lazily():

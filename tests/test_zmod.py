@@ -149,7 +149,7 @@ def test_solve_diagonal_congruence_classes():
 
 
 def test_solve_identity_and_zero_matrix():
-    sol = solve_linear(ModMatrix.identity(CTX25, 2), (7, 11))
+    sol = solve_linear(mat([[1, 0], [0, 1]]), (7, 11))
     assert sol.solution == (7, 11)
     assert sol.kernel.is_zero()
 
@@ -229,9 +229,9 @@ def test_image_basis_examples():
     img = image_basis(sigma_minus_id)
     assert img.contains((0, 5))
 
-    assert image_basis(ModMatrix.identity(CTX25, 2)) == full_basis(CTX25, 2)
+    assert image_basis(mat([[1, 0], [0, 1]])) == full_basis(CTX25, 2)
 
-    scaled = image_basis(ModMatrix.identity(CTX25, 2).scale(5))
+    scaled = image_basis(mat([[5, 0], [0, 5]]))
     assert scaled.span_size() == 25
 
 
@@ -336,7 +336,7 @@ def test_dual_constraints_round_trip_randomized():
 
 
 def test_kernel_basis_multiplication_by_p():
-    k = kernel_basis(ModMatrix.identity(CTX25, 2).scale(5))
+    k = kernel_basis(mat([[5, 0], [0, 5]]))
     assert list(k.rows) == [(5, 0), (0, 5)]
 
 
