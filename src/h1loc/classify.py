@@ -13,6 +13,21 @@ The classifier evaluates these as predicates (checked in this order) and
 records enough evidence to re-verify the verdict by direct matrix checks.
 The scanner enumerates the candidate subgroup shapes of order prime to p,
 classifies them, and also applies the coarser necessary-condition filter.
+
+The scanner never walks all of GL_2(F_p).  An element of order prime to p
+is semisimple, so its order is a function of its class: of lambda for
+lambda*Id, of (trace, determinant) otherwise.  It keeps, per key (size,
+multiset of (order, det, trace)), the subgroup with the least sorted
+member tuple, and finds it exactly from two lemmas:
+
+- a cyclic key's winner contains s1, the least companion matrix
+  (0, 1, -det, tr) over its non-scalar members, so it is a cyclic
+  subgroup of the torus {alpha*Id + beta*s1} of at most p^2 elements;
+- every S_3 has a conjugate containing the involution y0 = (0, 1, 1, 0),
+  the least invertible matrix, so the S_3 winner is the least <x, y0>,
+  over the x = (a, b, -b, -1 - a) with a(-1 - a) + b^2 = 1.
+
+scan_prime_to_p_subgroups gives the proofs.
 """
 
 from __future__ import annotations
@@ -269,93 +284,156 @@ class ScanEntry:
         }
 
 
-def _gl2_elements(p: int):
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        yield (a, b, c, d)
+def _trdet(x, p: int) -> tuple[int, int]:
+    """(trace, determinant) of the key x modulo p: its conjugacy class
+    when x is semisimple and not scalar, and tr^2 = 4 det when it is scalar."""
+    a, b, c, d = x
+    return ((a + d) % p, (a * d - b * c) % p)
 
 
-def _cyclic_pass(p: int):
-    """The scanner's first pass over GL_2(F_p), in _gl2_elements order.
+def _class_orders(p: int):
+    """(orders, spans): the order of every element of GL_2(F_p) of order
+    prime to p as a class function, orders[_trdet(x, p)], and the power
+    lists walked to find them.
 
-    Returns (orders, subgroups, order2): the order of every element (the
-    identity included), each cyclic subgroup of order prime to p keyed by
-    its element set and mapped to (first generator,), in the order of the
-    first generators, and the elements of order 2 in enumeration order.
-
-    Each cyclic subgroup is walked once, from its first generator x in
-    enumeration order: the power list [Id, x, ..., x^(k-1)] is the whole
-    subgroup, and x^j with gcd(j, k) = 1 are exactly its other generators,
-    so they get order k without a walk of their own.
+    Such an element is semisimple, so it is scalar exactly when
+    tr^2 - 4 det = 0, and otherwise conjugate to its companion matrix
+    (0, 1, -det, tr).  The walks run over each lambda*Id and each
+    (0, 1, c, d) with d^2 + 4c != 0; a (0, 1, c, d) with d^2 + 4c = 0 is
+    lambda times a unipotent, of order divisible by p.  A walk from x of
+    order k gives every x^j with gcd(j, k) = 1 order k, and a class whose
+    order is known is not walked again, since its subgroup is conjugate to
+    one already walked: spans holds, up to conjugacy, every cyclic subgroup
+    of order prime to p.
     """
-    orders: dict[tuple, int] = {}
-    subgroups: dict[frozenset, tuple] = {}
-    order2 = []
-    for key in _gl2_elements(p):
-        o = orders.get(key)
-        if o is None:
-            span = _powers4(key, p)
-            o = len(span)
-            # j = 0 passes only for k = 1, where it records the identity.
-            for j in range(o):
-                if gcd(j, o) == 1:
-                    orders[span[j]] = o
-            if o % p:
-                subgroups[frozenset(span)] = (key,)
-        if o == 2:
-            order2.append(key)
-    return orders, subgroups, order2
+    gens = [(lam, 0, 0, lam) for lam in range(1, p)]
+    gens += [(0, 1, c, d) for c in range(1, p) for d in range(p) if (d * d + 4 * c) % p]
+    orders: dict[tuple[int, int], int] = {}
+    spans = []
+    for x in gens:
+        if _trdet(x, p) in orders:
+            continue
+        span = _powers4(x, p)
+        k = len(span)
+        # j = 0 passes only for k = 1, where it records the identity.
+        for j in range(k):
+            if gcd(j, k) == 1:
+                orders[_trdet(span[j], p)] = k
+        spans.append(span)
+    return orders, spans
+
+
+def _s3_order3_elements(p: int) -> list:
+    """The x = (a, b, -b, -1 - a) with a(-1 - a) + b^2 = 1 mod p: the
+    elements of order 3 that y0 = (0, 1, 1, 0) inverts.
+
+    y0 x y0 = x^-1 forces det x = 1 and c = -b, and an order-3 element of
+    determinant 1 has characteristic polynomial t^2 + t + 1 (p > 3), so
+    trace -1; conversely that polynomial gives x^3 = Id with x != Id.
+    """
+    return [
+        (a, b, -b % p, (-1 - a) % p)
+        for a in range(p)
+        for b in range(p)
+        if (b * b - a * a - a - 1) % p == 0
+    ]
 
 
 def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
     """Inventory of the candidate subgroups of GL_2(F_p) of order prime
     to p, classified case by case.
 
-    Enumerates every cyclic subgroup generated by an element of order
-    coprime to p, walking each one once and keeping its first generator
-    in enumeration order, plus every subgroup generated by an order-3
-    element and an order-2 element inverting it.  Deduplication is up to
-    conjugacy via the multiset of (order, determinant, trace) fingerprints;
-    within one fingerprint class the representative with the
-    lexicographically least element set is kept.
+    The subgroups are every cyclic subgroup of order prime to p and every
+    S_3 = <x, y> with x of order 3 and y an involution inverting it,
+    deduplicated by the key (size, fp), fp the sorted multiset of
+    (order, determinant, trace) over the members.  Each key keeps its
+    winner: the subgroup with the lexicographically least sorted member
+    tuple, generated by its least member of order k = size, or for S_3
+    by (min(x, x^2), y).  The search runs one conjugacy class at a time
+    and is exact by two lemmas:
+
+    - A cyclic key with a non-scalar entry: let s1 be the least companion
+      matrix (0, 1, -det, tr) over its non-scalar entries.  The winner
+      contains s1.  Conjugating any subgroup of the key to contain the
+      companion matrix of one of its members keeps the key, so the least
+      member of the winner is at most s1.  Every matrix with a = 0 sorts
+      before every matrix with a >= 1, and a least member (0, 1, c, d) is
+      the companion matrix of its own class, hence at least s1.  So the
+      winner is among the cyclic subgroups of order k of the torus
+      {alpha*Id + beta*s1}, the centraliser of s1, that contain s1 and
+      have fp.  A key whose entries are all scalar has one subgroup.
+    - S_3: every non-central involution is conjugate to y0 = (0, 1, 1, 0),
+      the least invertible matrix, and every S_3 has the same key, so the
+      winner is the least <x, y0> over the x of _s3_order3_elements.
+
+    The walks of _class_orders reach every key, since every cyclic
+    subgroup is conjugate to one of theirs.
     """
     if p not in SCAN_PRIMES:
         raise ResourceLimitError(f"scan is capped to p in {SCAN_PRIMES}")
     ctx = ModulusContext(p, 1)
-    orders, subgroups, order2 = _cyclic_pass(p)
+    orders, spans = _class_orders(p)
 
-    # x runs over the first generator of each cyclic subgroup of order 3:
-    # <x^2, y> = <x, y>, and the pairs with x come first in any case.
-    for x in [gens[0] for members, gens in subgroups.items() if len(members) == 3]:
-        x2 = _mul4(x, x, p)
-        for y in order2:
-            # y = y^-1, so y x y = x^-1 iff (y x)^2 = Id; y x = Id cannot
-            # hold, as x and y have different orders.
-            yx = _mul4(y, x, p)
-            if orders[yx] == 2:
-                # y x = x^2 y, so the six elements below are closed under
-                # products: they are <x, y>.
-                members = frozenset((_IDENTITY, x, x2, y, yx, _mul4(yx, x, p)))
-                if members not in subgroups:
-                    subgroups[members] = (x, y)
+    def order(x):
+        return orders[_trdet(x, p)]
 
-    by_fingerprint: dict[tuple, tuple[frozenset, tuple]] = {}
-    for members, gens in subgroups.items():
-        fp = tuple(
-            sorted(
-                (orders[m], (m[0] * m[3] - m[1] * m[2]) % p, (m[0] + m[3]) % p)
-                for m in members
-            )
+    def key_of(members):
+        fp = tuple(sorted((orders[t], t[1], t[0]) for t in (_trdet(m, p) for m in members)))
+        return (len(members), fp)
+
+    # The keys by their s1, the least companion matrix over the non-scalar
+    # entries, each with one of its subgroups; s1 is None for a subgroup of
+    # scalars, the only subgroup of its key.
+    by_s1: dict = {}
+    for span in spans:
+        key = key_of(span)
+        s1 = min(
+            ((0, 1, -det % p, tr) for _o, det, tr in key[1] if (tr * tr - 4 * det) % p),
+            default=None,
         )
-        key = (len(members), fp)
-        candidate = (tuple(sorted(members)), gens)
-        if key not in by_fingerprint or candidate[0] < by_fingerprint[key][0]:
-            by_fingerprint[key] = candidate
+        by_s1.setdefault(s1, {})[key] = span
+
+    best: dict[tuple, tuple] = {}
+    for s1, keys in by_s1.items():
+        if s1 is None:
+            best.update((key, tuple(sorted(span))) for key, span in keys.items())
+            continue
+        # The torus alpha*Id + beta*s1, one cyclic subgroup at a time: a
+        # walk marks the generators of its subgroup as seen.
+        _, _, c, d = s1
+        sizes = {size for size, _fp in keys}
+        seen = set()
+        for alpha in range(p):
+            for beta in range(p):
+                x = (alpha, beta, beta * c % p, (alpha + beta * d) % p)
+                if (alpha * x[3] - beta * x[2]) % p == 0 or x in seen:
+                    continue
+                k = order(x)
+                if k not in sizes:
+                    continue
+                span = _powers4(x, p)
+                seen.update(span[j] for j in range(k) if gcd(j, k) == 1)
+                if s1 not in span:
+                    continue
+                key = key_of(span)
+                if key in keys:
+                    members = tuple(sorted(span))
+                    if key not in best or members < best[key]:
+                        best[key] = members
+    winners = {key: (min(m for m in members if order(m) == key[0]),) for key, members in best.items()}
+
+    # The conic b^2 = a^2 + a + 1 has p - 1 or p + 1 points, so s3 is not empty.
+    y0 = (0, 1, 1, 0)
+    s3 = []
+    for x in _s3_order3_elements(p):
+        x2 = _mul4(x, x, p)
+        yx = _mul4(y0, x, p)
+        s3.append((tuple(sorted((_IDENTITY, x, x2, y0, yx, _mul4(yx, x, p)))), (min(x, x2), y0)))
+    members, gens = min(s3)
+    winners[key_of(members)] = gens
+
     entries = []
-    for (size, _fp), (sorted_members, gens) in sorted(by_fingerprint.items()):
+    for (size, _fp), gens in sorted(winners.items()):
         gen_rows = tuple(map(_rows, gens))
         group = close_group(gen_rows, ctx)
         if len(group) != size:

@@ -1,5 +1,8 @@
 """The mod-p trichotomy classifier, the shape filter, and the scanner."""
 
+import functools
+from math import gcd
+
 import pytest
 
 from h1loc import (
@@ -19,13 +22,13 @@ from h1loc import (
     reverify_verdict,
     scan_prime_to_p_subgroups,
 )
-from h1loc.classify import _cyclic_pass, _gl2_elements
+from h1loc.classify import SCAN_PRIMES, ScanEntry, _class_orders, _s3_order3_elements, _trdet
 from h1loc.constructions import (
     build_borel_shared_group,
     build_cyclic_quotient_group,
     build_s3_quotient_group,
 )
-from h1loc.groups import _IDENTITY, _close_keys, _inv4, _mul4, _powers4
+from h1loc.groups import _IDENTITY, _close_keys, _inv4, _mul4, _powers4, _rows
 
 F5 = ModulusContext(5, 1)
 
@@ -155,6 +158,152 @@ def test_nonvanishing_implies_shape_filter_p5():
         rep = h1_loc(g, full_module(ctx))
         if rep.order > 1:
             assert e.shape_filter.passes
+
+
+def _gl2_elements(p):
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if (a * d - b * c) % p:
+                        yield (a, b, c, d)
+
+
+def _cyclic_pass(p):
+    """The first pass of the whole-group scanner, over GL_2(F_p) in
+    _gl2_elements order, kept with _reference_scan as its oracle.
+
+    Returns (orders, subgroups, order2): the order of every element (the
+    identity included), each cyclic subgroup of order prime to p keyed by
+    its element set and mapped to (first generator,), in the order of the
+    first generators, and the elements of order 2 in enumeration order.
+
+    Each cyclic subgroup is walked once, from its first generator x in
+    enumeration order: the power list [Id, x, ..., x^(k-1)] is the whole
+    subgroup, and x^j with gcd(j, k) = 1 are exactly its other generators,
+    so they get order k without a walk of their own.
+    """
+    orders = {}
+    subgroups = {}
+    order2 = []
+    for key in _gl2_elements(p):
+        o = orders.get(key)
+        if o is None:
+            span = _powers4(key, p)
+            o = len(span)
+            # j = 0 passes only for k = 1, where it records the identity.
+            for j in range(o):
+                if gcd(j, o) == 1:
+                    orders[span[j]] = o
+            if o % p:
+                subgroups[frozenset(span)] = (key,)
+        if o == 2:
+            order2.append(key)
+    return orders, subgroups, order2
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_winners(p):
+    """{(size, fp): (sorted members, generators)} as the whole-group
+    scanner found it: every cyclic subgroup from _cyclic_pass, every S_3
+    from pairing the first generator x of each order-3 subgroup with each
+    involution y, and per key the lexicographically least sorted member
+    tuple."""
+    orders, subgroups, order2 = _cyclic_pass(p)
+
+    # x runs over the first generator of each cyclic subgroup of order 3:
+    # <x^2, y> = <x, y>, and the pairs with x come first in any case.
+    for x in [gens[0] for members, gens in subgroups.items() if len(members) == 3]:
+        x2 = _mul4(x, x, p)
+        for y in order2:
+            # y = y^-1, so y x y = x^-1 iff (y x)^2 = Id; y x = Id cannot
+            # hold, as x and y have different orders.
+            yx = _mul4(y, x, p)
+            if orders[yx] == 2:
+                # y x = x^2 y, so the six elements below are closed under
+                # products: they are <x, y>.
+                members = frozenset((_IDENTITY, x, x2, y, yx, _mul4(yx, x, p)))
+                if members not in subgroups:
+                    subgroups[members] = (x, y)
+
+    by_fingerprint = {}
+    for members, gens in subgroups.items():
+        fp = tuple(
+            sorted(
+                (orders[m], (m[0] * m[3] - m[1] * m[2]) % p, (m[0] + m[3]) % p)
+                for m in members
+            )
+        )
+        key = (len(members), fp)
+        candidate = (tuple(sorted(members)), gens)
+        if key not in by_fingerprint or candidate[0] < by_fingerprint[key][0]:
+            by_fingerprint[key] = candidate
+    return by_fingerprint
+
+
+def _reference_scan(p):
+    """The JSON of the whole-group scanner's entries, closed, classified,
+    filtered and sorted as scan_prime_to_p_subgroups does."""
+    ctx = ModulusContext(p, 1)
+    entries = []
+    for (size, _fp), (_members, gens) in sorted(_reference_winners(p).items()):
+        gen_rows = tuple(map(_rows, gens))
+        group = close_group(gen_rows, ctx)
+        assert len(group) == size
+        entries.append(ScanEntry(order=size, generators=gen_rows, verdict=classify_mod_p_group(group),
+                                 shape_filter=necessary_shape_filter(group)))
+    entries.sort(key=lambda e: (e.order, e.generators))
+    return [e.to_json() for e in entries]
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_scan_matches_whole_group_reference_scan(p):
+    assert [e.to_json() for e in scan_prime_to_p_subgroups(p)] == _reference_scan(p)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_class_orders_are_element_orders(p):
+    # Lemma (a): on elements of order prime to p the order is a function
+    # of (trace, determinant), which the scanner computes once per class.
+    orders, _spans = _class_orders(p)
+    checked = 0
+    for x in _gl2_elements(p):
+        k = len(_powers4(x, p))
+        if k % p:
+            assert orders[_trdet(x, p)] == k
+            checked += 1
+    # p - 1 scalar classes and (p - 1)^2 classes with distinct eigenvalues.
+    assert len(orders) == p * (p - 1)
+    assert checked == (p * p - 1) * (p * p - p) - (p * p - 1) * (p - 1)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_s3_order3_elements_by_brute_force(p):
+    # Lemma (b): the closed form lists exactly the order-3 elements that
+    # y0 = (0, 1, 1, 0) inverts.
+    y0 = (0, 1, 1, 0)
+    brute = [
+        x for x in _gl2_elements(p)
+        if len(_powers4(x, p)) == 3 and _mul4(_mul4(y0, x, p), y0, p) == _inv4(x, p)
+    ]
+    assert brute
+    assert sorted(_s3_order3_elements(p)) == brute
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_reference_winner_contains_least_companion(p):
+    # Lemma (c): the whole-group scanner's winner of each key contains the
+    # least companion matrix (0, 1, -det, tr) over the key's non-scalar
+    # entries; a key with only scalar entries is a subgroup of scalars.
+    with_companion = 0
+    for (_size, fp), (members, _gens) in _reference_winners(p).items():
+        companions = [(0, 1, -det % p, tr) for _o, det, tr in fp if (tr * tr - 4 * det) % p]
+        if companions:
+            assert min(companions) in members
+            with_companion += 1
+        else:
+            assert all(b == c == 0 and a == d for a, b, c, d in members)
+    assert with_companion
 
 
 def _reference_cyclic_pass(p):

@@ -220,12 +220,15 @@ def test_non_positive_cap_is_input_error(tmp_path, capsys, argv):
         (5, "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871"),
         (7, "00b671a9584318443d45d047da72af8a34263e2f7c69fcda6a4bc807cd45e613"),
         (11, "3b3c7e5c8fa6c4c76566009c23d28a4d66a8dcbce401d0193633ab66b69f9b4e"),
+        (13, "571cebbbca3a37b2d308171d269a4c83d1af980dba354100471ddd41c739af06"),
     ],
 )
 def test_scan_stdout_is_pinned(capsys, p, digest):
     # sha256 of the stdout of `h1loc scan --p 5` and `--p 7` as first recorded,
     # before the scanner shared the groups closure and power walk; `--p 11`
-    # as recorded while the scanner still walked every element's full span.
+    # as recorded while the scanner still walked every element's full span;
+    # `--p 13` is the benchmark's expected digest, recorded while the scanner
+    # still walked the whole group.
     assert main(["scan", "--p", str(p)]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
