@@ -82,7 +82,10 @@ def _cyclic_generators(orders: list[int]) -> list[int]:
 
 
 def _has_eigenvalue_one(ctx: ModulusContext, x) -> bool:
-    return 1 in eigen_data(ctx, x).eigenvalues
+    """Whether 1 is an eigenvalue of the key x mod p: the characteristic
+    polynomial t^2 - tr t + det vanishes at t = 1."""
+    a, b, c, d = x
+    return (1 - a - d + a * d - b * c) % ctx.p == 0
 
 
 def _case_cyclic(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:

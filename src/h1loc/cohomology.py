@@ -68,8 +68,8 @@ CLASS_ENUM_LIMIT = 10**5
 # Cap on the tables times elements that h1_loc's cross-check tests.
 CLASS_ENUM_WORK_LIMIT = 2 * 10**6
 # Cap on |G| * dim, checked before a CocycleSystem allocates anything per
-# element: each harvest round expands candidate cocycles into tables of |G|
-# values and checks each on |G| * dim / 2 Cayley edges.
+# element: each walk of the harvest fills a table of |G| values and checks
+# up to |G| * dim / 2 Cayley edges.
 SYSTEM_WORK_LIMIT = 2 * 10**5
 
 
@@ -115,6 +115,12 @@ class GModule:
         q = self.coeff_modulus
         a, b, c, d = key
         return (a % q, b % q, c % q, d % q)
+
+    def action_table(self, group: FiniteMatrixGroup) -> list[tuple[int, int, int, int]]:
+        """action_entries of each element of group, by index: its key list when the ring is the group's."""
+        if self.coeff_ctx == group.ctx:
+            return group._keys
+        return [self.action_entries(k) for k in group._keys]
 
     def torsion_embedding_scale(self) -> int:
         """Multiplier sending V[p] coordinates into V."""
@@ -203,18 +209,13 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     """
     group, module = c.group, c.module
     n = len(group)
-    acts = [module.action_entries(k) for k in group._keys]
+    acts = module.action_table(group)
     if full:
         mult = group.mult
         edges = ((b, [mult(a, b) for a in range(n)]) for b in range(n))
     else:
         edges = zip(group.distinct_generator_indices(), group.edge_targets())
-    return _cocycle_holds(acts, edges, c.values, module.coeff_modulus)
-
-
-def _cocycle_holds(acts, edges, values, q: int) -> bool:
-    """Z(1) = 0 and no edge is broken (see _first_broken_edge)."""
-    return values[0] == (0, 0) and _first_broken_edge(acts, edges, values, q) is None
+    return c.values[0] == (0, 0) and _first_broken_edge(acts, edges, c.values, module.coeff_modulus) is None
 
 
 def _first_broken_edge(acts, edges, values, q: int) -> Optional[tuple[int, int, int]]:
@@ -247,25 +248,33 @@ class CocycleSystem:
     memoised.  Raises ResourceLimitError before any per-element table is
     built when |G| * dim passes SYSTEM_WORK_LIMIT.
 
+    The walk of u (_walk) visits the elements in breadth-first order and
+    each one's generator slots in order: the first visit to t = a g_slot
+    sets Z(t) = Z(a) + a.u_slot, which is the tree, and every later visit
+    compares that sum with Z(t) and stops at the first edge that breaks.
+    Tree edges hold by construction, so a walk that ends has checked the
+    cocycle identity on every Cayley edge, and its table is u's expansion.
+
     Z^1 is cut out by the consistency rows L[t] - (L[a] + act(a) E_slot) of
     the Cayley edges a -> t = a g_slot off the tree, but only the rows of
-    edges that a candidate breaks are harvested (constraint_basis).  Each
-    round takes K, the kernel of the rows so far (at first the whole
-    space), expands every row of its Howell basis into a value table, and
-    checks the cocycle identity on every Cayley edge; for each row that
-    fails, the rows of its first broken edge join the harvest.  The rounds
-    stop when every row of K passes.
+    edges that a walk breaks are harvested (constraint_basis).  Each round
+    takes K, the kernel of the rows so far (at first the whole space), and
+    walks the probe, the sum of the rows of K's Howell basis, then, if it
+    passes, every row but the last, which is the probe minus the others and
+    so a cocycle once they are (Z^1 is a submodule).  The first walk that
+    breaks gives the rows of its edge to the harvest; the rounds stop when
+    nothing breaks, so the verifying round costs rank(K) walks.
 
     Exactness: the harvested rows are some of the consistency rows, so
     Z^1 is in K.  Every listed generator is a child of the root along its
-    own slot (they are distinct and not the identity), so the expansion of
-    u takes the value u_slot at generator slot, and a row that passes the
-    check is a cocycle's coordinates; K is spanned by such rows, so K is in
-    Z^1, and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows span
+    own slot (they are distinct and not the identity), so the walk of u
+    takes the value u_slot at generator slot, and a vector that passes is a
+    cocycle's coordinates; K is spanned by such vectors, so K is in Z^1,
+    and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows span
     the annihilator of K, the same submodule as all the consistency rows,
     and their Howell basis is the same, row for row.
 
-    Termination: the rows of a broken edge do not vanish on the row of K
+    Termination: the rows of a broken edge do not vanish on the vector
     that broke it (checked; ConsistencyError otherwise), so each round
     strictly shrinks K.  A chain of submodules of (Z/p^n)^dim has at most
     n * dim steps, so after n * dim + 1 rounds the harvest gives up with
@@ -288,17 +297,16 @@ class CocycleSystem:
             )
         self.q = module.coeff_modulus
         self.cctx = module.coeff_ctx
-        self.acts = [module.action_entries(k) for k in group._keys]
+        self.acts = module.action_table(group)
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
         # The tree: element i is reached from parent[i] along generator
         # slot[i] (-1 while unreached; the root is its own parent);
-        # bfs_edges lists (parent, slot, child) in breadth-first order.
+        # bfs_order lists the elements in breadth-first order.
         self.parent = array("q", [-1]) * n
         self.parent[0] = 0
         self.slot = array("q", [0]) * n
-        self.bfs_edges: list[tuple[int, int, int]] = []
-        order = [0]
+        self.bfs_order = order = [0]
         for x in order:
             for slot, tg in enumerate(self.targets):
                 y = tg[x]
@@ -306,7 +314,6 @@ class CocycleSystem:
                     order.append(y)
                     self.parent[y] = x
                     self.slot[y] = slot
-                    self.bfs_edges.append((x, slot, y))
         if len(order) != n:
             raise ContractError("the listed generators do not generate the group")
         self._L = {0: ([0] * self.dim, [0] * self.dim)}
@@ -365,18 +372,18 @@ class CocycleSystem:
         for _ in range(cctx.n * dim + 1):
             basis = _howell_raw(rows, dim, cctx)
             kern = _kernel_raw(basis, dim, cctx) if dim else []
-            broken = set()
-            for r in kern:
-                edge = _first_broken_edge(self.acts, zip(self.gens, self.targets), self.expand(r).values, q)
-                if edge is None or edge in broken:
-                    continue
-                broken.add(edge)
-                pair = self.edge_rows(*edge)
-                if not any(sum(x * y for x, y in zip(row, r)) % q for row in pair):
-                    raise ConsistencyError(f"the rows of the broken Cayley edge {edge} vanish on the cocycle candidate")
-                rows.extend(row for row in pair if any(row))
-            if not broken:
+            # The probe, the sum of K's rows, then every row but the last.
+            candidates = [[sum(col) % q for col in zip(*kern)]] + kern[:-1] if kern else []
+            for u in candidates:
+                edge = self._walk(u)[0]
+                if edge is not None:
+                    break
+            else:
                 return basis, SubmoduleBasis.from_raw(cctx, dim, kern)
+            pair = self.edge_rows(*edge)
+            if not any(sum(x * y for x, y in zip(row, u)) % q for row in pair):
+                raise ConsistencyError(f"the rows of the broken Cayley edge {edge} vanish on the cocycle candidate")
+            rows.extend(row for row in pair if any(row))
         raise ConsistencyError(f"the cocycle harvest did not settle in {cctx.n * dim + 1} rounds")
 
     @property
@@ -475,21 +482,39 @@ class CocycleSystem:
 
     # -- coordinates <-> tables --------------------------------------------
 
+    def _walk(self, coords: Sequence[int]) -> tuple[Optional[tuple[int, int, int]], Optional[list]]:
+        """The walk of the class docstring on u = coords: (None, the value
+        table of u's expansion) when u is a cocycle's coordinates, else
+        (the first broken edge (a, slot, a g_slot), None)."""
+        q = self.q
+        slots = [(s, tg, coords[2 * s] % q, coords[2 * s + 1] % q) for s, tg in enumerate(self.targets)]
+        vals: list[Optional[tuple[int, int]]] = [(0, 0)] + [None] * (len(self.group) - 1)
+        acts = self.acts
+        for a in self.bfs_order:
+            v0, v1 = vals[a]
+            m0, m1, m2, m3 = acts[a]
+            for s, tg, g0, g1 in slots:
+                w = ((v0 + m0 * g0 + m1 * g1) % q, (v1 + m2 * g0 + m3 * g1) % q)
+                t = tg[a]
+                old = vals[t]
+                if old is None:
+                    vals[t] = w
+                elif old != w:
+                    return (a, s, t), None
+        return None, vals
+
     def expand(self, coords: Sequence[int]) -> Cocycle:
         q = self.q
         u = [x % q for x in coords]
         vals: list[Optional[tuple[int, int]]] = [None] * len(self.group)
         vals[0] = (0, 0)
-        for parent, slot, child in self.bfs_edges:
+        for child in self.bfs_order[1:]:
+            parent, slot = self.parent[child], self.slot[child]
             a, b, c, d = self.acts[parent]
             g0, g1 = u[2 * slot], u[2 * slot + 1]
             v = vals[parent]
             vals[child] = ((v[0] + a * g0 + b * g1) % q, (v[1] + c * g0 + d * g1) % q)
         return Cocycle(self.group, self.module, tuple(vals))
-
-    def is_cocycle(self, c: Cocycle) -> bool:
-        """verify_cocycle(c) on the system's own action table and generators."""
-        return _cocycle_holds(self.acts, zip(self.gens, self.targets), c.values, self.q)
 
     def compress(self, c: Cocycle) -> tuple[int, ...]:
         out = []
@@ -524,19 +549,20 @@ class CocycleSystem:
 
     def _report(self, big: SubmoduleBasis) -> H1Report:
         """big/B^1 as invariant factors plus generating cocycles, each
-        re-checked against the cocycle identity."""
+        table built by the walk, which re-checks the cocycle identity."""
         structure = quotient_structure(big, self.b1())
         orders = tuple(d for d, _ in structure)
-        gens = tuple(self.expand(vec) for _, vec in structure)
-        if not all(self.is_cocycle(c) for c in gens):
+        walks = [self._walk(vec) for _, vec in structure]
+        if any(edge is not None for edge, _ in walks):
             raise ConsistencyError("quotient generator fails the cocycle identity")
+        gens = tuple(Cocycle(self.group, self.module, tuple(values)) for _, values in walks)
         return H1Report(
             group_label=self.group.label,
             module_label=self.module.label,
             order=math.prod(orders),
             invariant_factors=orders,
             generator_cocycles=gens,
-            zero_cocycle=self.expand([0] * self.dim),
+            zero_cocycle=Cocycle(self.group, self.module, ((0, 0),) * len(self.group)),
             witness=None,
         )
 

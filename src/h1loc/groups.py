@@ -161,15 +161,6 @@ class FiniteMatrixGroup:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def word(self, i: int) -> tuple[int, ...]:
-        """Generator positions whose product, left to right, is element i;
-        a shortest such word, read off the breadth-first tree."""
-        out = []
-        while i:
-            out.append(self._slot[i])
-            i = self._parent[i]
-        return tuple(reversed(out))
-
     def index_of(self, rows) -> int:
         """The index of the matrix with rows [[a, b], [c, d]]."""
         try:
@@ -235,9 +226,6 @@ class FiniteMatrixGroup:
                 if not spanned <= target:
                     return None
         return gens
-
-    def is_subgroup_set(self, indices: Iterable[int]) -> bool:
-        return self.subgroup_generators(indices) is not None
 
 
 def close_group(

@@ -1,6 +1,7 @@
 """The mod-p trichotomy classifier, the shape filter, and the scanner."""
 
 import functools
+import itertools
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from h1loc import (
     ResourceLimitError,
     classify_mod_p_group,
     close_group,
+    eigen_data,
     full_module,
     h1_loc,
     necessary_shape_filter,
@@ -22,7 +24,7 @@ from h1loc import (
     reverify_verdict,
     scan_prime_to_p_subgroups,
 )
-from h1loc.classify import SCAN_PRIMES, ScanEntry, _class_orders, _s3_order3_elements, _trdet
+from h1loc.classify import SCAN_PRIMES, ScanEntry, _class_orders, _has_eigenvalue_one, _s3_order3_elements, _trdet
 from h1loc.constructions import (
     build_borel_shared_group,
     build_cyclic_quotient_group,
@@ -369,3 +371,16 @@ def test_dihedral_test_by_order_of_product(p):
             assert (orders[yx] == 2) == dihedral
             inverting += dihedral
     assert inverting
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_eigenvalue_one_closed_form_matches_eigen_data(p):
+    """(1 - tr + det) % p == 0 against the eigenvalues eigen_data finds,
+    on every element of GL_2(F_p)."""
+    ctx = ModulusContext(p, 1)
+    count = 0
+    for x in itertools.product(range(p), repeat=4):
+        if (x[0] * x[3] - x[1] * x[2]) % p:
+            assert _has_eigenvalue_one(ctx, x) == (1 in eigen_data(ctx, x).eigenvalues), x
+            count += 1
+    assert count == (p * p - 1) * (p * p - p)

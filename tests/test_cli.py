@@ -1,14 +1,19 @@
 """End-to-end command line behavior and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import h1loc
 from h1loc.cli import (
@@ -350,3 +355,61 @@ def test_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, used):
 def test_import_h1loc_loads_no_submodule():
     probe = "import sys, h1loc; print(*sorted(m for m in sys.modules if m.startswith('h1loc')))"
     assert loaded_modules(probe) == ["h1loc"]
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary JSON input never escapes as an exception.
+
+_INTEGERS = st.one_of(
+    st.integers(-10, 30),
+    st.sampled_from([2, 3, 5, 7, 11, 101, 2**61 - 1, 2**63 + 1, 10**30, -(10**30)]),
+    st.integers(),
+)
+_SCALARS = st.one_of(
+    _INTEGERS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+_ANY_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_MATRICES = st.one_of(
+    st.lists(st.lists(_INTEGERS, min_size=2, max_size=2), min_size=2, max_size=2),
+    st.lists(st.lists(_INTEGERS, min_size=3, max_size=3), min_size=2, max_size=2),  # 2x3
+    st.lists(st.lists(_INTEGERS, max_size=3), max_size=3),  # ragged
+    st.lists(st.lists(_SCALARS, min_size=2, max_size=2), min_size=2, max_size=2),
+    _ANY_JSON,
+)
+_SMALL_MATRICES = st.lists(st.lists(st.integers(-30, 30), min_size=2, max_size=2), min_size=2, max_size=2)
+_GROUPS = st.one_of(
+    st.fixed_dictionaries(
+        {"p": st.sampled_from([3, 5, 7]), "n": st.integers(1, 3),
+         "generators": st.lists(_SMALL_MATRICES, min_size=1, max_size=3)},
+        optional={"label": st.text(max_size=4)},
+    ),
+    st.fixed_dictionaries(
+        {"p": st.one_of(st.sampled_from([2, 3, 5, 7]), _SCALARS),
+         "n": st.one_of(st.integers(0, 4), _SCALARS),
+         "generators": st.one_of(st.lists(_MATRICES, max_size=3), _ANY_JSON)},
+        optional={"label": st.one_of(st.text(max_size=4), _SCALARS)},
+    ),
+    st.dictionaries(st.sampled_from(["p", "n", "generators", "label"]), _ANY_JSON),
+    _ANY_JSON,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(group=_GROUPS, command=st.sampled_from(["h1", "h1loc"]),
+       module=st.sampled_from(["V", "V[p]", "V/V[p]", "W"]))
+def test_arbitrary_json_input_exits_cleanly(group, command, module):
+    """h1 and h1loc on arbitrary JSON: well-formed small groups beside wrong
+    types, huge and negative integers, NaN, ragged and 2x3 matrices, bad p
+    and n.  Each run answers, or exits with an input or resource error;
+    none raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(group), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--input", str(path), "--module", module, "--cap", "200"])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_RESOURCE)

@@ -812,9 +812,10 @@ def test_harvest_raises_when_a_broken_edge_gives_no_cut(monkeypatch):
     make no progress; the harvest must raise, not loop."""
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
-    tree_edge = system.bfs_edges[-1]
+    last = system.bfs_order[-1]
+    tree_edge = (system.parent[last], system.slot[last], last)
     assert not any(map(any, system.edge_rows(*tree_edge)))
-    monkeypatch.setattr(cohomology, "_first_broken_edge", lambda *args: tree_edge)
+    monkeypatch.setattr(CocycleSystem, "_walk", lambda self, u: (tree_edge, None))
     start = time.perf_counter()
     with pytest.raises(ConsistencyError, match="vanish on the cocycle candidate"):
         system.z1()
@@ -841,10 +842,100 @@ def test_lazy_harvest_is_small_and_final_round_is_z1():
     assert system.constraints == []
     z1 = system.z1()
     assert 0 < len(system.constraints) <= 2 * system.cctx.n * system.dim
-    assert all(system.is_cocycle(system.expand(r)) for r in z1.rows)
+    assert all(verify_cocycle(system.expand(r)) for r in z1.rows)
     assert z1 == SubmoduleBasis.from_raw(
         system.cctx, system.dim, _kernel_raw(system.constraint_basis, system.dim, system.cctx)
     )
+
+
+# ---------------------------------------------------------------------------
+# The fail-fast walk against expand and verify_cocycle.
+
+
+def _first_broken_in_walk_order(system, u):
+    """The walk's oracle, read off expand(u): the first Cayley edge
+    (a, slot, a g_slot) that breaks the cocycle identity, with a in
+    breadth-first order and the slots of each a in order, or None."""
+    table = system.expand(u).values
+    q = system.q
+    for a in system.bfs_order:
+        m0, m1, m2, m3 = system.module.action_entries(system.group._keys[a])
+        v0, v1 = table[a]
+        for slot, tg in enumerate(system.targets):
+            g0, g1 = u[2 * slot] % q, u[2 * slot + 1] % q
+            if table[tg[a]] != ((v0 + m0 * g0 + m1 * g1) % q, (v1 + m2 * g0 + m3 * g1) % q):
+                return a, slot, tg[a]
+    return None
+
+
+def _assert_walk_matches_expand(system, seed, extra=6):
+    """On the rows of Z^1, random combinations of them, those plus a
+    random nudge of one coordinate, and random vectors: the walk passes
+    exactly when verify_cocycle(expand(u)) does, a passing walk's table is
+    expand(u).values, and a broken walk names the first broken edge in its
+    own order, whose consistency rows do not vanish on u."""
+    rng = random.Random(seed)
+    q, dim = system.q, system.dim
+    rows = system.z1().rows
+
+    def combo():
+        return [sum(rng.randrange(q) * r[i] for r in rows) % q for i in range(dim)]
+
+    vectors = list(rows)
+    for _ in range(extra):
+        vectors.append(combo())
+        nudged = combo()
+        nudged[rng.randrange(dim)] += rng.randrange(1, q)
+        vectors.append(nudged)
+        vectors.append([rng.randrange(q) for _ in range(dim)])
+    verdicts = set()
+    for u in vectors:
+        edge, values = system._walk(u)
+        expanded = system.expand(u)
+        assert (edge is None) == verify_cocycle(expanded)
+        assert edge == _first_broken_in_walk_order(system, u)
+        if edge is None:
+            assert tuple(values) == expanded.values
+        else:
+            assert values is None
+            assert any(sum(x * y for x, y in zip(row, u)) % q for row in system.edge_rows(*edge))
+        verdicts.add(edge is None)
+    # Random vectors break unless every vector is a cocycle's coordinates.
+    assert verdicts == {True, False} if system.z1().span_size() < q**dim else {True}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_walk_matches_expand_constructions(p):
+    for i, (group, module) in enumerate(_representative_cases(p)):
+        _assert_walk_matches_expand(CocycleSystem(group, module), seed=100 * p + i)
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+@pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
+def test_walk_matches_expand_over_z125(name, kind):
+    group = close_group(Z125_GROUPS[name], Z125)
+    _assert_walk_matches_expand(CocycleSystem(group, GModule(Z125, kind)), seed=len(name + kind), extra=3)
+
+
+def test_harvest_walks_visit_at_most_rank_plus_one_times_the_group(monkeypatch):
+    """On borel-shared p=17 (|G| = 9826) the harvest's walks, counted in
+    elements visited (all of G for a walk that passes, up to the broken
+    edge's source for one that breaks), stay within (rank Z^1 + 1) |G|."""
+    g = build_borel_shared_group(17)
+    system = CocycleSystem(g, full_module(g.ctx))
+    position = {x: i for i, x in enumerate(system.bfs_order)}
+    visits = []
+    walk = CocycleSystem._walk
+
+    def counted(self, u):
+        edge, values = walk(self, u)
+        visits.append(len(g) if edge is None else position[edge[0]] + 1)
+        return edge, values
+
+    monkeypatch.setattr(CocycleSystem, "_walk", counted)
+    z1 = system.z1()
+    assert visits.count(len(g)) == len(z1.rows)
+    assert sum(visits) <= (len(z1.rows) + 1) * len(g)
 
 
 def test_cocycle_system_memory_is_small():
