@@ -50,11 +50,9 @@ from .zmod import (
     SubmoduleBasis,
     _howell_raw,
     _kernel_raw,
-    column_span2,
     howell_from_rows,
     quotient_structure,
     solve2,
-    solve_linear,
 )
 
 FULL = "full"
@@ -321,8 +319,6 @@ class CocycleSystem:
         self.constraints: list[list[int]] = []
         self._b1: Optional[SubmoduleBasis] = None
         self._z1loc: Optional[SubmoduleBasis] = None
-        # action -> (g - Id, its column_span2 rows), filled by is_local_table.
-        self._spans: dict[tuple[int, int, int, int], tuple] = {}
 
     def value_map(self, i: int) -> tuple[list[int], list[int]]:
         """L[i], the pair of rows with Z(element i) = L[i] u, built down the
@@ -528,20 +524,13 @@ class CocycleSystem:
 
     def is_local_table(self, c: Cocycle) -> bool:
         """Direct test at every element, not only the representatives:
-        each value lies in the image of g - Id, decided by the column span
-        of g - Id (zmod.column_span2), not by the annihilator rows.  A
-        solution found is re-checked against (g - Id) x = value (zmod.solve2;
-        a mismatch raises ConsistencyError).  Elements that act alike on the
-        module (common for V[p] and V/V[p]) share one span, computed once
-        per system on first use."""
-        q, cctx, spans = self.q, self.cctx, self._spans
-        for value, act in zip(c.values, self.acts):
-            entry = spans.get(act)
-            if entry is None:
-                a, b, cc, d = act
-                shifted = ((a - 1) % q, b, cc, (d - 1) % q)
-                entry = spans[act] = (shifted, column_span2(cctx, shifted))
-            if solve2(cctx, *entry, value) is None:
+        each value lies in the image of g - Id, decided by the closed-form
+        solve of (g - Id) x = value (zmod.solve2), not by the annihilator
+        rows.  The x found is re-checked against (g - Id) x = value (a
+        mismatch raises ConsistencyError)."""
+        cctx = self.cctx
+        for value, (a, b, cc, d) in zip(c.values, self.acts):
+            if solve2(cctx, (a - 1, b, cc, d - 1), value) is None:
                 return False
         return True
 
@@ -686,8 +675,10 @@ def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
     """A module element m with c(g) = (g - 1) m for all g of c's group, as
     a pair of coordinates in c's module, or None.
 
-    One linear solve over the generator stack decides it; the candidate is
-    then re-checked against every element.
+    A x = b stacks (g - Id) x = c(g) over the generators.  Z/p^n is local,
+    so b lies in Im A exactly when some row (x_0, x_1, t) of the kernel
+    of [A | -b] has a unit t, and then m = t^-1 (x_0, x_1).  The candidate
+    is re-checked against every element.
     """
     group, module = c.group, c.module
     gens = group.distinct_generator_indices()
@@ -697,16 +688,18 @@ def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
         return 0, 0
     keys = group._keys
     rows = []
-    rhs = []
     for g in gens:
         a, b, cc, d = module.action_entries(keys[g])
-        rows.append([(a - 1) % q, b % q])
-        rows.append([cc % q, (d - 1) % q])
-        rhs.extend(c.values[g])
-    sol = solve_linear(ModMatrix.from_rows(cctx, rows), rhs)
-    if not sol.solvable:
+        v0, v1 = c.values[g]
+        rows.append([a - 1, b, -v0])
+        rows.append([cc, d - 1, -v1])
+    for x0, x1, t in _kernel_raw(rows, 3, cctx):
+        if t % cctx.p:
+            ti = cctx.unit_inverse(t)
+            m0, m1 = x0 * ti % q, x1 * ti % q
+            break
+    else:
         return None
-    m0, m1 = sol.solution
     for key, value in zip(keys, c.values):
         a, b, cc, d = module.action_entries(key)
         if (((a - 1) * m0 + b * m1) % q, (cc * m0 + (d - 1) * m1) % q) != value:

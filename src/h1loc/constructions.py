@@ -61,7 +61,7 @@ from .groups import (
     quotient_group,
     reduction_kernel,
 )
-from .zmod import ModMatrix, ModulusContext, column_span2, is_prime, solve2, solve_linear
+from .zmod import ModMatrix, ModulusContext, is_prime, kernel_basis, solve2
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -485,21 +485,23 @@ def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]
 
     Over Z/p^n, p v_1 = 0 exactly when v_1 = p^(n-1) t, so this is the 2x2
     system [[a - 1, b p^(n-1)], [c, (d - 1) p^(n-1)]] (v_0, t) = value,
-    decided in closed form (zmod.column_span2) and re-checked by solve2.
+    decided in closed form by zmod.solve2, which re-checks its solution.
     """
-    q, s = ctx.modulus, ctx.p ** (ctx.n - 1)
+    s = ctx.p ** (ctx.n - 1)
     a, b, c, d = key
-    m = ((a - 1) % q, b * s % q, c, (d - 1) * s % q)
-    return solve2(ctx, m, column_span2(ctx, m), value) is not None
+    return solve2(ctx, (a - 1, b * s, c, (d - 1) * s), value) is not None
 
 
 def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int], limit: int = 20000):
-    """Every v with (x - Id) v = b, for the element x over ctx with this key."""
+    """Every v with (x - Id) v = b, for the element x over ctx with this
+    key: one solution (zmod.solve2) plus the kernel of x - Id."""
     x00, x01, x10, x11 = key
-    sol = solve_linear(ModMatrix.from_rows(ctx, [[x00 - 1, x01], [x10, x11 - 1]]), b)
-    if not sol.solvable:
+    sol = solve2(ctx, (x00 - 1, x01, x10, x11 - 1), b)
+    if sol is None:
         return []
-    return list(sol.all_solutions(limit))
+    q = ctx.modulus
+    kernel = kernel_basis(ModMatrix.from_rows(ctx, [[x00 - 1, x01], [x10, x11 - 1]]))
+    return [((sol[0] + k0) % q, (sol[1] + k1) % q) for k0, k1 in kernel.enumerate_span(limit)]
 
 
 def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
@@ -606,8 +608,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     for a in range(p):
         for b in range(p):
             x00, x01, x10, x11 = _mul4(_pow4(h10_key, a, q), _pow4(h01_key, b, q), q)
-            shifted = ((x00 - 1) % q, x01, x10, (x11 - 1) % q)
-            if solve2(ctx, shifted, column_span2(ctx, shifted), (b * p, 0)) is None:
+            if solve2(ctx, (x00 - 1, x01, x10, x11 - 1), (b * p, 0)) is None:
                 solvable_all = False
     checks.append(Check("kernel_family_locally_solvable", solvable_all))
 

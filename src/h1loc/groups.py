@@ -110,23 +110,21 @@ def _powers4(x, q) -> list:
 def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP):
     """Breadth-first closure of gen_keys under right multiplication.
 
-    Returns (keys, index, parent, slot, right): keys[0] is the identity,
-    index maps each key to its position, keys[i] = keys[parent[i]] *
-    gen_keys[slot[i]] for i >= 1, and right[i * K + j] is the index of
-    keys[i] * gen_keys[j] for K = len(gen_keys).  One tree edge per element
-    (a Schreier vector) plus the K edge targets the walk computes anyway
-    keep memory linear in the group order; words are rebuilt from the tree
-    on demand.  Raises ResourceLimitError when the closure passes cap.
+    Returns (keys, index, right): keys[0] is the identity, index maps each
+    key to its position, keys are listed in breadth-first order, and
+    right[i * K + j] is the index of keys[i] * gen_keys[j] for
+    K = len(gen_keys).  The K edge targets the walk computes anyway keep
+    memory linear in the group order, and a breadth-first pass over them
+    rebuilds the walk's spanning tree.  Raises ResourceLimitError when the
+    closure passes cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
-    parent = array("q", [0])
-    slot = array("q", [0])
     right = array("q")
     i = 0
     while i < len(keys):
         base = keys[i]
-        for j, gk in enumerate(gen_keys):
+        for gk in gen_keys:
             prod = _mul4(base, gk, q)
             t = index.get(prod)
             if t is None:
@@ -135,11 +133,9 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
                     raise ResourceLimitError(f"group closure exceeded the cap of {cap} elements")
                 index[prod] = t
                 keys.append(prod)
-                parent.append(i)
-                slot.append(j)
             right.append(t)
         i += 1
-    return keys, index, parent, slot, right
+    return keys, index, right
 
 
 class FiniteMatrixGroup:
@@ -154,7 +150,7 @@ class FiniteMatrixGroup:
         self.label = label
         q = ctx.modulus
         self._q = q
-        self._keys, self._index, self._parent, self._slot, self._right = closure
+        self._keys, self._index, self._right = closure
         self.generators = tuple(self._index[k] for k in gen_keys)
         self._inv = array("q", [self._index[_inv4(k, q)] for k in self._keys])
 

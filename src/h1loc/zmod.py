@@ -10,8 +10,8 @@ are normalized to exactly p^v and entries above a pivot are reduced modulo
 the pivot, which makes equality of submodules an entry-wise comparison.
 
 A module vector is a plain tuple of ints, reduced modulo p^n on entry;
-column_span2 and solve2 take a 2x2 matrix as its row-major 4-tuple, and
-ModMatrix is the general matrix container.
+solve2 decides m x = b for a 2x2 matrix given as its row-major 4-tuple,
+in closed form, and ModMatrix is the general matrix container.
 
 Division never happens blindly: every nonzero residue is split into
 unit * p^v, units are inverted with pow(u, -1, q), and only the p-power part
@@ -101,9 +101,9 @@ class ModulusContext:
 class ModMatrix:
     """A dense matrix over Z/p^n, stored row-major with reduced entries.
 
-    The input and output type of the general solvers and kernels below; a
-    2x2 matrix elsewhere is its row-major 4-tuple key, and its products,
-    powers, inverses and shifts live on keys in groups.
+    The input and output type of the Howell forms, kernels and images
+    below; a 2x2 matrix elsewhere is its row-major 4-tuple key, and its
+    products, powers, inverses and shifts live on keys in groups.
     """
 
     ctx: ModulusContext
@@ -315,156 +315,47 @@ def image_basis(m: ModMatrix) -> SubmoduleBasis:
     return SubmoduleBasis.from_raw(m.ctx, m.rows, _howell_raw(t.row_lists(), t.cols, m.ctx))
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    solution: Optional[tuple[int, ...]]
-    kernel: SubmoduleBasis
+def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """One x with m x = b for the 2x2 matrix with row-major entries m, or
+    None; entries of m and b are reduced modulo p^n first.
 
-    @property
-    def solvable(self) -> bool:
-        return self.solution is not None
-
-    def all_solutions(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        if self.solution is None:
-            return
-        q = self.kernel.ctx.modulus
-        for k in self.kernel.enumerate_span(limit):
-            yield tuple((a + b) % q for a, b in zip(self.solution, k))
-
-
-class LinearSolver:
-    """Solves a x = b for one fixed matrix a and any number of right-hand sides.
-
-    The Howell form of the augmented transpose [a^T | Id] is computed once.
-    Its rows with a nonzero left part pair a Howell basis of the column span
-    of a with the combination coefficients that produce each basis vector;
-    its rows with a zero left part are a basis of the kernel of a.  Each
-    solve is then one reduction of b against that column-span basis.
+    The Smith form of m read from valuations (Newman, Integral Matrices,
+    ch. II): the first entry of least valuation, unit * p^v, is moved to
+    the top left by a row and a column swap; p^v divides every other
+    entry, so one row and one column step clear its row and column and
+    leave diag(unit * p^v, h).  Then m x = b is solvable exactly when p^v
+    divides the first eliminated coordinate of b and p^w, w the valuation
+    of h, divides the second.  The x found is re-checked against m x = b;
+    a mismatch raises ConsistencyError.
     """
-
-    def __init__(self, a: ModMatrix):
-        self.a = a
-        m, ncols = a.rows, a.cols
-        aug = []
-        for j in range(ncols):
-            row = [a.entry(i, j) for i in range(m)]
-            row.extend(1 if k == j else 0 for k in range(ncols))
-            aug.append(row)
-        # (pivot column, pivot value, column-span vector, its coefficients)
-        self._image: list[tuple[int, int, list[int], list[int]]] = []
-        kernel_rows = []
-        for row in _howell_raw(aug, m + ncols, a.ctx):
-            left = row[:m]
-            col = next((j for j, e in enumerate(left) if e), None)
-            if col is None:
-                kernel_rows.append(row[m:])
-            else:
-                self._image.append((col, left[col], left, row[m:]))
-        self.kernel = SubmoduleBasis.from_raw(a.ctx, ncols, kernel_rows)
-
-    def solve(self, b: Sequence[int]) -> LinearSolution:
-        """One solution of a x = b (if any) together with the kernel of a;
-        b is reduced modulo p^n first.
-
-        A solution found is re-checked against a x = b; a mismatch raises
-        ConsistencyError.
-        """
-        a = self.a
-        if len(b) != a.rows:
-            raise DimensionError("right-hand side does not match the matrix")
-        q = a.ctx.modulus
-        m, ncols = a.rows, a.cols
-        b = tuple(x % q for x in b)
-        bb = list(b)
-        x = [0] * ncols
-        for col, piv, left, coeffs in self._image:
-            c = bb[col] // piv
-            if c:
-                for j in range(m):
-                    bb[j] = (bb[j] - c * left[j]) % q
-                for j in range(ncols):
-                    x[j] = (x[j] + c * coeffs[j]) % q
-        if any(bb):
-            return LinearSolution(None, self.kernel)
-        sol = tuple(x)
-        if a.vec_mul(sol) != b:
-            raise ConsistencyError("solver result fails the re-check a x = b")
-        return LinearSolution(sol, self.kernel)
-
-
-def column_span2(
-    ctx: ModulusContext, m: tuple[int, int, int, int]
-) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-    """Howell basis of the column span of the 2x2 matrix with reduced
-    row-major entries m, in closed form.
-
-    Rows are (pivot column, pivot p^v, basis vector, coefficients x with
-    m x = basis vector), the layout of LinearSolver's column-span rows.
-    The two columns of m are eliminated as in _howell_raw: the one of least
-    valuation in the first coordinate becomes the first pivot row, it
-    clears the other, and its annihilator multiple p^(n-v) joins the
-    candidates for the second coordinate, where the one of least valuation
-    is the second pivot row and the rest reduce to zero.  The first row is
-    then reduced modulo the second pivot, so the vectors are canonical.
-    """
-    p, n, q = ctx.p, ctx.n, ctx.modulus
-    a, b, c, d = m
-    rest = [(a, c, 1, 0), (b, d, 0, 1)]  # (column of m, its coefficients)
-    out = []
-    for col in (0, 1):
-        live = [(*ctx.valuation(s[col]), i) for i, s in enumerate(rest) if s[col]]
-        if not live:
-            continue
-        v, unit, i = min(live)
-        ui = pow(unit, -1, q)
-        r = tuple(ui * e % q for e in rest.pop(i))
-        piv = p**v
-        rest = [tuple((e - s[col] // piv * f) % q for e, f in zip(s, r)) for s in rest]
-        if v:
-            rest.append(tuple(p ** (n - v) * e % q for e in r))
-        out.append((col, piv, (r[0], r[1]), (r[2], r[3])))
-    if len(out) == 2:
-        (_, piv0, (t0, t1), (x0, x1)), (_, piv1, (_, s1), (y0, y1)) = out
-        k = t1 // piv1
-        out[0] = (0, piv0, (t0, (t1 - k * s1) % q), ((x0 - k * y0) % q, (x1 - k * y1) % q))
-    return out
-
-
-def solve2(
-    ctx: ModulusContext, m: tuple[int, int, int, int], span, b: tuple[int, int]
-) -> Optional[tuple[int, int]]:
-    """One x with m x = b for the 2x2 matrix with row-major entries m and a
-    reduced pair b, or None.
-
-    b is reduced against span, the column-span rows of m (column_span2),
-    on plain integers.  A solution found is re-checked against m x = b; a
-    mismatch raises ConsistencyError.
-    """
-    q = ctx.modulus
-    b0, b1 = b
-    x0 = x1 = 0
-    for col, piv, (l0, l1), (c0, c1) in span:
-        c = (b1 if col else b0) // piv
-        if c:
-            b0 = (b0 - c * l0) % q
-            b1 = (b1 - c * l1) % q
-            x0 = (x0 + c * c0) % q
-            x1 = (x1 + c * c1) % q
-    if b0 or b1:
+    p, q = ctx.p, ctx.modulus
+    m = tuple(e % q for e in m)
+    b = (b[0] % q, b[1] % q)
+    vals = [ctx.valuation(e) for e in m]
+    i = min(range(4), key=lambda j: vals[j][0])
+    v, unit = vals[i]
+    # The swaps put the pivot's row and column first: m[i ^ 1] is the other
+    # entry of its row, m[i ^ 2] of its column, m[i ^ 3] the opposite one.
+    f, g, h = m[i ^ 1], m[i ^ 2], m[i ^ 3]
+    c0, c1 = (b[1], b[0]) if i >= 2 else b
+    pv = p**v
+    ui = ctx.unit_inverse(unit)
+    k = g // pv * ui % q  # row 1 -= k * row 0
+    l = f // pv * ui % q  # column 1 -= l * column 0
+    w, hunit = ctx.valuation(h - k * f)
+    c1 = (c1 - k * c0) % q
+    pw = p**w
+    if c0 % pv or c1 % pw:
         return None
+    z0 = c0 // pv * ui % q
+    z1 = c1 // pw * ctx.unit_inverse(hunit) % q
+    x = ((z0 - l * z1) % q, z1)
+    if i % 2:
+        x = x[::-1]
     s00, s01, s10, s11 = m
-    if ((s00 * x0 + s01 * x1) % q, (s10 * x0 + s11 * x1) % q) != b:
+    if ((s00 * x[0] + s01 * x[1]) % q, (s10 * x[0] + s11 * x[1]) % q) != b:
         raise ConsistencyError("2x2 solve fails the re-check m x = b")
-    return x0, x1
-
-
-def solve_linear(a: ModMatrix, b: Sequence[int]) -> LinearSolution:
-    """One solution of a x = b (if any) together with the kernel of a.
-
-    The full solution set is solution + kernel.  For many right-hand sides
-    against the same matrix, build one LinearSolver and reuse it.
-    """
-    return LinearSolver(a).solve(b)
+    return x
 
 
 def dual_constraints(basis: SubmoduleBasis) -> ModMatrix:

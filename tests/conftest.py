@@ -4,7 +4,8 @@ The brute-force helpers recompute cohomological data by exhaustive
 enumeration with their own propagation loops, so they share no code path
 with the engine they are used to check.  assert_h1_loc_is_the_local_classes
 keeps the class enumeration that h1_loc once ran as its cross-check, as the
-oracle of the cross-check on socle lines that replaced it.
+oracle of the cross-check on socle lines that replaced it.  reference_solve
+is the general linear solver over Z/p^n, the oracle of zmod.solve2.
 """
 
 import itertools
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy
 import pytest
 
-from h1loc import CocycleSystem, ModulusContext, close_group, h1, h1_loc
+from h1loc import CocycleSystem, ModulusContext, close_group, h1, h1_loc, howell_from_rows
+from h1loc.zmod import _howell_raw
 
 ACCEPTANCE_RESULTS = []
 
@@ -69,6 +71,52 @@ def oracle_power(key, k, q):
 def act(entries, v, q):
     a, b, c, d = entries
     return ((a * v[0] + b * v[1]) % q, (c * v[0] + d * v[1]) % q)
+
+
+def reference_solve(a, b):
+    """One x with a x = b for the ModMatrix a, or None, and the kernel rows
+    of a; b is reduced modulo p^n first.  One Howell form of [a^T | Id] per
+    call: its rows with a nonzero left part pair a Howell basis of the
+    column span of a with the coefficients that produce each basis vector,
+    and its rows with a zero left part are a basis of the kernel of a.
+    Nothing is kept between calls."""
+    ctx = a.ctx
+    q = ctx.modulus
+    m, ncols = a.rows, a.cols
+    aug = []
+    for j in range(ncols):
+        row = [a.entry(i, j) for i in range(m)]
+        row.extend(1 if k == j else 0 for k in range(ncols))
+        aug.append(row)
+    h = _howell_raw(aug, m + ncols, ctx)
+    bb = [x % q for x in b]
+    x = [0] * ncols
+    kernel_rows = []
+    for row in h:
+        left = row[:m]
+        if any(left):
+            col = next(j for j, e in enumerate(left) if e)
+            c = bb[col] // left[col]
+            if c:
+                for j in range(m):
+                    bb[j] = (bb[j] - c * left[j]) % q
+                for j in range(ncols):
+                    x[j] = (x[j] + c * row[m + j]) % q
+        else:
+            kernel_rows.append(row[m:])
+    solution = None if any(bb) else tuple(x)
+    return solution, [tuple(r) for r in kernel_rows]
+
+
+def all_solutions(a, b, limit=None):
+    """Every x with a x = b: reference_solve's solution plus each element
+    of the kernel span, enumerated once; empty when there is none."""
+    solution, kernel_rows = reference_solve(a, b)
+    if solution is None:
+        return []
+    q = a.ctx.modulus
+    kernel = howell_from_rows(a.ctx, a.cols, kernel_rows)
+    return [tuple((s + k) % q for s, k in zip(solution, v)) for v in kernel.enumerate_span(limit)]
 
 
 def brute_cocycle_tables(group, module):

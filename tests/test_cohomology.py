@@ -30,15 +30,13 @@ from h1loc import (
     inflation_restriction_check,
     is_coboundary,
     kernel_basis,
+    parse_module,
     quotient_invariants,
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
     ResourceLimitError,
-    LinearSolver,
     SubmoduleBasis,
-    image_basis,
-    solve_linear,
     subgroup_from_indices,
     torsion_module,
     verify_cocycle,
@@ -56,7 +54,7 @@ from h1loc.constructions import (
     s3_generators,
 )
 from h1loc.groups import _rows
-from h1loc.zmod import _howell_raw, _kernel_raw, column_span2, solve2
+from h1loc.zmod import _howell_raw, _kernel_raw, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
     brute_coboundary_tables,
@@ -65,6 +63,7 @@ from conftest import (
     construction_groups,
     engine_tables,
     full_harvest,
+    reference_solve,
 )
 
 CTX25 = ModulusContext(5, 2)
@@ -217,6 +216,53 @@ def test_is_coboundary_cases():
     for row in tor.b1().rows:
         m = is_coboundary(tor.expand(row))
         assert m is not None and all(0 <= x < 5 for x in m)
+
+
+def _coboundary_by_reference(c):
+    """Whether some m has c(g) = (g - 1) m at every element: reference_solve
+    on the stack of g - Id over all of c's group."""
+    module = c.module
+    rows, rhs = [], []
+    for key, value in zip(c.group._keys, c.values):
+        a, b, cc, d = module.action_entries(key)
+        rows += [[a - 1, b], [cc, d - 1]]
+        rhs += value
+    return reference_solve(ModMatrix.from_rows(module.coeff_ctx, rows), rhs)[0] is not None
+
+
+@pytest.mark.parametrize("case", ["borel-shared-V", "z125-V", "z125-V[p]", "z125-V/V[p]"])
+def test_is_coboundary_matches_the_all_element_reference(case):
+    label, kind = case.rsplit("-", 1)
+    if label == "borel-shared":
+        g = build_borel_shared_group(5)
+    else:
+        g = close_group(Z125_GROUPS["z125"], Z125)
+    module = parse_module(g.ctx, kind)
+    q = module.coeff_modulus
+    rng = random.Random(case)
+    # A cocycle outside B^1: the h1_loc witness, or on V[p] and V/V[p], where
+    # H^1_loc = 0, the first generator of H^1.
+    witness = h1_loc(g, module).witness or h1(g, module).generator_cocycles[0]
+    m = (rng.randrange(q), rng.randrange(q))
+    delta = Cocycle(g, module, tuple(
+        (((a - 1) * m[0] + b * m[1]) % q, (c * m[0] + (d - 1) * m[1]) % q)
+        for a, b, c, d in map(module.action_entries, g._keys)))
+    tables = [delta, witness]
+    for base in (delta, witness):
+        vals = list(base.values)
+        i = rng.randrange(1, len(g))
+        vals[i] = ((vals[i][0] + 1) % q, vals[i][1])
+        tables.append(Cocycle(g, module, tuple(vals)))
+    verdicts = []
+    for table in tables:
+        found = is_coboundary(table)
+        assert (found is not None) == _coboundary_by_reference(table)
+        if found is not None:
+            m0, m1 = found
+            for (a, b, c, d), value in zip(map(module.action_entries, g._keys), table.values):
+                assert (((a - 1) * m0 + b * m1) % q, (c * m0 + (d - 1) * m1) % q) == value
+        verdicts.append(found is not None)
+    assert verdicts == [True, False, False, False]
 
 
 def test_restriction_of_coboundary_is_coboundary():
@@ -557,13 +603,13 @@ def test_per_edge_cocycle_check_matches_all_pairs(p):
 
 
 def _local_by_uncached_solves(group, module, c):
-    """Per-element solve_linear with a fresh matrix each time: no cache."""
+    """Per-element reference_solve with a fresh matrix each time."""
     q = module.coeff_modulus
     cctx = module.coeff_ctx
     for i in range(len(group)):
         a, b, cc, d = module.action_entries(group._keys[i])
         shifted = ModMatrix(cctx, 2, 2, ((a - 1) % q, b % q, cc % q, (d - 1) % q))
-        if not solve_linear(shifted, c.values[i]).solvable:
+        if reference_solve(shifted, c.values[i])[0] is None:
             return False
     return True
 
@@ -593,22 +639,18 @@ def test_cached_local_test_matches_uncached_oracle_borel_shared():
 
 
 @pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
-def test_cached_local_test_matches_uncached_oracle_over_z125(kind, monkeypatch):
+def test_cached_local_test_matches_uncached_oracle_over_z125(kind):
     ctx = ModulusContext(5, 3)
     g = close_group([[[1, 0], [0, -1]], [[6, 1], [10, 6]]], ctx)
     module = GModule(ctx, kind)
-    spans = []
-    monkeypatch.setattr(cohomology, "column_span2", lambda *args: spans.append(args) or column_span2(*args))
     system, verdicts = _assert_local_test_matches_oracle(g, module)
     assert True in verdicts and False in verdicts
-    # A local class was tested at every element, and each distinct action
-    # had its column span computed once, however many tables were tested.
+    # Every element acts differently on V, while on V[p] and V/V[p] the
+    # reduced actions repeat: the test covers both.
     distinct = len(set(system.acts))
-    assert len(spans) == len(system._spans) == distinct
     if kind == "full":
         assert distinct == len(g)
     else:
-        # The reduced actions repeat, so many elements share one span.
         assert distinct * 10 <= len(g)
 
 
@@ -1017,18 +1059,29 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
 # The cross-check's membership test.
 
 
+def _checked_solve2(ctx, entries, v):
+    """solve2's verdict, after checking that an x it returns solves m x = v."""
+    q = ctx.modulus
+    a, b, c, d = entries
+    x = solve2(ctx, entries, v)
+    if x is not None:
+        assert ((a * x[0] + b * x[1]) % q, (c * x[0] + d * x[1]) % q) == v
+    return x is not None
+
+
 def test_admits_matches_solver_for_every_matrix_mod_9():
+    # Every (m, v) against the brute-force image; the reference solver sees
+    # a ninth of the pairs of each matrix, every pair over nine matrices.
     ctx = ModulusContext(3, 2)
     pairs = [(x, y) for x in range(9) for y in range(9)]
-    for entries in itertools.product(range(9), repeat=4):
-        span = column_span2(ctx, entries)
+    for k, entries in enumerate(itertools.product(range(9), repeat=4)):
         a, b, c, d = entries
         image = {((a * x + b * y) % 9, (c * x + d * y) % 9) for x, y in pairs}
-        solver = LinearSolver(ModMatrix(ctx, 2, 2, entries))
         for v in pairs:
-            admitted = solve2(ctx, entries, span, v) is not None
-            assert admitted == solver.solve(v).solvable
-            assert admitted == (v in image)
+            assert _checked_solve2(ctx, entries, v) == (v in image)
+        matrix = ModMatrix(ctx, 2, 2, entries)
+        for v in pairs[k % 9 :: 9]:
+            assert (reference_solve(matrix, v)[0] is not None) == (v in image)
 
 
 @pytest.mark.parametrize("p, n", [(5, 2), (5, 3), (3, 3), (7, 3), (7, 4)])
@@ -1040,54 +1093,24 @@ def test_admits_matches_solver_on_random_matrices(p, n):
     for _ in range(3000):
         # Entries with a random valuation, so that singular matrices are common.
         entries = tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4))
-        span = column_span2(ctx, entries)
         a, b, c, d = entries
         x, y = rng.randrange(q), rng.randrange(q)
         for v in (((a * x + b * y) % q, (c * x + d * y) % q), (rng.randrange(q), rng.randrange(q))):
-            admitted = solve2(ctx, entries, span, v) is not None
-            assert admitted == LinearSolver(ModMatrix(ctx, 2, 2, entries)).solve(v).solvable
+            admitted = _checked_solve2(ctx, entries, v)
+            assert admitted == (reference_solve(ModMatrix(ctx, 2, 2, entries), v)[0] is not None)
             hits += admitted
     assert 3000 < hits < 6000
 
 
-def test_admits_recheck_catches_a_corrupted_solver():
+def test_admits_recheck_catches_a_corrupted_solver(monkeypatch):
     ctx = ModulusContext(5, 2)
     m = (5, 1, 10, 5)
-    span = column_span2(ctx, m)
-    assert solve2(ctx, m, span, (1, 5)) is not None
-    # Corrupt the coefficients of the first column-span row: the reduction
-    # still succeeds, so only the re-check against m x = v can tell.
-    col, piv, left, coeffs = span[0]
-    span[0] = (col, piv, left, tuple((c + 1) % 25 for c in coeffs))
+    assert solve2(ctx, m, (1, 5)) is not None
+    # A wrong unit inverse leaves the valuations, and so the verdict, as
+    # they were: only the re-check against m x = v can tell.
+    monkeypatch.setattr(ModulusContext, "unit_inverse", lambda self, u: (pow(u, -1, self.modulus) + 1) % self.modulus)
     with pytest.raises(ConsistencyError):
-        solve2(ctx, m, span, (1, 5))
-
-
-def _check_column_span2(ctx, entries):
-    """column_span2 against the Howell form of the transpose, with every
-    row's coefficients producing it."""
-    q = ctx.modulus
-    span = column_span2(ctx, entries)
-    assert [v for _, _, v, _ in span] == list(image_basis(ModMatrix(ctx, 2, 2, entries)).rows)
-    a, b, c, d = entries
-    for col, piv, (v0, v1), (x0, x1) in span:
-        assert ((a * x0 + b * x1) % q, (c * x0 + d * x1) % q) == (v0, v1)
-        assert (v0, v1)[col] == piv and (col == 1) == (v0 == 0)
-
-
-def test_column_span2_is_the_howell_basis_for_every_matrix_mod_9():
-    ctx = ModulusContext(3, 2)
-    for entries in itertools.product(range(9), repeat=4):
-        _check_column_span2(ctx, entries)
-
-
-@pytest.mark.parametrize("p, n", [(3, 3), (5, 3), (7, 3), (7, 4)])
-def test_column_span2_is_the_howell_basis_on_random_matrices(p, n):
-    ctx = ModulusContext(p, n)
-    q = ctx.modulus
-    rng = random.Random(1000 + q)
-    for _ in range(2000):
-        _check_column_span2(ctx, tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4)))
+        solve2(ctx, m, (1, 5))
 
 
 @pytest.mark.parametrize("source", ["p=5", "p=7", "z125"])

@@ -37,6 +37,7 @@ from h1loc.constructions import (
     LABEL_CYCLIC,
     LABEL_S3,
     report_borel_shared,
+    report_cyclic_quotient,
 )
 from h1loc.groups import _apply4, _invertible4
 from conftest import oracle_power, oracle_product
@@ -263,6 +264,29 @@ def test_report_borel_shared_all_checks():
     assert "class_table_is_cocycle" in names
     assert "reflection_value_forced_by_relation" in names
     assert "witness_locally_solvable_with_torsion_shape" in names
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_solution_sets_match_brute_force(p, monkeypatch):
+    # Every (key, b) that the two reports pass to _solution_set, against the
+    # brute-force set {v : (x - Id) v = b}.
+    calls = []
+    original = constructions._solution_set
+
+    def recording(ctx, key, b, *args):
+        got = original(ctx, key, b, *args)
+        calls.append((ctx, key, b, got))
+        return got
+
+    monkeypatch.setattr(constructions, "_solution_set", recording)
+    report_borel_shared(borel_shared_witness(build_borel_shared_group(p)))
+    report_cyclic_quotient(p)
+    assert len(calls) == 4
+    for ctx, (a, b, c, d), rhs, got in calls:
+        q = ctx.modulus
+        brute = [(x, y) for x in range(q) for y in range(q)
+                 if (((a - 1) * x + b * y) % q, (c * x + (d - 1) * y) % q) == rhs]
+        assert brute and sorted(got) == brute
 
 
 def test_verify_all_p5_shape():

@@ -70,7 +70,7 @@ def _names(tree, name):
 
 def test_group_arithmetic_has_one_home():
     # 2x2 products, powers, inverses, determinants and shifts of group
-    # elements live on keys in groups; ModMatrix is the general solvers'
+    # elements live on keys in groups; ModMatrix is the Howell forms' and kernels'
     # container, and a group hands out keys, never a ModMatrix.
     modules = dict(parsed_modules())
     methods = _defined_functions(modules["zmod.py"], "ModMatrix")
@@ -80,6 +80,22 @@ def test_group_arithmetic_has_one_home():
     assert "matrix" not in _defined_functions(modules["groups.py"], "FiniteMatrixGroup")
     assert _names(modules["groups.py"], "ModMatrix") == []
     assert _names(modules["classify.py"], "ModMatrix") == []
+
+
+def test_the_2x2_solve_has_one_home():
+    # Every "is b in Im m" question on a 2x2 matrix goes through zmod.solve2:
+    # no general solver, column span or span cache survives in src, and
+    # solve2 uses no Howell code, so the cross-check that rests on it stays
+    # independent of the annihilator rows.
+    package = Path(h1loc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("column_span2", "LinearSolver", "LinearSolution", "solve_linear", "_spans"):
+            assert name not in source, (path.name, name)
+    (solve2,) = [node for node in dict(parsed_modules())["zmod.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve2"]
+    assert _names(solve2, "_howell_raw") == [] and _names(solve2, "_kernel_raw") == []
+    assert _names(solve2, "ConsistencyError")
 
 
 def test_no_per_element_class():

@@ -1,4 +1,5 @@
-"""Linear algebra over Z/p^n: canonical forms, solvers, duals, quotients."""
+"""Linear algebra over Z/p^n: canonical forms, the 2x2 solve and its
+reference solver, duals, quotients."""
 
 import itertools
 import random
@@ -6,11 +7,9 @@ import random
 import pytest
 
 from h1loc import (
-    ConsistencyError,
     ContainmentError,
     DimensionError,
     InputError,
-    LinearSolver,
     ModMatrix,
     ModulusContext,
     dual_constraints,
@@ -22,9 +21,9 @@ from h1loc import (
     kernel_basis,
     quotient_invariants,
     quotient_structure,
-    solve_linear,
 )
-from h1loc.zmod import _howell_raw
+from h1loc.zmod import solve2
+from conftest import all_solutions, reference_solve
 
 CTX25 = ModulusContext(5, 2)
 
@@ -138,32 +137,28 @@ def test_solve_diagonal_congruence_classes():
     # (h - Id) x = (p, 0) for the diagonal kernel generator: the solution
     # set pins the first coordinate to 1 mod p and the second to 0 mod p.
     a = mat([[5, 0], [0, 20]])
-    sol = solve_linear(a, (5, 0))
-    assert sol.solvable
-    sols = list(sol.all_solutions())
+    sols = all_solutions(a, (5, 0))
     brute = [
         (x, y) for x in range(25) for y in range(25) if (5 * x) % 25 == 5 and (20 * y) % 25 == 0
     ]
     assert sorted(sols) == sorted(brute)
     assert all(s[0] % 5 == 1 and s[1] % 5 == 0 for s in sols)
+    assert solve2(CTX25, a.entries, (5, 0)) in brute
 
 
 def test_solve_identity_and_zero_matrix():
-    sol = solve_linear(mat([[1, 0], [0, 1]]), (7, 11))
-    assert sol.solution == (7, 11)
-    assert sol.kernel.is_zero()
+    assert reference_solve(mat([[1, 0], [0, 1]]), (7, 11)) == ((7, 11), [])
+    assert solve2(CTX25, (1, 0, 0, 1), (7, 11)) == (7, 11)
 
     zero = ModMatrix.zeros(CTX25, 2, 2)
-    no = solve_linear(zero, (1, 0))
-    assert not no.solvable
-    assert no.kernel == full_basis(CTX25, 2)
+    solution, kernel = reference_solve(zero, (1, 0))
+    assert solution is None
+    assert howell_from_rows(CTX25, 2, kernel) == full_basis(CTX25, 2)
+    assert solve2(CTX25, zero.entries, (1, 0)) is None
+    assert solve2(CTX25, zero.entries, (0, 0)) == (0, 0)
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        solve_linear(mat([[1, 0], [0, 1]]), (1, 2, 3))
-    with pytest.raises(DimensionError):
-        LinearSolver(mat([[1, 0], [0, 1]])).solve((1,))
     basis = full_basis(CTX25, 2)
     for wrong in ((1,), (1, 2, 3)):
         with pytest.raises(DimensionError):
@@ -192,8 +187,8 @@ def test_unreduced_entries_give_the_answers_of_their_reductions():
             w = tuple(x + q * rng.choice((-3, -1, 1, 2)) for x in v)
             assert basis.reduce(w) == basis.reduce(v)
             assert basis.contains(w) == basis.contains(v)
-            assert solve_linear(a, w) == solve_linear(a, v)
-            assert LinearSolver(a).solve(w) == LinearSolver(a).solve(v)
+            assert solve2(ctx, a.entries, w) == solve2(ctx, a.entries, v)
+            assert solve2(ctx, tuple(x - q for x in a.entries), v) == solve2(ctx, a.entries, v)
             seen.add(basis.contains(v))
     assert seen == {True, False}
 
@@ -208,7 +203,7 @@ def test_solver_random_soundness_and_completeness():
         rows_n = rng.choice([2, 3])
         a = ModMatrix.from_rows(ctx, [[rng.randrange(q) for _ in range(2)] for _ in range(rows_n)])
         b = tuple(rng.randrange(q) for _ in range(rows_n))
-        sol = solve_linear(a, b)
+        solution, _ = reference_solve(a, b)
         brute = [
             (x, y)
             for x in range(q)
@@ -217,11 +212,9 @@ def test_solver_random_soundness_and_completeness():
                 (a.entry(i, 0) * x + a.entry(i, 1) * y) % q == b[i] for i in range(rows_n)
             )
         ]
-        if sol.solvable:
-            assert a.vec_mul(sol.solution) == b
-            assert sorted(sol.all_solutions()) == sorted(brute)
-        else:
-            assert not brute
+        if solution is not None:
+            assert a.vec_mul(solution) == b
+        assert sorted(all_solutions(a, b)) == sorted(brute)
 
 
 def test_image_basis_examples():
@@ -345,79 +338,6 @@ def test_degenerate_shapes():
     assert howell_form(empty).rows == ()
     tall = ModMatrix(CTX25, 0, 3, ())
     assert kernel_basis(tall) == full_basis(CTX25, 3)
-
-
-def _reference_solve(a, b):
-    """Single-use reference for LinearSolver: one Howell form of [a^T | Id]
-    per call, then one reduction of b, with nothing kept between calls."""
-    ctx = a.ctx
-    q = ctx.modulus
-    m, ncols = a.rows, a.cols
-    aug = []
-    for j in range(ncols):
-        row = [a.entry(i, j) for i in range(m)]
-        row.extend(1 if k == j else 0 for k in range(ncols))
-        aug.append(row)
-    h = _howell_raw(aug, m + ncols, ctx)
-    bb = list(b)
-    x = [0] * ncols
-    kernel_rows = []
-    for row in h:
-        left = row[:m]
-        if any(left):
-            col = next(j for j, e in enumerate(left) if e)
-            c = bb[col] // left[col]
-            if c:
-                for j in range(m):
-                    bb[j] = (bb[j] - c * left[j]) % q
-                for j in range(ncols):
-                    x[j] = (x[j] + c * row[m + j]) % q
-        else:
-            kernel_rows.append(row[m:])
-    solution = None if any(bb) else tuple(x)
-    return solution, [tuple(r) for r in kernel_rows]
-
-
-def test_linear_solver_matches_single_use_reference():
-    rng = random.Random(2024)
-    solvable_seen = unsolvable_seen = 0
-    for _ in range(300):
-        p = rng.choice([3, 5, 7])
-        n = rng.choice([1, 2, 3])
-        ctx = ModulusContext(p, n)
-        q = ctx.modulus
-        rows_n, cols_n = rng.choice([(2, 2), (3, 3), (2, 3), (3, 2), (4, 2), (1, 3)])
-        # Entries skewed towards multiples of p, so valuations vary.
-        a = ModMatrix.from_rows(
-            ctx, [[rng.randrange(q) * p ** rng.randrange(n + 1) for _ in range(cols_n)] for _ in range(rows_n)]
-        )
-        solver = LinearSolver(a)
-        for _ in range(4):
-            if rng.random() < 0.5:
-                b = a.vec_mul([rng.randrange(q) for _ in range(cols_n)])
-            else:
-                b = tuple(rng.randrange(q) for _ in range(rows_n))
-            want_sol, want_kernel = _reference_solve(a, b)
-            for got in (solver.solve(b), solve_linear(a, b)):
-                assert got.solvable == (want_sol is not None)
-                assert (got.solution if got.solvable else None) == want_sol
-                assert list(got.kernel.rows) == want_kernel
-            if want_sol is None:
-                unsolvable_seen += 1
-            else:
-                solvable_seen += 1
-    assert solvable_seen > 300 and unsolvable_seen > 100
-
-
-def test_linear_solver_recheck_raises_consistency_error():
-    a = mat([[5, 0], [0, 20]])
-    solver = LinearSolver(a)
-    # Corrupt the cached coefficients: the reduction still succeeds, so the
-    # wrong solution can only be caught by the re-check against a x = b.
-    col, piv, left, coeffs = solver._image[0]
-    solver._image[0] = (col, piv, left, [(c + 1) % 25 for c in coeffs])
-    with pytest.raises(ConsistencyError):
-        solver.solve((5, 0))
 
 
 def _is_prime_by_trial_division(m):
