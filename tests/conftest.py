@@ -5,7 +5,8 @@ enumeration with their own propagation loops, so they share no code path
 with the engine they are used to check.  assert_h1_loc_is_the_local_classes
 keeps the class enumeration that h1_loc once ran as its cross-check, as the
 oracle of the cross-check on socle lines that replaced it.  reference_solve
-is the general linear solver over Z/p^n, the oracle of zmod.solve2.
+is the general linear solver over Z/p^n, the oracle of zmod.solve2,
+and mat_vec the matrix-vector product its results are checked with.
 """
 
 import itertools
@@ -71,6 +72,13 @@ def oracle_power(key, k, q):
 def act(entries, v, q):
     a, b, c, d = entries
     return ((a * v[0] + b * v[1]) % q, (c * v[0] + d * v[1]) % q)
+
+
+def mat_vec(a, v):
+    """The product a v mod p^n of a ModMatrix and a vector of its width."""
+    assert len(v) == a.cols
+    q = a.ctx.modulus
+    return tuple(sum(a.entry(i, k) * v[k] for k in range(a.cols)) % q for i in range(a.rows))
 
 
 def reference_solve(a, b):

@@ -37,7 +37,7 @@ from h1loc.constructions import (
     s3_generators,
 )
 from h1loc.groups import _apply4, _inv4, _key, _pow4, _powers4, cyclic_walk
-from conftest import construction_groups, oracle_power, oracle_product
+from conftest import construction_groups, mat_vec, oracle_power, oracle_product
 
 
 def _word(g, i):
@@ -381,7 +381,7 @@ def test_fixed_submodule_eigenvector_reading():
 
 def test_vector_matrix_arithmetic():
     m = ModMatrix.from_rows(CTX25, [[1, 2], [3, 4]])
-    assert m.vec_mul((3, 4)) == m.vec_mul((28, -21)) == (11, 0)
+    assert mat_vec(m, (3, 4)) == mat_vec(m, (28, -21)) == (11, 0)
     assert _apply4(m.entries, (3, 4), 25) == _apply4(m.entries, (28, -21), 25) == (11, 0)
     m_inv = _inv4(m.entries, 25)
     assert oracle_product([m.entries, m_inv], 25) == oracle_product([m_inv, m.entries], 25) == (1, 0, 0, 1)

@@ -71,11 +71,11 @@ def _names(tree, name):
 def test_group_arithmetic_has_one_home():
     # 2x2 products, powers, inverses, determinants and shifts of group
     # elements live on keys in groups; ModMatrix is the Howell forms' and kernels'
-    # container, and a group hands out keys, never a ModMatrix.
+    # container, with no arithmetic of its own, and a group hands out keys,
+    # never a ModMatrix.
     modules = dict(parsed_modules())
     methods = _defined_functions(modules["zmod.py"], "ModMatrix")
-    assert "vec_mul" in methods
-    assert methods.isdisjoint({"__matmul__", "power", "inverse", "det2", "is_invertible"})
+    assert methods.isdisjoint({"__matmul__", "vec_mul", "power", "inverse", "det2", "is_invertible"})
     assert methods.isdisjoint({"identity", "__add__", "__sub__", "scale", "reduce_to"})
     assert "matrix" not in _defined_functions(modules["groups.py"], "FiniteMatrixGroup")
     assert _names(modules["groups.py"], "ModMatrix") == []
@@ -86,12 +86,19 @@ def test_the_2x2_solve_has_one_home():
     # Every "is b in Im m" question on a 2x2 matrix goes through zmod.solve2:
     # no general solver, column span or span cache survives in src, and
     # solve2 uses no Howell code, so the cross-check that rests on it stays
-    # independent of the annihilator rows.
+    # independent of the annihilator rows.  The one exception is the line
+    # `solve_linear = solve2` in zmod, the name bench/tracer.py binds the
+    # solve metrics to: it is solve2 itself, and the package does not export it.
+    alias = "solve_linear = solve2"
     package = Path(h1loc.__file__).parent
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
+        if path.name == "zmod.py":
+            assert source.count(alias) == 1
+            source = source.replace(alias, "")
         for name in ("column_span2", "LinearSolver", "LinearSolution", "solve_linear", "_spans"):
             assert name not in source, (path.name, name)
+    assert "solve_linear" not in h1loc.__all__
     (solve2,) = [node for node in dict(parsed_modules())["zmod.py"].body
                  if isinstance(node, ast.FunctionDef) and node.name == "solve2"]
     assert _names(solve2, "_howell_raw") == [] and _names(solve2, "_kernel_raw") == []
