@@ -32,9 +32,8 @@ scan_prime_to_p_subgroups gives the proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import (
@@ -62,8 +61,7 @@ CASE_NONE = "none"
 SCAN_PRIMES = (5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     case: str
     evidence: dict
 
@@ -215,8 +213,7 @@ def reverify_verdict(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
 # Necessary-condition filter.
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     passes: bool
     reasons: tuple[str, ...]
 
@@ -270,8 +267,7 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
 # Scanner.
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     order: int
     generators: tuple
     verdict: CaseVerdict

@@ -30,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, DimensionError, InputError, ResourceLimitError
 from .groups import (
@@ -48,6 +47,7 @@ from .zmod import (
     ModMatrix,
     ModulusContext,
     SubmoduleBasis,
+    _Frozen,
     _howell_raw,
     _kernel_raw,
     howell_from_rows,
@@ -71,29 +71,27 @@ CLASS_ENUM_WORK_LIMIT = 2 * 10**6
 SYSTEM_WORK_LIMIT = 2 * 10**5
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(_Frozen):
     """One of the three coefficient modules: V, its p-torsion, or V/V[p].
 
     V = (Z/p^n)^2 with the natural matrix action.  The p-torsion V[p] and
     the quotient V/V[p] are carried in their own coordinates (over Z/p and
     Z/p^(n-1)), with the action given by reducing the acting matrix.
+    Equal and hashed by (ctx, kind).
     """
 
-    ctx: ModulusContext
-    kind: str
-    # The coefficient ring Z/p^n, Z/p or Z/p^(n-1), set once from kind.
-    coeff_ctx: ModulusContext = field(init=False, compare=False)
+    # coeff_ctx, the coefficient ring Z/p^n, Z/p or Z/p^(n-1), is set once from kind.
+    __slots__ = ("ctx", "kind", "coeff_ctx")
+    _compared = ("ctx", "kind")
 
-    def __post_init__(self):
-        if self.kind not in _MODULE_LABELS:
-            raise InputError(f"unknown module kind {self.kind!r}")
-        if self.kind == QUOTIENT and self.ctx.n < 2:
+    def __init__(self, ctx: ModulusContext, kind: str):
+        if kind not in _MODULE_LABELS:
+            raise InputError(f"unknown module kind {kind!r}")
+        if kind == QUOTIENT and ctx.n < 2:
             raise InputError("V/V[p] is trivial for n = 1; refusing to build it")
-        if self.kind == FULL:
-            coeff = self.ctx
-        else:
-            coeff = ModulusContext(self.ctx.p, 1 if self.kind == TORSION else self.ctx.n - 1)
+        coeff = ctx if kind == FULL else ModulusContext(ctx.p, 1 if kind == TORSION else ctx.n - 1)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "coeff_ctx", coeff)
 
     @property
@@ -142,8 +140,7 @@ def parse_module(ctx: ModulusContext, label: str) -> GModule:
     raise InputError(f"unknown module label {label!r} (expected V, V[p] or V/V[p])")
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(NamedTuple):
     """A cocycle as its full value table, one module vector per element."""
 
     group: FiniteMatrixGroup
@@ -537,14 +534,21 @@ class CocycleSystem:
     # -- reports -----------------------------------------------------------
 
     def _report(self, big: SubmoduleBasis) -> H1Report:
-        """big/B^1 as invariant factors plus generating cocycles, each
-        table built by the walk, which re-checks the cocycle identity."""
+        """big/B^1 as invariant factors plus generating cocycles.
+
+        big is Z^1 or Z^1_loc, and each generator is checked to lie in Z^1
+        (ConsistencyError otherwise) and expanded.  That is as strong as
+        walking it: the harvest's last round proved every row of Z^1 a
+        cocycle by walking it (see the class docstring), and the cocycle
+        identity is linear in Z, so every combination of those rows expands
+        to a cocycle.  Z^1_loc is in Z^1, as its rows include the harvested
+        ones, so the check can only fail on a fault in quotient_structure."""
         structure = quotient_structure(big, self.b1())
         orders = tuple(d for d, _ in structure)
-        walks = [self._walk(vec) for _, vec in structure]
-        if any(edge is not None for edge, _ in walks):
-            raise ConsistencyError("quotient generator fails the cocycle identity")
-        gens = tuple(Cocycle(self.group, self.module, tuple(values)) for _, values in walks)
+        z1 = self.z1()
+        if not all(z1.contains(vec) for _, vec in structure):
+            raise ConsistencyError("quotient generator lies outside Z^1")
+        gens = tuple(self.expand(vec) for _, vec in structure)
         return H1Report(
             group_label=self.group.label,
             module_label=self.module.label,
@@ -588,13 +592,13 @@ class CocycleSystem:
                 raise ConsistencyError("local cohomology witness fails the local conditions")
             if is_coboundary(witness) is not None:
                 raise ConsistencyError("local cohomology witness is a coboundary")
-            report = replace(report, witness=witness)
+            report = report._replace(witness=witness)
         p, q, n = self.group.ctx.p, self.q, len(self.group)
         socle = [[d // p * x % q for x in y] for d, y in quotient_structure(self.z1(), self.z1_local())]
         lines = (p ** len(socle) - 1) // (p - 1)
         work = (len(gens) + lines) * n
         if work > CLASS_ENUM_WORK_LIMIT:
-            return replace(report, cross_check=f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}")
+            return report._replace(cross_check=f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}")
         if not all(self.is_local_table(c) for c in gens[1:]):
             raise ConsistencyError("a generator of the local cohomology fails the local conditions")
         for i, lead in enumerate(socle):
@@ -605,11 +609,10 @@ class CocycleSystem:
                 if self.is_local_table(self.expand(vec)):
                     raise ConsistencyError("a class outside the computed local cohomology is local at every element")
         note = f"ran: {len(gens)} generators + {lines} socle lines x {n} elements"
-        return replace(report, cross_check=note)
+        return report._replace(cross_check=note)
 
 
-@dataclass(frozen=True)
-class H1Report:
+class H1Report(NamedTuple):
     """Order, invariant factors and generating cocycles of H^1 or its local
     subgroup; for a non-trivial local computation the witness is a concrete
     local cocycle that is not a coboundary.  cross_check says whether
@@ -742,8 +745,7 @@ def inflate_cocycle(group: FiniteMatrixGroup, c: Cocycle) -> Cocycle:
 # Equivariant homomorphisms Hom_{F_p[G/H]}(H, V[p]).
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """All F_p[G/H]-module maps from an elementary abelian normal subgroup
     into the p-torsion of V, as matrices against a fixed basis of H."""
 
@@ -872,15 +874,14 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
     injective = False
     if dh <= 2 and mats:
         injective = any(_is_injective_mod_p(phi) for phi in space.enumerate_maps())
-    return replace(space, injective_exists=injective)
+    return space._replace(injective_exists=injective)
 
 
 # ---------------------------------------------------------------------------
 # Inflation-restriction bookkeeping.
 
 
-@dataclass(frozen=True)
-class InflationRestrictionReport:
+class InflationRestrictionReport(NamedTuple):
     h1_group_order: int
     h1_quotient_order: int
     hom_space_order: int

@@ -24,8 +24,7 @@ non-vanishing (or vanishing) argument as a named boolean check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
     Cocycle,
@@ -188,8 +187,7 @@ def shared_class_value(p: int, i1: int, i2: int) -> tuple[int, int]:
     return (first, second)
 
 
-@dataclass(frozen=True)
-class BorelSharedWitness:
+class BorelSharedWitness(NamedTuple):
     """The explicit generator of the local cohomology of the borel-shared
     group: an F_p^2-valued class table on the mod-p image, its inflation
     to V[p], and its image in the full module."""
@@ -272,8 +270,7 @@ def _check_disjoint_hypotheses(group: FiniteMatrixGroup, g: list, sigma: list):
 # The four-hypothesis non-vanishing criterion.
 
 
-@dataclass(frozen=True)
-class CriterionChecks:
+class CriterionChecks(NamedTuple):
     """The four named hypotheses of the lifting criterion for non-vanishing.
 
     1. some element fixes only 0;
@@ -366,8 +363,7 @@ def kernel_displacement(group: FiniteMatrixGroup, index: int) -> tuple[int, int,
 # Decomposition of kernel elements in the borel-shared group.
 
 
-@dataclass(frozen=True)
-class KernelDecomposition:
+class KernelDecomposition(NamedTuple):
     diagonal_index: int
     unitriangular_index: int
     sigma_p_exponent: int
@@ -429,15 +425,13 @@ def decompose_kernel_element(
 # Reports.
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     label: str
     p: int
     expected_nontrivial: Optional[bool]

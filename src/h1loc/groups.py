@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import warnings
 from array import array
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
 from .zmod import ModulusContext, SubmoduleBasis, _kernel_raw, full_basis
@@ -365,8 +364,7 @@ def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasi
     return SubmoduleBasis.from_raw(ctx, 2, _kernel_raw(rows, 2, ctx))
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(NamedTuple):
     """Mod-p spectral data of a 2x2 matrix: roots of the characteristic
     polynomial over F_p with multiplicity, an irreducibility flag, and an
     eigenvector basis per split eigenvalue."""

@@ -22,8 +22,7 @@ of zero divisors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContainmentError, DimensionError, InputError, ResourceLimitError
 
@@ -60,24 +59,56 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ModulusContext:
-    """The coefficient ring Z/p^n for an odd prime p and exponent n >= 1."""
+class _Frozen:
+    """An immutable value with slots: equal and hashed by the fields named
+    in _compared, shown by repr with every slot.  __init__ validates and
+    sets the slots with object.__setattr__; any later assignment or
+    deletion raises AttributeError."""
 
-    p: int
-    n: int
-    modulus: int = field(init=False, compare=False)
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.p < 3 or (self.p <= MAX_MODULUS and not is_prime(self.p)):
-            raise InputError(f"p = {self.p} must be an odd prime >= 3")
-        if self.n < 1:
-            raise InputError(f"exponent n = {self.n} must be >= 1")
+    def _compared_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared_values() == other._compared_values()
+
+    def __hash__(self):
+        return hash(self._compared_values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModulusContext(_Frozen):
+    """The coefficient ring Z/p^n for an odd prime p and exponent n >= 1;
+    equal and hashed by (p, n), with modulus = p^n derived."""
+
+    __slots__ = ("p", "n", "modulus")
+    _compared = ("p", "n")
+
+    def __init__(self, p: int, n: int):
+        if p < 3 or (p <= MAX_MODULUS and not is_prime(p)):
+            raise InputError(f"p = {p} must be an odd prime >= 3")
+        if n < 1:
+            raise InputError(f"exponent n = {n} must be >= 1")
         # p >= 3, so p^n passes MAX_MODULUS once n >= 40: never raise p to a
         # huge n, and never test a p above MAX_MODULUS for primality.
-        if self.p > MAX_MODULUS or self.n >= 64 or self.p**self.n > MAX_MODULUS:
-            raise InputError(f"modulus p^n = {self.p}^{self.n} does not fit a 63-bit word")
-        object.__setattr__(self, "modulus", self.p**self.n)
+        if p > MAX_MODULUS or n >= 64 or p**n > MAX_MODULUS:
+            raise InputError(f"modulus p^n = {p}^{n} does not fit a 63-bit word")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "modulus", p**n)
 
     def valuation(self, x: int) -> tuple[int, int]:
         """Split a residue as unit * p^v; the zero residue gives (n, 1)."""
@@ -97,8 +128,7 @@ class ModulusContext:
         return pow(u, -1, self.modulus)
 
 
-@dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(_Frozen):
     """A dense matrix over Z/p^n, stored row-major with reduced entries.
 
     The input and output type of the Howell forms, kernels and images
@@ -106,14 +136,15 @@ class ModMatrix:
     products, powers, inverses and shifts live on keys in groups.
     """
 
-    ctx: ModulusContext
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _compared = ("ctx", "rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, ctx: ModulusContext, rows: int, cols: int, entries: tuple[int, ...]):
+        if len(entries) != rows * cols:
             raise DimensionError("entry count does not match the declared shape")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(ctx: ModulusContext, rows: Sequence[Sequence[int]]) -> "ModMatrix":
@@ -213,8 +244,7 @@ def _kernel_raw(rows, ncols: int, ctx: ModulusContext) -> list[list[int]]:
     return [row[m:] for row in h if not any(row[:m])]
 
 
-@dataclass(frozen=True)
-class SubmoduleBasis:
+class SubmoduleBasis(NamedTuple):
     """Canonical (Howell form) basis of a submodule of (Z/p^n)^d.
 
     Two submodules are equal iff their bases compare equal entry-wise, so

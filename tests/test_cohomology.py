@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 import time
 import tracemalloc
 
@@ -54,7 +53,7 @@ from h1loc.constructions import (
     s3_generators,
 )
 from h1loc.groups import _rows
-from h1loc.zmod import _howell_raw, _kernel_raw, solve2
+from h1loc.zmod import _howell_raw, _kernel_raw, full_basis, quotient_structure, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
     brute_coboundary_tables,
@@ -809,7 +808,7 @@ def test_classes_carry_over_mixed_invariant_factors():
     system = CocycleSystem(g, full_module(g.ctx))
     gens = tuple(system.expand(r) for r in system.z1().rows[:3])
     assert len(gens) == 3
-    report = replace(h1(g, full_module(g.ctx)), order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
+    report = h1(g, full_module(g.ctx))._replace(order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
     _assert_classes_match(report)
 
 
@@ -957,6 +956,51 @@ def test_walk_matches_expand_constructions(p):
 def test_walk_matches_expand_over_z125(name, kind):
     group = close_group(Z125_GROUPS[name], Z125)
     _assert_walk_matches_expand(CocycleSystem(group, GModule(Z125, kind)), seed=len(name + kind), extra=3)
+
+
+def _module_cases(group):
+    """The group's V and V[p], and V/V[p] when n > 1."""
+    kinds = ["full", "p_torsion"] + (["mod_p_quotient"] if group.ctx.n > 1 else [])
+    return [GModule(group.ctx, kind) for kind in kinds]
+
+
+def _assert_report_generators_walk_clean(system):
+    """The report checks each generator's membership in Z^1 and expands it;
+    the walk, which checks the cocycle identity on every Cayley edge, stays
+    the oracle: each generator of H^1 and H^1_loc walks clean, and its walk
+    table is the report's table and expand's."""
+    for big, report in ((system.z1(), system.h1()), (system.z1_local(), system.h1_loc())):
+        structure = quotient_structure(big, system.b1())
+        assert len(structure) == len(report.generator_cocycles)
+        for (_, vec), gen in zip(structure, report.generator_cocycles):
+            edge, values = system._walk(vec)
+            assert edge is None
+            assert tuple(values) == gen.values == system.expand(vec).values
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_report_generators_walk_clean_constructions(p):
+    for group, _ in _construction_groups(p):
+        for module in _module_cases(group):
+            _assert_report_generators_walk_clean(CocycleSystem(group, module))
+
+
+@pytest.mark.parametrize("name", sorted(Z125_GROUPS))
+def test_report_generators_walk_clean_over_z125(name):
+    group = close_group(Z125_GROUPS[name], Z125)
+    for module in _module_cases(group):
+        _assert_report_generators_walk_clean(CocycleSystem(group, module))
+
+
+def test_report_rejects_a_generator_outside_z1():
+    """Fed the whole coordinate space in place of Z^1, the report meets a
+    representative that is no cocycle's coordinates, and raises instead
+    of expanding it."""
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    assert system.z1().span_size() < system.q**system.dim
+    with pytest.raises(ConsistencyError, match="outside Z\\^1"):
+        system._report(full_basis(system.cctx, system.dim))
 
 
 def test_harvest_walks_visit_at_most_rank_plus_one_times_the_group(monkeypatch):

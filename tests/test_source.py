@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,3 +186,31 @@ def test_imports_sit_at_module_top_except_in_cli_handlers():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == ["cli.py:_cmd_cohomology", "cli.py:_cmd_verify", "cli.py:_cmd_scan"]
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    src = str(Path(h1loc.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code + "; import sys; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_start_up_generates_no_dataclass_code():
+    # Every invocation is a fresh process: no layer imports dataclasses,
+    # which would pull in inspect (and with it ast, dis and tokenize) and
+    # generate each class's methods at import.  Records are NamedTuples,
+    # and the validated values are slots classes.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+    added = _modules_loaded_by(
+        "import h1loc.cli, h1loc.cohomology, h1loc.constructions, h1loc.classify"
+    ) - _modules_loaded_by("pass")
+    assert "h1loc.cohomology" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
