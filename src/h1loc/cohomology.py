@@ -12,12 +12,12 @@ values: a breadth-first spanning tree of the Cayley graph expresses every
 element's value as a linear function of the generator values, every
 Cayley edge off the tree gives a linear consistency constraint, and Z^1
 is their common kernel.  Only the constraints of edges that a candidate
-cocycle breaks are harvested, round by round, until every generator of
-the kernel passes the cocycle identity (see CocycleSystem).  Local
-conditions add the linear equations that pin Z(g) inside the image of
-g - Id, for one generator g of each conjugacy class of maximal cyclic
-subgroups; on a cocycle they imply the condition at every group element
-(see CocycleSystem.local_representatives).
+cocycle breaks are harvested, round by round, until the kernel is spanned
+by coboundaries and candidates that pass the cocycle identity (see
+CocycleSystem).  Local conditions add the linear equations that pin Z(g)
+inside the image of g - Id, for one generator g of each conjugacy class of
+maximal cyclic subgroups; on a cocycle they imply the condition at every
+group element (see CocycleSystem.local_representatives).
 
 Every group is an enumerated FiniteMatrixGroup.  The quotient G/G(p) by
 the reduction kernel is the mod-p image (groups.quotient_group), and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -235,13 +234,15 @@ def _first_broken_edge(acts, edges, values, q: int) -> Optional[tuple[int, int, 
 class CocycleSystem:
     """Shared scaffolding for one (group, module) pair.
 
-    Holds a breadth-first spanning tree of the Cayley graph, which expresses
-    every element's cocycle value as a linear map L[i] of the generator
-    values u (Z(element i) = L[i] u), and lazily computed bases of Z^1, B^1
-    and the local cocycle space, all in the generator coordinate space
-    (Z/q)^(2k).  L[i] is rebuilt on demand from the tree parents and
-    memoised.  Raises ResourceLimitError before any per-element table is
-    built when |G| * dim passes SYSTEM_WORK_LIMIT.
+    Holds the breadth-first spanning tree of the Cayley graph that the
+    closure walked (groups.FiniteMatrixGroup.spanning_tree: element indices
+    are in breadth-first order, so bfs_order is range(|G|)), which
+    expresses every element's cocycle value as a linear map L[i] of the
+    generator values u (Z(element i) = L[i] u), and lazily computed bases
+    of Z^1, B^1 and the local cocycle space, all in the generator
+    coordinate space (Z/q)^(2k).  L[i] is rebuilt on demand from the tree
+    parents and memoised.  Raises ResourceLimitError before any
+    per-element table is built when |G| * dim passes SYSTEM_WORK_LIMIT.
 
     The walk of u (_walk) visits the elements in breadth-first order and
     each one's generator slots in order: the first visit to t = a g_slot
@@ -254,20 +255,27 @@ class CocycleSystem:
     the Cayley edges a -> t = a g_slot off the tree, but only the rows of
     edges that a walk breaks are harvested (constraint_basis).  Each round
     takes K, the kernel of the rows so far (at first the whole space), and
-    walks the probe, the sum of the rows of K's Howell basis, then, if it
-    passes, every row but the last, which is the probe minus the others and
-    so a cocycle once they are (Z^1 is a submodule).  The first walk that
-    breaks gives the rows of its edge to the harvest; the rounds stop when
-    nothing breaks, so the verifying round costs rank(K) walks.
+    walks the probe, the sum of the rows of K's Howell basis, then each row
+    of K; a candidate that B^1 and the candidates that passed before it
+    already span is not walked.  The first walk that breaks gives the rows
+    of its edge to the harvest; the rounds stop when nothing breaks.
+    Coboundaries are cocycles, so the verifying round walks only what B^1
+    does not give: on borel-shared p=17 (rank B^1 = 2, rank Z^1 = 3) it
+    walks the probe alone, once over the group.  At the end B^1 must lie in
+    K (ConsistencyError otherwise), which is the check that coboundaries
+    are cocycles, so b1() does not need Z^1.
 
     Exactness: the harvested rows are some of the consistency rows, so
     Z^1 is in K.  Every listed generator is a child of the root along its
     own slot (they are distinct and not the identity), so the walk of u
     takes the value u_slot at generator slot, and a vector that passes is a
-    cocycle's coordinates; K is spanned by such vectors, so K is in Z^1,
-    and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows span
-    the annihilator of K, the same submodule as all the consistency rows,
-    and their Howell basis is the same, row for row.
+    cocycle's coordinates.  A row of B^1 is the coordinates of the
+    coboundary of a basis vector m, which expands to the table of delta m
+    and so satisfies the identity on every edge.  The last round ends with
+    K spanned by B^1, the probe and the rows walked, all in Z^1, so K is
+    in Z^1, and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows
+    span the annihilator of K, the same submodule as all the consistency
+    rows, and their Howell basis is the same, row for row.
 
     Termination: the rows of a broken edge do not vanish on the vector
     that broke it (checked; ConsistencyError otherwise), so each round
@@ -296,21 +304,10 @@ class CocycleSystem:
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
         # The tree: element i is reached from parent[i] along generator
-        # slot[i] (-1 while unreached; the root is its own parent);
-        # bfs_order lists the elements in breadth-first order.
-        self.parent = array("q", [-1]) * n
-        self.parent[0] = 0
-        self.slot = array("q", [0]) * n
-        self.bfs_order = order = [0]
-        for x in order:
-            for slot, tg in enumerate(self.targets):
-                y = tg[x]
-                if self.parent[y] < 0:
-                    order.append(y)
-                    self.parent[y] = x
-                    self.slot[y] = slot
-        if len(order) != n:
-            raise ContractError("the listed generators do not generate the group")
+        # slot[i] (the root is its own parent); the closure numbered the
+        # elements in breadth-first order.
+        self.parent, self.slot = group.spanning_tree()
+        self.bfs_order = range(n)
         self._L = {0: ([0] * self.dim, [0] * self.dim)}
         # The harvested consistency rows, filled by the rounds of constraint_basis.
         self.constraints: list[list[int]] = []
@@ -362,17 +359,26 @@ class CocycleSystem:
         rounds in the class docstring; the last round is Z^1's self-check."""
         dim, cctx, q = self.dim, self.cctx, self.q
         rows = self.constraints
+        b1 = self.b1()
         for _ in range(cctx.n * dim + 1):
             basis = _howell_raw(rows, dim, cctx)
             kern = _kernel_raw(basis, dim, cctx) if dim else []
-            # The probe, the sum of K's rows, then every row but the last.
-            candidates = [[sum(col) % q for col in zip(*kern)]] + kern[:-1] if kern else []
-            for u in candidates:
+            # The probe, the sum of K's rows, then K's rows, each walked
+            # unless B^1 and the vectors that passed already span it.
+            spanned, passed = b1, list(b1.rows)
+            for u in [[sum(col) % q for col in zip(*kern)]] + kern if kern else []:
+                if spanned.contains(u):
+                    continue
                 edge = self._walk(u)[0]
                 if edge is not None:
                     break
+                passed.append(u)
+                spanned = howell_from_rows(cctx, dim, passed)
             else:
-                return basis, SubmoduleBasis.from_raw(cctx, dim, kern)
+                z1 = SubmoduleBasis.from_raw(cctx, dim, kern)
+                if not all(z1.contains(r) for r in b1.rows):
+                    raise ConsistencyError("coboundaries must be cocycles")
+                return basis, z1
             pair = self.edge_rows(*edge)
             if not any(sum(x * y for x, y in zip(row, u)) % q for row in pair):
                 raise ConsistencyError(f"the rows of the broken Cayley edge {edge} vanish on the cocycle candidate")
@@ -402,9 +408,6 @@ class CocycleSystem:
                         row.extend((b % q, (d - 1) % q))
                 rows.append(row)
             self._b1 = howell_from_rows(self.cctx, self.dim, rows)
-            z1 = self.z1()
-            if not all(z1.contains(r) for r in self._b1.rows):
-                raise ConsistencyError("coboundaries must be cocycles")
         return self._b1
 
     @cached_property
@@ -538,11 +541,12 @@ class CocycleSystem:
 
         big is Z^1 or Z^1_loc, and each generator is checked to lie in Z^1
         (ConsistencyError otherwise) and expanded.  That is as strong as
-        walking it: the harvest's last round proved every row of Z^1 a
-        cocycle by walking it (see the class docstring), and the cocycle
-        identity is linear in Z, so every combination of those rows expands
-        to a cocycle.  Z^1_loc is in Z^1, as its rows include the harvested
-        ones, so the check can only fail on a fault in quotient_structure."""
+        walking it: the harvest's last round proved Z^1 spanned by
+        coboundaries and vectors that walked clean (see the class
+        docstring), and the cocycle identity is linear in Z, so every
+        combination of those expands to a cocycle.  Z^1_loc is in Z^1, as
+        its rows include the harvested ones, so the check can only fail on
+        a fault in quotient_structure."""
         structure = quotient_structure(big, self.b1())
         orders = tuple(d for d, _ in structure)
         z1 = self.z1()

@@ -9,8 +9,10 @@ per-element object exists.  A caller writes a 2x2 matrix as rows
 into a key and _rows a key back into rows, and every other function here
 takes keys.  _mul4, _inv4, _pow4, _powers4, _invertible4 and _close_keys
 are the package's only 2x2 group arithmetic, and _apply4 is its 2x2
-matrix-vector product.  Everything is immutable after construction and
-safe to share between threads.
+matrix-vector product.  A group's keys, index and edge table are fixed
+when it is closed; its inverse table alone is built on the first inv()
+call, which h1 never makes.  Whichever thread builds that table builds the
+same one, so a group is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from array import array
+from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -113,9 +116,9 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
     key to its position, keys are listed in breadth-first order, and
     right[i * K + j] is the index of keys[i] * gen_keys[j] for
     K = len(gen_keys).  The K edge targets the walk computes anyway keep
-    memory linear in the group order, and a breadth-first pass over them
-    rebuilds the walk's spanning tree.  Raises ResourceLimitError when the
-    closure passes cap.
+    memory linear in the group order, and the walk's spanning tree is read
+    off them (FiniteMatrixGroup.spanning_tree).  Raises ResourceLimitError
+    when the closure passes cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
@@ -147,11 +150,15 @@ class FiniteMatrixGroup:
     def __init__(self, ctx, gen_keys, closure, label):
         self.ctx = ctx
         self.label = label
-        q = ctx.modulus
-        self._q = q
+        self._q = ctx.modulus
         self._keys, self._index, self._right = closure
         self.generators = tuple(self._index[k] for k in gen_keys)
-        self._inv = array("q", [self._index[_inv4(k, q)] for k in self._keys])
+
+    @cached_property
+    def _inv(self) -> array:
+        """The index of every element's inverse, built on the first inv()."""
+        q, index = self._q, self._index
+        return array("q", [index[_inv4(k, q)] for k in self._keys])
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -189,6 +196,31 @@ class FiniteMatrixGroup:
         out[s][a] = mult(a, distinct_generator_indices()[s])."""
         k = len(self.generators)
         return [self._right[self.generators.index(g) :: k] for g in self.distinct_generator_indices()]
+
+    def spanning_tree(self) -> tuple[array, array]:
+        """(parent, slot): the closure first reaches element i > 0 as
+        parent[i] times the distinct generator slot[i] (numbered as in
+        edge_targets); the root 0 is its own parent.
+
+        _close_keys numbers the elements in the order it reaches them,
+        scanning the elements in index order and each one's listed
+        generators in order, so the first edge into i is the first entry i
+        of _right, and its position gives the parent and the listed
+        generator.  An identity or repeated generator reaches only elements
+        already numbered, so that generator is distinct, and index order is
+        breadth-first order over the distinct generators.
+        """
+        k, right = len(self.generators), self._right
+        slot_of = {g: s for s, g in enumerate(self.distinct_generator_indices())}
+        n = len(self)
+        parent = array("q", [0]) * n
+        slot = array("q", [0]) * n
+        pos = 0
+        for y in range(1, n):
+            pos = right.index(y, pos)
+            parent[y], j = divmod(pos, k)
+            slot[y] = slot_of[self.generators[j]]
+        return parent, slot
 
     def is_abelian(self) -> bool:
         """Whether the distinct generators commute pairwise; exact, since

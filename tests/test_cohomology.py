@@ -52,8 +52,8 @@ from h1loc.constructions import (
     cyclic_generators,
     s3_generators,
 )
-from h1loc.groups import _rows
-from h1loc.zmod import _howell_raw, _kernel_raw, full_basis, quotient_structure, solve2
+from h1loc.groups import _inv4, _rows
+from h1loc.zmod import _howell_raw, _kernel_raw, full_basis, howell_from_rows, quotient_structure, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
     brute_coboundary_tables,
@@ -1003,10 +1003,13 @@ def test_report_rejects_a_generator_outside_z1():
         system._report(full_basis(system.cctx, system.dim))
 
 
-def test_harvest_walks_visit_at_most_rank_plus_one_times_the_group(monkeypatch):
-    """On borel-shared p=17 (|G| = 9826) the harvest's walks, counted in
-    elements visited (all of G for a walk that passes, up to the broken
-    edge's source for one that breaks), stay within (rank Z^1 + 1) |G|."""
+def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
+    """On borel-shared p=17 (|G| = 9826, rank B^1 = 2, rank Z^1 = 3) the
+    harvest's walks, counted in elements visited (all of G for a walk that
+    passes, up to the broken edge's source for one that breaks), make one
+    full walk, the verifying round's probe, and stay within 2 |G|
+    (15,951 visits; 35,603 when the verifying round walked every row of
+    Z^1 but the last)."""
     g = build_borel_shared_group(17)
     system = CocycleSystem(g, full_module(g.ctx))
     position = {x: i for i, x in enumerate(system.bfs_order)}
@@ -1019,9 +1022,88 @@ def test_harvest_walks_visit_at_most_rank_plus_one_times_the_group(monkeypatch):
         return edge, values
 
     monkeypatch.setattr(CocycleSystem, "_walk", counted)
-    z1 = system.z1()
-    assert visits.count(len(g)) == len(z1.rows)
-    assert sum(visits) <= (len(z1.rows) + 1) * len(g)
+    system.z1()
+    assert visits.count(len(g)) == 1
+    assert sum(visits) <= 2 * len(g)
+
+
+# ---------------------------------------------------------------------------
+# The verifying round modulo B^1 against the all-rows round.
+
+
+def _all_rows_harvest(system):
+    """The verifying round that ignores B^1, the oracle of the harvest: each
+    round walks the probe, then every row of K but the last (the probe
+    minus the others).  Returns (constraint basis, Z^1) from its own rows."""
+    dim, cctx, q = system.dim, system.cctx, system.q
+    rows = []
+    for _ in range(cctx.n * dim + 1):
+        basis = _howell_raw(rows, dim, cctx)
+        kern = _kernel_raw(basis, dim, cctx) if dim else []
+        for u in [[sum(col) % q for col in zip(*kern)]] + kern[:-1] if kern else []:
+            edge = system._walk(u)[0]
+            if edge is not None:
+                break
+        else:
+            return basis, SubmoduleBasis.from_raw(cctx, dim, kern)
+        rows.extend(row for row in system.edge_rows(*edge) if any(row))
+    raise AssertionError("the all-rows harvest did not settle")
+
+
+def _harvest_cases(source):
+    """The construction groups at p on V and V[p] and their mod-p images,
+    or both Z/125 groups on V, V[p] and V/V[p]."""
+    if source == "z125":
+        return [(close_group(gens, Z125), GModule(Z125, kind))
+                for gens in Z125_GROUPS.values() for kind in ("full", "p_torsion", "mod_p_quotient")]
+    return _representative_cases(int(source[2:]))
+
+
+@pytest.mark.parametrize("source", ["p=5", "p=7", "z125"])
+def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
+    """The harvest gives the all-rows round's constraint basis and Z^1;
+    every row of B^1 walks clean; and the walks of the final round (those
+    after the last walk that broke) span Z^1 together with B^1.  Some
+    system needs a second walk there, so a round that walked only the
+    probe would fail."""
+    final_walks = []
+    for group, module in _harvest_cases(source):
+        system = CocycleSystem(group, module)
+        walked = []
+        walk = CocycleSystem._walk
+
+        def spy(self, u):
+            edge, values = walk(self, u)
+            walked.append((list(u), edge))
+            return edge, values
+
+        with monkeypatch.context() as m:
+            m.setattr(CocycleSystem, "_walk", spy)
+            z1 = system.z1()
+        assert (system.constraint_basis, z1) == _all_rows_harvest(system)
+        b1 = system.b1()
+        assert all(system._walk(r)[0] is None for r in b1.rows)
+        broken = [i for i, (_, edge) in enumerate(walked) if edge is not None]
+        final = [u for u, _ in walked[broken[-1] + 1 if broken else 0:]]
+        spanned = howell_from_rows(system.cctx, system.dim, list(b1.rows) + final)
+        assert spanned.contains_basis(z1) and z1.contains_basis(spanned)
+        final_walks.append(len(final))
+    assert max(final_walks) >= 2
+
+
+def test_harvest_rejects_a_coboundary_row_outside_k(monkeypatch):
+    """b1() no longer checks B^1 against Z^1; the harvest does, once K is
+    final.  A B^1 with a row outside Z^1 that the harvest's K excludes
+    raises."""
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    z1, b1 = CocycleSystem(g, full_module(g.ctx)).z1(), system.b1()
+    outside = [int(j == 1) for j in range(system.dim)]
+    assert not z1.contains(outside)
+    bad = howell_from_rows(system.cctx, system.dim, list(b1.rows) + [outside])
+    monkeypatch.setattr(CocycleSystem, "b1", lambda self: bad)
+    with pytest.raises(ConsistencyError, match="coboundaries must be cocycles"):
+        system.z1()
 
 
 def test_cocycle_system_memory_is_small():
@@ -1171,13 +1253,65 @@ def test_edge_targets_match_mult(source):
             assert list(tg) == [group.mult(a, g) for a in range(len(group))]
 
 
+_X, _Y = [[1, 1], [0, 1]], [[6, 0], [0, 1]]
+
+
+def _repeated_generator_group():
+    """<x, Id, y, x> over Z/25: a repeated and an identity generator."""
+    return close_group([_X, [[1, 0], [0, 1]], _Y, _X], ModulusContext(5, 2))
+
+
 def test_edge_targets_skip_repeated_and_identity_generators():
-    ctx = ModulusContext(5, 2)
-    x, y = [[1, 1], [0, 1]], [[6, 0], [0, 1]]
-    group = close_group([x, [[1, 0], [0, 1]], y, x], ctx)
-    assert group.distinct_generator_indices() == [group.index_of(x), group.index_of(y)]
+    group = _repeated_generator_group()
+    assert group.distinct_generator_indices() == [group.index_of(_X), group.index_of(_Y)]
     for g, tg in zip(group.distinct_generator_indices(), group.edge_targets()):
         assert list(tg) == [group.mult(a, g) for a in range(len(group))]
+
+
+def _bfs_tree(group):
+    """The oracle of the tree read off the closure: a breadth-first pass over
+    the distinct generators' edge targets, as (parent, slot, order)."""
+    n = len(group)
+    parent, slot, order = [-1] * n, [0] * n, [0]
+    parent[0] = 0
+    for x in order:
+        for s, tg in enumerate(group.edge_targets()):
+            y = tg[x]
+            if parent[y] < 0:
+                order.append(y)
+                parent[y], slot[y] = x, s
+    return parent, slot, order
+
+
+@pytest.mark.parametrize("source", ["p=5", "p=7", "z125", "repeated"])
+def test_spanning_tree_is_the_breadth_first_tree(source):
+    """The construction groups and their mod-p images, the Z/125 groups and
+    the repeated-and-identity-generator group: the system's parent, slot
+    and bfs_order are the breadth-first pass's."""
+    if source == "z125":
+        groups = [close_group(gens, Z125) for gens in Z125_GROUPS.values()]
+    elif source == "repeated":
+        groups = [_repeated_generator_group()]
+    else:
+        groups = [group for group, _ in _construction_groups(int(source[2:]))]
+    for group in groups:
+        system = CocycleSystem(group, full_module(group.ctx))
+        parent, slot, order = _bfs_tree(group)
+        assert (list(system.parent), list(system.slot), list(system.bfs_order)) == (parent, slot, order)
+
+
+def test_inverse_table_is_built_on_first_use():
+    """h1 never inverts, so it leaves the table unbuilt; the first inv()
+    builds it, and it agrees with _inv4 at every element."""
+    cases = [(build_borel_shared_group(5), "full")]
+    cases += [(close_group(Z125_GROUPS["z125"], Z125), kind) for kind in ("full", "p_torsion", "mod_p_quotient")]
+    for group, kind in cases:
+        h1(group, GModule(group.ctx, kind))
+        assert "_inv" not in vars(group)
+    for group, _ in cases:
+        q = group._q
+        assert [group._keys[group.inv(i)] for i in range(len(group))] == [_inv4(k, q) for k in group._keys]
+        assert "_inv" in vars(group)
 
 
 # ---------------------------------------------------------------------------
