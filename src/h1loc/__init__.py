@@ -15,8 +15,8 @@ import importlib
 _EXPORTS = {
     "errors": ("ConsistencyError", "ContainmentError", "ContractError", "DimensionError",
                "InputError", "ResourceLimitError"),
-    "zmod": ("ModMatrix", "ModulusContext", "SubmoduleBasis", "dual_constraints", "full_basis",
-             "howell_form", "howell_from_rows", "image_basis", "is_prime", "kernel_basis",
+    "zmod": ("ModulusContext", "SubmoduleBasis", "dual_constraints", "full_basis",
+             "howell_from_rows", "image_basis", "is_prime", "kernel_basis",
              "quotient_invariants", "quotient_structure"),
     "groups": ("EigenData", "FiniteMatrixGroup", "borel_check", "close_group", "closure_indices",
                "eigen_data", "element_order", "fixed_submodule", "group_from_json",

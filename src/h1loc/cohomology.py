@@ -43,13 +43,13 @@ from .groups import (
     subgroup_from_indices,
 )
 from .zmod import (
-    ModMatrix,
     ModulusContext,
     SubmoduleBasis,
     _Frozen,
     _howell_raw,
     _kernel_raw,
     howell_from_rows,
+    kernel_basis,
     quotient_structure,
     solve2,
 )
@@ -362,7 +362,7 @@ class CocycleSystem:
         b1 = self.b1()
         for _ in range(cctx.n * dim + 1):
             basis = _howell_raw(rows, dim, cctx)
-            kern = _kernel_raw(basis, dim, cctx) if dim else []
+            kern = _kernel_raw(basis, dim, cctx)
             # The probe, the sum of K's rows, then K's rows, each walked
             # unless B^1 and the vectors that passed already span it.
             spanned, passed = b1, list(b1.rows)
@@ -469,8 +469,7 @@ class CocycleSystem:
     def z1_local(self) -> SubmoduleBasis:
         if self._z1loc is None:
             rows = self.constraint_basis + self.local_constraint_rows()
-            kern = _kernel_raw(rows, self.dim, self.cctx) if self.dim else []
-            self._z1loc = SubmoduleBasis.from_raw(self.cctx, self.dim, kern)
+            self._z1loc = kernel_basis(self.cctx, self.dim, rows)
             b1 = self.b1()
             if not all(self._z1loc.contains(r) for r in b1.rows):
                 raise ConsistencyError("coboundaries satisfy the local conditions by definition")
@@ -693,10 +692,10 @@ def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
     q = module.coeff_modulus
     if not gens:
         return 0, 0
-    keys = group._keys
+    acts = module.action_table(group)
     rows = []
     for g in gens:
-        a, b, cc, d = module.action_entries(keys[g])
+        a, b, cc, d = acts[g]
         v0, v1 = c.values[g]
         rows.append([a - 1, b, -v0])
         rows.append([cc, d - 1, -v1])
@@ -707,8 +706,7 @@ def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
             break
     else:
         return None
-    for key, value in zip(keys, c.values):
-        a, b, cc, d = module.action_entries(key)
+    for (a, b, cc, d), value in zip(acts, c.values):
         if (((a - 1) * m0 + b * m1) % q, (cc * m0 + (d - 1) * m1) % q) != value:
             return None
     return m0, m1
@@ -751,13 +749,15 @@ def inflate_cocycle(group: FiniteMatrixGroup, c: Cocycle) -> Cocycle:
 
 class HomSpace(NamedTuple):
     """All F_p[G/H]-module maps from an elementary abelian normal subgroup
-    into the p-torsion of V, as matrices against a fixed basis of H."""
+    into the p-torsion of V.  A hom is its two rows against the fixed
+    basis h_basis of H: row r holds coordinate r of the image of each
+    basis element."""
 
     group: FiniteMatrixGroup
     subgroup_indices: tuple[int, ...]
     h_basis: tuple[int, ...]
     coordinates: dict
-    basis_matrices: tuple[ModMatrix, ...]
+    basis_matrices: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     injective_exists: bool
 
     @property
@@ -765,9 +765,8 @@ class HomSpace(NamedTuple):
         return len(self.basis_matrices)
 
     def enumerate_maps(self):
-        """Every hom in the space, as a matrix (columns follow h_basis)."""
+        """Every hom in the space, as its two rows."""
         p = self.group.ctx.p
-        ctx_p = ModulusContext(p, 1)
         dh = len(self.h_basis)
         for combo in itertools.product(range(p), repeat=self.dimension):
             acc = [[0] * dh, [0] * dh]
@@ -775,24 +774,22 @@ class HomSpace(NamedTuple):
                 if c:
                     for r in range(2):
                         for j in range(dh):
-                            acc[r][j] = (acc[r][j] + c * m.entry(r, j)) % p
-            yield ModMatrix.from_rows(ctx_p, acc)
+                            acc[r][j] = (acc[r][j] + c * m[r][j]) % p
+            yield tuple(acc[0]), tuple(acc[1])
 
-    def map_values(self, phi: ModMatrix) -> dict:
-        """The value of the hom phi on every subgroup element."""
+    def map_values(self, phi) -> dict:
+        """The value of the hom phi, two rows, on every subgroup element."""
         p = self.group.ctx.p
         out = {}
         for idx in self.subgroup_indices:
             coords = self.coordinates[idx]
-            v0 = sum(phi.entry(0, j) * coords[j] for j in range(len(coords))) % p
-            v1 = sum(phi.entry(1, j) * coords[j] for j in range(len(coords))) % p
-            out[idx] = (v0, v1)
+            out[idx] = tuple(sum(x * y for x, y in zip(row, coords)) % p for row in phi)
         return out
 
 
-def _is_injective_mod_p(phi: ModMatrix) -> bool:
-    cols = phi.transpose().row_lists()
-    return len(_howell_raw(cols, phi.rows, phi.ctx)) == phi.cols
+def _is_injective_mod_p(ctx_p: ModulusContext, phi) -> bool:
+    """Whether the hom phi, two rows over F_p, has independent columns."""
+    return len(howell_from_rows(ctx_p, 2, zip(*phi)).rows) == len(phi[0])
 
 
 def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
@@ -863,10 +860,8 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
                     row[j] = (row[j] - c) % p
                     row[dh + j] = (row[dh + j] - d) % p
                 rows.append(row)
-    kern = _kernel_raw(rows, nvars, ctx_p) if nvars else []
-    mats = tuple(
-        ModMatrix.from_rows(ctx_p, [vec[:dh], vec[dh:]]) for vec in kern
-    )
+    kern = _kernel_raw(rows, nvars, ctx_p)
+    mats = tuple((tuple(vec[:dh]), tuple(vec[dh:])) for vec in kern)
     space = HomSpace(
         group=g,
         subgroup_indices=sub,
@@ -877,7 +872,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
     )
     injective = False
     if dh <= 2 and mats:
-        injective = any(_is_injective_mod_p(phi) for phi in space.enumerate_maps())
+        injective = any(_is_injective_mod_p(ctx_p, phi) for phi in space.enumerate_maps())
     return space._replace(injective_exists=injective)
 
 

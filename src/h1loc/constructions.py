@@ -60,7 +60,7 @@ from .groups import (
     quotient_group,
     reduction_kernel,
 )
-from .zmod import ModMatrix, ModulusContext, is_prime, kernel_basis, solve2
+from .zmod import ModulusContext, is_prime, solve2
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -69,6 +69,9 @@ LABEL_BOREL_INDEX2 = "borel-shared-index2"
 LABEL_BOREL_DISJOINT = "borel-disjoint"
 
 DISJOINT_VARIANTS = ("canonical", "extra-diagonal")
+# Cap on the solutions of (x - Id) v = b that _solution_set enumerates;
+# a larger solution set raises ResourceLimitError.
+SOLUTION_SET_LIMIT = 20000
 
 
 def _require_admissible_prime(p: int):
@@ -486,7 +489,7 @@ def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]
     return solve2(ctx, (a - 1, b * s, c, (d - 1) * s), value) is not None
 
 
-def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int], limit: int = 20000):
+def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int]):
     """Every v with (x - Id) v = b, for the element x over ctx with this
     key: one solution (zmod.solve2) plus the kernel of x - Id."""
     x00, x01, x10, x11 = key
@@ -494,8 +497,8 @@ def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int], limit: in
     if sol is None:
         return []
     q = ctx.modulus
-    kernel = kernel_basis(ModMatrix.from_rows(ctx, [[x00 - 1, x01], [x10, x11 - 1]]))
-    return [((sol[0] + k0) % q, (sol[1] + k1) % q) for k0, k1 in kernel.enumerate_span(limit)]
+    kernel = fixed_submodule(ctx, [key])
+    return [((sol[0] + k0) % q, (sol[1] + k1) % q) for k0, k1 in kernel.enumerate_span(SOLUTION_SET_LIMIT)]
 
 
 def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
-from .zmod import ModulusContext, SubmoduleBasis, _kernel_raw, full_basis
+from .zmod import ModulusContext, SubmoduleBasis, kernel_basis
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -391,9 +391,7 @@ def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasi
     rows = []
     for a, b, c, d in keys:
         rows += [[a - 1, b], [c, d - 1]]
-    if not rows:
-        return full_basis(ctx, 2)
-    return SubmoduleBasis.from_raw(ctx, 2, _kernel_raw(rows, 2, ctx))
+    return kernel_basis(ctx, 2, rows)
 
 
 class EigenData(NamedTuple):
@@ -429,8 +427,7 @@ def eigen_data(ctx: ModulusContext, x) -> EigenData:
         eigenvalues = tuple(roots)
     pairs = []
     for lam in sorted(set(roots)):
-        kernel = _kernel_raw([[a - lam, b], [c, d - lam]], 2, ctx_p)
-        pairs.append((lam, SubmoduleBasis.from_raw(ctx_p, 2, kernel)))
+        pairs.append((lam, kernel_basis(ctx_p, 2, [[a - lam, b], [c, d - lam]])))
     return EigenData(p, eigenvalues, False, tuple(pairs))
 
 

@@ -9,9 +9,10 @@ adjoining the annihilator multiple p^(n-v) * row of each pivot row.  Pivots
 are normalized to exactly p^v and entries above a pivot are reduced modulo
 the pivot, which makes equality of submodules an entry-wise comparison.
 
-A module vector is a plain tuple of ints, reduced modulo p^n on entry;
-solve2 decides m x = b for a 2x2 matrix given as its row-major 4-tuple,
-in closed form, and ModMatrix is the general matrix container.
+A module vector is a plain tuple of ints, reduced modulo p^n on entry, and
+a matrix is its rows: the Howell form, kernel and image each take the rows
+and the width, and check every row against it.  solve2 decides m x = b for
+a 2x2 matrix given as its row-major 4-tuple, in closed form.
 
 Division never happens blindly: every nonzero residue is split into
 unit * p^v, units are inverted with pow(u, -1, q), and only the p-power part
@@ -126,58 +127,6 @@ class ModulusContext(_Frozen):
         if u % self.p == 0:
             raise InputError(f"{u} is not a unit modulo {self.modulus}")
         return pow(u, -1, self.modulus)
-
-
-class ModMatrix(_Frozen):
-    """A dense matrix over Z/p^n, stored row-major with reduced entries.
-
-    The input and output type of the Howell forms, kernels and images
-    below; a 2x2 matrix elsewhere is its row-major 4-tuple key, and its
-    products, powers, inverses and shifts live on keys in groups.
-    """
-
-    __slots__ = _compared = ("ctx", "rows", "cols", "entries")
-
-    def __init__(self, ctx: ModulusContext, rows: int, cols: int, entries: tuple[int, ...]):
-        if len(entries) != rows * cols:
-            raise DimensionError("entry count does not match the declared shape")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def from_rows(ctx: ModulusContext, rows: Sequence[Sequence[int]]) -> "ModMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        q = ctx.modulus
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
-            flat.extend(x % q for x in r)
-        return ModMatrix(ctx, nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def zeros(ctx: ModulusContext, rows: int, cols: int) -> "ModMatrix":
-        return ModMatrix(ctx, rows, cols, (0,) * (rows * cols))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(
-            self.ctx,
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +268,35 @@ def full_basis(ctx: ModulusContext, ambient_dim: int) -> SubmoduleBasis:
     return SubmoduleBasis.from_raw(ctx, ambient_dim, rows)
 
 
-def howell_form(m: ModMatrix) -> SubmoduleBasis:
-    """Canonical basis of the row span of m."""
-    return SubmoduleBasis.from_raw(m.ctx, m.cols, _howell_raw(m.row_lists(), m.cols, m.ctx))
+def _checked_rows(rows, ncols: int) -> list:
+    """The rows as a list, each checked to have ncols entries."""
+    rows = list(rows)
+    for r in rows:
+        if len(r) != ncols:
+            raise DimensionError(f"a row of {len(r)} entries in a matrix of {ncols} columns")
+    return rows
 
 
 def howell_from_rows(ctx: ModulusContext, ambient_dim: int, rows) -> SubmoduleBasis:
+    """Canonical basis of the span of the rows, each of ambient_dim entries."""
+    rows = _checked_rows(rows, ambient_dim)
     return SubmoduleBasis.from_raw(ctx, ambient_dim, _howell_raw(rows, ambient_dim, ctx))
 
 
-def kernel_basis(m: ModMatrix) -> SubmoduleBasis:
-    """Basis of {x : m x = 0}."""
-    return SubmoduleBasis.from_raw(m.ctx, m.cols, _kernel_raw(m.row_lists(), m.cols, m.ctx))
+def kernel_basis(ctx: ModulusContext, ncols: int, rows) -> SubmoduleBasis:
+    """Basis of {x : R x = 0} for the matrix R with these rows of ncols
+    entries; the full module for no rows."""
+    rows = _checked_rows(rows, ncols)
+    return SubmoduleBasis.from_raw(ctx, ncols, _kernel_raw(rows, ncols, ctx))
 
 
-def image_basis(m: ModMatrix) -> SubmoduleBasis:
-    """Basis of the column span of m."""
-    t = m.transpose()
-    return SubmoduleBasis.from_raw(m.ctx, m.rows, _howell_raw(t.row_lists(), t.cols, m.ctx))
+def image_basis(ctx: ModulusContext, nrows: int, rows: Sequence[Sequence[int]]) -> SubmoduleBasis:
+    """Basis of the column span, in (Z/p^n)^nrows, of the matrix with these
+    nrows rows of equal width."""
+    if len(rows) != nrows:
+        raise DimensionError(f"{len(rows)} rows in a matrix of {nrows} rows")
+    rows = _checked_rows(rows, len(rows[0]) if rows else 0)
+    return howell_from_rows(ctx, nrows, zip(*rows))
 
 
 def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -387,21 +347,17 @@ def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]
 solve_linear = solve2
 
 
-def dual_constraints(basis: SubmoduleBasis) -> ModMatrix:
-    """A matrix K with ker(K) = span(basis).
+def dual_constraints(basis: SubmoduleBasis) -> list[list[int]]:
+    """The rows of a matrix K with ker(K) = span(basis); no rows for the
+    full module.
 
     Valid because Z/p^n is self-injective: the double annihilator of a
     submodule is the submodule itself.  The round trip is re-checked here.
     """
     d = basis.ambient_dim
     ctx = basis.ctx
-    kern_rows = _kernel_raw(basis.rows, d, ctx)
-    if not kern_rows:
-        k = ModMatrix.zeros(ctx, d, d)
-    else:
-        k = ModMatrix.from_rows(ctx, kern_rows)
-    back = kernel_basis(k)
-    if back != howell_from_rows(ctx, d, basis.rows):
+    k = _kernel_raw(basis.rows, d, ctx)
+    if kernel_basis(ctx, d, k) != howell_from_rows(ctx, d, basis.rows):
         raise ConsistencyError("double-dual check failed; basis was not in Howell form?")
     return k
 
@@ -505,7 +461,7 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
         return []
     constraints = dual_constraints(small)
     # Row i, column j: constraint row i applied to basis row j of big.
-    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big.rows] for krow in constraints.row_lists()]
+    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big.rows] for krow in constraints]
     kq = _kernel_raw(t, r, ctx)
     rel = [list(row) for row in kq]
     rel.extend([q if i == j else 0 for j in range(r)] for i in range(r))

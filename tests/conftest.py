@@ -74,26 +74,26 @@ def act(entries, v, q):
     return ((a * v[0] + b * v[1]) % q, (c * v[0] + d * v[1]) % q)
 
 
-def mat_vec(a, v):
-    """The product a v mod p^n of a ModMatrix and a vector of its width."""
-    assert len(v) == a.cols
-    q = a.ctx.modulus
-    return tuple(sum(a.entry(i, k) * v[k] for k in range(a.cols)) % q for i in range(a.rows))
-
-
-def reference_solve(a, b):
-    """One x with a x = b for the ModMatrix a, or None, and the kernel rows
-    of a; b is reduced modulo p^n first.  One Howell form of [a^T | Id] per
-    call: its rows with a nonzero left part pair a Howell basis of the
-    column span of a with the coefficients that produce each basis vector,
-    and its rows with a zero left part are a basis of the kernel of a.
-    Nothing is kept between calls."""
-    ctx = a.ctx
+def mat_vec(ctx, a, v):
+    """The product a v mod p^n over ctx of the matrix with rows a and a
+    vector of its width."""
+    assert all(len(row) == len(v) for row in a)
     q = ctx.modulus
-    m, ncols = a.rows, a.cols
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) % q for row in a)
+
+
+def reference_solve(ctx, a, b):
+    """One x with a x = b over ctx for the matrix with rows a, or None, and
+    the kernel rows of a; b is reduced modulo p^n first.  One Howell form
+    of [a^T | Id] per call: its rows with a nonzero left part pair a Howell
+    basis of the column span of a with the coefficients that produce each
+    basis vector, and its rows with a zero left part are a basis of the
+    kernel of a.  Nothing is kept between calls."""
+    q = ctx.modulus
+    m, ncols = len(a), len(a[0])
     aug = []
     for j in range(ncols):
-        row = [a.entry(i, j) for i in range(m)]
+        row = [a[i][j] for i in range(m)]
         row.extend(1 if k == j else 0 for k in range(ncols))
         aug.append(row)
     h = _howell_raw(aug, m + ncols, ctx)
@@ -116,14 +116,15 @@ def reference_solve(a, b):
     return solution, [tuple(r) for r in kernel_rows]
 
 
-def all_solutions(a, b, limit=None):
-    """Every x with a x = b: reference_solve's solution plus each element
-    of the kernel span, enumerated once; empty when there is none."""
-    solution, kernel_rows = reference_solve(a, b)
+def all_solutions(ctx, a, b, limit=None):
+    """Every x with a x = b over ctx for the matrix with rows a:
+    reference_solve's solution plus each element of the kernel span,
+    enumerated once; empty when there is none."""
+    solution, kernel_rows = reference_solve(ctx, a, b)
     if solution is None:
         return []
-    q = a.ctx.modulus
-    kernel = howell_from_rows(a.ctx, a.cols, kernel_rows)
+    q = ctx.modulus
+    kernel = howell_from_rows(ctx, len(a[0]), kernel_rows)
     return [tuple((s + k) % q for s, k in zip(solution, v)) for v in kernel.enumerate_span(limit)]
 
 

@@ -11,7 +11,6 @@ import time
 
 from h1loc import (
     CocycleSystem,
-    ModMatrix,
     ModulusContext,
     borel_shared_witness,
     build_borel_disjoint_group,
@@ -156,25 +155,25 @@ def test_criterion_3_proof_step_replication():
         for i in range(len(shape_group)):
             key = shape_group._keys[i]
             a, b, c, d = key
-            system = ModMatrix.from_rows(shape_ctx, [[a - 1, b], [c, d - 1], [0, shape_p]])
+            system = [[a - 1, b], [c, d - 1], [0, shape_p]]
             v0, v1 = shape_w.values[i]
-            assert reference_solve(system, (v0, v1, 0))[0] is not None, (shape_p, i)
+            assert reference_solve(shape_ctx, system, (v0, v1, 0))[0] is not None, (shape_p, i)
             assert torsion_shape_admits(shape_ctx, key, (v0, v1)), (shape_p, i)
             shifted = (v0, (v1 + 1 + i % shape_p) % sq)
-            oracle = reference_solve(system, (*shifted, 0))[0] is not None
+            oracle = reference_solve(shape_ctx, system, (*shifted, 0))[0] is not None
             assert torsion_shape_admits(shape_ctx, key, shifted) == oracle, (shape_p, i)
 
     # (d) the coboundary obstruction: the value at sigma forces a unit
     # first coordinate while the diagonal kernel element forbids it.
     def minus_identity(index):
         a, b, c, d = group._keys[index]
-        return ModMatrix.from_rows(ctx, [[a - 1, b], [c, d - 1]])
+        return [[a - 1, b], [c, d - 1]]
 
-    sols = all_solutions(minus_identity(sigma), (0, p))
+    sols = all_solutions(ctx, minus_identity(sigma), (0, p))
     assert sols
     assert all(s[0] % p != 0 for s in sols)
     h = group.index_of([[1 + p, 0], [0, 1 - p]])
-    hk = all_solutions(minus_identity(h), (0, 0))
+    hk = all_solutions(ctx, minus_identity(h), (0, 0))
     assert all(s[0] % p == 0 for s in hk)
     assert w.values[h] == (0, 0)
     assert is_coboundary(w) is None
@@ -294,16 +293,15 @@ def test_criterion_9_linear_algebra_kernel():
 
         # Solver soundness and completeness against construction.
         x0 = [rng.randrange(q) for _ in range(dim)]
-        a = ModMatrix.from_rows(ctx, rows)
         b = tuple(sum(r[j] * x0[j] for j in range(dim)) % q for r in rows)
-        solution, kernel = reference_solve(a, b)
+        solution, kernel = reference_solve(ctx, rows, b)
         assert solution is not None
-        assert mat_vec(a, solution) == b
+        assert mat_vec(ctx, rows, solution) == b
         diff = [s - t for s, t in zip(x0, solution)]
         assert howell_from_rows(ctx, dim, kernel).contains(diff)
         if len(rows) == dim == 2:
-            assert solve2(ctx, a.entries, b) is not None
+            assert solve2(ctx, (*rows[0], *rows[1]), b) is not None
 
         # Dual constraints round-trip.
-        assert kernel_basis(dual_constraints(basis)) == basis
+        assert kernel_basis(ctx, dim, dual_constraints(basis)) == basis
         instances += 1

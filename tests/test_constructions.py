@@ -6,7 +6,6 @@ from h1loc import constructions, groups
 from h1loc import (
     CocycleSystem,
     InputError,
-    ModMatrix,
     ModulusContext,
     build_borel_disjoint_group,
     build_borel_index2_group,
@@ -160,7 +159,7 @@ def test_fixed_point_free_element_matches_kernel_oracle(p):
     at every element, and the criterion's witness is the first such element."""
     for g in _criterion_groups(p):
         oracle = [
-            kernel_basis(ModMatrix.from_rows(g.ctx, [[a - 1, b], [c, d - 1]])).is_zero() for a, b, c, d in g._keys
+            kernel_basis(g.ctx, 2, [[a - 1, b], [c, d - 1]]).is_zero() for a, b, c, d in g._keys
         ]
         closed = [_invertible4((a - 1, b, c, d - 1), p) for a, b, c, d in g._keys]
         assert closed == oracle

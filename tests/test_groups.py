@@ -10,7 +10,6 @@ import sympy
 from h1loc import (
     ContractError,
     InputError,
-    ModMatrix,
     ModulusContext,
     ResourceLimitError,
     borel_check,
@@ -250,6 +249,7 @@ def test_conjugation_stabilizes_kernel_family():
 def test_fixed_submodule_cases():
     from h1loc import full_basis
 
+    assert fixed_submodule(CTX25, []) == full_basis(CTX25, 2)
     assert fixed_submodule(CTX25, [(1, 0, 0, 1)]) == full_basis(CTX25, 2)
     d = _key(CTX25, [[7, 0], [0, 1]])
     fixed = fixed_submodule(CTX25, [d])
@@ -380,11 +380,11 @@ def test_fixed_submodule_eigenvector_reading():
 
 
 def test_vector_matrix_arithmetic():
-    m = ModMatrix.from_rows(CTX25, [[1, 2], [3, 4]])
-    assert mat_vec(m, (3, 4)) == mat_vec(m, (28, -21)) == (11, 0)
-    assert _apply4(m.entries, (3, 4), 25) == _apply4(m.entries, (28, -21), 25) == (11, 0)
-    m_inv = _inv4(m.entries, 25)
-    assert oracle_product([m.entries, m_inv], 25) == oracle_product([m_inv, m.entries], 25) == (1, 0, 0, 1)
+    rows, key = [[1, 2], [3, 4]], (1, 2, 3, 4)
+    assert mat_vec(CTX25, rows, (3, 4)) == mat_vec(CTX25, rows, (28, -21)) == (11, 0)
+    assert _apply4(key, (3, 4), 25) == _apply4(key, (28, -21), 25) == (11, 0)
+    m_inv = _inv4(key, 25)
+    assert oracle_product([key, m_inv], 25) == oracle_product([m_inv, key], 25) == (1, 0, 0, 1)
 
 
 def test_power_walk_matches_element_order_on_gl2_f5():

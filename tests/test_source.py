@@ -73,16 +73,24 @@ def _names(tree, name):
 
 def test_group_arithmetic_has_one_home():
     # 2x2 products, powers, inverses, determinants and shifts of group
-    # elements live on keys in groups; ModMatrix is the Howell forms' and kernels'
-    # container, with no arithmetic of its own, and a group hands out keys,
-    # never a ModMatrix.
+    # elements live on keys in groups, and a group hands out keys, never a
+    # matrix object.
     modules = dict(parsed_modules())
-    methods = _defined_functions(modules["zmod.py"], "ModMatrix")
-    assert methods.isdisjoint({"__matmul__", "vec_mul", "power", "inverse", "det2", "is_invertible"})
-    assert methods.isdisjoint({"identity", "__add__", "__sub__", "scale", "reduce_to"})
     assert "matrix" not in _defined_functions(modules["groups.py"], "FiniteMatrixGroup")
-    assert _names(modules["groups.py"], "ModMatrix") == []
-    assert _names(modules["classify.py"], "ModMatrix") == []
+
+
+def test_a_matrix_is_its_rows():
+    # A general matrix over Z/p^n is its list of rows: the Howell form,
+    # kernel and image each have one entry point, which takes the rows and
+    # the width.  No matrix class or second Howell entry point survives in
+    # src, and the package exports neither.
+    package = Path(h1loc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("ModMatrix", "howell_form"):
+            assert name not in source, (path.name, name)
+    for name in ("ModMatrix", "howell_form"):
+        assert name not in h1loc.__all__ and not hasattr(h1loc, name)
 
 
 def test_the_2x2_solve_has_one_home():
@@ -143,7 +151,7 @@ def test_one_group_type():
 def test_vectors_and_2x2_matrices_are_plain_tuples():
     # A module vector is a tuple of ints, and inside the cocycle engine a
     # 2x2 matrix is a row-major 4-tuple: no vector class or per-action local
-    # entry survives, and CocycleSystem constructs no ModMatrix.
+    # entry survives.
     found = [
         f"{name}:{node.name}"
         for name, tree in parsed_modules()
@@ -152,9 +160,6 @@ def test_vectors_and_2x2_matrices_are_plain_tuples():
     ]
     assert found == []
     assert not hasattr(h1loc, "ModVector") and not hasattr(h1loc, "LocalEntry")
-    cohomology = dict(parsed_modules())["cohomology.py"]
-    (system,) = [node for node in cohomology.body if isinstance(node, ast.ClassDef) and node.name == "CocycleSystem"]
-    assert _names(system, "ModMatrix") == []
 
 
 def test_every_exported_name_resolves_lazily():

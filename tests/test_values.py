@@ -1,17 +1,15 @@
 """Value semantics of the package's records and validated values.
 
-The records are NamedTuples and the three validated values (ModulusContext,
-ModMatrix, GModule) are slots classes: each compares and hashes by its
-fields, is immutable, and a validated value keeps its constructor's errors.
+The records are NamedTuples and the two validated values (ModulusContext,
+GModule) are slots classes: each compares and hashes by its fields, is
+immutable, and a validated value keeps its constructor's errors.
 """
 
 import pytest
 
 from h1loc import (
-    DimensionError,
     GModule,
     InputError,
-    ModMatrix,
     ModulusContext,
     borel_shared_witness,
     build_borel_shared_group,
@@ -73,7 +71,7 @@ def test_every_record_and_validated_value_is_covered(records):
     named = {cls.__name__ for cls in _defined_classes() if issubclass(cls, tuple) and hasattr(cls, "_fields")}
     assert named == set(records) and len(named) == 14
     frozen = {cls.__name__ for cls in _defined_classes() if issubclass(cls, zmod._Frozen) and cls is not zmod._Frozen}
-    assert frozen == {"ModulusContext", "ModMatrix", "GModule"}
+    assert frozen == {"ModulusContext", "GModule"}
 
 
 def test_records_compare_hash_and_refuse_assignment(records):
@@ -113,17 +111,6 @@ def test_modulus_context_compares_p_and_n_only():
     _assert_frozen(a, ("p", "n", "modulus"))
 
 
-def test_mod_matrix_compares_every_field():
-    ctx = ModulusContext(5, 2)
-    a = ModMatrix(ctx, 2, 2, (1, 2, 3, 4))
-    b = ModMatrix(ModulusContext(5, 2), 2, 2, (1, 2, 3, 4))
-    assert a == b and hash(a) == hash(b)
-    assert a != ModMatrix(ModulusContext(5, 1), 2, 2, (1, 2, 3, 4))
-    assert a != ModMatrix(ctx, 1, 4, (1, 2, 3, 4)) and a != ModMatrix(ctx, 4, 1, (1, 2, 3, 4))
-    assert a != ModMatrix(ctx, 2, 2, (1, 2, 3, 5))
-    _assert_frozen(a, ("ctx", "rows", "cols", "entries"))
-
-
 def test_gmodule_compares_ctx_and_kind_only():
     ctx = ModulusContext(5, 2)
     a, b = GModule(ctx, "mod_p_quotient"), GModule(ModulusContext(5, 2), "mod_p_quotient")
@@ -143,10 +130,8 @@ def test_modulus_context_errors(p, n, match):
         ModulusContext(p, n)
 
 
-def test_mod_matrix_and_gmodule_errors():
+def test_gmodule_errors():
     ctx = ModulusContext(5, 2)
-    with pytest.raises(DimensionError, match="entry count"):
-        ModMatrix(ctx, 2, 2, (1, 2, 3))
     with pytest.raises(InputError, match="unknown module kind"):
         GModule(ctx, "bogus")
     with pytest.raises(InputError, match="trivial for n = 1"):

@@ -10,11 +10,9 @@ from h1loc import (
     ContainmentError,
     DimensionError,
     InputError,
-    ModMatrix,
     ModulusContext,
     dual_constraints,
     full_basis,
-    howell_form,
     howell_from_rows,
     image_basis,
     is_prime,
@@ -26,10 +24,6 @@ from h1loc.zmod import solve2
 from conftest import all_solutions, mat_vec, reference_solve
 
 CTX25 = ModulusContext(5, 2)
-
-
-def mat(rows, ctx=CTX25):
-    return ModMatrix.from_rows(ctx, rows)
 
 
 def span_set(rows, ctx):
@@ -65,17 +59,15 @@ def test_valuation_split():
 
 
 def test_howell_identity_is_fixed():
-    m = mat([[1, 0], [0, 1]])
-    assert list(howell_form(m).rows) == [(1, 0), (0, 1)]
+    assert list(howell_from_rows(CTX25, 2, [[1, 0], [0, 1]]).rows) == [(1, 0), (0, 1)]
 
 
 def test_howell_p_scaled_identity():
-    m = mat([[5, 0], [0, 5]])
-    assert list(howell_form(m).rows) == [(5, 0), (0, 5)]
+    assert list(howell_from_rows(CTX25, 2, [[5, 0], [0, 5]]).rows) == [(5, 0), (0, 5)]
 
 
 def test_howell_reduces_mixed_rows():
-    got = howell_form(mat([[5, 10], [0, 5]]))
+    got = howell_from_rows(CTX25, 2, [[5, 10], [0, 5]])
     assert list(got.rows) == [(5, 0), (0, 5)]
     assert span_set([[5, 10], [0, 5]], CTX25) == span_set([[5, 0], [0, 5]], CTX25)
 
@@ -84,7 +76,7 @@ def test_howell_idempotent():
     rng = random.Random(7)
     for _ in range(50):
         rows = [[rng.randrange(25) for _ in range(3)] for _ in range(rng.randrange(1, 4))]
-        first = howell_form(mat(rows))
+        first = howell_from_rows(CTX25, 3, rows)
         again = howell_from_rows(CTX25, 3, first.rows)
         assert first == again
 
@@ -136,26 +128,25 @@ def test_span_enumeration_counts():
 def test_solve_diagonal_congruence_classes():
     # (h - Id) x = (p, 0) for the diagonal kernel generator: the solution
     # set pins the first coordinate to 1 mod p and the second to 0 mod p.
-    a = mat([[5, 0], [0, 20]])
-    sols = all_solutions(a, (5, 0))
+    a = [[5, 0], [0, 20]]
+    sols = all_solutions(CTX25, a, (5, 0))
     brute = [
         (x, y) for x in range(25) for y in range(25) if (5 * x) % 25 == 5 and (20 * y) % 25 == 0
     ]
     assert sorted(sols) == sorted(brute)
     assert all(s[0] % 5 == 1 and s[1] % 5 == 0 for s in sols)
-    assert solve2(CTX25, a.entries, (5, 0)) in brute
+    assert solve2(CTX25, (5, 0, 0, 20), (5, 0)) in brute
 
 
 def test_solve_identity_and_zero_matrix():
-    assert reference_solve(mat([[1, 0], [0, 1]]), (7, 11)) == ((7, 11), [])
+    assert reference_solve(CTX25, [[1, 0], [0, 1]], (7, 11)) == ((7, 11), [])
     assert solve2(CTX25, (1, 0, 0, 1), (7, 11)) == (7, 11)
 
-    zero = ModMatrix.zeros(CTX25, 2, 2)
-    solution, kernel = reference_solve(zero, (1, 0))
+    solution, kernel = reference_solve(CTX25, [[0, 0], [0, 0]], (1, 0))
     assert solution is None
     assert howell_from_rows(CTX25, 2, kernel) == full_basis(CTX25, 2)
-    assert solve2(CTX25, zero.entries, (1, 0)) is None
-    assert solve2(CTX25, zero.entries, (0, 0)) == (0, 0)
+    assert solve2(CTX25, (0, 0, 0, 0), (1, 0)) is None
+    assert solve2(CTX25, (0, 0, 0, 0), (0, 0)) == (0, 0)
 
 
 def test_solve_dimension_mismatch():
@@ -175,18 +166,17 @@ def test_unreduced_entries_give_the_answers_of_their_reductions():
     for ctx in (CTX25, ModulusContext(5, 3)):
         q = ctx.modulus
         for _ in range(150):
-            a = ModMatrix.from_rows(
-                ctx, [[rng.randrange(q) * 5 ** rng.randrange(ctx.n + 1) for _ in range(2)] for _ in range(2)]
-            )
-            basis = image_basis(a)
+            a = [[rng.randrange(q) * 5 ** rng.randrange(ctx.n + 1) % q for _ in range(2)] for _ in range(2)]
+            key = (*a[0], *a[1])
+            basis = image_basis(ctx, 2, a)
             v = (rng.randrange(q), rng.randrange(q))
             if rng.random() < 0.5:
-                v = mat_vec(a, v)
+                v = mat_vec(ctx, a, v)
             w = tuple(x + q * rng.choice((-3, -1, 1, 2)) for x in v)
             assert basis.reduce(w) == basis.reduce(v)
             assert basis.contains(w) == basis.contains(v)
-            assert solve2(ctx, a.entries, w) == solve2(ctx, a.entries, v)
-            assert solve2(ctx, tuple(x - q for x in a.entries), v) == solve2(ctx, a.entries, v)
+            assert solve2(ctx, key, w) == solve2(ctx, key, v)
+            assert solve2(ctx, tuple(x - q for x in key), v) == solve2(ctx, key, v)
             seen.add(basis.contains(v))
     assert seen == {True, False}
 
@@ -199,38 +189,38 @@ def test_solver_random_soundness_and_completeness():
         ctx = ModulusContext(p, n)
         q = ctx.modulus
         rows_n = rng.choice([2, 3])
-        a = ModMatrix.from_rows(ctx, [[rng.randrange(q) for _ in range(2)] for _ in range(rows_n)])
+        a = [[rng.randrange(q) for _ in range(2)] for _ in range(rows_n)]
         b = tuple(rng.randrange(q) for _ in range(rows_n))
-        solution, _ = reference_solve(a, b)
+        solution, _ = reference_solve(ctx, a, b)
         brute = [
             (x, y)
             for x in range(q)
             for y in range(q)
             if all(
-                (a.entry(i, 0) * x + a.entry(i, 1) * y) % q == b[i] for i in range(rows_n)
+                (a[i][0] * x + a[i][1] * y) % q == b[i] for i in range(rows_n)
             )
         ]
         if solution is not None:
-            assert mat_vec(a, solution) == b
-        assert sorted(all_solutions(a, b)) == sorted(brute)
+            assert mat_vec(ctx, a, solution) == b
+        assert sorted(all_solutions(ctx, a, b)) == sorted(brute)
 
 
 def test_image_basis_examples():
-    sigma_minus_id = mat([[5, 1], [10, 5]])
-    img = image_basis(sigma_minus_id)
+    sigma_minus_id = [[5, 1], [10, 5]]
+    img = image_basis(CTX25, 2, sigma_minus_id)
     assert img.contains((0, 5))
 
-    assert image_basis(mat([[1, 0], [0, 1]])) == full_basis(CTX25, 2)
+    assert image_basis(CTX25, 2, [[1, 0], [0, 1]]) == full_basis(CTX25, 2)
 
-    scaled = image_basis(mat([[5, 0], [0, 5]]))
+    scaled = image_basis(CTX25, 2, [[5, 0], [0, 5]])
     assert scaled.span_size() == 25
 
 
 def test_membership_examples():
-    pv = howell_form(mat([[5, 0], [0, 5]]))
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
     assert pv.contains((5, 20))
     assert not pv.contains((1, 0))
-    img = image_basis(mat([[5, 1], [10, 5]]))
+    img = image_basis(CTX25, 2, [[5, 1], [10, 5]])
     enumerated = set(img.enumerate_span())
     assert (0, 5) in enumerated
 
@@ -248,7 +238,7 @@ def test_membership_matches_enumeration_randomized():
 
 def test_quotient_invariants_examples():
     full = full_basis(CTX25, 2)
-    pv = howell_form(mat([[5, 0], [0, 5]]))
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
     zero = howell_from_rows(CTX25, 2, [])
     assert quotient_invariants(full, zero) == [25, 25]
     assert quotient_invariants(full, pv) == [5, 5]
@@ -275,7 +265,7 @@ def test_quotient_invariants_product_matches_enumerated_index():
 
 def test_quotient_structure_generators_have_stated_orders():
     full = full_basis(CTX25, 2)
-    pv = howell_form(mat([[5, 0], [0, 5]]))
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
     structure = quotient_structure(full, pv)
     assert [d for d, _ in structure] == [5, 5]
     for d, g in structure:
@@ -284,30 +274,27 @@ def test_quotient_structure_generators_have_stated_orders():
 
 
 def test_quotient_containment_error():
-    pv = howell_form(mat([[5, 0], [0, 5]]))
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
     with pytest.raises(ContainmentError):
         quotient_invariants(pv, full_basis(CTX25, 2))
 
 
 def test_dual_constraints_examples():
-    pv = howell_form(mat([[5, 0], [0, 5]]))
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
     k = dual_constraints(pv)
-    assert k.row_lists() == [[5, 0], [0, 5]]
+    assert k == [[5, 0], [0, 5]]
 
-    full = full_basis(CTX25, 2)
-    kf = dual_constraints(full)
-    assert all(e == 0 for e in kf.entries)
+    # The kernel of no rows is the full module.
+    assert dual_constraints(full_basis(CTX25, 2)) == []
 
-    line = howell_form(mat([[5, 0]]))
+    line = howell_from_rows(CTX25, 2, [[5, 0]])
     kl = dual_constraints(line)
     expected = {(x, y) for x in range(25) for y in range(25) if x % 5 == 0 and y == 0}
     got = {
         (x, y)
         for x in range(25)
         for y in range(25)
-        if all(
-            (kl.entry(i, 0) * x + kl.entry(i, 1) * y) % 25 == 0 for i in range(kl.rows)
-        )
+        if all((k0 * x + k1 * y) % 25 == 0 for k0, k1 in kl)
     }
     assert got == expected
 
@@ -323,19 +310,34 @@ def test_dual_constraints_round_trip_randomized():
         rows = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randrange(0, 3))]
         basis = howell_from_rows(ctx, dim, rows)
         k = dual_constraints(basis)
-        assert kernel_basis(k) == basis
+        assert kernel_basis(ctx, dim, k) == basis
 
 
 def test_kernel_basis_multiplication_by_p():
-    k = kernel_basis(mat([[5, 0], [0, 5]]))
+    k = kernel_basis(CTX25, 2, [[5, 0], [0, 5]])
     assert list(k.rows) == [(5, 0), (0, 5)]
 
 
 def test_degenerate_shapes():
-    empty = ModMatrix.from_rows(CTX25, [])
-    assert howell_form(empty).rows == ()
-    tall = ModMatrix(CTX25, 0, 3, ())
-    assert kernel_basis(tall) == full_basis(CTX25, 3)
+    assert howell_from_rows(CTX25, 0, []).rows == ()
+    # A 0x3 matrix: no rows, three columns; its kernel is everything.
+    assert kernel_basis(CTX25, 3, []) == full_basis(CTX25, 3)
+    assert image_basis(CTX25, 0, []) == howell_from_rows(CTX25, 0, [])
+
+
+def test_row_taking_functions_check_the_width():
+    # Each row must have as many entries as the matrix has columns; a
+    # mismatch in either direction is refused, not silently padded or cut.
+    for rows, width in (([[1, 2, 3], [0, 5]], 2), ([[1, 2], [0, 5]], 3)):
+        with pytest.raises(DimensionError):
+            howell_from_rows(CTX25, width, rows)
+        with pytest.raises(DimensionError):
+            kernel_basis(CTX25, width, rows)
+    # image_basis: every row of the declared count, all of one width.
+    with pytest.raises(DimensionError):
+        image_basis(CTX25, 2, [[1, 2, 3], [0, 5]])
+    with pytest.raises(DimensionError):
+        image_basis(CTX25, 3, [[1, 2], [0, 5]])
 
 
 def _is_prime_by_trial_division(m):

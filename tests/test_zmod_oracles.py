@@ -10,7 +10,6 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
 
 from h1loc import (
-    ModMatrix,
     ModulusContext,
     build_borel_disjoint_group,
     build_borel_index2_group,
@@ -43,14 +42,15 @@ def matrices(draw, max_rows=4, max_cols=4):
     cols = draw(st.integers(1, max_cols))
     entry = st.integers(0, ctx.modulus - 1)
     data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    return ModMatrix.from_rows(ctx, data)
+    return ctx, data
 
 
 @st.composite
-def unimodular_recombination(draw, m: ModMatrix):
-    """The rows of U m for a product U of elementary invertible row operations."""
-    q = m.ctx.modulus
-    rows = m.row_lists()
+def unimodular_recombination(draw, ctx, m):
+    """The rows of U m for a product U of elementary invertible row operations
+    over ctx; m, a list of rows, is left as it is."""
+    q = ctx.modulus
+    rows = list(m)
     n = len(rows)
     ops = draw(st.lists(st.tuples(st.sampled_from(("swap", "add", "unit")), st.integers(0, n - 1),
                                   st.integers(0, n - 1), st.integers(1, q - 1)), max_size=12))
@@ -59,7 +59,7 @@ def unimodular_recombination(draw, m: ModMatrix):
             rows[i], rows[j] = rows[j], rows[i]
         elif op == "add" and i != j:
             rows[i] = [(a + c * b) % q for a, b in zip(rows[i], rows[j])]
-        elif op == "unit" and c % m.ctx.p:
+        elif op == "unit" and c % ctx.p:
             rows[i] = [(c * a) % q for a in rows[i]]
     return rows
 
@@ -67,29 +67,33 @@ def unimodular_recombination(draw, m: ModMatrix):
 @PROPERTY
 @given(st.data())
 def test_howell_form_is_invariant_under_unimodular_recombination(data):
-    m = data.draw(matrices())
-    mixed = data.draw(unimodular_recombination(m))
-    assert howell_from_rows(m.ctx, m.cols, mixed) == howell_from_rows(m.ctx, m.cols, m.row_lists())
+    ctx, m = data.draw(matrices())
+    mixed = data.draw(unimodular_recombination(ctx, m))
+    cols = len(m[0])
+    assert howell_from_rows(ctx, cols, mixed) == howell_from_rows(ctx, cols, m)
 
 
 @PROPERTY
 @given(matrices())
-def test_kernel_and_image_sizes_multiply_to_the_domain(m):
-    ker = kernel_basis(m)
-    assert all(not any(mat_vec(m, v)) for v in ker.rows)
-    assert ker.span_size() * image_basis(m).span_size() == m.ctx.modulus ** m.cols
+def test_kernel_and_image_sizes_multiply_to_the_domain(matrix):
+    ctx, m = matrix
+    cols = len(m[0])
+    ker = kernel_basis(ctx, cols, m)
+    assert all(not any(mat_vec(ctx, m, v)) for v in ker.rows)
+    assert ker.span_size() * image_basis(ctx, len(m), m).span_size() == ctx.modulus ** cols
 
 
 @PROPERTY
 @given(st.data())
 def test_linear_solver_round_trip(data):
-    a = data.draw(matrices())
-    x = data.draw(st.lists(st.integers(0, a.ctx.modulus - 1), min_size=a.cols, max_size=a.cols))
-    b = mat_vec(a, x)
-    solution, kernel = reference_solve(a, b)
+    ctx, a = data.draw(matrices())
+    cols = len(a[0])
+    x = data.draw(st.lists(st.integers(0, ctx.modulus - 1), min_size=cols, max_size=cols))
+    b = mat_vec(ctx, a, x)
+    solution, kernel = reference_solve(ctx, a, b)
     assert solution is not None
-    assert mat_vec(a, solution) == b
-    assert howell_from_rows(a.ctx, a.cols, kernel).contains([s - t for s, t in zip(x, solution)])
+    assert mat_vec(ctx, a, solution) == b
+    assert howell_from_rows(ctx, cols, kernel).contains([s - t for s, t in zip(x, solution)])
 
 
 # ---------------------------------------------------------------------------
