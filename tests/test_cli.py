@@ -219,15 +219,15 @@ def test_non_positive_cap_is_input_error(tmp_path, capsys, argv):
     assert "input error: --cap" in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "p, digest",
-    [
-        (5, "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871"),
-        (7, "00b671a9584318443d45d047da72af8a34263e2f7c69fcda6a4bc807cd45e613"),
-        (11, "3b3c7e5c8fa6c4c76566009c23d28a4d66a8dcbce401d0193633ab66b69f9b4e"),
-        (13, "571cebbbca3a37b2d308171d269a4c83d1af980dba354100471ddd41c739af06"),
-    ],
-)
+SCAN_DIGESTS = {
+    5: "c89c806f862ca13a5bc51ccfd92d56c9bcb2f93815fc2b5653460558ccc95871",
+    7: "00b671a9584318443d45d047da72af8a34263e2f7c69fcda6a4bc807cd45e613",
+    11: "3b3c7e5c8fa6c4c76566009c23d28a4d66a8dcbce401d0193633ab66b69f9b4e",
+    13: "571cebbbca3a37b2d308171d269a4c83d1af980dba354100471ddd41c739af06",
+}
+
+
+@pytest.mark.parametrize("p, digest", sorted(SCAN_DIGESTS.items()))
 def test_scan_stdout_is_pinned(capsys, p, digest):
     # sha256 of the stdout of `h1loc scan --p 5` and `--p 7` as first recorded,
     # before the scanner shared the groups closure and power walk; `--p 11`
@@ -257,13 +257,14 @@ def test_verify_stdout_is_pinned(capsys, primes, p):
 
 BOREL_SHARED_5 = {"p": 5, "n": 2, "label": "borel-shared",
                   "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]], [[6, 0], [0, -4]]]}
+BOREL_SHARED_5_H1LOC_DIGEST = "aaf0588f9686cedf5322ce94230bcff0a971ee56ead7ffdfc113e63370250281"
 Z125_GROUP = {"p": 5, "n": 3, "label": "z125", "generators": [[[1, 0], [0, -1]], [[6, 1], [10, 6]]]}
 
 
 @pytest.mark.parametrize(
     "group, module, digest",
     [
-        (BOREL_SHARED_5, "V", "aaf0588f9686cedf5322ce94230bcff0a971ee56ead7ffdfc113e63370250281"),
+        (BOREL_SHARED_5, "V", BOREL_SHARED_5_H1LOC_DIGEST),
         (Z125_GROUP, "V", "29720bdc7c0be3a28fe9b87fe602725b6ca84dc6a3c84719737bee58bef496fd"),
         (Z125_GROUP, "V[p]", "cb8e30eaded3482b7116cce48ae1c654d1e7e7700a87ed442a156ff207dc60af"),
         (Z125_GROUP, "V/V[p]", "34f4918a95c0b1c5cbb8a7cd36bc5bb8dc95b00cc61360cb31cfb2f4dc22f4bb"),
@@ -355,6 +356,92 @@ def test_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, used):
 def test_import_h1loc_loads_no_submodule():
     probe = "import sys, h1loc; print(*sorted(m for m in sys.modules if m.startswith('h1loc')))"
     assert loaded_modules(probe) == ["h1loc"]
+
+
+# ---------------------------------------------------------------------------
+# The process entry point, `python -m h1loc.cli`, which ends with os._exit.
+
+
+def run_process(argv, stdout=subprocess.PIPE):
+    """``python -m h1loc.cli`` on argv, with the package under test first on
+    the path.  PYTHONUNBUFFERED is removed, so the child's stdout is
+    block-buffered and a byte that the process entry leaves unflushed is lost."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(h1loc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "h1loc.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["h1", "--input", "GROUP"], None),
+        (["h1loc", "--input", "GROUP"], BOREL_SHARED_5_H1LOC_DIGEST),
+        (["scan", "--p", "5"], SCAN_DIGESTS[5]),
+        (["power-identity", "--primes", "5", "7"], None),
+        (["verify", "--primes", "5"], VERIFY_DIGESTS[5]),
+    ],
+    ids=["h1", "h1loc", "scan", "power-identity", "verify"],
+)
+def test_process_stdout_matches_main(tmp_path, capsys, argv, digest):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(BOREL_SHARED_5))
+    argv = [str(group) if a == "GROUP" else a for a in argv]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out.encode("utf-8")
+    proc = run_process(argv)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+    assert proc.stdout == expected
+    if digest is not None:
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["h1loc"], EXIT_USAGE, b"h1loc: error: the following arguments are required: --input"),
+        (["scan", "--p", "6"], EXIT_INPUT, b"h1loc: input error: --p must be prime, got 6"),
+        (["h1loc", "--input", "GROUP", "--cap", "10"], EXIT_RESOURCE, b"h1loc: resource limit: "),
+    ],
+    ids=["usage", "input", "cap"],
+)
+def test_process_exit_codes_and_messages(tmp_path, argv, code, message):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(BOREL_SHARED_5))
+    proc = run_process([str(group) if a == "GROUP" else a for a in argv])
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert message in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_process_output_file_is_complete(tmp_path, capsys):
+    assert main(["verify", "--primes", "5"]) == EXIT_OK
+    expected = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "report.json"
+    proc = run_process(["verify", "--primes", "5", "--output", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"", b"")
+    assert out.read_bytes() == expected
+
+
+def test_closed_stdout_is_input_error():
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(["scan", "--p", "5"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.decode().startswith("h1loc: input error: cannot write stdout: ")
+    assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+
+def test_closed_stdout_is_input_error_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["scan", "--p", "5"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "h1loc: input error: cannot write stdout: it is closed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -219,3 +219,21 @@ def test_start_up_generates_no_dataclass_code():
     ) - _modules_loaded_by("pass")
     assert "h1loc.cohomology" in added
     assert added.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_the_fast_exit_has_one_home():
+    # Only the process entry point skips interpreter teardown, and both ways
+    # of starting a process go through it.
+    modules = dict(parsed_modules())
+    exits = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_exit"]
+    run = next(node for node in modules["cli.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert len(exits) == 1
+    assert exits[0][0] == "cli.py" and run.lineno <= exits[0][1] <= run.end_lineno
+    main_block = [node for node in modules["cli.py"].body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in main_block[0].body] == ["run()"]
+    pyproject = Path(h1loc.__file__).parent.parent.parent / "pyproject.toml"
+    if pyproject.exists():  # absent when the package is installed
+        assert '[project.scripts]\nh1loc = "h1loc.cli:run"\n' in pyproject.read_text(encoding="utf-8")
