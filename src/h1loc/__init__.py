@@ -17,7 +17,7 @@ _EXPORTS = {
                "InputError", "ResourceLimitError"),
     "zmod": ("ModulusContext", "SubmoduleBasis", "dual_constraints", "full_basis",
              "howell_from_rows", "image_basis", "is_prime", "kernel_basis",
-             "quotient_invariants", "quotient_structure"),
+             "quotient_structure"),
     "groups": ("EigenData", "FiniteMatrixGroup", "borel_check", "close_group", "closure_indices",
                "eigen_data", "element_order", "fixed_submodule", "group_from_json",
                "group_to_json", "image_indices", "power_identity_check", "quotient_group",

@@ -50,6 +50,14 @@ POWER_IDENTITY_TRIALS = 200
 
 
 class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse swallows an OSError here, so help into a closed stdout
+        # would exit 0 with nothing written; _write_stdout raises instead.
+        if file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -84,15 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush text to stdout; InputError when that fails."""
+    if sys.stdout is None:  # the process started with file descriptor 1 closed
+        raise InputError("cannot write stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write stdout: {exc}") from exc
+
+
 def _emit(payload, path: Optional[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None:
-        if sys.stdout is None:  # the process started with file descriptor 1 closed
-            raise InputError("cannot write stdout: it is closed")
-        try:
-            print(text, flush=True)
-        except OSError as exc:
-            raise InputError(f"cannot write stdout: {exc}") from exc
+        _write_stdout(text + "\n")
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
@@ -182,10 +196,10 @@ def _cmd_power_identity(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
         if args.command == "h1":
             return _cmd_cohomology(args, local=False)
         if args.command == "h1loc":

@@ -22,7 +22,12 @@ group element (see CocycleSystem.local_representatives).
 Every group is an enumerated FiniteMatrixGroup.  The quotient G/G(p) by
 the reduction kernel is the mod-p image (groups.quotient_group), and
 inflation pulls a cocycle on the image with values in F_p^2 back to a
-V[p]-valued cocycle on G (inflate_cocycle).
+V[p]-valued cocycle on G (inflate_cocycle).  The inflation-restriction
+sequence for G(p) is decided without listing classes: ker(res) + B^1 and
+im(inf) + B^1 are submodules of Z^1, compared by their Howell bases in
+generator coordinates.  A cocycle restricted to G(p) is a coboundary
+there once it agrees with one on the generators of G(p), since both are
+cocycles on G(p) (see inflation_restriction_check).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .groups import (
     image_indices,
     quotient_group,
     reduction_kernel,
-    subgroup_from_indices,
 )
 from .zmod import (
     ModulusContext,
@@ -60,8 +64,6 @@ QUOTIENT = "mod_p_quotient"
 
 _MODULE_LABELS = {FULL: "V", TORSION: "V[p]", QUOTIENT: "V/V[p]"}
 
-# Cap on the classes that inflation_restriction_check enumerates.
-CLASS_ENUM_LIMIT = 10**5
 # Cap on the tables times elements that h1_loc's cross-check tests.
 CLASS_ENUM_WORK_LIMIT = 2 * 10**6
 # Cap on |G| * dim, checked before a CocycleSystem allocates anything per
@@ -149,26 +151,6 @@ class Cocycle(NamedTuple):
     def value(self, i: int) -> tuple[int, int]:
         return self.values[i]
 
-    def __add__(self, other: "Cocycle") -> "Cocycle":
-        self._align(other)
-        q = self.module.coeff_modulus
-        vals = tuple(
-            ((a0 + b0) % q, (a1 + b1) % q) for (a0, a1), (b0, b1) in zip(self.values, other.values)
-        )
-        return Cocycle(self.group, self.module, vals)
-
-    def __sub__(self, other: "Cocycle") -> "Cocycle":
-        self._align(other)
-        q = self.module.coeff_modulus
-        vals = tuple(
-            ((a0 - b0) % q, (a1 - b1) % q) for (a0, a1), (b0, b1) in zip(self.values, other.values)
-        )
-        return Cocycle(self.group, self.module, vals)
-
-    def scale(self, c: int) -> "Cocycle":
-        q = self.module.coeff_modulus
-        return Cocycle(self.group, self.module, tuple(((c * a) % q, (c * b) % q) for a, b in self.values))
-
     def is_zero(self) -> bool:
         return all(v == (0, 0) for v in self.values)
 
@@ -182,15 +164,11 @@ class Cocycle(NamedTuple):
     def value_table(self) -> list[list[int]]:
         return [list(v) for v in self.values]
 
-    def _align(self, other: "Cocycle"):
-        if self.group is not other.group or self.module != other.module:
-            raise DimensionError("cocycles live on different groups or modules")
-
 
 def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
     """Check the defining identity Z(ab) = Z(a) + a.Z(b).
 
-    The default checks Z(1) = 0 and every Cayley edge (a, g), g a listed
+    The default checks Z(1) = 0 and every Cayley edge (a, g), g a
     generator, at every group size.  That implies the identity for all
     pairs, by induction on the length of b as a word in the generators: the
     base case Z(a.1) = Z(a) + a.Z(1) is Z(1) = 0, and from the edge (ab, g)
@@ -208,7 +186,7 @@ def verify_cocycle(c: Cocycle, full: bool = False) -> bool:
         mult = group.mult
         edges = ((b, [mult(a, b) for a in range(n)]) for b in range(n))
     else:
-        edges = zip(group.distinct_generator_indices(), group.edge_targets())
+        edges = zip(group.generators, group.edge_targets())
     return c.values[0] == (0, 0) and _first_broken_edge(acts, edges, c.values, module.coeff_modulus) is None
 
 
@@ -266,10 +244,10 @@ class CocycleSystem:
     are cocycles, so b1() does not need Z^1.
 
     Exactness: the harvested rows are some of the consistency rows, so
-    Z^1 is in K.  Every listed generator is a child of the root along its
-    own slot (they are distinct and not the identity), so the walk of u
-    takes the value u_slot at generator slot, and a vector that passes is a
-    cocycle's coordinates.  A row of B^1 is the coordinates of the
+    Z^1 is in K.  Every generator is a child of the root along its own
+    slot (close_group keeps them distinct and not the identity), so the
+    walk of u takes the value u_slot at generator slot, and a vector that
+    passes is a cocycle's coordinates.  A row of B^1 is the coordinates of the
     coboundary of a basis vector m, which expands to the table of delta m
     and so satisfies the identity on every edge.  The last round ends with
     K spanned by B^1, the probe and the rows walked, all in Z^1, so K is
@@ -289,7 +267,7 @@ class CocycleSystem:
             raise DimensionError("module coefficients do not match the group ring")
         self.group = group
         self.module = module
-        self.gens = group.distinct_generator_indices()
+        self.gens = group.generators
         self.k = len(self.gens)
         self.dim = 2 * self.k
         n = len(group)
@@ -517,10 +495,6 @@ class CocycleSystem:
             out.extend(c.values[g])
         return tuple(out)
 
-    def class_form(self, c: Cocycle) -> tuple[int, ...]:
-        """Canonical coordinates of the class of c modulo coboundaries."""
-        return self.b1().reduce(self.compress(c))
-
     def is_local_table(self, c: Cocycle) -> bool:
         """Direct test at every element, not only the representatives:
         each value lies in the image of g - Id, decided by the closed-form
@@ -558,7 +532,6 @@ class CocycleSystem:
             order=math.prod(orders),
             invariant_factors=orders,
             generator_cocycles=gens,
-            zero_cocycle=Cocycle(self.group, self.module, ((0, 0),) * len(self.group)),
             witness=None,
         )
 
@@ -627,35 +600,8 @@ class H1Report(NamedTuple):
     order: int
     invariant_factors: tuple[int, ...]
     generator_cocycles: tuple[Cocycle, ...]
-    zero_cocycle: Cocycle
     witness: Optional[Cocycle]
     cross_check: Optional[str] = None
-
-    def classes(self) -> list[Cocycle]:
-        """One representative per class, sum_i c_i gen_i with 0 <= c_i < d_i,
-        in itertools.product order of the digits c, the zero class first.
-
-        The digits run like an odometer: when i is the last digit that does
-        not wrap round, the next class is the previous one plus
-        step_i = gen_i + sum_{j > i} (1 - d_j) gen_j, one table addition
-        per class."""
-        orders = self.invariant_factors
-        steps = []
-        tail = self.zero_cocycle  # sum_{j > i} (1 - d_j) gen_j
-        for d, gen in zip(reversed(orders), reversed(self.generator_cocycles)):
-            steps.append(tail + gen)
-            tail = tail + gen.scale(1 - d)
-        steps.reverse()
-        digits = [0] * len(orders)
-        reps = [self.zero_cocycle]
-        for _ in range(self.order - 1):
-            i = len(orders) - 1
-            while digits[i] == orders[i] - 1:
-                digits[i] = 0
-                i -= 1
-            digits[i] += 1
-            reps.append(reps[-1] + steps[i])
-        return reps
 
     def to_json(self) -> dict:
         return {
@@ -687,7 +633,7 @@ def is_coboundary(c: Cocycle) -> Optional[tuple[int, int]]:
     is re-checked against every element.
     """
     group, module = c.group, c.module
-    gens = group.distinct_generator_indices()
+    gens = group.generators
     cctx = module.coeff_ctx
     q = module.coeff_modulus
     if not gens:
@@ -830,7 +776,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
         raise InputError("subgroup enumeration and basis span disagree")
     dh = len(basis)
     # Conjugation matrices on H and reduced action on V[p] per generator.
-    gens = g.distinct_generator_indices()
+    gens = g.generators
     conj = []
     acts = []
     for gi in gens:
@@ -881,11 +827,16 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
 
 
 class InflationRestrictionReport(NamedTuple):
+    """The sequence at H^1(G, V[p]) for the reduction kernel H.
+    kernel_of_restriction and image_of_inflation are the Howell bases, in
+    the generator coordinates of CocycleSystem(G, V[p]), of ker(res) + B^1
+    and im(inf) + B^1: the two subgroups of H^1 as submodules of Z^1."""
+
     h1_group_order: int
     h1_quotient_order: int
     hom_space_order: int
-    kernel_of_restriction: frozenset
-    image_of_inflation: frozenset
+    kernel_of_restriction: SubmoduleBasis
+    image_of_inflation: SubmoduleBasis
     exact: bool
     restriction_injective: bool
     restriction_bijective_onto_invariants: bool
@@ -894,39 +845,44 @@ class InflationRestrictionReport(NamedTuple):
 def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionReport:
     """Exactness of inflation then restriction at H^1(G, V[p]).
 
-    Uses the reduction kernel H: computes ker(res: H^1(G) -> H^1(H)) and
-    im(inf: H^1(G/H) -> H^1(G)) class by class and compares them, and also
-    checks whether restriction lands bijectively on the G/H-equivariant
-    homomorphisms from H (which carries the invariants of H^1(H, V[p])).
-    G/H is the mod-p image, acting on F_p^2 as G acts on V[p].
+    H is the reduction kernel and G/H the mod-p image, acting on F_p^2 as
+    G acts on V[p].  ker(res: H^1(G) -> H^1(H)) and im(inf: H^1(G/H) ->
+    H^1(G)) are compared as the submodules ker(res) + B^1 and
+    im(inf) + B^1 of Z^1, whose Howell bases are equal exactly when the
+    submodules are.  ker(res) + B^1 is the projection onto u of the kernel
+    in the unknowns (u, m): the Z^1 constraint rows, zero on m, and for
+    each generator h of H the rows [L[h] | -(h - Id)], which say
+    Z(h) = (h - Id) m.  The generators of H suffice: Z restricted to H and
+    the coboundary of m are both cocycles on H, so they agree on H once
+    they agree on its generators.  im(inf) + B^1 is spanned by B^1 and the
+    coordinates of the inflated generators of H^1(G/H, F_p^2).  Restriction
+    is injective when ker(res) + B^1 is B^1, and then lands bijectively on
+    the G/H-equivariant homomorphisms from H (which carry the invariants
+    of H^1(H, V[p])) when H^1(G) has their order.
     """
     h_idx = reduction_kernel(g)
     image = quotient_group(g)
-    hsub = subgroup_from_indices(g, h_idx, label="reduction-kernel")
     system = CocycleSystem(g, torsion_module(g.ctx))
     rep_g = system.h1()
-    if rep_g.order > CLASS_ENUM_LIMIT:
-        raise ResourceLimitError(f"H^1 of order {rep_g.order} is too large to enumerate classes")
     rep_q = h1(image, full_module(image.ctx))
-    zero_form = system.class_form(system.expand([0] * system.dim))
-    ker_res = set()
-    for rep in rep_g.classes():
-        if is_coboundary(restrict_cocycle(rep, hsub)) is not None:
-            ker_res.add(system.class_form(rep))
-    im_inf = set()
-    for rep in rep_q.classes():
-        im_inf.add(system.class_form(inflate_cocycle(g, rep)))
-    hom = equivariant_homs(g, h_idx)
-    hom_order = g.ctx.p**hom.dimension
+    cctx, dim, b1 = system.cctx, system.dim, system.b1()
+    rows = [row + [0, 0] for row in system.constraint_basis]
+    for h in g.subgroup_generators(h_idx):
+        a, b, c, d = system.acts[h]
+        l0, l1 = system.value_map(h)
+        rows += [l0 + [1 - a, -b], l1 + [-c, 1 - d]]
+    ker = [u[:dim] for u in _kernel_raw(rows, dim + 2, cctx)]
+    ker_res = howell_from_rows(cctx, dim, ker + list(b1.rows))
+    inflated = [system.compress(inflate_cocycle(g, c)) for c in rep_q.generator_cocycles]
+    im_inf = howell_from_rows(cctx, dim, inflated + list(b1.rows))
+    hom_order = g.ctx.p ** equivariant_homs(g, h_idx).dimension
     return InflationRestrictionReport(
         h1_group_order=rep_g.order,
         h1_quotient_order=rep_q.order,
         hom_space_order=hom_order,
-        kernel_of_restriction=frozenset(ker_res),
-        image_of_inflation=frozenset(im_inf),
-        exact=frozenset(ker_res) == frozenset(im_inf),
-        restriction_injective=frozenset(ker_res) == {zero_form},
-        restriction_bijective_onto_invariants=(
-            frozenset(ker_res) == {zero_form} and rep_g.order == hom_order
-        ),
+        kernel_of_restriction=ker_res,
+        image_of_inflation=im_inf,
+        exact=ker_res == im_inf,
+        restriction_injective=ker_res == b1,
+        restriction_bijective_onto_invariants=ker_res == b1 and rep_g.order == hom_order,
     )

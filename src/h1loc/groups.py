@@ -144,7 +144,7 @@ class FiniteMatrixGroup:
     """A fully enumerated subgroup of GL_2(Z/p^n).
 
     Built through close_group; do not mutate after construction.  The
-    listed generators are kept as element indices.
+    generators are kept as element indices, distinct and not the identity.
     """
 
     def __init__(self, ctx, gen_keys, closure, label):
@@ -183,49 +183,36 @@ class FiniteMatrixGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def distinct_generator_indices(self) -> list[int]:
-        """Indices of the listed generators, deduplicated, identity dropped."""
-        out = []
-        for g in self.generators:
-            if g != 0 and g not in out:
-                out.append(g)
-        return out
-
     def edge_targets(self) -> list[array]:
-        """Cayley edges of the distinct generators, read off the closure:
-        out[s][a] = mult(a, distinct_generator_indices()[s])."""
+        """Cayley edges of the generators, read off the closure:
+        out[s][a] = mult(a, generators[s])."""
         k = len(self.generators)
-        return [self._right[self.generators.index(g) :: k] for g in self.distinct_generator_indices()]
+        return [self._right[s::k] for s in range(k)]
 
     def spanning_tree(self) -> tuple[array, array]:
         """(parent, slot): the closure first reaches element i > 0 as
-        parent[i] times the distinct generator slot[i] (numbered as in
-        edge_targets); the root 0 is its own parent.
+        parent[i] times generators[slot[i]]; the root 0 is its own parent.
 
         _close_keys numbers the elements in the order it reaches them,
-        scanning the elements in index order and each one's listed
-        generators in order, so the first edge into i is the first entry i
-        of _right, and its position gives the parent and the listed
-        generator.  An identity or repeated generator reaches only elements
-        already numbered, so that generator is distinct, and index order is
-        breadth-first order over the distinct generators.
+        scanning the elements in index order and each one's generators in
+        order, so the first edge into i is the first entry i of _right, and
+        its position gives the parent and the slot.  Index order is
+        therefore breadth-first order.
         """
         k, right = len(self.generators), self._right
-        slot_of = {g: s for s, g in enumerate(self.distinct_generator_indices())}
         n = len(self)
         parent = array("q", [0]) * n
         slot = array("q", [0]) * n
         pos = 0
         for y in range(1, n):
             pos = right.index(y, pos)
-            parent[y], j = divmod(pos, k)
-            slot[y] = slot_of[self.generators[j]]
+            parent[y], slot[y] = divmod(pos, k)
         return parent, slot
 
     def is_abelian(self) -> bool:
-        """Whether the distinct generators commute pairwise; exact, since
-        they generate the group."""
-        gens = [self._keys[i] for i in self.distinct_generator_indices()]
+        """Whether the generators commute pairwise; exact, since they
+        generate the group."""
+        gens = [self._keys[i] for i in self.generators]
         q = self._q
         return all(_mul4(a, b, q) == _mul4(b, a, q) for a, b in itertools.combinations(gens, 2))
 
@@ -266,10 +253,13 @@ def close_group(
 
     Breadth-first over right multiplication by the generators in their
     listed order; raises ResourceLimitError when the closure passes cap.
+    A repeated or identity generator is dropped: it never numbers an
+    element first, so the breadth-first order is unchanged.
     """
     keys = [_key(ctx, g) for g in gens]
     if not all(_invertible4(k, ctx.p) for k in keys):
         raise InputError("generator determinant is not a unit: not invertible")
+    keys = [k for k in dict.fromkeys(keys) if k != _IDENTITY]
     return FiniteMatrixGroup(ctx, keys, _close_keys(keys, ctx.modulus, cap), label)
 
 
@@ -301,9 +291,9 @@ def quotient_group(g: FiniteMatrixGroup) -> FiniteMatrixGroup:
 
     Reduction mod p is a homomorphism whose kernel is exactly G(p), so the
     quotient is its image in GL_2(F_p).  The image is closed from the
-    reductions of the listed generators in their order, so its distinct
-    generators are the distinct non-identity reductions, in the order of
-    the first generator of g reducing to each.  image_indices maps the
+    reductions of the generators in their order, so its generators are
+    the distinct non-identity reductions, in the order of the first
+    generator of g reducing to each.  image_indices maps the
     elements of g onto it.
     """
     ctx_p = ModulusContext(g.ctx.p, 1)
@@ -379,7 +369,7 @@ def subgroup_from_indices(
     gens = g.subgroup_generators(target)
     if gens is None:
         raise ContractError("index set is not closed under multiplication")
-    sub = close_group([_rows(g._keys[i]) for i in gens] or [_rows(_IDENTITY)], g.ctx, label=label)
+    sub = close_group([_rows(g._keys[i]) for i in gens], g.ctx, label=label)
     if len(sub) != len(target):
         raise ConsistencyError("subgroup re-enumeration changed the element count")
     return sub
@@ -444,7 +434,7 @@ def borel_check(g: FiniteMatrixGroup) -> Optional[tuple[int, int]]:
     closed under products and inverses.
     """
     p = g.ctx.p
-    gens = [g._keys[i] for i in g.distinct_generator_indices()]
+    gens = [g._keys[i] for i in g.generators]
     for v0, v1 in line_representatives(p):
         images = (_apply4(x, (v0, v1), p) for x in gens)
         # x v lies on the line of v exactly when det [x v | v] = 0.

@@ -485,8 +485,3 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     if prod != index:
         raise ConsistencyError(f"invariant factor product {prod} != index {index}")
     return out
-
-
-def quotient_invariants(big: SubmoduleBasis, small: SubmoduleBasis) -> list[int]:
-    """Invariant factors (descending prime powers) of span(big)/span(small)."""
-    return [d for d, _ in quotient_structure(big, small)]

@@ -2,9 +2,13 @@
 
 The brute-force helpers recompute cohomological data by exhaustive
 enumeration with their own propagation loops, so they share no code path
-with the engine they are used to check.  assert_h1_loc_is_the_local_classes
-keeps the class enumeration that h1_loc once ran as its cross-check, as the
-oracle of the cross-check on socle lines that replaced it.  reference_solve
+with the engine they are used to check.  report_classes lists one cocycle
+per class of an H^1 report by expanding coordinate combinations.  With it,
+assert_h1_loc_is_the_local_classes keeps the class enumeration that h1_loc
+once ran as its cross-check, as the oracle of the cross-check on socle
+lines that replaced it, and inflation_restriction_oracle keeps the
+class-by-class inflation-restriction check, as the oracle of the two
+Howell bases that replaced it.  reference_solve
 is the general linear solver over Z/p^n, the oracle of zmod.solve2,
 and mat_vec the matrix-vector product its results are checked with.
 """
@@ -17,7 +21,22 @@ from pathlib import Path
 import numpy
 import pytest
 
-from h1loc import CocycleSystem, ModulusContext, close_group, h1, h1_loc, howell_from_rows
+from h1loc import (
+    CocycleSystem,
+    ModulusContext,
+    close_group,
+    equivariant_homs,
+    full_module,
+    h1_loc,
+    howell_from_rows,
+    inflate_cocycle,
+    is_coboundary,
+    quotient_group,
+    reduction_kernel,
+    restrict_cocycle,
+    subgroup_from_indices,
+    torsion_module,
+)
 from h1loc.zmod import _howell_raw
 
 ACCEPTANCE_RESULTS = []
@@ -132,7 +151,7 @@ def brute_cocycle_tables(group, module):
     """All valid value tables, by trying every generator assignment."""
     n = len(group)
     q = module.coeff_modulus
-    gens = group.distinct_generator_indices()
+    gens = group.generators
     acts = [action_of(group, module, i) for i in range(n)]
     vectors = [(x, y) for x in range(q) for y in range(q)]
     tables = set()
@@ -244,18 +263,78 @@ def full_harvest(system):
     return rows, L
 
 
+def report_classes(system, report):
+    """One cocycle per class of report, an H^1 or H^1_loc of the system's
+    group and module: the expansion of sum_i c_i y_i for 0 <= c_i < d_i,
+    with d_i the invariant factors and y_i the coordinates of the
+    generating cocycles, in itertools.product order of the digits c, the
+    zero class first."""
+    q = system.q
+    gens = [system.compress(c) for c in report.generator_cocycles]
+    reps = []
+    for combo in itertools.product(*(range(d) for d in report.invariant_factors)):
+        vec = [0] * system.dim
+        for coeff, y in zip(combo, gens):
+            vec = [(v + coeff * x) % q for v, x in zip(vec, y)]
+        reps.append(system.expand(vec))
+    return reps
+
+
+def class_form(system, c):
+    """Canonical coordinates of the class of the cocycle c modulo B^1."""
+    return system.b1().reduce(system.compress(c))
+
+
 def assert_h1_loc_is_the_local_classes(group, module):
     """S = M against the class-enumeration oracle: every class of H^1, in
-    H1Report.classes order, is tested at every element against the column
+    report_classes order, is tested at every element against the column
     span of g - Id (CocycleSystem.is_local_table), and the local ones must
     be exactly the classes of h1_loc's answer, whose own socle-line
     cross-check must have run."""
     system = CocycleSystem(group, module)
-    local = {system.class_form(c) for c in h1(group, module).classes() if system.is_local_table(c)}
+    local = {class_form(system, c) for c in report_classes(system, system.h1()) if system.is_local_table(c)}
     report = h1_loc(group, module)
     assert report.cross_check.startswith("ran: "), report.cross_check
-    assert {system.class_form(c) for c in report.classes()} == local
+    assert {class_form(system, c) for c in report_classes(system, report)} == local
     return report
+
+
+def inflation_restriction_oracle(g):
+    """The inflation-restriction check class by class, as
+    cohomology.inflation_restriction_check once ran it: every class of
+    H^1(G, V[p]) restricted to the re-enumerated reduction kernel and
+    tested with is_coboundary, and every class of H^1(G/G(p), F_p^2)
+    inflated.  Returns the eight report fields as a dict, with
+    kernel_of_restriction and image_of_inflation as the frozensets of the
+    class forms (class_form) of their classes."""
+    h_idx = reduction_kernel(g)
+    hsub = subgroup_from_indices(g, h_idx, label="reduction-kernel")
+    system = CocycleSystem(g, torsion_module(g.ctx))
+    image = quotient_group(g)
+    image_system = CocycleSystem(image, full_module(image.ctx))
+    rep_g, rep_q = system.h1(), image_system.h1()
+    ker_res = frozenset(class_form(system, c) for c in report_classes(system, rep_g)
+                        if is_coboundary(restrict_cocycle(c, hsub)) is not None)
+    im_inf = frozenset(class_form(system, inflate_cocycle(g, c)) for c in report_classes(image_system, rep_q))
+    zero = frozenset({(0,) * system.dim})
+    hom_order = g.ctx.p ** equivariant_homs(g, h_idx).dimension
+    return dict(
+        h1_group_order=rep_g.order,
+        h1_quotient_order=rep_q.order,
+        hom_space_order=hom_order,
+        kernel_of_restriction=ker_res,
+        image_of_inflation=im_inf,
+        exact=ker_res == im_inf,
+        restriction_injective=ker_res == zero,
+        restriction_bijective_onto_invariants=ker_res == zero and rep_g.order == hom_order,
+    )
+
+
+def basis_class_forms(system, basis):
+    """The class forms of every element of a submodule of Z^1 that holds
+    B^1, such as a field of InflationRestrictionReport."""
+    b1 = system.b1()
+    return frozenset(b1.reduce(v) for v in basis.enumerate_span())
 
 
 def engine_tables(group, module, basis):

@@ -54,6 +54,7 @@ from conftest import (
     oracle_product,
     record_acceptance,
     reference_solve,
+    report_classes,
 )
 
 RUN_BUDGET_SECONDS = 60.0
@@ -220,8 +221,8 @@ def test_criterion_6_exactness_and_injectivity():
 
     parent = build_borel_shared_group(5)
     sub = build_borel_index2_group(5)
-    loc = h1_loc(parent, full_module(parent.ctx))
-    for rep in loc.classes():
+    system = CocycleSystem(parent, full_module(parent.ctx))
+    for rep in report_classes(system, system.h1_loc()):
         restricted = restrict_cocycle(rep, sub)
         if is_coboundary(rep) is None:
             assert is_coboundary(restricted) is None

@@ -12,10 +12,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import h1loc
+from h1loc import group_from_json
 from h1loc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -280,6 +281,26 @@ def test_h1loc_stdout_is_pinned(tmp_path, capsys, group, module, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def test_repeated_and_identity_generators_change_nothing(tmp_path, capsys):
+    # BOREL_SHARED_5 with the identity and its three generators listed 400
+    # times: the closure keeps the three, so its edge table holds three
+    # targets per element, and every report is the plain group's.
+    repeated = dict(BOREL_SHARED_5, generators=([[[1, 0], [0, 1]]] + BOREL_SHARED_5["generators"]) * 400)
+    g, plain = group_from_json(repeated), group_from_json(BOREL_SHARED_5)
+    assert g.generators == plain.generators and len(plain.generators) == 3
+    assert len(g._right) == len(g) * 3 == len(plain._right)
+    for argv in (["h1"], ["h1loc"], ["h1loc", "--module", "V[p]"]):
+        outs = []
+        for name, data in (("plain.json", BOREL_SHARED_5), ("repeated.json", repeated)):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            assert main([*argv, "--input", str(path)]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], argv
+        if argv == ["h1loc"]:
+            assert hashlib.sha256(outs[1].encode("utf-8")).hexdigest() == BOREL_SHARED_5_H1LOC_DIGEST
+
+
 def test_cocycle_system_work_cap_is_resource_error(tmp_path, capsys):
     # The cyclic group of order 10006 generated by 5 mod 10007, listed with
     # 11 distinct generators: |G| * dim = 10006 * 22 passes the cap.
@@ -362,11 +383,14 @@ def test_import_h1loc_loads_no_submodule():
 # The process entry point, `python -m h1loc.cli`, which ends with os._exit.
 
 
-def run_process(argv, stdout=subprocess.PIPE):
+def run_process(argv, stdout=subprocess.PIPE, unbuffered=False):
     """``python -m h1loc.cli`` on argv, with the package under test first on
     the path.  PYTHONUNBUFFERED is removed, so the child's stdout is
-    block-buffered and a byte that the process entry leaves unflushed is lost."""
+    block-buffered and a byte that the process entry leaves unflushed is
+    lost; unbuffered=True sets it to 1 instead."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(h1loc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, "-m", "h1loc.cli", *argv], env=env, stdout=stdout,
@@ -426,21 +450,27 @@ def test_process_output_file_is_complete(tmp_path, capsys):
 
 def test_closed_stdout_is_input_error():
     # The read end of the pipe is closed before the child starts, so its
-    # first write to stdout fails with EPIPE.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = run_process(["scan", "--p", "5"], stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == EXIT_INPUT
-    assert proc.stderr.decode().startswith("h1loc: input error: cannot write stdout: ")
-    assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+    # first write to stdout fails with EPIPE: at the write when stdout is
+    # unbuffered, at the flush when it is block-buffered.  Help goes to
+    # stdout through the same write and flush as a report.
+    for argv in (["scan", "--p", "5"], ["--help"], ["scan", "--help"]):
+        for unbuffered in (False, True):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_process(argv, stdout=write_end, unbuffered=unbuffered)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == EXIT_INPUT, (argv, unbuffered)
+            assert proc.stderr.decode().startswith("h1loc: input error: cannot write stdout: "), (argv, unbuffered)
+            assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
 
 
 def test_closed_stdout_is_input_error_in_process(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["scan", "--p", "5"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "h1loc: input error: cannot write stdout: it is closed\n"
+    assert main(["--help"]) == EXIT_INPUT
     assert capsys.readouterr().err == "h1loc: input error: cannot write stdout: it is closed\n"
 
 
@@ -489,6 +519,8 @@ _GROUPS = st.one_of(
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(group=_GROUPS, command=st.sampled_from(["h1", "h1loc"]),
        module=st.sampled_from(["V", "V[p]", "V/V[p]", "W"]))
+@example(group=dict(BOREL_SHARED_5, generators=([[[1, 0], [0, 1]]] + BOREL_SHARED_5["generators"]) * 400),
+         command="h1loc", module="V[p]")
 def test_arbitrary_json_input_exits_cleanly(group, command, module):
     """h1 and h1loc on arbitrary JSON: well-formed small groups beside wrong
     types, huge and negative integers, NaN, ragged and 2x3 matrices, bad p

@@ -29,7 +29,6 @@ from h1loc import (
     is_coboundary,
     kernel_basis,
     parse_module,
-    quotient_invariants,
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
@@ -55,13 +54,16 @@ from h1loc.groups import _inv4, _rows
 from h1loc.zmod import _howell_raw, _kernel_raw, full_basis, howell_from_rows, quotient_structure, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
+    basis_class_forms,
     brute_coboundary_tables,
     brute_cocycle_tables,
     brute_local_tables,
     construction_groups,
     engine_tables,
     full_harvest,
+    inflation_restriction_oracle,
     reference_solve,
+    report_classes,
 )
 
 CTX25 = ModulusContext(5, 2)
@@ -387,7 +389,8 @@ def _multiples(p, base):
 # inflation_restriction_check as it was on the coset quotient: label ->
 # (h1_group_order, h1_quotient_order, hom_space_order, the class form whose
 # multiples are both ker(res) and im(inf), exact, restriction_injective,
-# restriction_bijective_onto_invariants).
+# restriction_bijective_onto_invariants).  The two bases are compared by the
+# class forms of their elements.
 INFLATION_RESTRICTION = {
     5: {
         "s3-quotient": (5, 1, 5, (0,) * 8, True, True, True),
@@ -414,8 +417,11 @@ def test_inflation_restriction_matches_the_coset_quotient(p):
     for build in builders:
         g = build(p)
         h1g, h1q, hom, base, exact, injective, bijective = INFLATION_RESTRICTION[p][g.label]
-        report = inflation_restriction_check(g)
-        assert report == cohomology.InflationRestrictionReport(
+        system = CocycleSystem(g, torsion_module(g.ctx))
+        fields = inflation_restriction_check(g)._asdict()
+        for name in ("kernel_of_restriction", "image_of_inflation"):
+            fields[name] = basis_class_forms(system, fields[name])
+        assert fields == dict(
             h1_group_order=h1g,
             h1_quotient_order=h1q,
             hom_space_order=hom,
@@ -425,6 +431,7 @@ def test_inflation_restriction_matches_the_coset_quotient(p):
             restriction_injective=injective,
             restriction_bijective_onto_invariants=bijective,
         ), g.label
+        assert fields == inflation_restriction_oracle(g), g.label
 
 
 def test_equivariant_homs_trivial_action():
@@ -502,6 +509,9 @@ def test_inflation_restriction_exactness_s3():
     assert report.restriction_bijective_onto_invariants
     assert report.h1_quotient_order == 1
     assert report.h1_group_order == report.hom_space_order == 5
+    # Both subgroups of H^1 are zero, so both bases are B^1's.
+    b1 = CocycleSystem(g, torsion_module(g.ctx)).b1()
+    assert report.kernel_of_restriction == report.image_of_inflation == b1
 
 
 def test_witness_reports_on_nontrivial_families():
@@ -514,7 +524,7 @@ def test_witness_reports_on_nontrivial_families():
         system = CocycleSystem(g, mod)
         assert system.is_local_table(rep.witness)
         assert is_coboundary(rep.witness) is None
-        assert len(rep.classes()) == rep.order
+        assert len(report_classes(system, rep)) == rep.order
 
 
 def test_cocycle_from_coordinates_validates():
@@ -617,7 +627,7 @@ def _assert_local_test_matches_oracle(group, module, samples=12, seed=5):
     """Every class of H^1, then class representatives with the value at one
     random element replaced, which tests that element's span."""
     system = CocycleSystem(group, module)
-    classes = h1(group, module).classes()
+    classes = report_classes(system, system.h1())
     tables = list(classes)
     rng = random.Random(seed)
     q = system.q
@@ -764,52 +774,56 @@ def test_harvest_basis_is_shared():
 
 
 # ---------------------------------------------------------------------------
-# H1Report.classes against scale-and-add.
+# The tests' class enumeration, conftest.report_classes, which expands
+# coordinate combinations, against scale-and-add on whole value tables.
 
 
-def _scale_and_add_classes(report):
-    """Every class representative built from whole tables: the zero cocycle
+def _scale_and_add_classes(system, report):
+    """Every class representative's table built from whole tables: zero
     plus coeff * gen for each nonzero digit, in itertools.product order."""
+    q = system.q
     reps = []
     for combo in itertools.product(*(range(d) for d in report.invariant_factors)):
-        c = report.zero_cocycle
+        vals = ((0, 0),) * len(system.group)
         for coeff, gen in zip(combo, report.generator_cocycles):
             if coeff:
-                c = c + gen.scale(coeff)
-        reps.append(c)
+                vals = tuple(((a0 + coeff * b0) % q, (a1 + coeff * b1) % q)
+                             for (a0, a1), (b0, b1) in zip(vals, gen.values))
+        reps.append(vals)
     return reps
 
 
-def _assert_classes_match(report):
-    classes = report.classes()
-    assert [c.values for c in classes] == [c.values for c in _scale_and_add_classes(report)]
+def _assert_classes_match(system, report):
+    classes = report_classes(system, report)
+    assert [c.values for c in classes] == _scale_and_add_classes(system, report)
     assert len(classes) == report.order and classes[0].is_zero()
 
 
 def test_classes_match_scale_and_add_constructions():
     for group, module in _representative_cases(5):
         system = CocycleSystem(group, module)
-        _assert_classes_match(system.h1())
+        _assert_classes_match(system, system.h1())
         report = system.h1_loc()
-        assert list(report.invariant_factors) == quotient_invariants(system.z1_local(), system.b1())
-        _assert_classes_match(report)
+        assert list(report.invariant_factors) == [d for d, _ in quotient_structure(system.z1_local(), system.b1())]
+        _assert_classes_match(system, report)
 
 
 @pytest.mark.parametrize("name", sorted(Z125_GROUPS))
 @pytest.mark.parametrize("kind", ["full", "p_torsion", "mod_p_quotient"])
 def test_classes_match_scale_and_add_over_z125(name, kind):
-    group = close_group(Z125_GROUPS[name], Z125)
-    _assert_classes_match(h1(group, GModule(Z125, kind)))
+    system = CocycleSystem(close_group(Z125_GROUPS[name], Z125), GModule(Z125, kind))
+    _assert_classes_match(system, system.h1())
 
 
 def test_classes_carry_over_mixed_invariant_factors():
-    """Digits of different ranges, so that carries cross several digits."""
+    """Digits of different ranges, so that the product order and the
+    coordinate sums are tested with unequal factors."""
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
     gens = tuple(system.expand(r) for r in system.z1().rows[:3])
     assert len(gens) == 3
-    report = h1(g, full_module(g.ctx))._replace(order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
-    _assert_classes_match(report)
+    report = system.h1()._replace(order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
+    _assert_classes_match(system, report)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1184,7 @@ def test_h1_loc_matches_brute_force_on_random_groups(case):
     group, module = case
     system = CocycleSystem(group, module)
     full = h1(group, module)
-    local_classes = brute_local_tables(group, module, {c.values for c in full.classes()})
+    local_classes = brute_local_tables(group, module, {c.values for c in report_classes(system, full)})
     report = assert_h1_loc_is_the_local_classes(group, module)
     assert report.order == len(local_classes)
     rows, _ = full_harvest(system)
@@ -1246,7 +1260,7 @@ def test_edge_targets_match_mult(source):
     else:
         groups = [group for group, _ in _construction_groups(int(source[2:]))]
     for group in groups:
-        gens = group.distinct_generator_indices()
+        gens = group.generators
         targets = group.edge_targets()
         assert len(targets) == len(gens)
         for g, tg in zip(gens, targets):
@@ -1263,8 +1277,9 @@ def _repeated_generator_group():
 
 def test_edge_targets_skip_repeated_and_identity_generators():
     group = _repeated_generator_group()
-    assert group.distinct_generator_indices() == [group.index_of(_X), group.index_of(_Y)]
-    for g, tg in zip(group.distinct_generator_indices(), group.edge_targets()):
+    assert group.generators == (group.index_of(_X), group.index_of(_Y))
+    assert len(group._right) == 2 * len(group)
+    for g, tg in zip(group.generators, group.edge_targets()):
         assert list(tg) == [group.mult(a, g) for a in range(len(group))]
 
 
@@ -1344,10 +1359,7 @@ def test_cross_check_skips_are_recorded(monkeypatch):
     work = 6 * len(g)
     monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", work - 1)
     assert h1_loc(g, torsion_module(g.ctx)).cross_check == f"skipped: work {work} > cap {work - 1}"
-    # No class is enumerated, so the class cap of inflation_restriction_check
-    # no longer applies.
     monkeypatch.setattr(cohomology, "CLASS_ENUM_WORK_LIMIT", work)
-    monkeypatch.setattr(cohomology, "CLASS_ENUM_LIMIT", 4)
     assert h1_loc(g, torsion_module(g.ctx)).cross_check.startswith("ran: ")
 
 
@@ -1391,7 +1403,7 @@ def test_cross_check_catches_a_dropped_local_representative(monkeypatch):
     reps = CocycleSystem.local_representatives.func
     monkeypatch.setattr(CocycleSystem, "local_representatives", property(lambda self: reps(self)[:2] + reps(self)[3:]))
     system = CocycleSystem(group, module)
-    assert quotient_invariants(system.z1_local(), system.b1()) == [3, 3]
+    assert [d for d, _ in quotient_structure(system.z1_local(), system.b1())] == [3, 3]
     with pytest.raises(ConsistencyError, match="a generator of the local cohomology fails the local conditions"):
         system.h1_loc()
 
@@ -1408,7 +1420,7 @@ def test_cross_check_catches_a_spurious_local_row(monkeypatch):
                     if any(sum(a * b for a, b in zip(row, z)) % q for z in system.z1().rows))
     rows = CocycleSystem.local_constraint_rows
     monkeypatch.setattr(CocycleSystem, "local_constraint_rows", lambda self: rows(self) + [spurious])
-    assert quotient_invariants(system.z1_local(), system.b1()) == []
+    assert quotient_structure(system.z1_local(), system.b1()) == []
     with pytest.raises(ConsistencyError, match="a class outside the computed local cohomology is local"):
         system.h1_loc()
 

@@ -185,11 +185,12 @@ def test_quotient_is_the_image_with_the_reduction_kernel(p):
         if n <= 250:
             pairs = ((a, b) for a in range(n) for b in range(n))
         else:
-            pairs = ((a, b) for b in g.distinct_generator_indices() for a in range(n))
+            pairs = ((a, b) for b in g.generators for a in range(n))
         for a, b in pairs:
             assert to_image[g.mult(a, b)] == image.mult(to_image[a], to_image[b])
-        # The image's distinct generators are the reductions of g's, in order.
-        assert [image._keys[i] for i in image.distinct_generator_indices()] == [
+        # The image's generators are the distinct non-identity reductions of
+        # g's, in order.
+        assert [image._keys[i] for i in image.generators] == [
             image._keys[j] for j in dict.fromkeys(to_image[i] for i in g.generators) if j != 0
         ]
 

@@ -237,3 +237,18 @@ def test_the_fast_exit_has_one_home():
     pyproject = Path(h1loc.__file__).parent.parent.parent / "pyproject.toml"
     if pyproject.exists():  # absent when the package is installed
         assert '[project.scripts]\nh1loc = "h1loc.cli:run"\n' in pyproject.read_text(encoding="utf-8")
+
+
+def test_no_class_enumeration_in_src():
+    # Inflation-restriction compares two Howell bases, so src lists no class
+    # and does no cocycle arithmetic; a group keeps its generators distinct,
+    # and the invariant factors of a quotient are read off quotient_structure.
+    package = Path(h1loc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("def classes", "CLASS_ENUM_LIMIT", "zero_cocycle", "class_form",
+                     "distinct_generator_indices", "quotient_invariants"):
+            assert name not in source, (path.name, name)
+    assert _defined_functions(dict(parsed_modules())["cohomology.py"], "Cocycle").isdisjoint(
+        {"__add__", "__sub__", "scale"})
+    assert "quotient_invariants" not in h1loc.__all__
