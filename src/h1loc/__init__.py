@@ -15,13 +15,11 @@ import importlib
 _EXPORTS = {
     "errors": ("ConsistencyError", "ContainmentError", "ContractError", "DimensionError",
                "InputError", "ResourceLimitError"),
-    "zmod": ("ModulusContext", "SubmoduleBasis", "dual_constraints", "full_basis",
-             "howell_from_rows", "image_basis", "is_prime", "kernel_basis",
-             "quotient_structure"),
+    "zmod": ("ModulusContext", "SubmoduleBasis", "dual_constraints", "howell_from_rows",
+             "is_prime", "kernel_basis", "quotient_structure"),
     "groups": ("EigenData", "FiniteMatrixGroup", "borel_check", "close_group", "closure_indices",
                "eigen_data", "element_order", "fixed_submodule", "group_from_json",
-               "group_to_json", "image_indices", "power_identity_check", "quotient_group",
-               "reduction_kernel", "subgroup_from_indices"),
+               "image_indices", "power_identity_check", "quotient_group", "reduction_kernel"),
     "cohomology": ("Cocycle", "CocycleSystem", "GModule", "H1Report", "HomSpace",
                    "InflationRestrictionReport", "equivariant_homs", "full_module", "h1", "h1_loc",
                    "inflate_cocycle", "inflation_restriction_check", "is_coboundary",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import ContractError, InputError, ResourceLimitError
+from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
 from .groups import (
     _IDENTITY,
     FiniteMatrixGroup,
@@ -50,6 +50,7 @@ from .groups import (
     cyclic_walk,
     eigen_data,
     element_order,
+    fixed_submodule,
 )
 from .zmod import ModulusContext
 
@@ -136,43 +137,40 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     involutions = [i for i, o in enumerate(orders) if o in (1, 2)]
     for si in order_p:
         s_key = g._keys[si]
-        s_fix = eigen_data(g.ctx, s_key).vectors_for(1)
-        if s_fix is None or s_fix.is_zero():
-            continue
         for gi in involutions:
             if closure_indices(g, [si, gi]) != frozenset(range(len(g))):
                 continue
             g_key = g._keys[gi]
-            shared = None
-            for vec in s_fix.enumerate_span():
-                if not any(vec):
-                    continue
-                if _apply4(g_key, vec, p) == vec:
-                    shared = vec
-                    break
-            if shared is not None:
+            # Over F_p the common fixed vectors of s and g are a line or
+            # zero (s has order p, so s != Id): one Howell row, leading 1.
+            shared = fixed_submodule(g.ctx, [s_key, g_key])
+            if not shared.is_zero():
                 return {
                     "sigma": _rows(s_key),
                     "g": _rows(g_key),
-                    "shared_eigenvector": list(shared),
+                    "shared_eigenvector": list(shared.rows[0]),
                 }
     return None
 
 
 def classify_mod_p_group(g: FiniteMatrixGroup) -> CaseVerdict:
-    """Assign the trichotomy case, trying the shapes in order 1, 2, 3."""
+    """Assign the trichotomy case, trying the shapes in order 1, 2, 3.
+
+    The verdict is re-checked against its recorded evidence
+    (reverify_verdict) before it is returned; a failed re-check raises
+    ConsistencyError.
+    """
     _require_level_one(g)
     orders = cyclic_walk(g)[0]
-    ev = _case_cyclic(g, orders)
-    if ev is not None:
-        return CaseVerdict(CASE_CYCLIC, ev)
-    ev = _case_s3(g, orders)
-    if ev is not None:
-        return CaseVerdict(CASE_S3, ev)
-    ev = _case_borel(g, orders)
-    if ev is not None:
-        return CaseVerdict(CASE_BOREL, ev)
-    return CaseVerdict(CASE_NONE, {})
+    verdict = CaseVerdict(CASE_NONE, {})
+    for case, find in ((CASE_CYCLIC, _case_cyclic), (CASE_S3, _case_s3), (CASE_BOREL, _case_borel)):
+        ev = find(g, orders)
+        if ev is not None:
+            verdict = CaseVerdict(case, ev)
+            break
+    if not reverify_verdict(g, verdict):
+        raise ConsistencyError(f"the {verdict.case} verdict fails the re-check of its evidence")
+    return verdict
 
 
 def reverify_verdict(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:

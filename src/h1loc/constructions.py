@@ -221,7 +221,7 @@ def borel_shared_witness(group: FiniteMatrixGroup) -> BorelSharedWitness:
     if any(v is None for v in values):
         raise ConsistencyError("normal form g^i1 sigma^i2 missed an image element")
     table = Cocycle(image, full_module(image.ctx), tuple(values))
-    if not verify_cocycle(table, full=True):
+    if not verify_cocycle(table):
         raise ConsistencyError("closed-form class table fails the cocycle identity")
     inflated = inflate_cocycle(group, table)
     return BorelSharedWitness(group, image, table, inflated, inflated.to_full_module())
@@ -380,7 +380,9 @@ def decompose_kernel_element(
     powers of sigma^p and then splitting off the diagonal part.
 
     All three factors are verified to lie in the kernel and to multiply
-    back to the original element.
+    back to the original element.  No CLI path calls it: its reader is
+    acceptance criterion 7 (kernel decomposition round trip) in
+    tests/test_acceptance.py.
     """
     ctx = group.ctx
     p, q = ctx.p, ctx.modulus
@@ -686,7 +688,7 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
     checks.append(Check("unipotent_power_identity_random", power_ok, "200 tuples, seed 0"))
 
     to_image = image_indices(group, image)
-    checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table, full=True)))
+    checks.append(Check("class_table_is_cocycle", verify_cocycle(bundle.class_table)))
     cyc_ok = all(
         bundle.class_table.values[to_image[group._index[sigma_powers[i2 % len(sigma_powers)]]]]
         == ((i2 * (i2 - 1) // 2) % p, i2 % p)
@@ -697,7 +699,7 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
     broken = list(bundle.class_table.values)
     broken[to_image[group.index_of([[1, 0], [0, -1]])]] = (0, 0)
     naive = Cocycle(image, bundle.class_table.module, tuple(broken))
-    checks.append(Check("reflection_value_forced_by_relation", not verify_cocycle(naive, full=True)))
+    checks.append(Check("reflection_value_forced_by_relation", not verify_cocycle(naive)))
 
     w = bundle.witness
     checks.append(Check("witness_value_at_sigma", w.values[sig_i] == (0, p)))

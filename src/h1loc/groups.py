@@ -170,13 +170,6 @@ class FiniteMatrixGroup:
         except KeyError:
             raise InputError("matrix is not an element of this group") from None
 
-    def __contains__(self, rows) -> bool:
-        try:
-            self.index_of(rows)
-            return True
-        except InputError:
-            return False
-
     def mult(self, i: int, j: int) -> int:
         return self._index[_mul4(self._keys[i], self._keys[j], self._q)]
 
@@ -357,24 +350,6 @@ def closure_indices(g: FiniteMatrixGroup, gen_indices: Sequence[int]) -> frozens
     return frozenset(map(g._index.__getitem__, keys))
 
 
-def subgroup_from_indices(
-    g: FiniteMatrixGroup, indices: Iterable[int], label: Optional[str] = None
-) -> FiniteMatrixGroup:
-    """Re-enumerate a subgroup (given as parent indices) as its own group.
-
-    Generators are picked greedily from the elements in index order, which
-    keeps the result deterministic and the generating set small.
-    """
-    target = frozenset(indices)
-    gens = g.subgroup_generators(target)
-    if gens is None:
-        raise ContractError("index set is not closed under multiplication")
-    sub = close_group([_rows(g._keys[i]) for i in gens], g.ctx, label=label)
-    if len(sub) != len(target):
-        raise ConsistencyError("subgroup re-enumeration changed the element count")
-    return sub
-
-
 def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasis:
     """Howell basis of {v : x v = v for every key x} over ctx, the kernel of
     the stacked rows of x - Id; the full module for no keys."""
@@ -386,39 +361,23 @@ def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasi
 
 class EigenData(NamedTuple):
     """Mod-p spectral data of a 2x2 matrix: roots of the characteristic
-    polynomial over F_p with multiplicity, an irreducibility flag, and an
-    eigenvector basis per split eigenvalue."""
+    polynomial over F_p with multiplicity, and an irreducibility flag."""
 
     p: int
     eigenvalues: tuple[int, ...]
     irreducible: bool
-    eigenvectors: tuple[tuple[int, SubmoduleBasis], ...]
-
-    def vectors_for(self, eigenvalue: int) -> Optional[SubmoduleBasis]:
-        for lam, basis in self.eigenvectors:
-            if lam == eigenvalue:
-                return basis
-        return None
 
 
 def eigen_data(ctx: ModulusContext, x) -> EigenData:
     """The mod-p spectral data of the key x over ctx."""
     p = ctx.p
-    ctx_p = ModulusContext(p, 1)
     a, b, c, d = (e % p for e in x)
     tr = (a + d) % p
     det = (a * d - b * c) % p
     roots = [lam for lam in range(p) if (lam * lam - tr * lam + det) % p == 0]
     if not roots:
-        return EigenData(p, (), True, ())
-    if len(roots) == 1:
-        eigenvalues: tuple[int, ...] = (roots[0], roots[0])
-    else:
-        eigenvalues = tuple(roots)
-    pairs = []
-    for lam in sorted(set(roots)):
-        pairs.append((lam, kernel_basis(ctx_p, 2, [[a - lam, b], [c, d - lam]])))
-    return EigenData(p, eigenvalues, False, tuple(pairs))
+        return EigenData(p, (), True)
+    return EigenData(p, (roots[0], roots[0]) if len(roots) == 1 else tuple(roots), False)
 
 
 def line_representatives(p: int) -> list[tuple[int, int]]:
@@ -456,15 +415,6 @@ def power_identity_check(a: int, b: int, c: int, d: int, ctx: ModulusContext) ->
     m = ((1 + a * p) % q, (1 + b * p) % q, c * p % q, (1 + d * p) % q)
     s = p ** (ctx.n - 1)
     return _pow4(m, s, q) == (1, s, 0, 1)
-
-
-def group_to_json(g: FiniteMatrixGroup) -> dict:
-    return {
-        "p": g.ctx.p,
-        "n": g.ctx.n,
-        "generators": [_rows(g._keys[i]) for i in g.generators],
-        "label": g.label,
-    }
 
 
 def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:

@@ -10,7 +10,7 @@ are normalized to exactly p^v and entries above a pivot are reduced modulo
 the pivot, which makes equality of submodules an entry-wise comparison.
 
 A module vector is a plain tuple of ints, reduced modulo p^n on entry, and
-a matrix is its rows: the Howell form, kernel and image each take the rows
+a matrix is its rows: the Howell form and the kernel each take the rows
 and the width, and check every row against it.  solve2 decides m x = b for
 a 2x2 matrix given as its row-major 4-tuple, in closed form.
 
@@ -263,11 +263,6 @@ class SubmoduleBasis(NamedTuple):
         return not self.rows
 
 
-def full_basis(ctx: ModulusContext, ambient_dim: int) -> SubmoduleBasis:
-    rows = [[1 if j == i else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
-    return SubmoduleBasis.from_raw(ctx, ambient_dim, rows)
-
-
 def _checked_rows(rows, ncols: int) -> list:
     """The rows as a list, each checked to have ncols entries."""
     rows = list(rows)
@@ -288,15 +283,6 @@ def kernel_basis(ctx: ModulusContext, ncols: int, rows) -> SubmoduleBasis:
     entries; the full module for no rows."""
     rows = _checked_rows(rows, ncols)
     return SubmoduleBasis.from_raw(ctx, ncols, _kernel_raw(rows, ncols, ctx))
-
-
-def image_basis(ctx: ModulusContext, nrows: int, rows: Sequence[Sequence[int]]) -> SubmoduleBasis:
-    """Basis of the column span, in (Z/p^n)^nrows, of the matrix with these
-    nrows rows of equal width."""
-    if len(rows) != nrows:
-        raise DimensionError(f"{len(rows)} rows in a matrix of {nrows} rows")
-    rows = _checked_rows(rows, len(rows[0]) if rows else 0)
-    return howell_from_rows(ctx, nrows, zip(*rows))
 
 
 def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]) -> Optional[tuple[int, int]]:

@@ -8,9 +8,12 @@ assert_h1_loc_is_the_local_classes keeps the class enumeration that h1_loc
 once ran as its cross-check, as the oracle of the cross-check on socle
 lines that replaced it, and inflation_restriction_oracle keeps the
 class-by-class inflation-restriction check, as the oracle of the two
-Howell bases that replaced it.  reference_solve
-is the general linear solver over Z/p^n, the oracle of zmod.solve2,
-and mat_vec the matrix-vector product its results are checked with.
+Howell bases that replaced it, on the reduction kernel re-enumerated by
+subgroup_from_indices.  verify_cocycle_all_pairs checks the cocycle
+identity at every pair, the oracle of the per-edge verify_cocycle.
+reference_solve is the general linear solver over Z/p^n, the oracle of
+zmod.solve2, and mat_vec the matrix-vector product its results are
+checked with.
 """
 
 import itertools
@@ -34,9 +37,9 @@ from h1loc import (
     quotient_group,
     reduction_kernel,
     restrict_cocycle,
-    subgroup_from_indices,
     torsion_module,
 )
+from h1loc.groups import _rows
 from h1loc.zmod import _howell_raw
 
 ACCEPTANCE_RESULTS = []
@@ -91,6 +94,32 @@ def oracle_power(key, k, q):
 def act(entries, v, q):
     a, b, c, d = entries
     return ((a * v[0] + b * v[1]) % q, (c * v[0] + d * v[1]) % q)
+
+
+def verify_cocycle_all_pairs(c):
+    """The identity Z(ab) = Z(a) + a.Z(b) at every pair (a, b): the oracle
+    of cohomology.verify_cocycle, which checks only the Cayley edges of the
+    generators (and Z(1) = 0, which the pair (1, 1) gives here)."""
+    group, module, values = c.group, c.module, c.values
+    q = module.coeff_modulus
+    for a in range(len(group)):
+        entries, (va0, va1) = action_of(group, module, a), values[a]
+        for b in range(len(group)):
+            w0, w1 = act(entries, values[b], q)
+            if values[group.mult(a, b)] != ((va0 + w0) % q, (va1 + w1) % q):
+                return False
+    return True
+
+
+def subgroup_from_indices(g, indices, label=None):
+    """Re-enumerate a subgroup, given as indices of g, as its own group,
+    generated by the greedy generators of g.subgroup_generators."""
+    target = frozenset(indices)
+    gens = g.subgroup_generators(target)
+    assert gens is not None, "index set is not closed under multiplication"
+    sub = close_group([_rows(g._keys[i]) for i in gens], g.ctx, label=label)
+    assert len(sub) == len(target)
+    return sub
 
 
 def mat_vec(ctx, a, v):

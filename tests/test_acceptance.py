@@ -55,6 +55,7 @@ from conftest import (
     record_acceptance,
     reference_solve,
     report_classes,
+    verify_cocycle_all_pairs,
 )
 
 RUN_BUDGET_SECONDS = 60.0
@@ -123,7 +124,8 @@ def test_criterion_3_proof_step_replication():
     # (a) the explicit class table is a genuine cocycle on the mod-p image
     # (the quotient by the reduction kernel), with the classical unipotent
     # values on the cyclic sector.
-    assert verify_cocycle(bundle.class_table, full=True)
+    assert verify_cocycle(bundle.class_table)
+    assert verify_cocycle_all_pairs(bundle.class_table)
     sigma = group.index_of([[1 + p, 1], [2 * p, 1 + p]])
     to_image = image_indices(group, bundle.image)
     idx = 0

@@ -11,6 +11,7 @@ from h1loc import (
     CASE_CYCLIC,
     CASE_NONE,
     CASE_S3,
+    ConsistencyError,
     InputError,
     ModulusContext,
     ResourceLimitError,
@@ -24,6 +25,7 @@ from h1loc import (
     reverify_verdict,
     scan_prime_to_p_subgroups,
 )
+from h1loc import classify
 from h1loc.classify import SCAN_PRIMES, ScanEntry, _class_orders, _has_eigenvalue_one, _s3_order3_elements, _trdet
 from h1loc.constructions import (
     build_borel_shared_group,
@@ -77,6 +79,17 @@ def test_classifier_requires_level_one():
     g = build_s3_quotient_group(5)
     with pytest.raises(InputError):
         classify_mod_p_group(g)
+
+
+def test_a_verdict_that_fails_its_recheck_raises(monkeypatch):
+    # classify_mod_p_group re-checks each verdict against its evidence
+    # before returning it: a rotation of order 4 recorded as a cyclic
+    # generator with eigenvalue 1 is refused, not returned.
+    rot = close_group([[[0, -1], [1, 0]]], F5)
+    evidence = {"generator": [[0, -1], [1, 0]], "order": 4, "eigenvalues": []}
+    monkeypatch.setattr(classify, "_case_cyclic", lambda g, orders: evidence)
+    with pytest.raises(ConsistencyError, match="re-check"):
+        classify_mod_p_group(rot)
 
 
 def test_construction_reductions_classify_as_expected():

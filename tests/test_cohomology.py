@@ -34,7 +34,6 @@ from h1loc import (
     restrict_cocycle,
     ResourceLimitError,
     SubmoduleBasis,
-    subgroup_from_indices,
     torsion_module,
     verify_cocycle,
 )
@@ -51,7 +50,7 @@ from h1loc.constructions import (
     s3_generators,
 )
 from h1loc.groups import _inv4, _rows
-from h1loc.zmod import _howell_raw, _kernel_raw, full_basis, howell_from_rows, quotient_structure, solve2
+from h1loc.zmod import _howell_raw, _kernel_raw, howell_from_rows, quotient_structure, solve2
 from conftest import (
     assert_h1_loc_is_the_local_classes,
     basis_class_forms,
@@ -64,6 +63,8 @@ from conftest import (
     inflation_restriction_oracle,
     reference_solve,
     report_classes,
+    subgroup_from_indices,
+    verify_cocycle_all_pairs,
 )
 
 CTX25 = ModulusContext(5, 2)
@@ -532,7 +533,7 @@ def test_cocycle_from_coordinates_validates():
     system = CocycleSystem(g, full_module(CTX25))
     for row in system.z1().rows:
         c = system.expand(row)
-        assert verify_cocycle(c) and verify_cocycle(c, full=True)
+        assert verify_cocycle(c) and verify_cocycle_all_pairs(c)
     # The norm constraint forces the second generator coordinate to be
     # divisible by p here, so (0, 1) is not a cocycle assignment.
     assert not verify_cocycle(system.expand((0, 1)))
@@ -592,13 +593,13 @@ def test_per_edge_cocycle_check_matches_all_pairs(p):
         assert system.z1().rows
         for row in system.z1().rows:
             c = system.expand(row)
-            assert verify_cocycle(c) and verify_cocycle(c, full=True)
+            assert verify_cocycle(c) and verify_cocycle_all_pairs(c)
             for i in sorted({1, n // 2, n - 1}):
                 vals = list(c.values)
                 vals[i] = ((vals[i][0] + 1) % system.q, vals[i][1])
                 broken = Cocycle(group, module, tuple(vals))
                 assert not verify_cocycle(broken)
-                assert not verify_cocycle(broken, full=True)
+                assert not verify_cocycle_all_pairs(broken)
         # Generator values off Z^1, expanded along the breadth-first tree:
         # the identity holds on every tree edge and fails only off the tree.
         for j in range(system.dim):
@@ -608,7 +609,7 @@ def test_per_edge_cocycle_check_matches_all_pairs(p):
                 continue
             off = system.expand(coords)
             assert not verify_cocycle(off)
-            assert not verify_cocycle(off, full=True)
+            assert not verify_cocycle_all_pairs(off)
 
 
 def _local_by_uncached_solves(group, module, c):
@@ -867,7 +868,7 @@ def test_harvest_raises_when_a_broken_edge_gives_no_cut(monkeypatch):
     make no progress; the harvest must raise, not loop."""
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
-    last = system.bfs_order[-1]
+    last = len(g) - 1
     tree_edge = (system.parent[last], system.slot[last], last)
     assert not any(map(any, system.edge_rows(*tree_edge)))
     monkeypatch.setattr(CocycleSystem, "_walk", lambda self, u: (tree_edge, None))
@@ -913,7 +914,7 @@ def _first_broken_in_walk_order(system, u):
     breadth-first order and the slots of each a in order, or None."""
     table = system.expand(u).values
     q = system.q
-    for a in system.bfs_order:
+    for a in range(len(system.group)):
         m0, m1, m2, m3 = system.module.action_entries(system.group._keys[a])
         v0, v1 = table[a]
         for slot, tg in enumerate(system.targets):
@@ -1014,7 +1015,7 @@ def test_report_rejects_a_generator_outside_z1():
     system = CocycleSystem(g, full_module(g.ctx))
     assert system.z1().span_size() < system.q**system.dim
     with pytest.raises(ConsistencyError, match="outside Z\\^1"):
-        system._report(full_basis(system.cctx, system.dim))
+        system._report(kernel_basis(system.cctx, system.dim, []))
 
 
 def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
@@ -1026,13 +1027,12 @@ def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
     Z^1 but the last)."""
     g = build_borel_shared_group(17)
     system = CocycleSystem(g, full_module(g.ctx))
-    position = {x: i for i, x in enumerate(system.bfs_order)}
     visits = []
     walk = CocycleSystem._walk
 
     def counted(self, u):
         edge, values = walk(self, u)
-        visits.append(len(g) if edge is None else position[edge[0]] + 1)
+        visits.append(len(g) if edge is None else edge[0] + 1)
         return edge, values
 
     monkeypatch.setattr(CocycleSystem, "_walk", counted)
@@ -1301,8 +1301,8 @@ def _bfs_tree(group):
 @pytest.mark.parametrize("source", ["p=5", "p=7", "z125", "repeated"])
 def test_spanning_tree_is_the_breadth_first_tree(source):
     """The construction groups and their mod-p images, the Z/125 groups and
-    the repeated-and-identity-generator group: the system's parent, slot
-    and bfs_order are the breadth-first pass's."""
+    the repeated-and-identity-generator group: the system's parent and slot
+    are the breadth-first pass's, which visits the elements in index order."""
     if source == "z125":
         groups = [close_group(gens, Z125) for gens in Z125_GROUPS.values()]
     elif source == "repeated":
@@ -1312,7 +1312,7 @@ def test_spanning_tree_is_the_breadth_first_tree(source):
     for group in groups:
         system = CocycleSystem(group, full_module(group.ctx))
         parent, slot, order = _bfs_tree(group)
-        assert (list(system.parent), list(system.slot), list(system.bfs_order)) == (parent, slot, order)
+        assert (list(system.parent), list(system.slot), list(range(len(group)))) == (parent, slot, order)
 
 
 def test_inverse_table_is_built_on_first_use():

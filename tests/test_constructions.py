@@ -87,7 +87,7 @@ def test_borel_shared_numbers():
     assert len(reduction_kernel(g)) == 25
     sub = build_borel_index2_group(5)
     assert len(sub) == 125
-    assert all([[a, b], [c, d]] in g for a, b, c, d in sub._keys)
+    assert set(sub._keys) <= set(g._keys)
 
 
 def test_borel_disjoint_variants():

@@ -252,3 +252,26 @@ def test_no_class_enumeration_in_src():
     assert _defined_functions(dict(parsed_modules())["cohomology.py"], "Cocycle").isdisjoint(
         {"__add__", "__sub__", "scale"})
     assert "quotient_invariants" not in h1loc.__all__
+
+
+def test_every_exported_function_has_a_reader():
+    # The package exports what a CLI path or a paper check reads: each
+    # exported function is read in a src module other than __init__,
+    # outside its own def, or imported by tests/test_acceptance.py.
+    modules = dict(parsed_modules())
+    (exports,) = [ast.literal_eval(node.value) for node in modules.pop("__init__.py").body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_EXPORTS"]
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    checked = {alias.name for node in ast.walk(acceptance)
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("h1loc")
+               for alias in node.names}
+    unread = []
+    for module, names in exports.items():
+        defs = {node.name: node for node in modules[f"{module}.py"].body
+                if isinstance(node, ast.FunctionDef)}
+        for name in sorted(set(names) & set(defs) - checked):
+            own = defs[name]
+            if not any(not (path == f"{module}.py" and own.lineno <= line <= own.end_lineno)
+                       for path, tree in modules.items() for line in _names(tree, name)):
+                unread.append(f"{module}.{name}")
+    assert unread == []

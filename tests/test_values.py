@@ -18,10 +18,10 @@ from h1loc import (
     decompose_kernel_element,
     eigen_data,
     equivariant_homs,
-    full_basis,
     full_module,
     h1_loc,
     inflation_restriction_check,
+    kernel_basis,
     reduction_kernel,
     scan_prime_to_p_subgroups,
 )
@@ -44,7 +44,7 @@ def records():
     kernel = reduction_kernel(group)
     sigma = group.index_of([[6, 1], [10, 6]])
     out = [
-        full_basis(ctx, 2),
+        kernel_basis(ctx, 2, []),
         eigen_data(ctx, (1, 0, 0, 24)),
         entry.verdict,
         entry.shape_filter,
