@@ -15,22 +15,23 @@ import importlib
 _EXPORTS = {
     "errors": ("ConsistencyError", "ContainmentError", "ContractError", "DimensionError",
                "InputError", "ResourceLimitError"),
-    "zmod": ("ModulusContext", "SubmoduleBasis", "dual_constraints", "howell_from_rows",
-             "is_prime", "kernel_basis", "quotient_structure"),
+    "ring": ("ModulusContext", "is_prime"),
+    "zmod": ("SubmoduleBasis", "dual_constraints", "fixed_submodule", "howell_from_rows",
+             "kernel_basis", "quotient_structure"),
     "groups": ("EigenData", "FiniteMatrixGroup", "borel_check", "close_group", "closure_indices",
-               "eigen_data", "element_order", "fixed_submodule", "group_from_json",
-               "image_indices", "power_identity_check", "quotient_group", "reduction_kernel"),
-    "cohomology": ("Cocycle", "CocycleSystem", "GModule", "H1Report", "HomSpace",
-                   "InflationRestrictionReport", "equivariant_homs", "full_module", "h1", "h1_loc",
-                   "inflate_cocycle", "inflation_restriction_check", "is_coboundary",
-                   "parse_module", "restrict_cocycle", "torsion_module", "verify_cocycle"),
-    "constructions": ("Check", "ConstructionReport", "CriterionChecks", "KernelDecomposition",
+               "eigen_data", "element_order", "group_from_json", "image_indices",
+               "power_identity_check", "quotient_group", "reduction_kernel"),
+    "cohomology": ("Cocycle", "CocycleSystem", "GModule", "H1Report", "full_module", "h1",
+                   "h1_loc", "is_coboundary", "parse_module", "torsion_module", "verify_cocycle"),
+    "constructions": ("Check", "ConstructionReport", "CriterionChecks", "HomSpace",
+                      "InflationRestrictionReport", "KernelDecomposition",
                       "build_borel_disjoint_group", "build_borel_index2_group",
                       "build_borel_shared_group", "build_cyclic_quotient_group",
                       "build_s3_quotient_group", "borel_shared_witness", "canonical_unit_lift",
                       "check_nonvanishing_criterion", "decompose_kernel_element",
-                      "kernel_displacement", "s3_kernel_element", "s3_generators",
-                      "shared_class_value", "verify_all"),
+                      "equivariant_homs", "inflate_cocycle", "inflation_restriction_check",
+                      "kernel_displacement", "restrict_cocycle", "s3_kernel_element",
+                      "s3_generators", "shared_class_value", "verify_all"),
     "classify": ("CASE_BOREL", "CASE_CYCLIC", "CASE_NONE", "CASE_S3", "CaseVerdict",
                  "FilterVerdict", "ScanEntry", "classify_mod_p_group", "necessary_shape_filter",
                  "reverify_verdict", "scan_prime_to_p_subgroups"),

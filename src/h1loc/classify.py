@@ -50,9 +50,8 @@ from .groups import (
     cyclic_walk,
     eigen_data,
     element_order,
-    fixed_submodule,
 )
-from .zmod import ModulusContext
+from .ring import ModulusContext
 
 CASE_CYCLIC = "cyclic-eigenvalue-one"
 CASE_S3 = "s3-type"
@@ -130,8 +129,21 @@ def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
 
 
 def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
+    """The first (s, g) with s of order p, g of order at most 2, <s, g> = G
+    and a nonzero vector that both fix, with that vector.
+
+    The vector is read off v, the line that borel_check finds stabilised by
+    G.  Over F_p an element s of order p is unipotent and not Id, so it
+    stabilises exactly one line and fixes every vector on it; <s, g> = G
+    stabilises the line of v, so that is the line.  The vectors that s and
+    g both fix are therefore the line of v when g v = v, and 0 otherwise.
+    v has leading entry 1 (groups.line_representatives), which is the
+    Howell row of its line; the tests keep zmod.fixed_submodule as the
+    oracle.
+    """
     p = g.ctx.p
-    if borel_check(g) is None:
+    v = borel_check(g)
+    if v is None:
         return None
     order_p = [i for i, o in enumerate(orders) if o == p]
     involutions = [i for i, o in enumerate(orders) if o in (1, 2)]
@@ -141,14 +153,11 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
             if closure_indices(g, [si, gi]) != frozenset(range(len(g))):
                 continue
             g_key = g._keys[gi]
-            # Over F_p the common fixed vectors of s and g are a line or
-            # zero (s has order p, so s != Id): one Howell row, leading 1.
-            shared = fixed_submodule(g.ctx, [s_key, g_key])
-            if not shared.is_zero():
+            if _apply4(g_key, v, p) == v:
                 return {
                     "sigma": _rows(s_key),
                     "g": _rows(g_key),
-                    "shared_eigenvector": list(shared.rows[0]),
+                    "shared_eigenvector": list(v),
                 }
     return None
 
@@ -174,8 +183,21 @@ def classify_mod_p_group(g: FiniteMatrixGroup) -> CaseVerdict:
 
 
 def reverify_verdict(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
-    """Re-run the defining matrix checks on the recorded evidence."""
+    """Re-run the defining matrix checks on the recorded evidence.
+
+    Evidence that lacks a field, or names a malformed matrix or vector or
+    a matrix outside g, fails the re-check: the answer is False, not an
+    exception.  g itself must be over F_p (InputError otherwise).
+    """
     _require_level_one(g)
+    try:
+        return _evidence_holds(g, verdict)
+    except (KeyError, TypeError, ValueError):
+        # InputError is a ValueError: from _key, element_order or index_of.
+        return False
+
+
+def _evidence_holds(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
     ctx = g.ctx
     p = ctx.p
     ev = verdict.evidence

@@ -11,9 +11,14 @@ Subcommands:
 All reports are JSON with sorted keys and no timestamps, so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1 usage,
 2 bad input (including a report that cannot be written, to an ``--output``
-path or to a closed stdout), 3 resource cap, 4 verification failure.  Each
-handler imports the layers only it uses, so a subcommand loads no module it
-does not run.
+path or to a closed stdout), 3 resource cap, 4 verification failure.
+
+Each subcommand loads only the modules it runs, and with no bytecode cache
+written a process compiles each one it loads.  Besides the package, this
+module, errors, ring and groups, ``scan`` loads classify; ``h1`` and
+``h1loc`` load zmod and cohomology; ``verify`` loads those and
+constructions; ``power-identity`` loads nothing more.  The handlers import
+the layers they alone use.
 
 ``main()`` is the in-process API: it returns the exit code.  ``run()`` is
 the process entry point (``python -m h1loc.cli`` and the ``h1loc`` script):
@@ -36,7 +41,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import DEFAULT_GROUP_CAP, group_from_json, power_identity_check
-from .zmod import ModulusContext, is_prime
+from .ring import ModulusContext, is_prime
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -19,27 +19,39 @@ vanishes; it serves as the negative control.
 
 Every builder comes with a report function that re-derives each step of the
 non-vanishing (or vanishing) argument as a named boolean check.
+
+The cohomology that only these checks use lives here too, on top of the
+engine in cohomology.  The quotient G/G(p) by the reduction kernel is the
+mod-p image (groups.quotient_group), and inflation pulls a cocycle on the
+image with values in F_p^2 back to a V[p]-valued cocycle on G
+(inflate_cocycle); restrict_cocycle restricts along a subgroup, and
+equivariant_homs gives Hom_{F_p[G/H]}(H, V[p]).  The inflation-restriction
+sequence for G(p) is decided without listing classes: ker(res) + B^1 and
+im(inf) + B^1 are submodules of Z^1, compared by their Howell bases in
+generator coordinates.  A cocycle restricted to G(p) is a coboundary
+there once it agrees with one on the generators of G(p), since both are
+cocycles on G(p) (see inflation_restriction_check).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import NamedTuple, Optional, Sequence
 
 from .cohomology import (
     Cocycle,
     CocycleSystem,
+    GModule,
     H1Report,
-    equivariant_homs,
     full_module,
     h1,
     h1_loc,
-    inflate_cocycle,
     is_coboundary,
-    restrict_cocycle,
+    torsion_module,
     verify_cocycle,
 )
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, ContractError, DimensionError, InputError
 from .groups import (
     DEFAULT_GROUP_CAP,
     FiniteMatrixGroup,
@@ -54,13 +66,13 @@ from .groups import (
     close_group,
     closure_indices,
     element_order,
-    fixed_submodule,
     image_indices,
     power_identity_check,
     quotient_group,
     reduction_kernel,
 )
-from .zmod import ModulusContext, is_prime, solve2
+from .ring import ModulusContext, is_prime
+from .zmod import SubmoduleBasis, _kernel_raw, fixed_submodule, howell_from_rows, solve2
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -77,6 +89,243 @@ SOLUTION_SET_LIMIT = 20000
 def _require_admissible_prime(p: int):
     if not is_prime(p) or p < 5:
         raise InputError(f"constructions require a prime p >= 5, got {p}")
+
+
+# ---------------------------------------------------------------------------
+# Restriction and inflation of cocycles.
+
+
+def restrict_cocycle(c: Cocycle, sub: FiniteMatrixGroup) -> Cocycle:
+    """Restriction along a subgroup whose elements all lie in c's group."""
+    parent = c.group
+    if sub.ctx != parent.ctx:
+        raise DimensionError("subgroup has a different coefficient ring")
+    module = GModule(sub.ctx, c.module.kind)
+    if not all(k in parent._index for k in sub._keys):
+        raise InputError("the subgroup has an element outside the cocycle's group")
+    vals = tuple(c.values[parent._index[k]] for k in sub._keys)
+    return Cocycle(sub, module, vals)
+
+
+def inflate_cocycle(group: FiniteMatrixGroup, c: Cocycle) -> Cocycle:
+    """Pull a cocycle on the mod-p image of group back to group along
+    reduction mod p.
+
+    c takes values in F_p^2, the full module of the image; the image acts
+    there as group acts on V[p] (both reduce the acting matrix mod p), so
+    the pull-back is a V[p]-valued table on group.  Raises ContractError
+    when c is not on the mod-p image of group or not over F_p^2.  The
+    result is re-verified against the cocycle identity.
+    """
+    if c.module != full_module(ModulusContext(group.ctx.p, 1)):
+        raise ContractError("inflation takes a cocycle with values in F_p^2")
+    idx = image_indices(group, c.group)
+    out = Cocycle(group, torsion_module(group.ctx), tuple(c.values[j] for j in idx))
+    if not verify_cocycle(out):
+        raise ContractError("inflated table fails the cocycle identity")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Equivariant homomorphisms Hom_{F_p[G/H]}(H, V[p]).
+
+
+class HomSpace(NamedTuple):
+    """All F_p[G/H]-module maps from an elementary abelian normal subgroup
+    into the p-torsion of V.  A hom is its two rows against the fixed
+    basis h_basis of H: row r holds coordinate r of the image of each
+    basis element."""
+
+    group: FiniteMatrixGroup
+    subgroup_indices: tuple[int, ...]
+    h_basis: tuple[int, ...]
+    coordinates: dict
+    basis_matrices: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    injective_exists: bool
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis_matrices)
+
+    def enumerate_maps(self):
+        """Every hom in the space, as its two rows."""
+        p = self.group.ctx.p
+        dh = len(self.h_basis)
+        for combo in itertools.product(range(p), repeat=self.dimension):
+            acc = [[0] * dh, [0] * dh]
+            for c, m in zip(combo, self.basis_matrices):
+                if c:
+                    for r in range(2):
+                        for j in range(dh):
+                            acc[r][j] = (acc[r][j] + c * m[r][j]) % p
+            yield tuple(acc[0]), tuple(acc[1])
+
+    def map_values(self, phi) -> dict:
+        """The value of the hom phi, two rows, on every subgroup element."""
+        p = self.group.ctx.p
+        out = {}
+        for idx in self.subgroup_indices:
+            coords = self.coordinates[idx]
+            out[idx] = tuple(sum(x * y for x, y in zip(row, coords)) % p for row in phi)
+        return out
+
+
+def _is_injective_mod_p(ctx_p: ModulusContext, phi) -> bool:
+    """Whether the hom phi, two rows over F_p, has independent columns."""
+    return len(howell_from_rows(ctx_p, 2, zip(*phi)).rows) == len(phi[0])
+
+
+def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
+    """Hom_{F_p[G/H]}(H, V[p]) for an elementary abelian normal H.
+
+    H is written additively through a greedy F_p-basis; the quotient acts
+    on H by conjugation and on V[p] by the reduced matrices.  Equivariance
+    only needs to be imposed for the generators of g.
+    """
+    module = torsion_module(g.ctx)
+    p = g.ctx.p
+    ctx_p = ModulusContext(p, 1)
+    sub = tuple(sorted(frozenset(subgroup_indices)))
+    sub_gens = g.subgroup_generators(sub)
+    if sub_gens is None:
+        raise ContractError("subgroup indices are not closed")
+    # A group is abelian exactly when its generators commute pairwise.
+    for a, b in itertools.combinations(sub_gens, 2):
+        if g.mult(a, b) != g.mult(b, a):
+            raise InputError("subgroup is not abelian")
+    for a in sub:
+        if a != 0 and len(_powers4(g._keys[a], g._q)) != p:
+            raise InputError("subgroup is not elementary abelian of exponent p")
+    # Greedy basis in index order, then coordinates by full enumeration.
+    basis: list[int] = []
+    span = {0: ()}
+    for idx in sub:
+        if idx not in span:
+            basis.append(idx)
+            span = {}
+            for combo in itertools.product(range(p), repeat=len(basis)):
+                cur = 0
+                for c, b in zip(combo, basis):
+                    for _ in range(c):
+                        cur = g.mult(cur, b)
+                span[cur] = combo
+    if len(span) != len(sub):
+        raise InputError("subgroup enumeration and basis span disagree")
+    dh = len(basis)
+    # Conjugation matrices on H and reduced action on V[p] per generator.
+    gens = g.generators
+    conj = []
+    acts = []
+    for gi in gens:
+        gj = g.inv(gi)
+        cols = []
+        for b in basis:
+            im = g.mult(g.mult(gi, b), gj)
+            if im not in span:
+                raise ContractError("subgroup is not normalized by the generators")
+            cols.append(span[im])
+        conj.append(cols)  # cols[j] = coordinates of g b_j g^-1
+        acts.append(module.action_entries(g._keys[gi]))
+    # Unknowns: phi[r][j], r in {0,1}, j < dh; equations per generator:
+    # sum_j phi[r][j] conj[j][-> coords] = act rows applied to phi columns.
+    rows = []
+    nvars = 2 * dh
+    for cols, (a, b, c, d) in zip(conj, acts):
+        for r in range(2):
+            for j in range(dh):
+                row = [0] * nvars
+                for t in range(dh):
+                    row[r * dh + t] = (row[r * dh + t] + cols[j][t]) % p
+                if r == 0:
+                    row[j] = (row[j] - a) % p
+                    row[dh + j] = (row[dh + j] - b) % p
+                else:
+                    row[j] = (row[j] - c) % p
+                    row[dh + j] = (row[dh + j] - d) % p
+                rows.append(row)
+    kern = _kernel_raw(rows, nvars, ctx_p)
+    mats = tuple((tuple(vec[:dh]), tuple(vec[dh:])) for vec in kern)
+    space = HomSpace(
+        group=g,
+        subgroup_indices=sub,
+        h_basis=tuple(basis),
+        coordinates={idx: span[idx] for idx in sub},
+        basis_matrices=mats,
+        injective_exists=False,
+    )
+    injective = False
+    if dh <= 2 and mats:
+        injective = any(_is_injective_mod_p(ctx_p, phi) for phi in space.enumerate_maps())
+    return space._replace(injective_exists=injective)
+
+
+# ---------------------------------------------------------------------------
+# Inflation-restriction bookkeeping.
+
+
+class InflationRestrictionReport(NamedTuple):
+    """The sequence at H^1(G, V[p]) for the reduction kernel H.
+    kernel_of_restriction and image_of_inflation are the Howell bases, in
+    the generator coordinates of CocycleSystem(G, V[p]), of ker(res) + B^1
+    and im(inf) + B^1: the two subgroups of H^1 as submodules of Z^1."""
+
+    h1_group_order: int
+    h1_quotient_order: int
+    hom_space_order: int
+    kernel_of_restriction: SubmoduleBasis
+    image_of_inflation: SubmoduleBasis
+    exact: bool
+    restriction_injective: bool
+    restriction_bijective_onto_invariants: bool
+
+
+def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionReport:
+    """Exactness of inflation then restriction at H^1(G, V[p]).
+
+    H is the reduction kernel and G/H the mod-p image, acting on F_p^2 as
+    G acts on V[p].  ker(res: H^1(G) -> H^1(H)) and im(inf: H^1(G/H) ->
+    H^1(G)) are compared as the submodules ker(res) + B^1 and
+    im(inf) + B^1 of Z^1, whose Howell bases are equal exactly when the
+    submodules are.  ker(res) + B^1 is the projection onto u of the kernel
+    in the unknowns (u, m): the Z^1 constraint rows, zero on m, and for
+    each generator h of H the rows [L[h] | -(h - Id)], which say
+    Z(h) = (h - Id) m.  The generators of H suffice: Z restricted to H and
+    the coboundary of m are both cocycles on H, so they agree on H once
+    they agree on its generators.  im(inf) + B^1 is spanned by B^1 and the
+    coordinates of the inflated generators of H^1(G/H, F_p^2).  Restriction
+    is injective when ker(res) + B^1 is B^1, and then lands bijectively on
+    the G/H-equivariant homomorphisms from H (which carry the invariants
+    of H^1(H, V[p])) when H^1(G) has their order.
+
+    No CLI path calls it: its reader is acceptance criterion 6 (exactness
+    and injectivity) in tests/test_acceptance.py.
+    """
+    h_idx = reduction_kernel(g)
+    image = quotient_group(g)
+    system = CocycleSystem(g, torsion_module(g.ctx))
+    rep_g = system.h1()
+    rep_q = h1(image, full_module(image.ctx))
+    cctx, dim, b1 = system.cctx, system.dim, system.b1()
+    rows = [row + [0, 0] for row in system.constraint_basis]
+    for h in g.subgroup_generators(h_idx):
+        a, b, c, d = system.acts[h]
+        l0, l1 = system.value_map(h)
+        rows += [l0 + [1 - a, -b], l1 + [-c, 1 - d]]
+    ker = [u[:dim] for u in _kernel_raw(rows, dim + 2, cctx)]
+    ker_res = howell_from_rows(cctx, dim, ker + list(b1.rows))
+    inflated = [system.compress(inflate_cocycle(g, c)) for c in rep_q.generator_cocycles]
+    im_inf = howell_from_rows(cctx, dim, inflated + list(b1.rows))
+    hom_order = g.ctx.p ** equivariant_homs(g, h_idx).dimension
+    return InflationRestrictionReport(
+        h1_group_order=rep_g.order,
+        h1_quotient_order=rep_q.order,
+        hom_space_order=hom_order,
+        kernel_of_restriction=ker_res,
+        image_of_inflation=im_inf,
+        exact=ker_res == im_inf,
+        restriction_injective=ker_res == b1,
+        restriction_bijective_onto_invariants=ker_res == b1 and rep_g.order == hom_order,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
-from .zmod import ModulusContext, SubmoduleBasis, kernel_basis
+from .ring import ModulusContext
 
 DEFAULT_GROUP_CAP = 10**6
 
@@ -348,15 +348,6 @@ def closure_indices(g: FiniteMatrixGroup, gen_indices: Sequence[int]) -> frozens
     """Subgroup of g generated by the given element indices."""
     keys = _close_keys([g._keys[i] for i in gen_indices], g._q, len(g))[0]
     return frozenset(map(g._index.__getitem__, keys))
-
-
-def fixed_submodule(ctx: ModulusContext, keys: Iterable[tuple]) -> SubmoduleBasis:
-    """Howell basis of {v : x v = v for every key x} over ctx, the kernel of
-    the stacked rows of x - Id; the full module for no keys."""
-    rows = []
-    for a, b, c, d in keys:
-        rows += [[a - 1, b], [c, d - 1]]
-    return kernel_basis(ctx, 2, rows)
 
 
 class EigenData(NamedTuple):

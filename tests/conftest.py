@@ -330,7 +330,7 @@ def assert_h1_loc_is_the_local_classes(group, module):
 
 def inflation_restriction_oracle(g):
     """The inflation-restriction check class by class, as
-    cohomology.inflation_restriction_check once ran it: every class of
+    inflation_restriction_check once ran it: every class of
     H^1(G, V[p]) restricted to the re-enumerated reduction kernel and
     tested with is_coboundary, and every class of H^1(G/G(p), F_p^2)
     inflated.  Returns the eight report fields as a dict, with

@@ -15,9 +15,13 @@ from h1loc import (
     InputError,
     ModulusContext,
     ResourceLimitError,
+    borel_check,
     classify_mod_p_group,
     close_group,
+    closure_indices,
     eigen_data,
+    element_order,
+    fixed_submodule,
     full_module,
     h1_loc,
     necessary_shape_filter,
@@ -32,7 +36,7 @@ from h1loc.constructions import (
     build_cyclic_quotient_group,
     build_s3_quotient_group,
 )
-from h1loc.groups import _IDENTITY, _close_keys, _inv4, _mul4, _powers4, _rows
+from h1loc.groups import _IDENTITY, _apply4, _close_keys, _inv4, _mul4, _powers4, _rows, cyclic_walk
 
 F5 = ModulusContext(5, 1)
 
@@ -90,6 +94,96 @@ def test_a_verdict_that_fails_its_recheck_raises(monkeypatch):
     monkeypatch.setattr(classify, "_case_cyclic", lambda g, orders: evidence)
     with pytest.raises(ConsistencyError, match="re-check"):
         classify_mod_p_group(rot)
+
+
+def _case_borel_by_fixed_submodule(g, orders):
+    """The Borel case as the classifier once decided it, with the shared
+    vector read off the Howell basis of the vectors that s and g both fix."""
+    if borel_check(g) is None:
+        return None
+    for si in [i for i, o in enumerate(orders) if o == g.ctx.p]:
+        for gi in [i for i, o in enumerate(orders) if o in (1, 2)]:
+            if closure_indices(g, [si, gi]) != frozenset(range(len(g))):
+                continue
+            shared = fixed_submodule(g.ctx, [g._keys[si], g._keys[gi]])
+            if not shared.is_zero():
+                return {"sigma": _rows(g._keys[si]), "g": _rows(g._keys[gi]),
+                        "shared_eigenvector": list(shared.rows[0])}
+    return None
+
+
+@pytest.mark.parametrize("p, pairs", [(5, 288), (7, 768)])
+def test_borel_shared_vector_matches_fixed_submodule(p, pairs):
+    # Over every pair (s, g) of GL_2(F_p) with s of order p, g of order at
+    # most 2 and <s, g> in a Borel: the vector that _case_borel reads off
+    # the stabilised line v (v when g v = v, else none) is the first Howell
+    # row of the vectors that s and g both fix, or both are absent; and on
+    # <s, g> the classifier's Borel case equals its fixed_submodule reading.
+    ctx = ModulusContext(p, 1)
+    keys = [k for k in itertools.product(range(p), repeat=4) if (k[0] * k[3] - k[1] * k[2]) % p]
+    order_p = [k for k in keys if element_order(ctx, k) == p]
+    small = [k for k in keys if element_order(ctx, k) <= 2]
+    checked = 0
+    groups = set()
+    for s in order_p:
+        # s stabilises one line, so <s, g> is in a Borel exactly when g
+        # stabilises it too; only those pairs are closed.
+        w0, w1 = borel_check(close_group([_rows(s)], ctx))
+        for g_key in small:
+            x0, x1 = _apply4(g_key, (w0, w1), p)
+            if (x0 * w1 - x1 * w0) % p:
+                continue
+            group = close_group([_rows(s), _rows(g_key)], ctx)
+            v = borel_check(group)
+            checked += 1
+            shared = fixed_submodule(ctx, [s, g_key])
+            expected = None if shared.is_zero() else shared.rows[0]
+            assert (v if _apply4(g_key, v, p) == v else None) == expected, (s, g_key)
+            members = frozenset(group._keys)
+            if members not in groups:
+                groups.add(members)
+                orders = cyclic_walk(group)[0]
+                assert classify._case_borel(group, orders) == _case_borel_by_fixed_submodule(group, orders)
+    assert checked == pairs
+
+
+# <diag(2, 1)> over F_5, classified by a cyclic generator with eigenvalue 1.
+DIAG21 = [[2, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        # A generator outside the group: 2 Id has order 4, as <diag(2, 1)> does.
+        (CASE_CYCLIC, {"generator": [[2, 0], [0, 2]], "order": 4, "eigenvalues": [2, 2]}),
+        # A matrix that is not 2x2 integer rows.
+        (CASE_CYCLIC, {"generator": [[2, 0, 0], [0, 1]], "order": 4, "eigenvalues": [1, 2]}),
+        # No evidence at all.
+        (CASE_CYCLIC, {}),
+        # A shared vector with three entries, beside a sigma and g that pass.
+        (CASE_BOREL, {"sigma": [[1, 1], [0, 1]], "g": [[1, 0], [0, -1]], "shared_eigenvector": [1, 0, 0]}),
+    ],
+    ids=["generator-outside-the-group", "malformed-matrix", "empty-evidence", "malformed-vector"],
+)
+def test_bad_evidence_fails_the_recheck(monkeypatch, verdict):
+    # Evidence that names a matrix outside the group, a malformed matrix or
+    # vector, or nothing, fails the re-check (False), and the classifier
+    # that recorded it raises ConsistencyError, not InputError or KeyError.
+    case, evidence = verdict
+    g = close_group([DIAG21], F5)
+    assert classify_mod_p_group(g).case == CASE_CYCLIC
+    assert reverify_verdict(g, classify.CaseVerdict(case, evidence)) is False
+    monkeypatch.setattr(classify, "_case_cyclic", lambda g, orders: None)
+    finder = {CASE_CYCLIC: "_case_cyclic", CASE_BOREL: "_case_borel"}[case]
+    monkeypatch.setattr(classify, finder, lambda g, orders: evidence)
+    with pytest.raises(ConsistencyError, match="re-check"):
+        classify_mod_p_group(g)
+
+
+def test_recheck_still_refuses_a_group_over_a_larger_ring():
+    g = close_group([DIAG21], ModulusContext(5, 2))
+    with pytest.raises(InputError, match="n = 1"):
+        reverify_verdict(g, classify.CaseVerdict(CASE_NONE, {}))
 
 
 def test_construction_reductions_classify_as_expected():

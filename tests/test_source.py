@@ -193,6 +193,25 @@ def test_imports_sit_at_module_top_except_in_cli_handlers():
     assert found == ["cli.py:_cmd_cohomology", "cli.py:_cmd_verify", "cli.py:_cmd_scan"]
 
 
+def _package_imports(tree) -> set[str]:
+    """The package modules that a module's relative imports name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module else [alias.name for alias in node.names])
+    return out
+
+
+def test_the_light_cli_paths_compile_no_linear_algebra():
+    # scan and power-identity run no Howell code, so the modules they load
+    # do not import zmod: ring, the coefficient ring, imports only errors,
+    # and neither groups nor classify imports zmod.
+    modules = dict(parsed_modules())
+    assert _package_imports(modules["ring.py"]) == {"errors"}
+    for name in ("groups.py", "classify.py"):
+        assert "zmod" not in _package_imports(modules[name]), name
+
+
 def _modules_loaded_by(code: str) -> set[str]:
     src = str(Path(h1loc.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

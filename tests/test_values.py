@@ -25,10 +25,10 @@ from h1loc import (
     reduction_kernel,
     scan_prime_to_p_subgroups,
 )
-from h1loc import classify, cohomology, constructions, groups, zmod
+from h1loc import classify, cohomology, constructions, groups, ring, zmod
 from h1loc.constructions import report_borel_shared
 
-LAYERS = (zmod, groups, cohomology, constructions, classify)
+LAYERS = (ring, zmod, groups, cohomology, constructions, classify)
 # Records with a dict among their fields, directly or through a record.
 UNHASHABLE = {"CaseVerdict", "ScanEntry", "HomSpace"}
 
@@ -70,7 +70,7 @@ def _defined_classes():
 def test_every_record_and_validated_value_is_covered(records):
     named = {cls.__name__ for cls in _defined_classes() if issubclass(cls, tuple) and hasattr(cls, "_fields")}
     assert named == set(records) and len(named) == 14
-    frozen = {cls.__name__ for cls in _defined_classes() if issubclass(cls, zmod._Frozen) and cls is not zmod._Frozen}
+    frozen = {cls.__name__ for cls in _defined_classes() if issubclass(cls, ring._Frozen) and cls is not ring._Frozen}
     assert frozen == {"ModulusContext", "GModule"}
 
 
