@@ -211,10 +211,10 @@ def _evidence_holds(g: FiniteMatrixGroup, verdict: CaseVerdict) -> bool:
         )
     if verdict.case == CASE_S3:
         x = _key(ctx, ev["order_3_element"])
-        ok = element_order(ctx, x) == 3 and eigen_data(ctx, x).irreducible and p % 3 == 2
+        ok = x in g._index and element_order(ctx, x) == 3 and eigen_data(ctx, x).irreducible and p % 3 == 2
         if ev["isomorphism_type"] == "C3":
             return ok and len(g) == 3
-        return ok and len(g) == 6
+        return ok and len(g) == 6 and not g.is_abelian()
     if verdict.case == CASE_BOREL:
         s, gm = _key(ctx, ev["sigma"]), _key(ctx, ev["g"])
         v = tuple(x % p for x in ev["shared_eigenvector"])

@@ -13,13 +13,15 @@ set.  The engine therefore works in the coordinate space of generator
 values: a breadth-first spanning tree of the Cayley graph expresses every
 element's value as a linear function of the generator values, every
 Cayley edge off the tree gives a linear consistency constraint, and Z^1
-is their common kernel.  Only the constraints of edges that a candidate
-cocycle breaks are harvested, round by round, until the kernel is spanned
-by coboundaries and candidates that pass the cocycle identity (see
-CocycleSystem).  Local conditions add the linear equations that pin Z(g)
-inside the image of g - Id, for one generator g of each conjugacy class of
-maximal cyclic subgroups; on a cocycle they imply the condition at every
-group element (see CocycleSystem.local_representatives).
+is their common kernel.  Only the constraints of the edges into the
+identity and of edges that a candidate cocycle breaks are harvested, round
+by round, until the kernel is spanned by coboundaries and candidates that
+pass the cocycle identity (see CocycleSystem).  Local conditions add the
+linear equations that pin Z(g) inside the image of g - Id, for one
+generator g of each conjugacy class of maximal cyclic subgroups; on a
+cocycle they imply the condition at every group element (see
+CocycleSystem.local_representatives).  Reports hold their generators as
+coordinates; only h1_loc expands any into value tables.
 """
 
 from __future__ import annotations
@@ -195,18 +197,20 @@ class CocycleSystem:
     cocycle identity on every Cayley edge, and its table is u's expansion.
 
     Z^1 is cut out by the consistency rows L[t] - (L[a] + act(a) E_slot) of
-    the Cayley edges a -> t = a g_slot off the tree, but only the rows of
-    edges that a walk breaks are harvested (constraint_basis).  Each round
-    takes K, the kernel of the rows so far (at first the whole space), and
-    walks the probe, the sum of the rows of K's Howell basis, then each row
-    of K; a candidate that B^1 and the candidates that passed before it
-    already span is not walked.  The first walk that breaks gives the rows
-    of its edge to the harvest; the rounds stop when nothing breaks.
-    Coboundaries are cocycles, so the verifying round walks only what B^1
-    does not give: on borel-shared p=17 (rank B^1 = 2, rank Z^1 = 3) it
-    walks the probe alone, once over the group.  At the end B^1 must lie in
-    K (ConsistencyError otherwise), which is the check that coboundaries
-    are cocycles, so b1() does not need Z^1.
+    the Cayley edges a -> t = a g_slot off the tree, but only some are
+    harvested (constraint_basis).  The harvest is seeded with the rows of
+    the k edges into the identity, (g_slot^-1, slot, 0), which are off the
+    tree since no tree edge enters the root.  Each round takes K, the
+    kernel of the rows so far, and walks the probe, the sum of the rows of
+    K's Howell basis, then each row of K; a candidate that B^1 and the
+    candidates that passed in this or any earlier round already span is
+    not walked.  The first walk that breaks gives the rows of its edge to
+    the harvest; the rounds stop when nothing breaks.  Coboundaries are cocycles, so the rounds walk only
+    what B^1 does not give: on borel-shared p=17 (rank B^1 = 2,
+    rank Z^1 = 3) the seeded harvest makes three walks, and only its last,
+    the probe that passes, goes far into the group.  At the end B^1 must
+    lie in K (ConsistencyError otherwise), which is the check that
+    coboundaries are cocycles, so b1() does not need Z^1.
 
     Exactness: the harvested rows are some of the consistency rows, so
     Z^1 is in K.  Every generator is a child of the root along its own
@@ -215,10 +219,12 @@ class CocycleSystem:
     passes is a cocycle's coordinates.  A row of B^1 is the coordinates of the
     coboundary of a basis vector m, which expands to the table of delta m
     and so satisfies the identity on every edge.  The last round ends with
-    K spanned by B^1, the probe and the rows walked, all in Z^1, so K is
-    in Z^1, and K = Z^1.  Z/p^n is quasi-Frobenius, so the harvested rows
-    span the annihilator of K, the same submodule as all the consistency
-    rows, and their Howell basis is the same, row for row.
+    K spanned by B^1 and every vector that walked clean in any round, all
+    in Z^1, so K is in Z^1, and K = Z^1.  (A vector that walked clean lies
+    in Z^1 and so in every later K, which is why the rounds keep them.)
+    Z/p^n is quasi-Frobenius, so the harvested rows span the annihilator
+    of K, the same submodule as all the consistency rows, and their Howell
+    basis is the same, row for row.
 
     Termination: the rows of a broken edge do not vanish on the vector
     that broke it (checked; ConsistencyError otherwise), so each round
@@ -301,13 +307,17 @@ class CocycleSystem:
         rounds in the class docstring; the last round is Z^1's self-check."""
         dim, cctx, q = self.dim, self.cctx, self.q
         rows = self.constraints
+        for s, tg in enumerate(self.targets):
+            rows.extend(row for row in self.edge_rows(tg.index(0), s, 0) if any(row))
         b1 = self.b1()
+        # B^1 and the vectors that walked clean, kept across rounds: each is
+        # in Z^1, and so in every later K.
+        spanned, passed = b1, list(b1.rows)
         for _ in range(cctx.n * dim + 1):
             basis = _howell_raw(rows, dim, cctx)
             kern = _kernel_raw(basis, dim, cctx)
             # The probe, the sum of K's rows, then K's rows, each walked
-            # unless B^1 and the vectors that passed already span it.
-            spanned, passed = b1, list(b1.rows)
+            # unless spanned already holds it.
             for u in [[sum(col) % q for col in zip(*kern)]] + kern if kern else []:
                 if spanned.contains(u):
                     continue
@@ -474,33 +484,32 @@ class CocycleSystem:
     # -- reports -----------------------------------------------------------
 
     def _report(self, big: SubmoduleBasis) -> H1Report:
-        """big/B^1 as invariant factors plus generating cocycles.
+        """big/B^1 as invariant factors plus the generator coordinates.
 
         big is Z^1 or Z^1_loc, and each generator is checked to lie in Z^1
-        (ConsistencyError otherwise) and expanded.  That is as strong as
-        walking it: the harvest's last round proved Z^1 spanned by
-        coboundaries and vectors that walked clean (see the class
-        docstring), and the cocycle identity is linear in Z, so every
+        (ConsistencyError otherwise), so that its expansion is a cocycle.
+        That is as strong as walking it: the harvest's last round proved
+        Z^1 spanned by coboundaries and vectors that walked clean (see the
+        class docstring), and the cocycle identity is linear in Z, so every
         combination of those expands to a cocycle.  Z^1_loc is in Z^1, as
         its rows include the harvested ones, so the check can only fail on
-        a fault in quotient_structure."""
+        a fault in quotient_structure.  Nothing is expanded here."""
         structure = quotient_structure(big, self.b1())
         orders = tuple(d for d, _ in structure)
         z1 = self.z1()
         if not all(z1.contains(vec) for _, vec in structure):
             raise ConsistencyError("quotient generator lies outside Z^1")
-        gens = tuple(self.expand(vec) for _, vec in structure)
         return H1Report(
             group_label=self.group.label,
             module_label=self.module.label,
             order=math.prod(orders),
             invariant_factors=orders,
-            generator_cocycles=gens,
+            generators=tuple(vec for _, vec in structure),
             witness=None,
         )
 
     def h1(self) -> H1Report:
-        """H^1(G, M) as invariant factors plus generating cocycles."""
+        """H^1(G, M) as invariant factors plus generator coordinates."""
         return self._report(self.z1())
 
     def h1_loc(self) -> H1Report:
@@ -525,9 +534,9 @@ class CocycleSystem:
         records whether this ran, with its size, or why it was skipped.
         """
         report = self._report(self.z1_local())
-        gens = report.generator_cocycles
+        gens = report.generators
         if gens:
-            witness = gens[0]
+            witness = self.expand(gens[0])
             if not self.is_local_table(witness):
                 raise ConsistencyError("local cohomology witness fails the local conditions")
             if is_coboundary(witness) is not None:
@@ -539,7 +548,7 @@ class CocycleSystem:
         work = (len(gens) + lines) * n
         if work > CLASS_ENUM_WORK_LIMIT:
             return report._replace(cross_check=f"skipped: work {work} > cap {CLASS_ENUM_WORK_LIMIT}")
-        if not all(self.is_local_table(c) for c in gens[1:]):
+        if not all(self.is_local_table(self.expand(vec)) for vec in gens[1:]):
             raise ConsistencyError("a generator of the local cohomology fails the local conditions")
         for i, lead in enumerate(socle):
             for tail in itertools.product(range(p), repeat=len(socle) - i - 1):
@@ -553,17 +562,20 @@ class CocycleSystem:
 
 
 class H1Report(NamedTuple):
-    """Order, invariant factors and generating cocycles of H^1 or its local
-    subgroup; for a non-trivial local computation the witness is a concrete
-    local cocycle that is not a coboundary.  cross_check says whether
-    h1_loc's cross-check on generators and socle lines ran, with its size,
-    or why it was skipped (None for H^1); it stays out of to_json."""
+    """Order and invariant factors of H^1 or its local subgroup, and the
+    generators of its cyclic factors as coordinate vectors in the
+    generator-coordinate space of the CocycleSystem that computed it
+    (CocycleSystem.expand gives a generator's value table); for a
+    non-trivial local computation the witness is a concrete local cocycle,
+    expanded, that is not a coboundary.  cross_check says whether h1_loc's
+    cross-check on generators and socle lines ran, with its size, or why
+    it was skipped (None for H^1); it stays out of to_json."""
 
     group_label: Optional[str]
     module_label: str
     order: int
     invariant_factors: tuple[int, ...]
-    generator_cocycles: tuple[Cocycle, ...]
+    generators: tuple[tuple[int, ...], ...]
     witness: Optional[Cocycle]
     cross_check: Optional[str] = None
 

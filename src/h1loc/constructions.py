@@ -304,7 +304,8 @@ def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionRep
     image = quotient_group(g)
     system = CocycleSystem(g, torsion_module(g.ctx))
     rep_g = system.h1()
-    rep_q = h1(image, full_module(image.ctx))
+    image_system = CocycleSystem(image, full_module(image.ctx))
+    rep_q = image_system.h1()
     cctx, dim, b1 = system.cctx, system.dim, system.b1()
     rows = [row + [0, 0] for row in system.constraint_basis]
     for h in g.subgroup_generators(h_idx):
@@ -313,7 +314,7 @@ def inflation_restriction_check(g: FiniteMatrixGroup) -> InflationRestrictionRep
         rows += [l0 + [1 - a, -b], l1 + [-c, 1 - d]]
     ker = [u[:dim] for u in _kernel_raw(rows, dim + 2, cctx)]
     ker_res = howell_from_rows(cctx, dim, ker + list(b1.rows))
-    inflated = [system.compress(inflate_cocycle(g, c)) for c in rep_q.generator_cocycles]
+    inflated = [system.compress(inflate_cocycle(g, image_system.expand(vec))) for vec in rep_q.generators]
     im_inf = howell_from_rows(cctx, dim, inflated + list(b1.rows))
     hom_order = g.ctx.p ** equivariant_homs(g, h_idx).dimension
     return InflationRestrictionReport(

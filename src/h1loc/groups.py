@@ -9,7 +9,8 @@ per-element object exists.  A caller writes a 2x2 matrix as rows
 into a key and _rows a key back into rows, and every other function here
 takes keys.  _mul4, _inv4, _pow4, _powers4, _invertible4 and _close_keys
 are the package's only 2x2 group arithmetic, and _apply4 is its 2x2
-matrix-vector product.  A group's keys, index and edge table are fixed
+matrix-vector product.  A group's keys, index, edge table and the
+position of the first edge into each element (its spanning tree) are fixed
 when it is closed; its inverse table alone is built on the first inv()
 call, which h1 never makes.  Whichever thread builds that table builds the
 same one, so a group is safe to share between threads.
@@ -112,17 +113,19 @@ def _powers4(x, q) -> list:
 def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP):
     """Breadth-first closure of gen_keys under right multiplication.
 
-    Returns (keys, index, right): keys[0] is the identity, index maps each
-    key to its position, keys are listed in breadth-first order, and
+    Returns (keys, index, right, first): keys[0] is the identity, index
+    maps each key to its position, keys are listed in breadth-first order,
     right[i * K + j] is the index of keys[i] * gen_keys[j] for
-    K = len(gen_keys).  The K edge targets the walk computes anyway keep
-    memory linear in the group order, and the walk's spanning tree is read
-    off them (FiniteMatrixGroup.spanning_tree).  Raises ResourceLimitError
-    when the closure passes cap.
+    K = len(gen_keys), and first[t] is the position in right of the first
+    edge into element t > 0 (first[0] = 0).  The K edge targets the walk
+    computes anyway keep memory linear in the group order, and first is the
+    walk's spanning tree (FiniteMatrixGroup.spanning_tree).  Raises
+    ResourceLimitError when the closure passes cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
     right = array("q")
+    first = array("q", [0])
     i = 0
     while i < len(keys):
         base = keys[i]
@@ -135,9 +138,10 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
                     raise ResourceLimitError(f"group closure exceeded the cap of {cap} elements")
                 index[prod] = t
                 keys.append(prod)
+                first.append(len(right))
             right.append(t)
         i += 1
-    return keys, index, right
+    return keys, index, right, first
 
 
 class FiniteMatrixGroup:
@@ -151,7 +155,7 @@ class FiniteMatrixGroup:
         self.ctx = ctx
         self.label = label
         self._q = ctx.modulus
-        self._keys, self._index, self._right = closure
+        self._keys, self._index, self._right, self._first = closure
         self.generators = tuple(self._index[k] for k in gen_keys)
 
     @cached_property
@@ -188,19 +192,15 @@ class FiniteMatrixGroup:
 
         _close_keys numbers the elements in the order it reaches them,
         scanning the elements in index order and each one's generators in
-        order, so the first edge into i is the first entry i of _right, and
-        its position gives the parent and the slot.  Index order is
-        therefore breadth-first order.
+        order, and records the position in _right of the first edge into
+        each; that position divided by the number of generators is the
+        parent and the slot.  Index order is therefore breadth-first order.
         """
-        k, right = len(self.generators), self._right
-        n = len(self)
-        parent = array("q", [0]) * n
-        slot = array("q", [0]) * n
-        pos = 0
-        for y in range(1, n):
-            pos = right.index(y, pos)
-            parent[y], slot[y] = divmod(pos, k)
-        return parent, slot
+        # The trivial group has no generators and no element but the root,
+        # whose position 0 gives (0, 0) for any divisor.
+        k = len(self.generators) or 1
+        first = self._first
+        return array("q", [pos // k for pos in first]), array("q", [pos % k for pos in first])
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise; exact, since they

@@ -207,15 +207,22 @@ def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]
     entry, so one row and one column step clear its row and column and
     leave diag(unit * p^v, h).  Then m x = b is solvable exactly when p^v
     divides the first eliminated coordinate of b and p^w, w the valuation
-    of h, divides the second.  The x found is re-checked against m x = b;
-    a mismatch raises ConsistencyError.
+    of h, divides the second.  When m has a unit entry, the first one is
+    that pivot (v = 0), and the four valuations are not computed.  The x
+    found is re-checked against m x = b; a mismatch raises
+    ConsistencyError.
     """
     p, q = ctx.p, ctx.modulus
     m = tuple(e % q for e in m)
     b = (b[0] % q, b[1] % q)
-    vals = [ctx.valuation(e) for e in m]
-    i = min(range(4), key=lambda j: vals[j][0])
-    v, unit = vals[i]
+    for i, unit in enumerate(m):
+        if unit % p:
+            v = 0
+            break
+    else:
+        vals = [ctx.valuation(e) for e in m]
+        i = min(range(4), key=lambda j: vals[j][0])
+        v, unit = vals[i]
     # The swaps put the pivot's row and column first: m[i ^ 1] is the other
     # entry of its row, m[i ^ 2] of its column, m[i ^ 3] the opposite one.
     f, g, h = m[i ^ 1], m[i ^ 2], m[i ^ 3]

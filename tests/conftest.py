@@ -10,9 +10,12 @@ lines that replaced it, and inflation_restriction_oracle keeps the
 class-by-class inflation-restriction check, as the oracle of the two
 Howell bases that replaced it, on the reduction kernel re-enumerated by
 subgroup_from_indices.  verify_cocycle_all_pairs checks the cocycle
-identity at every pair, the oracle of the per-edge verify_cocycle.
+identity at every pair, the oracle of the per-edge verify_cocycle, and
+spanning_tree_by_scan the oracle of the spanning tree that the closure
+records.
 reference_solve is the general linear solver over Z/p^n, the oracle of
-zmod.solve2, and mat_vec the matrix-vector product its results are
+zmod.solve2, least_valuation_solve2 the oracle of solve2's unit-pivot
+shortcut, and mat_vec the matrix-vector product their results are
 checked with.
 """
 
@@ -122,6 +125,21 @@ def subgroup_from_indices(g, indices, label=None):
     return sub
 
 
+def spanning_tree_by_scan(group):
+    """(parent, slot) as FiniteMatrixGroup.spanning_tree derived them before
+    the closure recorded its first edges: the first edge into element
+    y > 0 is the first entry y of the edge table _right, found by scanning
+    on from the previous one, and its position divided by the number of
+    generators is the parent and the slot."""
+    k, right, n = len(group.generators), group._right, len(group)
+    parent, slot = [0] * n, [0] * n
+    pos = 0
+    for y in range(1, n):
+        pos = right.index(y, pos)
+        parent[y], slot[y] = divmod(pos, k)
+    return parent, slot
+
+
 def mat_vec(ctx, a, v):
     """The product a v mod p^n over ctx of the matrix with rows a and a
     vector of its width."""
@@ -162,6 +180,29 @@ def reference_solve(ctx, a, b):
             kernel_rows.append(row[m:])
     solution = None if any(bb) else tuple(x)
     return solution, [tuple(r) for r in kernel_rows]
+
+
+def least_valuation_solve2(ctx, m, b):
+    """zmod.solve2 as it was before its unit-pivot shortcut, the oracle of
+    that shortcut: the pivot is the first entry of least valuation, found
+    from all four valuations.  Returns x or None, without the re-check."""
+    p, q = ctx.p, ctx.modulus
+    m = tuple(e % q for e in m)
+    b = (b[0] % q, b[1] % q)
+    vals = [ctx.valuation(e) for e in m]
+    i = min(range(4), key=lambda j: vals[j][0])
+    v, unit = vals[i]
+    f, g, h = m[i ^ 1], m[i ^ 2], m[i ^ 3]
+    c0, c1 = (b[1], b[0]) if i >= 2 else b
+    pv, ui = p**v, ctx.unit_inverse(unit)
+    k, l = g // pv * ui % q, f // pv * ui % q
+    w, hunit = ctx.valuation(h - k * f)
+    c1 = (c1 - k * c0) % q
+    if c0 % pv or c1 % p**w:
+        return None
+    z1 = c1 // p**w * ctx.unit_inverse(hunit) % q
+    x = ((c0 // pv * ui - l * z1) % q, z1)
+    return x[::-1] if i % 2 else x
 
 
 def all_solutions(ctx, a, b, limit=None):
@@ -295,11 +336,11 @@ def full_harvest(system):
 def report_classes(system, report):
     """One cocycle per class of report, an H^1 or H^1_loc of the system's
     group and module: the expansion of sum_i c_i y_i for 0 <= c_i < d_i,
-    with d_i the invariant factors and y_i the coordinates of the
-    generating cocycles, in itertools.product order of the digits c, the
-    zero class first."""
+    with d_i the invariant factors and y_i the report's generator
+    coordinates, in itertools.product order of the digits c, the zero
+    class first."""
     q = system.q
-    gens = [system.compress(c) for c in report.generator_cocycles]
+    gens = report.generators
     reps = []
     for combo in itertools.product(*(range(d) for d in report.invariant_factors)):
         vec = [0] * system.dim

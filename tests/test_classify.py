@@ -180,6 +180,44 @@ def test_bad_evidence_fails_the_recheck(monkeypatch, verdict):
         classify_mod_p_group(g)
 
 
+# The S_3 of test_case_s3_example, and the cyclic group of order 6 over F_5.
+S3_GENS = [[[1, -3], [1, -2]], [[1, -3], [0, -1]]]
+C6_GEN = [[0, -1], [1, 1]]
+
+
+def test_s3_evidence_must_name_an_element_of_the_group():
+    # [[0, 1], [4, 4]] has order 3 and an irreducible characteristic
+    # polynomial, but lies outside this S_3.
+    g = close_group(S3_GENS, F5)
+    verdict = classify_mod_p_group(g)
+    assert verdict.case == CASE_S3 and reverify_verdict(g, verdict)
+    outside = [[0, 1], [4, 4]]
+    key = (0, 1, 4, 4)
+    assert element_order(F5, key) == 3 and eigen_data(F5, key).irreducible
+    with pytest.raises(InputError):
+        g.index_of(outside)
+    forged = verdict._replace(evidence={**verdict.evidence, "order_3_element": outside})
+    assert reverify_verdict(g, forged) is False
+
+
+def test_s3_evidence_must_come_from_a_non_abelian_group(monkeypatch):
+    # The cyclic group of order 6 holds an irreducible element of order 3,
+    # [[-1, -1], [1, 0]], but is abelian: an S3 verdict on it fails the
+    # re-check, and the classifier that recorded it raises.
+    g = close_group([C6_GEN], F5)
+    assert len(g) == 6 and g.is_abelian()
+    assert classify_mod_p_group(g).case == CASE_NONE
+    x = [[-1, -1], [1, 0]]
+    g.index_of(x)  # an element of g: InputError otherwise
+    assert element_order(F5, (4, 4, 1, 0)) == 3 and eigen_data(F5, (4, 4, 1, 0)).irreducible
+    evidence = {"isomorphism_type": "S3", "order": 6, "order_3_element": x,
+                "irreducible_characteristic_polynomial": True}
+    assert reverify_verdict(g, classify.CaseVerdict(CASE_S3, evidence)) is False
+    monkeypatch.setattr(classify, "_case_s3", lambda g, orders: evidence)
+    with pytest.raises(ConsistencyError, match="re-check"):
+        classify_mod_p_group(g)
+
+
 def test_recheck_still_refuses_a_group_over_a_larger_ring():
     g = close_group([DIAG21], ModulusContext(5, 2))
     with pytest.raises(InputError, match="n = 1"):

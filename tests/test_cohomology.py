@@ -61,6 +61,7 @@ from conftest import (
     engine_tables,
     full_harvest,
     inflation_restriction_oracle,
+    least_valuation_solve2,
     reference_solve,
     report_classes,
     subgroup_from_indices,
@@ -244,7 +245,7 @@ def test_is_coboundary_matches_the_all_element_reference(case):
     rng = random.Random(case)
     # A cocycle outside B^1: the h1_loc witness, or on V[p] and V/V[p], where
     # H^1_loc = 0, the first generator of H^1.
-    witness = h1_loc(g, module).witness or h1(g, module).generator_cocycles[0]
+    witness = h1_loc(g, module).witness or CocycleSystem(g, module).expand(h1(g, module).generators[0])
     m = (rng.randrange(q), rng.randrange(q))
     delta = Cocycle(g, module, tuple(
         (((a - 1) * m[0] + b * m[1]) % q, (c * m[0] + (d - 1) * m[1]) % q)
@@ -786,7 +787,8 @@ def _scale_and_add_classes(system, report):
     reps = []
     for combo in itertools.product(*(range(d) for d in report.invariant_factors)):
         vals = ((0, 0),) * len(system.group)
-        for coeff, gen in zip(combo, report.generator_cocycles):
+        for coeff, vec in zip(combo, report.generators):
+            gen = system.expand(vec)
             if coeff:
                 vals = tuple(((a0 + coeff * b0) % q, (a1 + coeff * b1) % q)
                              for (a0, a1), (b0, b1) in zip(vals, gen.values))
@@ -821,9 +823,9 @@ def test_classes_carry_over_mixed_invariant_factors():
     coordinate sums are tested with unequal factors."""
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
-    gens = tuple(system.expand(r) for r in system.z1().rows[:3])
+    gens = system.z1().rows[:3]
     assert len(gens) == 3
-    report = system.h1()._replace(order=24, invariant_factors=(3, 4, 2), generator_cocycles=gens)
+    report = system.h1()._replace(order=24, invariant_factors=(3, 4, 2), generators=gens)
     _assert_classes_match(system, report)
 
 
@@ -980,17 +982,17 @@ def _module_cases(group):
 
 
 def _assert_report_generators_walk_clean(system):
-    """The report checks each generator's membership in Z^1 and expands it;
-    the walk, which checks the cocycle identity on every Cayley edge, stays
-    the oracle: each generator of H^1 and H^1_loc walks clean, and its walk
-    table is the report's table and expand's."""
+    """The report checks each generator's membership in Z^1 and holds its
+    coordinates; the walk, which checks the cocycle identity on every
+    Cayley edge, stays the oracle: each generator of H^1 and H^1_loc is
+    quotient_structure's, walks clean, and its walk table is expand's."""
     for big, report in ((system.z1(), system.h1()), (system.z1_local(), system.h1_loc())):
         structure = quotient_structure(big, system.b1())
-        assert len(structure) == len(report.generator_cocycles)
-        for (_, vec), gen in zip(structure, report.generator_cocycles):
+        assert report.generators == tuple(vec for _, vec in structure)
+        for vec in report.generators:
             edge, values = system._walk(vec)
             assert edge is None
-            assert tuple(values) == gen.values == system.expand(vec).values
+            assert tuple(values) == system.expand(vec).values
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -1018,27 +1020,60 @@ def test_report_rejects_a_generator_outside_z1():
         system._report(kernel_basis(system.cctx, system.dim, []))
 
 
-def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
-    """On borel-shared p=17 (|G| = 9826, rank B^1 = 2, rank Z^1 = 3) the
-    harvest's walks, counted in elements visited (all of G for a walk that
-    passes, up to the broken edge's source for one that breaks), make one
-    full walk, the verifying round's probe, and stay within 2 |G|
-    (15,951 visits; 35,603 when the verifying round walked every row of
-    Z^1 but the last)."""
-    g = build_borel_shared_group(17)
-    system = CocycleSystem(g, full_module(g.ctx))
+def _harvest_visits(system, monkeypatch):
+    """The elements each walk of system's harvest visits: all of G for a
+    walk that passes, up to the broken edge's source for one that breaks."""
     visits = []
     walk = CocycleSystem._walk
 
     def counted(self, u):
         edge, values = walk(self, u)
-        visits.append(len(g) if edge is None else edge[0] + 1)
+        visits.append(len(self.group) if edge is None else edge[0] + 1)
         return edge, values
 
-    monkeypatch.setattr(CocycleSystem, "_walk", counted)
-    system.z1()
+    with monkeypatch.context() as m:
+        m.setattr(CocycleSystem, "_walk", counted)
+        system.z1()
+    return visits
+
+
+def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
+    """On borel-shared p=17 (|G| = 9826, rank B^1 = 2, rank Z^1 = 3) the
+    seeded harvest makes one full walk, the probe that passes, and stays
+    within 1.2 |G| (9,854 visits in 3 walks; 15,951 in 6 before the seed
+    rows and the kept clean walks, when one walk broke at element 6,087;
+    35,603 when the verifying round walked every row of Z^1 but the
+    last)."""
+    g = build_borel_shared_group(17)
+    visits = _harvest_visits(CocycleSystem(g, full_module(g.ctx)), monkeypatch)
     assert visits.count(len(g)) == 1
-    assert sum(visits) <= 2 * len(g)
+    assert sum(visits) <= 1.2 * len(g)
+
+
+@pytest.mark.parametrize("source", ["borel-shared p=11", "z125-unipotent"])
+def test_harvest_makes_one_long_walk(source, monkeypatch):
+    """On V, exactly one walk of the harvest goes past |G|/5: the seed rows
+    cut K before any walk, so the walks that break do so near the root
+    (borel-shared p=11 walked [2, 4, 7, 1420, 24, 2662] elements without
+    them, and z125-unipotent [26, 34, 2625, 3125])."""
+    if source == "z125-unipotent":
+        g = close_group(Z125_GROUPS["z125-unipotent"], Z125)
+    else:
+        g = build_borel_shared_group(11)
+    visits = _harvest_visits(CocycleSystem(g, full_module(g.ctx)), monkeypatch)
+    assert sum(v > len(g) / 5 for v in visits) == 1
+
+
+def test_h1_expands_no_cocycle(monkeypatch):
+    """h1 reports generator coordinates and prints no table, so it expands
+    nothing; h1_loc expands its witness."""
+    calls = []
+    expand = CocycleSystem.expand
+    monkeypatch.setattr(CocycleSystem, "expand", lambda self, coords: calls.append(coords) or expand(self, coords))
+    g = build_borel_shared_group(5)
+    report = h1(g, full_module(g.ctx))
+    assert report.order == 5 and calls == []
+    assert h1_loc(g, full_module(g.ctx)).witness is not None and calls
 
 
 # ---------------------------------------------------------------------------
@@ -1076,11 +1111,11 @@ def _harvest_cases(source):
 @pytest.mark.parametrize("source", ["p=5", "p=7", "z125"])
 def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
     """The harvest gives the all-rows round's constraint basis and Z^1;
-    every row of B^1 walks clean; and the walks of the final round (those
-    after the last walk that broke) span Z^1 together with B^1.  Some
-    system needs a second walk there, so a round that walked only the
-    probe would fail."""
-    final_walks = []
+    every row of B^1 walks clean; no vector is walked that B^1 and the
+    vectors that walked clean before it, in any round, already span; and
+    those vectors span Z^1 together with B^1.  Some system needs two clean
+    walks, so a harvest that kept only the probe would fail."""
+    clean_walks = []
     for group, module in _harvest_cases(source):
         system = CocycleSystem(group, module)
         walked = []
@@ -1097,12 +1132,14 @@ def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
         assert (system.constraint_basis, z1) == _all_rows_harvest(system)
         b1 = system.b1()
         assert all(system._walk(r)[0] is None for r in b1.rows)
-        broken = [i for i, (_, edge) in enumerate(walked) if edge is not None]
-        final = [u for u, _ in walked[broken[-1] + 1 if broken else 0:]]
-        spanned = howell_from_rows(system.cctx, system.dim, list(b1.rows) + final)
-        assert spanned.contains_basis(z1) and z1.contains_basis(spanned)
-        final_walks.append(len(final))
-    assert max(final_walks) >= 2
+        clean = []
+        for u, edge in walked:
+            assert not howell_from_rows(system.cctx, system.dim, list(b1.rows) + clean).contains(u)
+            if edge is None:
+                clean.append(u)
+        assert howell_from_rows(system.cctx, system.dim, list(b1.rows) + clean) == z1
+        clean_walks.append(len(clean))
+    assert max(clean_walks) >= 2
 
 
 def test_harvest_rejects_a_coboundary_row_outside_k(monkeypatch):
@@ -1224,20 +1261,26 @@ def test_admits_matches_solver_for_every_matrix_mod_9():
             assert (reference_solve(ctx, matrix, v)[0] is not None) == (v in image)
 
 
-@pytest.mark.parametrize("p, n", [(5, 2), (5, 3), (3, 3), (7, 3), (7, 4)])
+@pytest.mark.parametrize("p, n", [(5, 2), (5, 3), (3, 3), (7, 3), (7, 4), (23, 2)])
 def test_admits_matches_solver_on_random_matrices(p, n):
+    """solve2's verdict against the reference solver, and its x against the
+    least-valuation pivot it had before the unit-pivot shortcut.  Every
+    other system has entries of random valuation, so p-divisible entries
+    and singular matrices are common; the rest are uniform, and mostly
+    take the shortcut."""
     ctx = ModulusContext(p, n)
     q = ctx.modulus
     rng = random.Random(q)
     hits = 0
-    for _ in range(3000):
-        # Entries with a random valuation, so that singular matrices are common.
-        entries = tuple(rng.randrange(q) * p ** rng.randrange(n + 1) % q for _ in range(4))
+    for k in range(3000):
+        scale = [p ** rng.randrange(n + 1) if k % 2 else 1 for _ in range(4)]
+        entries = tuple(rng.randrange(q) * s % q for s in scale)
         a, b, c, d = entries
         x, y = rng.randrange(q), rng.randrange(q)
         for v in (((a * x + b * y) % q, (c * x + d * y) % q), (rng.randrange(q), rng.randrange(q))):
             admitted = _checked_solve2(ctx, entries, v)
             assert admitted == (reference_solve(ctx, [[a, b], [c, d]], v)[0] is not None)
+            assert solve2(ctx, entries, v) == least_valuation_solve2(ctx, entries, v)
             hits += admitted
     assert 3000 < hits < 6000
 

@@ -35,7 +35,14 @@ from h1loc.constructions import (
     s3_generators,
 )
 from h1loc.groups import _apply4, _inv4, _key, _pow4, _powers4, cyclic_walk
-from conftest import construction_groups, mat_vec, oracle_power, oracle_product, subgroup_from_indices
+from conftest import (
+    construction_groups,
+    mat_vec,
+    oracle_power,
+    oracle_product,
+    spanning_tree_by_scan,
+    subgroup_from_indices,
+)
 
 
 def _word(g, i):
@@ -92,6 +99,45 @@ def test_close_group_cap():
     with pytest.raises(ResourceLimitError) as exc:
         close_group(borel_shared_generators(5), CTX25, cap=10)
     assert "10" in str(exc.value)
+
+
+def _tree(g):
+    return tuple(map(list, g.spanning_tree()))
+
+
+def test_spanning_tree_of_the_trivial_group():
+    # No generator survives close_group, so there is no generator count to
+    # divide the first-edge positions by; the root alone is its own parent.
+    for gens in ([[[1, 0], [0, 1]]], [[[1, 0], [0, 1]], [[26, 0], [0, 26]]]):
+        g = close_group(gens, CTX25)
+        assert g.generators == () and len(g) == 1
+        assert _tree(g) == ([0], [0])
+    assert _tree(close_group([[[1, 0], [0, 1]]], F5)) == ([0], [0])
+
+
+def test_spanning_tree_matches_the_edge_table_scan_on_random_groups():
+    """The tree that the closure records against the scan of its edge table,
+    on seeded random groups of one to three generators over F_7, Z/9, Z/25
+    and Z/27, with repeated and identity generators among them."""
+    rng = random.Random(25)
+    checked = 0
+    while checked < 60:
+        ctx = ModulusContext(*rng.choice([(7, 1), (3, 2), (5, 2), (3, 3)]))
+        q = ctx.modulus
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            rows = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+            if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % ctx.p:
+                gens.append(rows)
+        gens += rng.choice([[], [[[1, 0], [0, 1]]], gens[:1]])
+        if not gens:
+            continue
+        try:
+            g = close_group(gens, ctx, cap=3000)
+        except ResourceLimitError:
+            continue
+        assert _tree(g) == spanning_tree_by_scan(g)
+        checked += 1
 
 
 def test_closure_determinism():
