@@ -18,7 +18,7 @@ written a process compiles each one it loads.  Besides the package, this
 module, errors, ring and groups, ``scan`` loads classify; ``h1`` and
 ``h1loc`` load zmod and cohomology; ``verify`` loads those and
 constructions; ``power-identity`` loads nothing more.  The handlers import
-the layers they alone use.
+the layers they alone use, and ``power-identity`` the stdlib ``random``.
 
 ``main()`` is the in-process API: it returns the exit code.  ``run()`` is
 the process entry point (``python -m h1loc.cli`` and the ``h1loc`` script):
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import NoReturn, Optional, Sequence
 
@@ -176,6 +175,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_power_identity(args) -> int:
+    import random
+
     rng = random.Random(args.seed)
     results = []
     any_failed = False

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConsistencyError, ContractError, DimensionError, InputError, ResourceLimitError
-from .groups import FiniteMatrixGroup, cyclic_walk
+from .groups import FiniteMatrixGroup, _inv4, _mul4, cyclic_walk
 from .ring import ModulusContext, _Frozen
 from .zmod import (
     SubmoduleBasis,
@@ -179,15 +179,16 @@ def verify_cocycle(c: Cocycle) -> bool:
 class CocycleSystem:
     """Shared scaffolding for one (group, module) pair.
 
-    Holds the breadth-first spanning tree of the Cayley graph that the
-    closure walked (groups.FiniteMatrixGroup.spanning_tree: element indices
-    are in breadth-first order), which
-    expresses every element's cocycle value as a linear map L[i] of the
-    generator values u (Z(element i) = L[i] u), and lazily computed bases
-    of Z^1, B^1 and the local cocycle space, all in the generator
-    coordinate space (Z/q)^(2k).  L[i] is rebuilt on demand from the tree
-    parents and memoised.  Raises ResourceLimitError before any
-    per-element table is built when |G| * dim passes SYSTEM_WORK_LIMIT.
+    Reads the breadth-first spanning tree of the Cayley graph that the
+    closure recorded (element i > 0 is first reached from its parent along
+    generator slot, (parent, slot) = divmod(group._first[i], k); element
+    indices are in breadth-first order), which expresses every element's
+    cocycle value as a linear map L[i] of the generator values u
+    (Z(element i) = L[i] u), and holds lazily computed bases of Z^1, B^1
+    and the local cocycle space, all in the generator coordinate space
+    (Z/q)^(2k).  L[i] is built on demand down the tree path and memoised.
+    Raises ResourceLimitError before any per-element table is built when
+    |G| * dim passes SYSTEM_WORK_LIMIT.
 
     The walk of u (_walk) visits the elements in breadth-first order and
     each one's generator slots in order: the first visit to t = a g_slot
@@ -252,10 +253,6 @@ class CocycleSystem:
         self.acts = module.action_table(group)
         # targets[slot][i] is the index of element i times generator slot.
         self.targets = group.edge_targets()
-        # The tree: element i is reached from parent[i] along generator
-        # slot[i] (the root is its own parent); the closure numbered the
-        # elements in breadth-first order.
-        self.parent, self.slot = group.spanning_tree()
         self._L = {0: ([0] * self.dim, [0] * self.dim)}
         # The harvested consistency rows, filled by the rounds of constraint_basis.
         self.constraints: list[list[int]] = []
@@ -265,16 +262,17 @@ class CocycleSystem:
     def value_map(self, i: int) -> tuple[list[int], list[int]]:
         """L[i], the pair of rows with Z(element i) = L[i] u, built down the
         tree path from the nearest memoised ancestor."""
-        memo = self._L
+        memo, first, k = self._L, self.group._first, self.k
         path = []
         while i not in memo:
             path.append(i)
-            i = self.parent[i]
+            i = first[i] // k
         l0, l1 = memo[i]
         q = self.q
         for y in reversed(path):
-            a, b, c, d = self.acts[self.parent[y]]
-            j = 2 * self.slot[y]
+            parent, slot = divmod(first[y], k)
+            a, b, c, d = self.acts[parent]
+            j = 2 * slot
             l0, l1 = l0[:], l1[:]
             l0[j] = (l0[j] + a) % q
             l0[j + 1] = (l0[j + 1] + b) % q
@@ -376,15 +374,15 @@ class CocycleSystem:
 
         groups.cyclic_walk names each element's owner: the least generator
         of its cyclic subgroup when that subgroup is maximal, else 0.  The
-        maximal subgroups are then merged under conjugation by the inverses
-        of the generators of the group, read off the Cayley edges: for the
-        edge targets T of a generator h, inv(T[inv(T[y])]) = h^-1 y h.
-        Those inverses generate the same group, so the classes are the
-        same; the owner names the conjugate subgroup, and the least owner
-        of each class is its representative.
+        maximal subgroups are then merged under conjugation y -> h^-1 y h by
+        each generator h, taken as the key product of h^-1, y and h: the
+        generators generate the group, so the classes are the conjugacy
+        classes.  The owner names the conjugate subgroup, and the least
+        owner of each class is its representative.
         """
         group = self.group
-        inv = group.inv
+        q, keys, index = group._q, group._keys, group._index
+        conj = [(_inv4(keys[h], q), keys[h]) for h in self.gens]
         n = len(group)
         owner = cyclic_walk(group)[1]
         reps = []
@@ -396,9 +394,9 @@ class CocycleSystem:
             merged[x] = 1
             stack = [x]
             while stack:
-                y = stack.pop()
-                for t in self.targets:
-                    z = owner[inv(t[inv(t[y])])]
+                y = keys[stack.pop()]
+                for h_inv, h in conj:
+                    z = owner[index[_mul4(_mul4(h_inv, y, q), h, q)]]
                     if not merged[z]:
                         merged[z] = 1
                         stack.append(z)
@@ -455,8 +453,9 @@ class CocycleSystem:
         u = [x % q for x in coords]
         vals: list[Optional[tuple[int, int]]] = [None] * len(self.group)
         vals[0] = (0, 0)
+        first, k = self.group._first, self.k
         for child in range(1, len(vals)):
-            parent, slot = self.parent[child], self.slot[child]
+            parent, slot = divmod(first[child], k)
             a, b, c, d = self.acts[parent]
             g0, g1 = u[2 * slot], u[2 * slot + 1]
             v = vals[parent]

@@ -9,11 +9,9 @@ per-element object exists.  A caller writes a 2x2 matrix as rows
 into a key and _rows a key back into rows, and every other function here
 takes keys.  _mul4, _inv4, _pow4, _powers4, _invertible4 and _close_keys
 are the package's only 2x2 group arithmetic, and _apply4 is its 2x2
-matrix-vector product.  A group's keys, index, edge table and the
-position of the first edge into each element (its spanning tree) are fixed
-when it is closed; its inverse table alone is built on the first inv()
-call, which h1 never makes.  Whichever thread builds that table builds the
-same one, so a group is safe to share between threads.
+matrix-vector product.  A group is final once closed: its keys, index,
+edge table and the position of the first edge into each element (its
+spanning tree) are all it holds, and no query adds to them.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from array import array
-from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -118,9 +115,12 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
     right[i * K + j] is the index of keys[i] * gen_keys[j] for
     K = len(gen_keys), and first[t] is the position in right of the first
     edge into element t > 0 (first[0] = 0).  The K edge targets the walk
-    computes anyway keep memory linear in the group order, and first is the
-    walk's spanning tree (FiniteMatrixGroup.spanning_tree).  Raises
-    ResourceLimitError when the closure passes cap.
+    computes anyway keep memory linear in the group order.  first is the
+    walk's breadth-first spanning tree: divmod(first[t], K) is the parent
+    of t and the slot of the generator that first reaches it, and since
+    the walk numbers the elements in the order it reaches them, index
+    order is breadth-first order.  Raises ResourceLimitError when the
+    closure passes cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
@@ -158,12 +158,6 @@ class FiniteMatrixGroup:
         self._keys, self._index, self._right, self._first = closure
         self.generators = tuple(self._index[k] for k in gen_keys)
 
-    @cached_property
-    def _inv(self) -> array:
-        """The index of every element's inverse, built on the first inv()."""
-        q, index = self._q, self._index
-        return array("q", [index[_inv4(k, q)] for k in self._keys])
-
     def __len__(self) -> int:
         return len(self._keys)
 
@@ -178,29 +172,13 @@ class FiniteMatrixGroup:
         return self._index[_mul4(self._keys[i], self._keys[j], self._q)]
 
     def inv(self, i: int) -> int:
-        return self._inv[i]
+        return self._index[_inv4(self._keys[i], self._q)]
 
     def edge_targets(self) -> list[array]:
         """Cayley edges of the generators, read off the closure:
         out[s][a] = mult(a, generators[s])."""
         k = len(self.generators)
         return [self._right[s::k] for s in range(k)]
-
-    def spanning_tree(self) -> tuple[array, array]:
-        """(parent, slot): the closure first reaches element i > 0 as
-        parent[i] times generators[slot[i]]; the root 0 is its own parent.
-
-        _close_keys numbers the elements in the order it reaches them,
-        scanning the elements in index order and each one's generators in
-        order, and records the position in _right of the first edge into
-        each; that position divided by the number of generators is the
-        parent and the slot.  Index order is therefore breadth-first order.
-        """
-        # The trivial group has no generators and no element but the root,
-        # whose position 0 gives (0, 0) for any divisor.
-        k = len(self.generators) or 1
-        first = self._first
-        return array("q", [pos // k for pos in first]), array("q", [pos % k for pos in first])
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise; exact, since they

@@ -126,11 +126,11 @@ def subgroup_from_indices(g, indices, label=None):
 
 
 def spanning_tree_by_scan(group):
-    """(parent, slot) as FiniteMatrixGroup.spanning_tree derived them before
-    the closure recorded its first edges: the first edge into element
-    y > 0 is the first entry y of the edge table _right, found by scanning
-    on from the previous one, and its position divided by the number of
-    generators is the parent and the slot."""
+    """(parent, slot) as they were derived before the closure recorded its
+    first edges: the first edge into element y > 0 is the first entry y of
+    the edge table _right, found by scanning on from the previous one, and
+    its position divided by the number of generators is the parent and the
+    slot."""
     k, right, n = len(group.generators), group._right, len(group)
     parent, slot = [0] * n, [0] * n
     pos = 0

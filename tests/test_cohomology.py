@@ -1,9 +1,11 @@
 """The cocycle engine against brute force, examples, and its own axioms."""
 
+import copy
 import itertools
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -14,6 +16,7 @@ from h1loc import (
     CocycleSystem,
     ConsistencyError,
     ContractError,
+    FiniteMatrixGroup,
     GModule,
     InputError,
     ModulusContext,
@@ -35,6 +38,7 @@ from h1loc import (
     ResourceLimitError,
     SubmoduleBasis,
     torsion_module,
+    verify_all,
     verify_cocycle,
 )
 from h1loc import cohomology
@@ -871,7 +875,7 @@ def test_harvest_raises_when_a_broken_edge_gives_no_cut(monkeypatch):
     g = build_borel_shared_group(5)
     system = CocycleSystem(g, full_module(g.ctx))
     last = len(g) - 1
-    tree_edge = (system.parent[last], system.slot[last], last)
+    tree_edge = (*divmod(g._first[last], system.k), last)
     assert not any(map(any, system.edge_rows(*tree_edge)))
     monkeypatch.setattr(CocycleSystem, "_walk", lambda self, u: (tree_edge, None))
     start = time.perf_counter()
@@ -1292,7 +1296,7 @@ def test_admits_recheck_catches_a_corrupted_solver(monkeypatch):
     # A wrong unit inverse leaves the valuations, and so the verdict, as
     # they were: only the re-check against m x = v can tell.
     monkeypatch.setattr(ModulusContext, "unit_inverse", lambda self, u: (pow(u, -1, self.modulus) + 1) % self.modulus)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="2x2 solve fails the re-check m x = b"):
         solve2(ctx, m, (1, 5))
 
 
@@ -1344,8 +1348,9 @@ def _bfs_tree(group):
 @pytest.mark.parametrize("source", ["p=5", "p=7", "z125", "repeated"])
 def test_spanning_tree_is_the_breadth_first_tree(source):
     """The construction groups and their mod-p images, the Z/125 groups and
-    the repeated-and-identity-generator group: the system's parent and slot
-    are the breadth-first pass's, which visits the elements in index order."""
+    the repeated-and-identity-generator group: the tree edge the system
+    reads for element i, divmod(group._first[i], k), is the breadth-first
+    pass's, which visits the elements in index order."""
     if source == "z125":
         groups = [close_group(gens, Z125) for gens in Z125_GROUPS.values()]
     elif source == "repeated":
@@ -1353,23 +1358,46 @@ def test_spanning_tree_is_the_breadth_first_tree(source):
     else:
         groups = [group for group, _ in _construction_groups(int(source[2:]))]
     for group in groups:
-        system = CocycleSystem(group, full_module(group.ctx))
         parent, slot, order = _bfs_tree(group)
-        assert (list(system.parent), list(system.slot), list(range(len(group)))) == (parent, slot, order)
+        k = len(group.generators)
+        assert order == list(range(len(group)))
+        assert [divmod(group._first[i], k) for i in range(1, len(group))] == list(zip(parent, slot))[1:]
 
 
-def test_inverse_table_is_built_on_first_use():
-    """h1 never inverts, so it leaves the table unbuilt; the first inv()
-    builds it, and it agrees with _inv4 at every element."""
+def _snapshot(group):
+    """A group's attributes, with a copy of each mutable table."""
+    return {name: copy.copy(value) if isinstance(value, (list, dict, array)) else value
+            for name, value in vars(group).items()}
+
+
+def test_a_closed_group_is_final(monkeypatch):
+    """Nothing adds to a group once it is closed: h1, h1_loc, inv() and
+    mult() leave its attributes as the closure made them, and so do the
+    reports of verify_all([5]) on every group they close.  inv() agrees
+    with _inv4 at every element."""
     cases = [(build_borel_shared_group(5), "full")]
     cases += [(close_group(Z125_GROUPS["z125"], Z125), kind) for kind in ("full", "p_torsion", "mod_p_quotient")]
     for group, kind in cases:
+        before = _snapshot(group)
         h1(group, GModule(group.ctx, kind))
-        assert "_inv" not in vars(group)
-    for group, _ in cases:
+        h1_loc(group, GModule(group.ctx, kind))
         q = group._q
         assert [group._keys[group.inv(i)] for i in range(len(group))] == [_inv4(k, q) for k in group._keys]
-        assert "_inv" in vars(group)
+        assert all(group.mult(i, group.inv(i)) == 0 for i in range(len(group)))
+        assert vars(group) == before
+    closed = []
+    init = FiniteMatrixGroup.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        closed.append((self, _snapshot(self)))
+
+    monkeypatch.setattr(FiniteMatrixGroup, "__init__", recording_init)
+    reports = verify_all([5])
+    assert all(r.status == "passed" for r in reports)
+    assert len(closed) > len(reports)
+    for group, before in closed:
+        assert vars(group) == before, group.label
 
 
 # ---------------------------------------------------------------------------
@@ -1466,6 +1494,42 @@ def test_cross_check_catches_a_spurious_local_row(monkeypatch):
     assert quotient_structure(system.z1_local(), system.b1()) == []
     with pytest.raises(ConsistencyError, match="a class outside the computed local cohomology is local"):
         system.h1_loc()
+
+
+def test_z1_local_catches_a_local_row_that_fails_on_a_coboundary(monkeypatch):
+    # A local row that does not vanish on B^1: the unit row at a coordinate
+    # where a coboundary is nonzero cuts that coboundary out of Z^1_loc.
+    g = build_borel_shared_group(5)
+    system = CocycleSystem(g, full_module(g.ctx))
+    spurious = [int(j == 1) for j in range(system.dim)]
+    assert system.b1().rows[0][1]
+    rows = CocycleSystem.local_constraint_rows
+    monkeypatch.setattr(CocycleSystem, "local_constraint_rows", lambda self: rows(self) + [spurious])
+    with pytest.raises(ConsistencyError, match="coboundaries satisfy the local conditions by definition"):
+        system.z1_local()
+
+
+def test_h1_loc_catches_a_witness_that_is_not_local(monkeypatch):
+    # On V[p] of borel-shared p=5, H^1 = (5, 5) and H^1_loc = 0.  With no
+    # local representative the main path answers H^1, whose first generator
+    # is then the witness, and no nonzero class is local.
+    g = build_borel_shared_group(5)
+    module = torsion_module(g.ctx)
+    assert h1_loc(g, module).order == 1 and h1(g, module).invariant_factors == (5, 5)
+    monkeypatch.setattr(CocycleSystem, "local_representatives", property(lambda self: []))
+    with pytest.raises(ConsistencyError, match="local cohomology witness fails the local conditions"):
+        CocycleSystem(g, module).h1_loc()
+
+
+def test_h1_loc_catches_a_witness_that_is_a_coboundary(monkeypatch):
+    # A quotient_structure that names a coboundary as the generator of the
+    # cyclic factor: it lies in Z^1 and is local, so only the coboundary
+    # test on the witness can tell.
+    g = build_borel_shared_group(5)
+    module = full_module(g.ctx)
+    monkeypatch.setattr(cohomology, "quotient_structure", lambda big, small: [(5, small.rows[0])])
+    with pytest.raises(ConsistencyError, match="local cohomology witness is a coboundary"):
+        CocycleSystem(g, module).h1_loc()
 
 
 def test_system_work_cap(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from h1loc import (
+    ConsistencyError,
     ContractError,
     InputError,
     ModulusContext,
@@ -102,17 +103,24 @@ def test_close_group_cap():
 
 
 def _tree(g):
-    return tuple(map(list, g.spanning_tree()))
+    """(parent, slot) as the cocycle system reads them off the closure:
+    divmod(g._first[i], k) for each element i > 0; the root is its own
+    parent."""
+    k = len(g.generators)
+    tree = [divmod(g._first[i], k) for i in range(1, len(g))]
+    return [0] + [a for a, _ in tree], [0] + [s for _, s in tree]
 
 
 def test_spanning_tree_of_the_trivial_group():
     # No generator survives close_group, so there is no generator count to
-    # divide the first-edge positions by; the root alone is its own parent.
+    # divide the first-edge positions by: the root alone is recorded, at
+    # position 0, and it is its own parent.
     for gens in ([[[1, 0], [0, 1]]], [[[1, 0], [0, 1]], [[26, 0], [0, 26]]]):
         g = close_group(gens, CTX25)
         assert g.generators == () and len(g) == 1
-        assert _tree(g) == ([0], [0])
-    assert _tree(close_group([[[1, 0], [0, 1]]], F5)) == ([0], [0])
+        assert list(g._first) == [0] and _tree(g) == ([0], [0])
+    g = close_group([[[1, 0], [0, 1]]], F5)
+    assert list(g._first) == [0] and _tree(g) == ([0], [0])
 
 
 def test_spanning_tree_matches_the_edge_table_scan_on_random_groups():
@@ -536,7 +544,7 @@ def test_closure_memory_is_linear_in_group_order():
     # <diag(3, 1)> over Z/7^6: 3 is a primitive root mod 7^6, so the group
     # has 6 * 7^5 = 100,842 elements, each one BFS step deeper than the last.
     # The closure peaks at about 21 MB under CPython 3.11: per element one
-    # key, one index entry and two array slots (edge target, inverse).
+    # key, one index entry and two array slots (edge target, first edge).
     tracemalloc.start()
     try:
         size = len(close_group([[[3, 0], [0, 1]]], ModulusContext(7, 6)))
@@ -556,3 +564,13 @@ def test_closure_cap_bounds_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20
+
+
+def test_order_walk_gives_up_on_a_key_that_never_returns():
+    # The walk's loop bound: a singular key never reaches the identity, and
+    # after 4 q^2 products the walk raises instead of looping (element_order
+    # refuses such a key before walking).
+    with pytest.raises(ConsistencyError, match="order computation did not terminate"):
+        _powers4((0, 0, 0, 0), 5)
+    with pytest.raises(InputError):
+        element_order(F5, (0, 0, 0, 0))

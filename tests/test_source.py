@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,7 +179,8 @@ def test_every_exported_name_resolves_lazily():
 
 def test_imports_sit_at_module_top_except_in_cli_handlers():
     # The package __init__ imports no submodule, and a module imports inside
-    # a function only in the cli handlers, each for the layer it alone runs.
+    # a function only in the cli handlers, each for the layer or the stdlib
+    # module it alone runs.
     modules = dict(parsed_modules())
     assert not [node for node in modules["__init__.py"].body
                 if isinstance(node, ast.ImportFrom) and node.level]
@@ -190,7 +192,8 @@ def test_imports_sit_at_module_top_except_in_cli_handlers():
         for node in ast.walk(top)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
-    assert found == ["cli.py:_cmd_cohomology", "cli.py:_cmd_verify", "cli.py:_cmd_scan"]
+    assert found == ["cli.py:_cmd_cohomology", "cli.py:_cmd_verify", "cli.py:_cmd_scan",
+                     "cli.py:_cmd_power_identity"]
 
 
 def _package_imports(tree) -> set[str]:
@@ -294,3 +297,49 @@ def test_every_exported_function_has_a_reader():
                        for path, tree in modules.items() for line in _names(tree, name)):
                 unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def _message_pieces(node):
+    """The literal pieces of a string or f-string, None for each formatted
+    value; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return [v.value if isinstance(v, ast.Constant) else None for v in node.values]
+    return None
+
+
+def test_every_self_check_fires_in_a_test():
+    # Each `raise ConsistencyError(...)` in these modules is matched by a
+    # `pytest.raises(ConsistencyError, match=...)` in tests/, which fires it
+    # by breaking the computation it guards.  A site matches when the test's
+    # pattern is found in its message, or its message (each formatted value
+    # read as ".*") in the test's.  The checks in constructions have no such
+    # tests yet and stay outside this list.
+    modules = dict(parsed_modules())
+    sites = [
+        (name, _message_pieces(node.exc.args[0]))
+        for name in ("classify.py", "cohomology.py", "groups.py", "zmod.py")
+        for node in ast.walk(modules[name])
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ConsistencyError"
+    ]
+    patterns = [
+        _message_pieces(kw.value)
+        for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "raises"
+        and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "ConsistencyError"
+        for kw in node.keywords if kw.arg == "match"
+    ]
+    assert len(sites) == 15 and all(pieces for _, pieces in sites)
+
+    def text(pieces):
+        return "".join("{}" if p is None else p for p in pieces)
+
+    def matched(site):
+        site_regex = "".join(".*" if p is None else re.escape(p) for p in site)
+        return any(re.search("".join(".*" if p is None else p for p in pat), text(site))
+                   or re.search(site_regex, text(pat)) for pat in patterns if pat)
+
+    assert [f"{name}: {text(pieces)}" for name, pieces in sites if not matched(pieces)] == []

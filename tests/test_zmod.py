@@ -7,6 +7,7 @@ import random
 import pytest
 
 from h1loc import (
+    ConsistencyError,
     ContainmentError,
     DimensionError,
     InputError,
@@ -17,6 +18,7 @@ from h1loc import (
     kernel_basis,
     quotient_structure,
 )
+from h1loc import zmod
 from h1loc.zmod import solve2
 from conftest import all_solutions, mat_vec, reference_solve
 
@@ -343,3 +345,54 @@ def test_is_prime_matches_trial_division():
         assert not is_prime(m)
     assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
     assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+# ---------------------------------------------------------------------------
+# Each re-check fires when the computation it guards is broken.
+
+
+def test_dual_constraints_recheck_catches_a_dropped_annihilator_row(monkeypatch):
+    # The annihilator of the line <(1, 2)> is one row; a kernel routine that
+    # drops it leaves no constraint, whose kernel is the whole plane.
+    line = howell_from_rows(CTX25, 2, [[1, 2]])
+    assert len(dual_constraints(line)) == 1
+    real, calls = zmod._kernel_raw, []
+
+    def first_call_drops_a_row(rows, ncols, ctx):
+        calls.append(rows)
+        out = real(rows, ncols, ctx)
+        return out[:-1] if len(calls) == 1 else out
+
+    monkeypatch.setattr(zmod, "_kernel_raw", first_call_drops_a_row)
+    with pytest.raises(ConsistencyError, match="double-dual check failed"):
+        dual_constraints(line)
+
+
+def _corrupt_smith(monkeypatch, corrupt):
+    real = zmod._smith_diag_with_vinv
+
+    def corrupted(rel, r):
+        diag, vinv = real(rel, r)
+        return corrupt(diag), vinv
+
+    monkeypatch.setattr(zmod, "_smith_diag_with_vinv", corrupted)
+
+
+def test_quotient_structure_catches_a_lost_smith_factor(monkeypatch):
+    # The relation lattice holds q Z^r, so its Smith form has no zero on the
+    # diagonal; a diagonalisation that loses a factor leaves one.
+    full = kernel_basis(CTX25, 2, [])
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
+    _corrupt_smith(monkeypatch, lambda diag: diag[:-1] + [0])
+    with pytest.raises(ConsistencyError, match="relation lattice unexpectedly not of full rank"):
+        quotient_structure(full, pv)
+
+
+def test_quotient_structure_catches_a_wrong_smith_factor(monkeypatch):
+    # V / pV has index 25; a diagonal entry off by a factor p makes the
+    # invariant factors multiply to 125.
+    full = kernel_basis(CTX25, 2, [])
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
+    _corrupt_smith(monkeypatch, lambda diag: [5 * diag[0]] + diag[1:])
+    with pytest.raises(ConsistencyError, match="invariant factor product 125 != index 25"):
+        quotient_structure(full, pv)
