@@ -89,10 +89,6 @@ class GModule(_Frozen):
     def coeff_modulus(self) -> int:
         return self.coeff_ctx.modulus
 
-    @property
-    def size(self) -> int:
-        return self.coeff_modulus**2
-
     def action_entries(self, key: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
         """The action of the group element with this key on the module."""
         q = self.coeff_modulus
@@ -148,28 +144,55 @@ class Cocycle(NamedTuple):
         return [list(v) for v in self.values]
 
 
-def verify_cocycle(c: Cocycle) -> bool:
-    """Check the defining identity Z(ab) = Z(a) + a.Z(b).
+def _walk(acts, targets, q: int, coords: Sequence[int]) -> tuple[Optional[tuple[int, int, int]], Optional[list]]:
+    """The one check of the cocycle identity on Cayley edges, for the
+    generator values u = coords over Z/q: (None, the value table of u's
+    expansion) when u is a cocycle's coordinates, else (the first broken
+    edge (a, slot, a g_slot), None).
 
-    Checks Z(1) = 0 and every Cayley edge (a, g), g a generator, at every
-    group size.  That implies the identity for all pairs, by induction on
-    the length of b as a word in the generators: the base case
-    Z(a.1) = Z(a) + a.Z(1) is Z(1) = 0, and from the edge (ab, g) and the
-    pair (a, b) follows Z(abg) = Z(ab) + ab.Z(g) = Z(a) + a.Z(bg).
-    Positive words reach every element of a finite group once the
-    generators generate it, which close_group guarantees.
+    acts[a] is the action of element a, and targets[slot][a] is a g_slot
+    (CocycleSystem.acts and targets).  The walk visits the elements in
+    breadth-first order and each one's generator slots in order: the first
+    visit to t = a g_slot sets Z(t) = Z(a) + a.u_slot, which is the
+    breadth-first tree, and every later visit compares that sum with Z(t)
+    and stops at the first edge that breaks.  Tree edges hold by
+    construction, so a walk that ends has checked the identity on every
+    Cayley edge.  Every generator is a child of the root along its own
+    slot (close_group keeps them distinct and not the identity), so the
+    table takes the value u_slot at generator slot.
+
+    The identity on every edge (a, g), g a generator, with Z(1) = 0
+    implies it for all pairs, by induction on the length of b as a word in
+    the generators: the base case Z(a.1) = Z(a) + a.Z(1) is Z(1) = 0, and
+    from the edge (ab, g) and the pair (a, b) follows
+    Z(abg) = Z(ab) + ab.Z(g) = Z(a) + a.Z(bg).  Positive words reach every
+    element of a finite group once the generators generate it, which
+    close_group guarantees.
     """
-    values, q = c.values, c.module.coeff_modulus
-    if values[0] != (0, 0):
-        return False
-    acts = c.module.action_table(c.group)
-    for b, targets in zip(c.group.generators, c.group.edge_targets()):
-        vb0, vb1 = values[b]
-        for (m0, m1, m2, m3), (va0, va1), t in zip(acts, values, targets):
-            w0, w1 = values[t]
-            if w0 != (va0 + m0 * vb0 + m1 * vb1) % q or w1 != (va1 + m2 * vb0 + m3 * vb1) % q:
-                return False
-    return True
+    slots = [(s, tg, coords[2 * s] % q, coords[2 * s + 1] % q) for s, tg in enumerate(targets)]
+    vals: list[Optional[tuple[int, int]]] = [(0, 0)] + [None] * (len(acts) - 1)
+    for a in range(len(vals)):
+        v0, v1 = vals[a]
+        m0, m1, m2, m3 = acts[a]
+        for s, tg, g0, g1 in slots:
+            w = ((v0 + m0 * g0 + m1 * g1) % q, (v1 + m2 * g0 + m3 * g1) % q)
+            t = tg[a]
+            old = vals[t]
+            if old is None:
+                vals[t] = w
+            elif old != w:
+                return (a, s, t), None
+    return None, vals
+
+
+def verify_cocycle(c: Cocycle) -> bool:
+    """Check the defining identity Z(ab) = Z(a) + a.Z(b) for all pairs:
+    the walk of c's generator values passes and returns c's own table, so
+    Z(1) = 0 and the identity holds on every Cayley edge (see _walk)."""
+    group = c.group
+    coords = [x for g in group.generators for x in c.values[g]]
+    table = _walk(c.module.action_table(group), group.edge_targets(), c.module.coeff_modulus, coords)[1]
+    return table is not None and tuple(table) == c.values
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +213,10 @@ class CocycleSystem:
     Raises ResourceLimitError before any per-element table is built when
     |G| * dim passes SYSTEM_WORK_LIMIT.
 
-    The walk of u (_walk) visits the elements in breadth-first order and
-    each one's generator slots in order: the first visit to t = a g_slot
-    sets Z(t) = Z(a) + a.u_slot, which is the tree, and every later visit
-    compares that sum with Z(t) and stops at the first edge that breaks.
-    Tree edges hold by construction, so a walk that ends has checked the
-    cocycle identity on every Cayley edge, and its table is u's expansion.
+    The walk of u is the module function _walk on this system's acts and
+    targets: its first visits follow the closure's tree, so a walk that
+    ends has checked the cocycle identity on every Cayley edge, and its
+    table is u's expansion.
 
     Z^1 is cut out by the consistency rows L[t] - (L[a] + act(a) E_slot) of
     the Cayley edges a -> t = a g_slot off the tree, but only some are
@@ -214,15 +235,14 @@ class CocycleSystem:
     coboundaries are cocycles, so b1() does not need Z^1.
 
     Exactness: the harvested rows are some of the consistency rows, so
-    Z^1 is in K.  Every generator is a child of the root along its own
-    slot (close_group keeps them distinct and not the identity), so the
-    walk of u takes the value u_slot at generator slot, and a vector that
-    passes is a cocycle's coordinates.  A row of B^1 is the coordinates of the
-    coboundary of a basis vector m, which expands to the table of delta m
-    and so satisfies the identity on every edge.  The last round ends with
-    K spanned by B^1 and every vector that walked clean in any round, all
-    in Z^1, so K is in Z^1, and K = Z^1.  (A vector that walked clean lies
-    in Z^1 and so in every later K, which is why the rounds keep them.)
+    Z^1 is in K.  The walk of u takes the value u_slot at generator slot,
+    so a vector that passes is a cocycle's coordinates.  A row of B^1 is
+    the coordinates of the coboundary of a basis vector m, which expands to
+    the table of delta m and so satisfies the identity on every edge.  The
+    last round ends with K spanned by B^1 and every vector that walked
+    clean in any round, all in Z^1, so K is in Z^1, and K = Z^1.  (A vector
+    that walked clean lies in Z^1 and so in every later K, which is why the
+    rounds keep them.)
     Z/p^n is quasi-Frobenius, so the harvested rows span the annihilator
     of K, the same submodule as all the consistency rows, and their Howell
     basis is the same, row for row.
@@ -319,7 +339,7 @@ class CocycleSystem:
             for u in [[sum(col) % q for col in zip(*kern)]] + kern if kern else []:
                 if spanned.contains(u):
                     continue
-                edge = self._walk(u)[0]
+                edge = _walk(self.acts, self.targets, q, u)[0]
                 if edge is not None:
                     break
                 passed.append(u)
@@ -426,27 +446,6 @@ class CocycleSystem:
         return self._z1loc
 
     # -- coordinates <-> tables --------------------------------------------
-
-    def _walk(self, coords: Sequence[int]) -> tuple[Optional[tuple[int, int, int]], Optional[list]]:
-        """The walk of the class docstring on u = coords: (None, the value
-        table of u's expansion) when u is a cocycle's coordinates, else
-        (the first broken edge (a, slot, a g_slot), None)."""
-        q = self.q
-        slots = [(s, tg, coords[2 * s] % q, coords[2 * s + 1] % q) for s, tg in enumerate(self.targets)]
-        vals: list[Optional[tuple[int, int]]] = [(0, 0)] + [None] * (len(self.group) - 1)
-        acts = self.acts
-        for a in range(len(vals)):
-            v0, v1 = vals[a]
-            m0, m1, m2, m3 = acts[a]
-            for s, tg, g0, g1 in slots:
-                w = ((v0 + m0 * g0 + m1 * g1) % q, (v1 + m2 * g0 + m3 * g1) % q)
-                t = tg[a]
-                old = vals[t]
-                if old is None:
-                    vals[t] = w
-                elif old != w:
-                    return (a, s, t), None
-        return None, vals
 
     def expand(self, coords: Sequence[int]) -> Cocycle:
         q = self.q

@@ -377,25 +377,17 @@ def build_s3_quotient_group(p: int, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatri
 def canonical_unit_lift(p: int) -> int:
     """The order-(p-1) unit of Z/p^2 lifting the least primitive root mod p.
 
+    The least primitive root is the least g0 whose scalar key
+    (g0, 0, 0, g0) over Z/p has order p - 1 (groups.element_order).
     Raising any lift to the p-th power kills the p-part of its order while
     preserving the reduction mod p, so g0^p has order exactly p - 1.
     """
     _require_admissible_prime(p)
-    g0 = None
-    for cand in range(2, p):
-        order = 0
-        x = 1
-        for k in range(1, p):
-            x = x * cand % p
-            if x == 1:
-                order = k
-                break
-        if order == p - 1:
-            g0 = cand
-            break
-    if g0 is None:
-        raise ConsistencyError(f"no primitive root found modulo the prime {p}")
-    return pow(g0, p, p * p)
+    ctx = ModulusContext(p, 1)
+    for g0 in range(2, p):
+        if element_order(ctx, (g0, 0, 0, g0)) == p - 1:
+            return pow(g0, p, p * p)
+    raise ConsistencyError(f"no primitive root found modulo the prime {p}")
 
 
 def cyclic_generators(p: int) -> list[list[list[int]]]:
@@ -819,13 +811,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     ctx = group.ctx
     q = ctx.modulus
     lam = canonical_unit_lift(p)
-    checks = []
-    order = 1
-    x = lam % q
-    while x != 1:
-        x = x * lam % q
-        order += 1
-    checks.append(Check("lambda_has_order_p_minus_1", order == p - 1, f"lambda = {lam}"))
+    checks = [Check("lambda_has_order_p_minus_1", element_order(ctx, (lam, 0, 0, 1)) == p - 1, f"lambda = {lam}")]
     checks.append(Check("group_order", len(group) == (p - 1) * p * p))
     kernel = reduction_kernel(group)
     checks.append(Check("kernel_order_p2", len(kernel) == p * p))

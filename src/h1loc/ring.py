@@ -5,8 +5,8 @@ p^n capped to a 63-bit word, and the split of a residue as unit * p^v that
 every division in the package goes through.  is_prime is the deterministic
 primality test behind it, which the command line also uses to check its
 prime arguments.  _Frozen is the base of the package's validated values:
-slots, equality and hashing by named fields, and no assignment after
-__init__.
+slots, equality and hashing by named fields, no assignment after
+__init__, and copies and pickles rebuilt through __init__.
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, which takes the
+        # compared fields and validates them again.
+        return type(self), self._compared_values()
 
 
 class ModulusContext(_Frozen):

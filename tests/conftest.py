@@ -449,7 +449,7 @@ def oracle_instances():
         assert len(g) <= 8, (label, len(g))
         for kind in kinds:
             module = GModule(g.ctx, kind)
-            assert module.size <= 81
+            assert module.coeff_modulus ** 2 <= 81
             instances.append((g, module))
 
     three_kinds = ("full", "p_torsion", "mod_p_quotient")

@@ -204,7 +204,7 @@ def test_criterion_4_hypothesis_checker():
 def test_criterion_5_oracle_equivalence(oracle_instances):
     assert len(oracle_instances) >= 20
     for group, module in oracle_instances:
-        assert len(group) <= 8 and module.size <= 81
+        assert len(group) <= 8 and module.coeff_modulus ** 2 <= 81
         tables = brute_cocycle_tables(group, module)
         cobs = brute_coboundary_tables(group, module)
         local = brute_local_tables(group, module, tables)

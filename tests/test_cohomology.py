@@ -877,7 +877,7 @@ def test_harvest_raises_when_a_broken_edge_gives_no_cut(monkeypatch):
     last = len(g) - 1
     tree_edge = (*divmod(g._first[last], system.k), last)
     assert not any(map(any, system.edge_rows(*tree_edge)))
-    monkeypatch.setattr(CocycleSystem, "_walk", lambda self, u: (tree_edge, None))
+    monkeypatch.setattr(cohomology, "_walk", lambda acts, targets, q, u: (tree_edge, None))
     start = time.perf_counter()
     with pytest.raises(ConsistencyError, match="vanish on the cocycle candidate"):
         system.z1()
@@ -952,7 +952,7 @@ def _assert_walk_matches_expand(system, seed, extra=6):
         vectors.append([rng.randrange(q) for _ in range(dim)])
     verdicts = set()
     for u in vectors:
-        edge, values = system._walk(u)
+        edge, values = cohomology._walk(system.acts, system.targets, system.q, u)
         expanded = system.expand(u)
         assert (edge is None) == verify_cocycle(expanded)
         assert edge == _first_broken_in_walk_order(system, u)
@@ -994,7 +994,7 @@ def _assert_report_generators_walk_clean(system):
         structure = quotient_structure(big, system.b1())
         assert report.generators == tuple(vec for _, vec in structure)
         for vec in report.generators:
-            edge, values = system._walk(vec)
+            edge, values = cohomology._walk(system.acts, system.targets, system.q, vec)
             assert edge is None
             assert tuple(values) == system.expand(vec).values
 
@@ -1028,15 +1028,15 @@ def _harvest_visits(system, monkeypatch):
     """The elements each walk of system's harvest visits: all of G for a
     walk that passes, up to the broken edge's source for one that breaks."""
     visits = []
-    walk = CocycleSystem._walk
+    walk = cohomology._walk
 
-    def counted(self, u):
-        edge, values = walk(self, u)
-        visits.append(len(self.group) if edge is None else edge[0] + 1)
+    def counted(acts, targets, q, u):
+        edge, values = walk(acts, targets, q, u)
+        visits.append(len(acts) if edge is None else edge[0] + 1)
         return edge, values
 
     with monkeypatch.context() as m:
-        m.setattr(CocycleSystem, "_walk", counted)
+        m.setattr(cohomology, "_walk", counted)
         system.z1()
     return visits
 
@@ -1094,7 +1094,7 @@ def _all_rows_harvest(system):
         basis = _howell_raw(rows, dim, cctx)
         kern = _kernel_raw(basis, dim, cctx) if dim else []
         for u in [[sum(col) % q for col in zip(*kern)]] + kern[:-1] if kern else []:
-            edge = system._walk(u)[0]
+            edge = cohomology._walk(system.acts, system.targets, system.q, u)[0]
             if edge is not None:
                 break
         else:
@@ -1123,19 +1123,19 @@ def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
     for group, module in _harvest_cases(source):
         system = CocycleSystem(group, module)
         walked = []
-        walk = CocycleSystem._walk
+        walk = cohomology._walk
 
-        def spy(self, u):
-            edge, values = walk(self, u)
+        def spy(acts, targets, q, u):
+            edge, values = walk(acts, targets, q, u)
             walked.append((list(u), edge))
             return edge, values
 
         with monkeypatch.context() as m:
-            m.setattr(CocycleSystem, "_walk", spy)
+            m.setattr(cohomology, "_walk", spy)
             z1 = system.z1()
         assert (system.constraint_basis, z1) == _all_rows_harvest(system)
         b1 = system.b1()
-        assert all(system._walk(r)[0] is None for r in b1.rows)
+        assert all(cohomology._walk(system.acts, system.targets, system.q, r)[0] is None for r in b1.rows)
         clean = []
         for u, edge in walked:
             assert not howell_from_rows(system.cctx, system.dim, list(b1.rows) + clean).contains(u)

@@ -1,10 +1,13 @@
 """Builders, proof-step checks, the criterion checker, and verify_all."""
 
+from array import array
+
 import pytest
 
 from h1loc import constructions, groups
 from h1loc import (
     CocycleSystem,
+    ConsistencyError,
     InputError,
     ModulusContext,
     build_borel_disjoint_group,
@@ -38,7 +41,7 @@ from h1loc.constructions import (
     report_borel_shared,
     report_cyclic_quotient,
 )
-from h1loc.groups import _apply4, _invertible4
+from h1loc.groups import _apply4, _invertible4, _pow4
 from conftest import oracle_power, oracle_product
 
 
@@ -68,6 +71,12 @@ def test_canonical_unit_lift():
     lam11 = canonical_unit_lift(11)
     assert pow(lam11, 10, 121) == 1
     assert all(pow(lam11, k, 121) != 1 for k in range(1, 10))
+
+
+def test_canonical_unit_lift_recheck_catches_a_wrong_order(monkeypatch):
+    monkeypatch.setattr(constructions, "element_order", lambda ctx, key: 1)
+    with pytest.raises(ConsistencyError, match="no primitive root found modulo the prime 7"):
+        canonical_unit_lift(7)
 
 
 def test_cyclic_builder_numbers():
@@ -123,6 +132,37 @@ def test_borel_shared_witness_bundle():
     assert w.values[sigma] == (0, 5)
     assert w.values[h] == (0, 0)
     assert is_coboundary(w) is None
+
+
+def test_witness_recheck_catches_a_normal_form_that_repeats(monkeypatch):
+    # Every element sent to the identity of the image: sigma^1 meets sigma^0.
+    monkeypatch.setattr(constructions, "image_indices", lambda group, image: array("q", [0] * len(group)))
+    with pytest.raises(ConsistencyError, match="normal form hit the same image element twice"):
+        borel_shared_witness(build_borel_shared_group(5))
+
+
+def test_witness_recheck_catches_a_normal_form_that_misses(monkeypatch):
+    # An image that is too big, with the reduction map unchecked: the 2p
+    # normal forms fill only part of it.
+    def larger_image(group):
+        return close_group([[[1, 0], [0, -1]], [[1, 1], [0, 1]], [[2, 0], [0, 1]]], ModulusContext(group.ctx.p, 1))
+
+    def reduction(group, image):
+        p = group.ctx.p
+        return array("q", [image._index[tuple(x % p for x in key)] for key in group._keys])
+
+    monkeypatch.setattr(constructions, "quotient_group", larger_image)
+    monkeypatch.setattr(constructions, "image_indices", reduction)
+    with pytest.raises(ConsistencyError, match="normal form g\\^i1 sigma\\^i2 missed an image element"):
+        borel_shared_witness(build_borel_shared_group(5))
+
+
+def test_witness_recheck_catches_a_class_table_that_is_no_cocycle(monkeypatch):
+    # The cyclic-sector pattern on the reflections too, which the dihedral
+    # relation rules out (the naive table of report_borel_shared).
+    monkeypatch.setattr(constructions, "shared_class_value", lambda p, i1, i2: shared_class_value(p, 0, i2))
+    with pytest.raises(ConsistencyError, match="closed-form class table fails the cocycle identity"):
+        borel_shared_witness(build_borel_shared_group(5))
 
 
 def test_criterion_checker_s3():
@@ -208,6 +248,55 @@ def test_decompose_kernel_elements_p5():
     sig_p = g.index_of([[a, b], [c, d]])
     dec = decompose_kernel_element(g, sig_p, sigma)
     assert (dec.diagonal_index, dec.unitriangular_index, dec.sigma_p_exponent) == (0, 0, 1)
+
+
+def _decomposition_case():
+    """borel-shared p=5, sigma, and a kernel element tau with a nonzero
+    top-right entry whose decomposition has a non-identity diagonal factor
+    and a nonzero sigma^p exponent, so that every step of it does work."""
+    g = build_borel_shared_group(5)
+    sigma = g.index_of([[6, 1], [10, 6]])
+    for tau in sorted(reduction_kernel(g)):
+        dec = decompose_kernel_element(g, tau, sigma)
+        if g._keys[tau][1] and dec.diagonal_index and dec.sigma_p_exponent:
+            return g, tau, sigma
+    raise AssertionError("no kernel element exercises every step")
+
+
+def test_decompose_recheck_catches_a_clearing_that_stalls(monkeypatch):
+    # Powers of sigma that are all the identity never clear the top-right entry.
+    g, tau, sigma = _decomposition_case()
+    monkeypatch.setattr(constructions, "_pow4", lambda key, e, q: (1, 0, 0, 1))
+    with pytest.raises(ConsistencyError, match="top-right clearing did not terminate"):
+        decompose_kernel_element(g, tau, sigma)
+
+
+def test_decompose_recheck_catches_factors_outside_the_kernel(monkeypatch):
+    g, tau, sigma = _decomposition_case()
+    monkeypatch.setattr(constructions, "reduction_kernel", lambda group: frozenset({tau}))
+    with pytest.raises(ConsistencyError, match="decomposition factors left the kernel"):
+        decompose_kernel_element(g, tau, sigma)
+
+
+def test_decompose_recheck_catches_a_diagonal_left_in_the_second_factor(monkeypatch):
+    # An inverse that returns the identity leaves the diagonal part in the
+    # second factor.
+    g, tau, sigma = _decomposition_case()
+    monkeypatch.setattr(constructions, "_inv4", lambda key, q: (1, 0, 0, 1))
+    with pytest.raises(ConsistencyError, match="second factor is not lower unitriangular"):
+        decompose_kernel_element(g, tau, sigma)
+
+
+def test_decompose_recheck_catches_a_wrong_period(monkeypatch):
+    # Reported with order 1, sigma^p gets the exponent 0, and the factors
+    # miss the sigma^p part of tau.
+    g, tau, sigma = _decomposition_case()
+    sig_p = _pow4(g._keys[sigma], 5, 25)
+    powers = constructions._powers4
+    monkeypatch.setattr(constructions, "_powers4",
+                        lambda key, q: powers(key, q)[:1] if key == sig_p else powers(key, q))
+    with pytest.raises(ConsistencyError, match="decomposition does not multiply back"):
+        decompose_kernel_element(g, tau, sigma)
 
 
 def test_decompose_rejects_non_kernel_element():

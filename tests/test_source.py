@@ -117,6 +117,47 @@ def test_the_2x2_solve_has_one_home():
     assert _names(solve2, "ConsistencyError")
 
 
+def _top_function(tree, name):
+    (node,) = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == name]
+    return node
+
+
+def _order_loops(tree) -> list[int]:
+    """The loops that step a name by a product and compare it with 1: an
+    order found by hand."""
+    found = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        stepped = {node.targets[0].id for node in ast.walk(loop)
+                   if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                   and any(isinstance(op, ast.Mult) for op in ast.walk(node.value))}
+        compared = {side.id for node in ast.walk(loop) if isinstance(node, ast.Compare)
+                    and any(isinstance(c, ast.Constant) and c.value == 1 for c in [node.left, *node.comparators])
+                    for side in [node.left, *node.comparators] if isinstance(side, ast.Name)}
+        if stepped & compared:
+            found.append(loop.lineno)
+    return found
+
+
+def test_the_cocycle_identity_and_element_orders_have_one_home():
+    # cohomology._walk is the one loop that checks the cocycle identity on
+    # Cayley edges: verify_cocycle has no loop of its own and calls it, and
+    # CocycleSystem keeps no walk of its own.  Orders come from
+    # groups.element_order: no loop in constructions multiplies until it
+    # reaches 1, and the two order questions there call element_order.
+    modules = dict(parsed_modules())
+    verify = _top_function(modules["cohomology.py"], "verify_cocycle")
+    assert not [node for node in ast.walk(verify) if isinstance(node, (ast.For, ast.While))]
+    assert _names(verify, "_walk")
+    assert "_walk" not in _defined_functions(modules["cohomology.py"], "CocycleSystem")
+    assert not hasattr(cohomology.CocycleSystem, "_walk")
+    constructions = modules["constructions.py"]
+    assert _order_loops(constructions) == []
+    for name in ("canonical_unit_lift", "report_cyclic_quotient"):
+        assert _names(_top_function(constructions, name), "element_order"), name
+
+
 def test_no_per_element_class():
     # A group element is its index and its key; no module defines a class
     # that wraps one, and the package exports none.
@@ -299,6 +340,32 @@ def test_every_exported_function_has_a_reader():
     assert unread == []
 
 
+def test_every_public_class_member_has_a_reader():
+    # The same rule for classes: each public method or property of a class
+    # in src is read as an attribute in src, outside its own def.  A member
+    # that overrides one of a base from outside the package (argparse's
+    # error) is read by that base; dunders and private members are exempt.
+    modules = parsed_modules()
+    reads = [(path, node.attr, node.lineno) for path, tree in modules
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unread = []
+    for module, tree in modules:
+        layer = importlib.import_module(f"h1loc.{module[:-3]}")
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            foreign = [base for base in getattr(layer, top.name).__mro__[1:]
+                       if not base.__module__.startswith("h1loc")]
+            for node in top.body:
+                if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                        or any(hasattr(base, node.name) for base in foreign)):
+                    continue
+                if not any(attr == node.name and not (path == module and node.lineno <= line <= node.end_lineno)
+                           for path, attr, line in reads):
+                    unread.append(f"{module[:-3]}.{top.name}.{node.name}")
+    assert unread == []
+
+
 def _message_pieces(node):
     """The literal pieces of a string or f-string, None for each formatted
     value; None for anything else."""
@@ -310,17 +377,16 @@ def _message_pieces(node):
 
 
 def test_every_self_check_fires_in_a_test():
-    # Each `raise ConsistencyError(...)` in these modules is matched by a
+    # Each `raise ConsistencyError(...)` in src is matched by a
     # `pytest.raises(ConsistencyError, match=...)` in tests/, which fires it
     # by breaking the computation it guards.  A site matches when the test's
     # pattern is found in its message, or its message (each formatted value
-    # read as ".*") in the test's.  The checks in constructions have no such
-    # tests yet and stay outside this list.
-    modules = dict(parsed_modules())
+    # read as ".*") in the test's.  Every site is reachable by an injected
+    # fault, so none is exempt.
     sites = [
         (name, _message_pieces(node.exc.args[0]))
-        for name in ("classify.py", "cohomology.py", "groups.py", "zmod.py")
-        for node in ast.walk(modules[name])
+        for name, tree in parsed_modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
         and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ConsistencyError"
     ]
@@ -332,7 +398,7 @@ def test_every_self_check_fires_in_a_test():
         and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "ConsistencyError"
         for kw in node.keywords if kw.arg == "match"
     ]
-    assert len(sites) == 15 and all(pieces for _, pieces in sites)
+    assert len(sites) == 23 and all(pieces for _, pieces in sites)
 
     def text(pieces):
         return "".join("{}" if p is None else p for p in pieces)

@@ -2,8 +2,12 @@
 
 The records are NamedTuples and the two validated values (ModulusContext,
 GModule) are slots classes: each compares and hashes by its fields, is
-immutable, and a validated value keeps its constructor's errors.
+immutable, and a validated value keeps its constructor's errors.  A
+validated value, a closed group and a report survive copy and pickle.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -136,3 +140,39 @@ def test_gmodule_errors():
         GModule(ctx, "bogus")
     with pytest.raises(InputError, match="trivial for n = 1"):
         GModule(ModulusContext(5, 1), "mod_p_quotient")
+
+
+def _twins(value):
+    """value through copy.copy, copy.deepcopy and a pickle round trip."""
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_validated_values_groups_and_reports_copy_and_pickle():
+    ctx = ModulusContext(5, 2)
+    for value in (ctx, GModule(ctx, "mod_p_quotient")):
+        for twin in _twins(value):
+            assert twin == value and repr(twin) == repr(value)
+            _assert_frozen(twin, value.__slots__)
+    group = build_borel_shared_group(5)
+    for twin in _twins(group):
+        assert vars(twin) == vars(group)
+    report = h1_loc(group, full_module(ctx))
+    assert report.witness is not None
+    for twin in _twins(report):
+        assert twin._replace(witness=None) == report._replace(witness=None)
+        assert twin.witness.module == report.witness.module and twin.witness.values == report.witness.values
+        assert vars(twin.witness.group) == vars(group)
+        assert twin.to_json() == report.to_json()
+
+
+def test_a_copy_is_rebuilt_through_the_constructor():
+    # Only the compared fields travel, so a derived field is derived again
+    # and a field pushed past the guard is validated again.
+    derived = ModulusContext(5, 2)
+    object.__setattr__(derived, "modulus", 0)
+    assert all(twin.modulus == 25 for twin in _twins(derived))
+    invalid = ModulusContext(5, 2)
+    object.__setattr__(invalid, "p", 9)
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(InputError, match="odd prime"):
+            clone(invalid)
