@@ -16,7 +16,7 @@ _EXPORTS = {
     "errors": ("ConsistencyError", "ContainmentError", "ContractError", "DimensionError",
                "InputError", "ResourceLimitError"),
     "ring": ("ModulusContext", "is_prime"),
-    "zmod": ("SubmoduleBasis", "dual_constraints", "fixed_submodule", "howell_from_rows",
+    "zmod": ("SubmoduleBasis", "fixed_submodule", "howell_from_rows",
              "kernel_basis", "quotient_structure"),
     "groups": ("EigenData", "FiniteMatrixGroup", "borel_check", "close_group", "closure_indices",
                "eigen_data", "element_order", "group_from_json", "image_indices",

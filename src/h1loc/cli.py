@@ -75,21 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("h1", "first cohomology of a group definition"),
                             ("h1loc", "first local cohomology of a group definition")):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=_cmd_cohomology, local=name == "h1loc")
         cmd.add_argument("--input", required=True, help="group definition JSON file")
         cmd.add_argument("--module", default="V", help="coefficient module: V, V[p] or V/V[p]")
         cmd.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP, help="group size cap")
         cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     cmd = sub.add_parser("verify", help="run the construction verification suite")
+    cmd.set_defaults(run=_cmd_verify)
     cmd.add_argument("--primes", type=int, nargs="+", default=[5, 7, 11])
     cmd.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
     cmd.add_argument("--output", default=None)
 
     cmd = sub.add_parser("scan", help="classify candidate subgroups of GL_2(F_p)")
+    cmd.set_defaults(run=_cmd_scan)
     cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--output", default=None)
 
     cmd = sub.add_parser("power-identity", help="randomized unipotent power identity runs")
+    cmd.set_defaults(run=_cmd_power_identity)
     cmd.add_argument("--primes", type=int, nargs="+", default=list(POWER_IDENTITY_PRIMES))
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--output", default=None)
@@ -141,13 +145,13 @@ def _load_group(path: str, cap: int):
     return group_from_json(data, cap=cap)
 
 
-def _cmd_cohomology(args, local: bool) -> int:
+def _cmd_cohomology(args) -> int:
     from .cohomology import h1, h1_loc, parse_module
 
     _check_cap(args.cap)
     group = _load_group(args.input, args.cap)
     module = parse_module(group.ctx, args.module)
-    report = h1_loc(group, module) if local else h1(group, module)
+    report = h1_loc(group, module) if args.local else h1(group, module)
     _emit(report.to_json(), args.output)
     return EXIT_OK
 
@@ -206,17 +210,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        if args.command == "h1":
-            return _cmd_cohomology(args, local=False)
-        if args.command == "h1loc":
-            return _cmd_cohomology(args, local=True)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "power-identity":
-            return _cmd_power_identity(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (InputError, ContractError) as exc:
         print(f"h1loc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -194,7 +194,7 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
         if g.mult(a, b) != g.mult(b, a):
             raise InputError("subgroup is not abelian")
     for a in sub:
-        if a != 0 and len(_powers4(g._keys[a], g._q)) != p:
+        if a != 0 and element_order(g.ctx, g._keys[a]) != p:
             raise InputError("subgroup is not elementary abelian of exponent p")
     # Greedy basis in index order, then coordinates by full enumeration.
     basis: list[int] = []
@@ -636,7 +636,7 @@ def decompose_kernel_element(
 
     lam_acc = 0
     cur = tau
-    ord_sigma = len(_powers4(sigma, q))
+    ord_sigma = element_order(ctx, sigma)
     # Top-right entry valuation strictly increases each round.
     for _ in range(ctx.n + 1):
         t = cur[1]
@@ -654,7 +654,7 @@ def decompose_kernel_element(
     diag = (cur[0], 0, 0, cur[3])
     unit = _mul4(_inv4(diag, q), cur, q)
     sig_p = _pow4(sigma, p, q)
-    period = len(_powers4(sig_p, q))
+    period = element_order(ctx, sig_p)
     exponent = (-lam_acc) % period
     d_idx = group.index_of([diag[:2], diag[2:]])
     u_idx = group.index_of([unit[:2], unit[2:]])
@@ -755,12 +755,11 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
         )
     group = build_s3_quotient_group(p, cap=cap)
     ctx = group.ctx
-    q = ctx.modulus
     checks = []
     tau_i = group.index_of([[1, -3], [1, -2]])
     sig_i = group.index_of([[1, -3], [0, -1]])
-    checks.append(Check("tau_has_order_3", len(_powers4(group._keys[tau_i], q)) == 3))
-    checks.append(Check("sigma_has_order_2", len(_powers4(group._keys[sig_i], q)) == 2))
+    checks.append(Check("tau_has_order_3", element_order(ctx, group._keys[tau_i]) == 3))
+    checks.append(Check("sigma_has_order_2", element_order(ctx, group._keys[sig_i]) == 2))
     conj = group.mult(group.mult(sig_i, tau_i), group.inv(sig_i))
     checks.append(Check("sigma_inverts_tau_to_square", conj == group.mult(tau_i, tau_i)))
     # The pinned order-2 lift reduces to the two-parameter reflection shape.

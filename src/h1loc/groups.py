@@ -26,6 +26,11 @@ from .errors import ConsistencyError, ContractError, InputError, ResourceLimitEr
 from .ring import ModulusContext
 
 DEFAULT_GROUP_CAP = 10**6
+# The closure's edge table holds |G| * K entries for K generators; it may
+# reach EDGE_FACTOR times the element cap.  A greedy generating set of a
+# group of at most 10^6 elements has at most 20 members, since each one at
+# least doubles the span.
+EDGE_FACTOR = 32
 
 _IDENTITY = (1, 0, 0, 1)
 
@@ -120,14 +125,20 @@ def _close_keys(gen_keys: Sequence[tuple], q: int, cap: int = DEFAULT_GROUP_CAP)
     of t and the slot of the generator that first reaches it, and since
     the walk numbers the elements in the order it reaches them, index
     order is breadth-first order.  Raises ResourceLimitError when the
-    closure passes cap.
+    closure passes cap, or its edge table reaches EDGE_FACTOR * cap.
     """
     keys = [_IDENTITY]
     index = {_IDENTITY: 0}
     right = array("q")
     first = array("q", [0])
+    edge_cap = EDGE_FACTOR * cap
     i = 0
     while i < len(keys):
+        if len(right) >= edge_cap:
+            raise ResourceLimitError(
+                f"group closure reached {len(right)} edges for {len(gen_keys)} generators, "
+                f"the budget of {EDGE_FACTOR} per element of the cap of {cap}"
+            )
         base = keys[i]
         for gk in gen_keys:
             prod = _mul4(base, gk, q)

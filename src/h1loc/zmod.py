@@ -252,21 +252,6 @@ def solve2(ctx: ModulusContext, m: tuple[int, int, int, int], b: tuple[int, int]
 solve_linear = solve2
 
 
-def dual_constraints(basis: SubmoduleBasis) -> list[list[int]]:
-    """The rows of a matrix K with ker(K) = span(basis); no rows for the
-    full module.
-
-    Valid because Z/p^n is self-injective: the double annihilator of a
-    submodule is the submodule itself.  The round trip is re-checked here.
-    """
-    d = basis.ambient_dim
-    ctx = basis.ctx
-    k = _kernel_raw(basis.rows, d, ctx)
-    if kernel_basis(ctx, d, k) != howell_from_rows(ctx, d, basis.rows):
-        raise ConsistencyError("double-dual check failed; basis was not in Howell form?")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Quotient structure via integer Smith normal form.
 
@@ -352,8 +337,15 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
 
     Returns (order, representative) pairs with orders descending; the
     representatives generate the quotient and their classes have exactly
-    the stated orders.  The product of the orders is checked against the
-    index computed from the two span sizes.
+    the stated orders.
+
+    The relations are one kernel: the coefficient vectors c with
+    sum_j c_j big_j in span(small) are the first r coordinates of the
+    kernel of [big^T | -small^T], r = len(big.rows), brought to Howell
+    form.  Each relation row is re-checked to map into span(small), and
+    the product of the orders against the index computed from the two
+    span sizes; a submodule of the relation module with the right index
+    is the whole module, so the two checks together pin it.
     """
     if big.ctx != small.ctx or big.ambient_dim != small.ambient_dim:
         raise DimensionError("bases live in different ambient modules")
@@ -364,11 +356,13 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     r = len(big.rows)
     if r == 0:
         return []
-    constraints = dual_constraints(small)
-    # Row i, column j: constraint row i applied to basis row j of big.
-    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big.rows] for krow in constraints]
-    kq = _kernel_raw(t, r, ctx)
-    rel = [list(row) for row in kq]
+    # Row k: coordinate k of each big row, then of each small row negated.
+    # A kernel vector (c, e) has sum_j c_j big_j = sum_i e_i small_i.
+    stack = [[b[k] for b in big.rows] + [-s[k] for s in small.rows] for k in range(big.ambient_dim)]
+    rel = _howell_raw([row[:r] for row in _kernel_raw(stack, r + len(small.rows), ctx)], r, ctx)
+    for c in rel:
+        if not small.contains([sum(cj * b[k] for cj, b in zip(c, big.rows)) for k in range(big.ambient_dim)]):
+            raise ConsistencyError("a relation row does not map big into span(small)")
     rel.extend([q if i == j else 0 for j in range(r)] for i in range(r))
     diag, vinv = _smith_diag_with_vinv(rel, r)
     if any(d == 0 for d in diag):

@@ -16,7 +16,10 @@ records.
 reference_solve is the general linear solver over Z/p^n, the oracle of
 zmod.solve2, least_valuation_solve2 the oracle of solve2's unit-pivot
 shortcut, and mat_vec the matrix-vector product their results are
-checked with.
+checked with.  dual_constraint_relations keeps the route by which
+quotient_structure once built its relations, through the dual
+constraints of the smaller span, as the oracle of the one kernel that
+replaced it.
 """
 
 import itertools
@@ -36,6 +39,7 @@ from h1loc import (
     h1_loc,
     howell_from_rows,
     inflate_cocycle,
+    kernel_basis,
     is_coboundary,
     quotient_group,
     reduction_kernel,
@@ -203,6 +207,20 @@ def least_valuation_solve2(ctx, m, b):
     z1 = c1 // p**w * ctx.unit_inverse(hunit) % q
     x = ((c0 // pv * ui - l * z1) % q, z1)
     return x[::-1] if i % 2 else x
+
+
+def dual_constraint_relations(big, small):
+    """The relation rows of span(big)/span(small), c with sum_j c_j big_j in
+    span(small), in Howell form: the kernel of K B^T, where the rows of K
+    are the dual constraints of small (ker K = span(small), re-checked by
+    the double annihilator) and the rows of B are big's."""
+    ctx, d = big.ctx, big.ambient_dim
+    q = ctx.modulus
+    constraints = kernel_basis(ctx, d, small.rows).rows
+    assert kernel_basis(ctx, d, constraints) == small
+    # Row i, column j: constraint row i applied to basis row j of big.
+    t = [[sum(k * b for k, b in zip(krow, brow)) % q for brow in big.rows] for krow in constraints]
+    return [list(row) for row in kernel_basis(ctx, len(big.rows), t).rows]
 
 
 def all_solutions(ctx, a, b, limit=None):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import h1loc
 from h1loc import group_from_json
+from h1loc.groups import _rows
 from h1loc.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -91,6 +92,22 @@ def test_cap_exceeded_is_resource_error(tmp_path, capsys):
     path = write_group(tmp_path)
     assert main(["h1loc", "--input", path, "--cap", "10"]) == EXIT_RESOURCE
     assert main(["scan", "--p", "17"]) == EXIT_RESOURCE
+
+
+def test_closure_edge_budget_is_resource_error(tmp_path, capsys):
+    # Borel-shared p=5 (250 elements) given by all 249 of its non-identity
+    # elements: the closure stays within the element cap of 250 but its
+    # edge table would hold 250 * 249 entries, past the budget of
+    # 32 * 250 = 8000 that it reaches after 33 elements.
+    g = h1loc.build_borel_shared_group(5)
+    gens = [_rows(k) for k in g._keys[1:]]
+    path = write_group(tmp_path, generators=gens, label="borel-shared")
+    assert main(["h1", "--input", path, "--cap", "250"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "h1loc: resource limit: group closure reached 8217 edges for 249 generators, "
+        "the budget of 32 per element of the cap of 250\n"
+    )
+    assert main(["h1", "--input", write_group(tmp_path, generators=gens[:3]), "--cap", "250"]) == EXIT_OK
 
 
 def test_usage_errors(capsys):

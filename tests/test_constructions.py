@@ -292,9 +292,9 @@ def test_decompose_recheck_catches_a_wrong_period(monkeypatch):
     # miss the sigma^p part of tau.
     g, tau, sigma = _decomposition_case()
     sig_p = _pow4(g._keys[sigma], 5, 25)
-    powers = constructions._powers4
-    monkeypatch.setattr(constructions, "_powers4",
-                        lambda key, q: powers(key, q)[:1] if key == sig_p else powers(key, q))
+    order = constructions.element_order
+    monkeypatch.setattr(constructions, "element_order",
+                        lambda ctx, key: 1 if key == sig_p else order(ctx, key))
     with pytest.raises(ConsistencyError, match="decomposition does not multiply back"):
         decompose_kernel_element(g, tau, sigma)
 

@@ -40,9 +40,9 @@ def _raises_assertion_error(node) -> bool:
 
 
 def test_failed_rechecks_raise_consistency_error():
-    # A failed re-check raises ConsistencyError, as the README promises.  The
-    # one bare AssertionError allowed is cli.main's fallback after it has
-    # dispatched every subcommand, which argparse makes unreachable.
+    # A failed re-check raises ConsistencyError, as the README promises, and
+    # cli.main dispatches through the parser, so no bare AssertionError
+    # stands in for an unhandled subcommand.
     found = [
         f"{name}:{getattr(top, 'name', top.lineno)}"
         for name, tree in parsed_modules()
@@ -50,7 +50,7 @@ def test_failed_rechecks_raise_consistency_error():
         for node in ast.walk(top)
         if _raises_assertion_error(node)
     ]
-    assert found == ["cli.py:main"]
+    assert found == []
 
 
 def _defined_functions(tree, class_name):
@@ -156,6 +156,38 @@ def test_the_cocycle_identity_and_element_orders_have_one_home():
     assert _order_loops(constructions) == []
     for name in ("canonical_unit_lift", "report_cyclic_quotient"):
         assert _names(_top_function(constructions, name), "element_order"), name
+    # An order is not read off the length of a power walk either.
+    source = (Path(h1loc.__file__).parent / "constructions.py").read_text(encoding="utf-8")
+    assert "len(_powers4(" not in source
+
+
+def _calls_reaching(tree, name, target) -> int:
+    """How many calls of target the module function name makes, directly or
+    through the module's other functions."""
+    defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    count = 0
+    for node in ast.walk(defs[name]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callee = node.func.id
+            if callee == target:
+                count += 1
+            elif callee in defs and callee != name:
+                count += _calls_reaching(tree, callee, target)
+    return count
+
+
+def test_a_quotients_relations_are_one_kernel():
+    # quotient_structure builds the relations of big/small as one kernel of
+    # [big^T | -small^T] and one Howell form of its first r coordinates; the
+    # dual constraints of small, a second home for a kernel, are gone.
+    zmod = dict(parsed_modules())["zmod.py"]
+    assert _calls_reaching(zmod, "quotient_structure", "_kernel_raw") == 1
+    quotient = _top_function(zmod, "quotient_structure")
+    assert len(_names(quotient, "_howell_raw")) == 1
+    package = Path(h1loc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "dual_constraints" not in path.read_text(encoding="utf-8"), path.name
+    assert "dual_constraints" not in h1loc.__all__ and not hasattr(h1loc, "dual_constraints")
 
 
 def test_no_per_element_class():

@@ -12,7 +12,6 @@ from h1loc import (
     DimensionError,
     InputError,
     ModulusContext,
-    dual_constraints,
     howell_from_rows,
     is_prime,
     kernel_basis,
@@ -272,15 +271,16 @@ def test_quotient_containment_error():
 
 
 def test_dual_constraints_examples():
+    # The annihilator of a submodule is the kernel of its basis rows.
     pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
-    k = dual_constraints(pv)
-    assert k == [[5, 0], [0, 5]]
+    k = kernel_basis(CTX25, 2, pv.rows).rows
+    assert k == ((5, 0), (0, 5))
 
-    # The kernel of no rows is the full module.
-    assert dual_constraints(kernel_basis(CTX25, 2, [])) == []
+    # The annihilator of the full module is zero: no rows.
+    assert kernel_basis(CTX25, 2, kernel_basis(CTX25, 2, []).rows).rows == ()
 
     line = howell_from_rows(CTX25, 2, [[5, 0]])
-    kl = dual_constraints(line)
+    kl = kernel_basis(CTX25, 2, line.rows).rows
     expected = {(x, y) for x in range(25) for y in range(25) if x % 5 == 0 and y == 0}
     got = {
         (x, y)
@@ -292,6 +292,8 @@ def test_dual_constraints_examples():
 
 
 def test_dual_constraints_round_trip_randomized():
+    # Z/p^n is self-injective: the double annihilator of a submodule is
+    # the submodule itself.
     rng = random.Random(2024)
     for _ in range(500):
         p = rng.choice([3, 5])
@@ -301,7 +303,7 @@ def test_dual_constraints_round_trip_randomized():
         dim = rng.choice([2, 3])
         rows = [[rng.randrange(q) for _ in range(dim)] for _ in range(rng.randrange(0, 3))]
         basis = howell_from_rows(ctx, dim, rows)
-        k = dual_constraints(basis)
+        k = kernel_basis(ctx, dim, basis.rows).rows
         assert kernel_basis(ctx, dim, k) == basis
 
 
@@ -351,21 +353,22 @@ def test_is_prime_matches_trial_division():
 # Each re-check fires when the computation it guards is broken.
 
 
-def test_dual_constraints_recheck_catches_a_dropped_annihilator_row(monkeypatch):
-    # The annihilator of the line <(1, 2)> is one row; a kernel routine that
-    # drops it leaves no constraint, whose kernel is the whole plane.
-    line = howell_from_rows(CTX25, 2, [[1, 2]])
-    assert len(dual_constraints(line)) == 1
-    real, calls = zmod._kernel_raw, []
+def test_quotient_structure_catches_a_relation_outside_the_small_span(monkeypatch):
+    # The relations of V / pV are the kernel rows (5, 0, 1, 0) and
+    # (0, 5, 0, 1) of [I | -5 I]; a kernel routine that bumps one entry
+    # yields the relation (6, 0), and 6 * (1, 0) is not in pV.
+    full = kernel_basis(CTX25, 2, [])
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
+    real = zmod._kernel_raw
 
-    def first_call_drops_a_row(rows, ncols, ctx):
-        calls.append(rows)
+    def bumped(rows, ncols, ctx):
         out = real(rows, ncols, ctx)
-        return out[:-1] if len(calls) == 1 else out
+        out[0][0] += 1
+        return out
 
-    monkeypatch.setattr(zmod, "_kernel_raw", first_call_drops_a_row)
-    with pytest.raises(ConsistencyError, match="double-dual check failed"):
-        dual_constraints(line)
+    monkeypatch.setattr(zmod, "_kernel_raw", bumped)
+    with pytest.raises(ConsistencyError, match="a relation row does not map big into span"):
+        quotient_structure(full, pv)
 
 
 def _corrupt_smith(monkeypatch, corrupt):

@@ -21,10 +21,11 @@ from h1loc import (
     h1_loc,
     howell_from_rows,
     kernel_basis,
+    quotient_structure,
     torsion_module,
 )
 from h1loc import zmod
-from conftest import mat_vec, reference_solve
+from conftest import dual_constraint_relations, mat_vec, reference_solve
 
 # Deterministic and stateless: the same examples on every run, and no
 # example database written to disk (conftest.py moves hypothesis's other
@@ -163,4 +164,39 @@ def test_smith_step_matches_sympy_on_random_lattices(seed):
         if Matrix(rel).rank() < r:
             continue
         assert _smith_factors(rel, r) == _sympy_factors(rel)
+        tested += 1
+
+
+# ---------------------------------------------------------------------------
+# The relations quotient_structure builds against the dual-constraint route.
+
+
+def test_quotient_relations_match_the_dual_constraint_route(monkeypatch):
+    # 200 seeded pairs small in big over Z/p^n: big spans random rows, and
+    # small random combinations of big's rows, some times p.  The relation
+    # rows are the part of the Smith input above the q Id block.
+    real = zmod._smith_diag_with_vinv
+    seen = []
+
+    def recording(rel, r):
+        seen.append([row[:] for row in rel[:len(rel) - r]])
+        return real(rel, r)
+
+    monkeypatch.setattr(zmod, "_smith_diag_with_vinv", recording)
+    rng = random.Random(31)
+    tested = 0
+    while tested < 200:
+        ctx = ModulusContext(rng.choice((3, 5, 7)), rng.randint(1, 3))
+        q, dim = ctx.modulus, rng.randint(1, 6)
+        big = howell_from_rows(ctx, dim, [[rng.randrange(q) for _ in range(dim)]
+                                          for _ in range(rng.randint(1, 4))])
+        if big.is_zero():
+            continue
+        small = howell_from_rows(ctx, dim, [
+            [sum(c * row[k] for c, row in zip(coeffs, big.rows)) for k in range(dim)]
+            for coeffs in ([rng.choice((1, ctx.p)) * rng.randrange(q) for _ in big.rows]
+                           for _ in range(rng.randint(0, 3)))])
+        seen.clear()
+        quotient_structure(big, small)
+        assert seen == [dual_constraint_relations(big, small)]
         tested += 1
