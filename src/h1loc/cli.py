@@ -39,7 +39,7 @@ import sys
 from typing import NoReturn, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
-from .groups import DEFAULT_GROUP_CAP, group_from_json, power_identity_check
+from .groups import DEFAULT_GROUP_CAP, group_from_json, power_identity_trials
 from .ring import ModulusContext, is_prime
 
 EXIT_OK = 0
@@ -181,26 +181,21 @@ def _cmd_scan(args) -> int:
 def _cmd_power_identity(args) -> int:
     import random
 
-    rng = random.Random(args.seed)
-    results = []
-    any_failed = False
+    # Every prime and modulus is checked before the first trial runs.
+    contexts = []
     for p in sorted(args.primes):
         if not is_prime(p) or p < 5:
             raise InputError(f"--primes entries must be primes >= 5, got {p}")
-        for n in POWER_IDENTITY_EXPONENTS:
-            ctx = ModulusContext(p, n)
-            q = ctx.modulus
-            passed = 0
-            for _ in range(POWER_IDENTITY_TRIALS):
-                tup = (rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(q))
-                if power_identity_check(*tup, ctx):
-                    passed += 1
-            any_failed = any_failed or passed != POWER_IDENTITY_TRIALS
-            results.append(
-                {"p": p, "n": n, "trials": POWER_IDENTITY_TRIALS, "passed": passed, "seed": args.seed}
-            )
+        contexts += [ModulusContext(p, n) for n in POWER_IDENTITY_EXPONENTS]
+    rng = random.Random(args.seed)
+    results = [
+        {"p": ctx.p, "n": ctx.n, "trials": POWER_IDENTITY_TRIALS,
+         "passed": power_identity_trials(ctx, rng, POWER_IDENTITY_TRIALS), "seed": args.seed}
+        for ctx in contexts
+    ]
     _emit(results, args.output)
-    return EXIT_VERIFICATION if any_failed else EXIT_OK
+    failed = any(r["passed"] != POWER_IDENTITY_TRIALS for r in results)
+    return EXIT_VERIFICATION if failed else EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

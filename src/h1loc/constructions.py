@@ -67,12 +67,12 @@ from .groups import (
     closure_indices,
     element_order,
     image_indices,
-    power_identity_check,
+    power_identity_trials,
     quotient_group,
     reduction_kernel,
 )
 from .ring import ModulusContext, is_prime
-from .zmod import SubmoduleBasis, _kernel_raw, fixed_submodule, howell_from_rows, solve2
+from .zmod import SubmoduleBasis, _kernel_raw, fixed_submodule, howell_from_rows, kernel_basis, solve2
 
 LABEL_S3 = "s3-quotient"
 LABEL_CYCLIC = "cyclic-quotient"
@@ -134,40 +134,33 @@ class HomSpace(NamedTuple):
     """All F_p[G/H]-module maps from an elementary abelian normal subgroup
     into the p-torsion of V.  A hom is its two rows against the fixed
     basis h_basis of H: row r holds coordinate r of the image of each
-    basis element."""
+    basis element.  maps is the Howell basis over F_p of the homs, each
+    written as its two rows joined, and coordinates gives every element of
+    H in the basis h_basis."""
 
     group: FiniteMatrixGroup
-    subgroup_indices: tuple[int, ...]
     h_basis: tuple[int, ...]
     coordinates: dict
-    basis_matrices: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    maps: SubmoduleBasis
     injective_exists: bool
 
     @property
     def dimension(self) -> int:
-        return len(self.basis_matrices)
+        return len(self.maps.rows)
 
     def enumerate_maps(self):
         """Every hom in the space, as its two rows."""
-        p = self.group.ctx.p
         dh = len(self.h_basis)
-        for combo in itertools.product(range(p), repeat=self.dimension):
-            acc = [[0] * dh, [0] * dh]
-            for c, m in zip(combo, self.basis_matrices):
-                if c:
-                    for r in range(2):
-                        for j in range(dh):
-                            acc[r][j] = (acc[r][j] + c * m[r][j]) % p
-            yield tuple(acc[0]), tuple(acc[1])
+        for vec in self.maps.enumerate_span():
+            yield vec[:dh], vec[dh:]
 
     def map_values(self, phi) -> dict:
         """The value of the hom phi, two rows, on every subgroup element."""
         p = self.group.ctx.p
-        out = {}
-        for idx in self.subgroup_indices:
-            coords = self.coordinates[idx]
-            out[idx] = tuple(sum(x * y for x, y in zip(row, coords)) % p for row in phi)
-        return out
+        return {
+            idx: tuple(sum(x * y for x, y in zip(row, coords)) % p for row in phi)
+            for idx, coords in self.coordinates.items()
+        }
 
 
 def _is_injective_mod_p(ctx_p: ModulusContext, phi) -> bool:
@@ -178,84 +171,60 @@ def _is_injective_mod_p(ctx_p: ModulusContext, phi) -> bool:
 def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
     """Hom_{F_p[G/H]}(H, V[p]) for an elementary abelian normal H.
 
-    H is written additively through a greedy F_p-basis; the quotient acts
-    on H by conjugation and on V[p] by the reduced matrices.  Equivariance
-    only needs to be imposed for the generators of g.
+    H is written additively in its greedy generators
+    (FiniteMatrixGroup.subgroup_generators), which for an elementary
+    abelian H are an F_p-basis; the quotient acts on H by conjugation and
+    on V[p] by the reduced matrices.  Equivariance only needs to be
+    imposed for the generators of g, and the homs are the kernel of those
+    equations over F_p (zmod.kernel_basis).
     """
     module = torsion_module(g.ctx)
     p = g.ctx.p
     ctx_p = ModulusContext(p, 1)
-    sub = tuple(sorted(frozenset(subgroup_indices)))
-    sub_gens = g.subgroup_generators(sub)
-    if sub_gens is None:
+    sub = frozenset(subgroup_indices)
+    basis = g.subgroup_generators(sub)
+    if basis is None:
         raise ContractError("subgroup indices are not closed")
     # A group is abelian exactly when its generators commute pairwise.
-    for a, b in itertools.combinations(sub_gens, 2):
+    for a, b in itertools.combinations(basis, 2):
         if g.mult(a, b) != g.mult(b, a):
             raise InputError("subgroup is not abelian")
     for a in sub:
         if a != 0 and element_order(g.ctx, g._keys[a]) != p:
             raise InputError("subgroup is not elementary abelian of exponent p")
-    # Greedy basis in index order, then coordinates by full enumeration.
-    basis: list[int] = []
-    span = {0: ()}
-    for idx in sub:
-        if idx not in span:
-            basis.append(idx)
-            span = {}
-            for combo in itertools.product(range(p), repeat=len(basis)):
-                cur = 0
-                for c, b in zip(combo, basis):
-                    for _ in range(c):
-                        cur = g.mult(cur, b)
-                span[cur] = combo
-    if len(span) != len(sub):
+    # Coordinates in the basis: the span is walked once, one power walk
+    # per basis element from each element already reached.
+    coordinates = {0: ()}
+    for b in basis:
+        span = {}
+        for idx, combo in coordinates.items():
+            for c in range(p):
+                span[idx] = combo + (c,)
+                idx = g.mult(idx, b)
+        coordinates = span
+    if len(coordinates) != len(sub):
         raise InputError("subgroup enumeration and basis span disagree")
+    # Unknown phi[r][t] sits at r * dh + t.  For each generator x of g and
+    # basis element b_j: phi(x b_j x^-1) = rho(x) phi(b_j), one row per r.
     dh = len(basis)
-    # Conjugation matrices on H and reduced action on V[p] per generator.
-    gens = g.generators
-    conj = []
-    acts = []
-    for gi in gens:
-        gj = g.inv(gi)
-        cols = []
-        for b in basis:
-            im = g.mult(g.mult(gi, b), gj)
-            if im not in span:
-                raise ContractError("subgroup is not normalized by the generators")
-            cols.append(span[im])
-        conj.append(cols)  # cols[j] = coordinates of g b_j g^-1
-        acts.append(module.action_entries(g._keys[gi]))
-    # Unknowns: phi[r][j], r in {0,1}, j < dh; equations per generator:
-    # sum_j phi[r][j] conj[j][-> coords] = act rows applied to phi columns.
     rows = []
-    nvars = 2 * dh
-    for cols, (a, b, c, d) in zip(conj, acts):
+    for gi in g.generators:
+        gj = g.inv(gi)
+        conj = [coordinates.get(g.mult(g.mult(gi, b), gj)) for b in basis]
+        if None in conj:
+            raise ContractError("subgroup is not normalized by the generators")
+        rho = module.action_entries(g._keys[gi])
         for r in range(2):
             for j in range(dh):
-                row = [0] * nvars
-                for t in range(dh):
-                    row[r * dh + t] = (row[r * dh + t] + cols[j][t]) % p
-                if r == 0:
-                    row[j] = (row[j] - a) % p
-                    row[dh + j] = (row[dh + j] - b) % p
-                else:
-                    row[j] = (row[j] - c) % p
-                    row[dh + j] = (row[dh + j] - d) % p
+                row = [0] * (2 * dh)
+                row[r * dh:(r + 1) * dh] = conj[j]
+                for s in range(2):
+                    row[s * dh + j] -= rho[2 * r + s]
                 rows.append(row)
-    kern = _kernel_raw(rows, nvars, ctx_p)
-    mats = tuple((tuple(vec[:dh]), tuple(vec[dh:])) for vec in kern)
-    space = HomSpace(
-        group=g,
-        subgroup_indices=sub,
-        h_basis=tuple(basis),
-        coordinates={idx: span[idx] for idx in sub},
-        basis_matrices=mats,
-        injective_exists=False,
-    )
-    injective = False
-    if dh <= 2 and mats:
-        injective = any(_is_injective_mod_p(ctx_p, phi) for phi in space.enumerate_maps())
+    space = HomSpace(g, tuple(basis), coordinates, kernel_basis(ctx_p, 2 * dh, rows), False)
+    if dh > 2 or not space.maps.rows:
+        return space
+    injective = any(_is_injective_mod_p(ctx_p, phi) for phi in space.enumerate_maps())
     return space._replace(injective_exists=injective)
 
 
@@ -531,16 +500,10 @@ class CriterionChecks(NamedTuple):
     quotient_order_prime_to_p: bool
     fixed_point_free_witness: Optional[int] = None
     failing_kernel_index: Optional[int] = None
-    hom_space_dimension: int = 0
     explanation: str = ""
 
     def all_hold(self) -> bool:
-        return (
-            self.fixed_point_free_element
-            and self.kernel_embeds_in_torsion
-            and self.kernel_displacement_invertible
-            and self.quotient_order_prime_to_p
-        )
+        return all(self.as_tuple())
 
     def as_tuple(self) -> tuple[bool, bool, bool, bool]:
         return (
@@ -565,12 +528,9 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     explanation = ""
     if len(kernel) == 1:
         embeds = False
-        hom_dim = 0
         explanation = "the reduction kernel is trivial, so no nontrivial submodule is isomorphic to it"
     else:
-        hom = equivariant_homs(group, kernel)
-        hom_dim = hom.dimension
-        embeds = hom.injective_exists
+        embeds = equivariant_homs(group, kernel).injective_exists
 
     failing = None
     for idx in sorted(kernel):
@@ -589,7 +549,6 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
         quotient_order_prime_to_p=quotient_ok,
         fixed_point_free_witness=delta,
         failing_kernel_index=failing,
-        hom_space_dimension=hom_dim,
         explanation=explanation,
     )
 
@@ -733,6 +692,15 @@ def torsion_shape_admits(ctx: ModulusContext, key: tuple, value: tuple[int, int]
     return solve2(ctx, (a - 1, b * s, c, (d - 1) * s), value) is not None
 
 
+def _h1loc_checks(rep: H1Report, p: int) -> list[Check]:
+    """The verdict checks on a report of H^1_loc expected nontrivial: it
+    is, and its first invariant factor is p."""
+    return [
+        Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"),
+        Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p),
+    ]
+
+
 def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int]):
     """Every v with (x - Id) v = b, for the element x over ctx with this
     key: one solution (zmod.solve2) plus the kernel of x - Id."""
@@ -788,8 +756,7 @@ def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionRepo
     checks.append(Check("criterion_hypotheses_all_hold", crit.all_hold(), str(crit.as_tuple())))
 
     rep = h1_loc(group, full_module(ctx))
-    checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
-    checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
+    checks += _h1loc_checks(rep, p)
     if rep.witness is not None:
         # h1_loc sets a witness only once it has tested it is not a coboundary.
         checks.append(Check("witness_not_coboundary", True))
@@ -870,8 +837,7 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
     )
 
     rep = h1_loc(group, full_module(ctx))
-    checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
-    checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
+    checks += _h1loc_checks(rep, p)
     if rep.witness is not None:
         # h1_loc sets a witness only once it has tested it is not a coboundary.
         checks.append(Check("witness_not_coboundary", True))
@@ -915,11 +881,7 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
     gen_kernel = closure_indices(group, [group.index_of([[1, p], [0, 1]]), h_i])
     checks.append(Check("kernel_generated_by_unitriangular_and_diagonal", gen_kernel == kernel))
 
-    rng = random.Random(0)
-    power_ok = all(
-        power_identity_check(rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(q), ctx)
-        for _ in range(200)
-    )
+    power_ok = power_identity_trials(ctx, random.Random(0), 200) == 200
     checks.append(Check("unipotent_power_identity_random", power_ok, "200 tuples, seed 0"))
 
     to_image = image_indices(group, image)
@@ -961,8 +923,7 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
 
     system = CocycleSystem(group, full_module(ctx))
     rep = system.h1_loc()
-    checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
-    checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
+    checks += _h1loc_checks(rep, p)
     checks.append(
         Check(
             "explicit_witness_in_local_space",
@@ -1002,8 +963,7 @@ def report_borel_index2(bundle: BorelSharedWitness, cap: int = DEFAULT_GROUP_CAP
         )
     )
     rep = h1_loc(sub, full_module(ctx))
-    checks.append(Check("h1loc_nontrivial", rep.order > 1, f"order {rep.order}"))
-    checks.append(Check("witness_class_has_order_p", bool(rep.invariant_factors) and rep.invariant_factors[0] == p))
+    checks += _h1loc_checks(rep, p)
     kernel = reduction_kernel(sub)
     return ConstructionReport(
         label=LABEL_BOREL_INDEX2,
@@ -1021,6 +981,9 @@ def report_borel_index2(bundle: BorelSharedWitness, cap: int = DEFAULT_GROUP_CAP
 def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
     checks = []
     reps = {}
+    # H^1 of each mod-p image, by its generator keys: the extra diagonal
+    # generator reduces to Id, so both variants have the same image.
+    image_h1 = {}
     for variant in DISJOINT_VARIANTS:
         group = build_borel_disjoint_group(p, variant=variant, cap=cap)
         ctx = group.ctx
@@ -1036,8 +999,10 @@ def report_borel_disjoint(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionR
         )
         checks.append(Check(f"torsion_action_pattern[{variant}]", pattern))
         image = quotient_group(group)
-        image_h1 = h1(image, full_module(image.ctx))
-        checks.append(Check(f"quotient_torsion_h1_trivial[{variant}]", image_h1.order == 1))
+        gen_keys = tuple(image._keys[i] for i in image.generators)
+        if gen_keys not in image_h1:
+            image_h1[gen_keys] = h1(image, full_module(image.ctx))
+        checks.append(Check(f"quotient_torsion_h1_trivial[{variant}]", image_h1[gen_keys].order == 1))
         rep = h1_loc(group, full_module(ctx))
         reps[variant] = (group, image, rep)
         checks.append(Check(f"h1loc_trivial[{variant}]", rep.order == 1, f"order {rep.order}"))

@@ -397,6 +397,16 @@ def power_identity_check(a: int, b: int, c: int, d: int, ctx: ModulusContext) ->
     return _pow4(m, s, q) == (1, s, 0, 1)
 
 
+def power_identity_trials(ctx: ModulusContext, rng, trials: int) -> int:
+    """How many of trials random shape tuples pass power_identity_check:
+    each tuple (a, b, c, d) is four draws rng.randrange(p^n) in order."""
+    q = ctx.modulus
+    return sum(
+        power_identity_check(rng.randrange(q), rng.randrange(q), rng.randrange(q), rng.randrange(q), ctx)
+        for _ in range(trials)
+    )
+
+
 def group_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteMatrixGroup:
     """Build a group from {"p":..., "n":..., "generators":[...], "label":...}.
 

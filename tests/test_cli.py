@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import h1loc
-from h1loc import group_from_json
+from h1loc import cli, group_from_json
 from h1loc.groups import _rows
 from h1loc.cli import (
     EXIT_INPUT,
@@ -183,6 +183,20 @@ def test_power_identity_command(tmp_path, capsys):
     results = json.loads(out.read_text())
     assert {(r["p"], r["n"]) for r in results} == {(5, 2), (5, 3)}
     assert all(r["passed"] == r["trials"] == 200 for r in results)
+
+
+@pytest.mark.parametrize("primes, message", [
+    (["5", "9"], "--primes entries must be primes >= 5, got 9"),
+    (["1000000007"], "modulus p^n = 1000000007^3 does not fit a 63-bit word"),
+], ids=["not-a-prime", "modulus-too-large"])
+def test_power_identity_validates_before_any_trial(primes, message, monkeypatch, capsys):
+    # Every prime and its moduli are checked before the first trial: no
+    # trial runs for an invocation that exits 2.
+    calls = []
+    monkeypatch.setattr(cli, "power_identity_trials", lambda *args: calls.append(args))
+    assert main(["power-identity", "--primes", *primes]) == EXIT_INPUT
+    assert calls == []
+    assert capsys.readouterr() == ("", f"h1loc: input error: {message}\n")
 
 
 GROUP = {"p": 5, "n": 2, "generators": [[[1, 1], [0, 1]]], "label": None}

@@ -469,6 +469,68 @@ def test_equivariant_homs_s3_injective():
     assert hom.injective_exists
 
 
+def _equivariant_hom_oracle(g, sub, h_basis):
+    """Every 2 x dh matrix phi over F_p, against h_basis, with
+    phi(x h x^-1) = (x mod p) phi(h) for every x in g and h in sub, checked
+    by group multiplication; phi is extended to sub additively.  Returns
+    the maps and each element's coordinates, built from products of powers
+    of h_basis."""
+    p = g.ctx.p
+    dh = len(h_basis)
+    coords = {}
+    for combo in itertools.product(range(p), repeat=dh):
+        cur = 0
+        for c, b in zip(combo, h_basis):
+            for _ in range(c):
+                cur = g.mult(cur, b)
+        coords[cur] = combo
+    assert set(coords) == set(sub) and len(coords) == p**dh
+
+    def value(phi, cs):
+        return tuple(sum(e * c for e, c in zip(row, cs)) % p for row in phi)
+
+    # (x mod p, coordinates of x h x^-1, coordinates of h) for every pair.
+    pairs = []
+    for x in range(len(g)):
+        xi = g.inv(x)
+        key = tuple(e % p for e in g._keys[x])
+        pairs += [(key, coords[g.mult(g.mult(x, h), xi)], coords[h]) for h in sub]
+    maps = set()
+    for flat in itertools.product(range(p), repeat=2 * dh):
+        phi = (flat[:dh], flat[dh:])
+        if all(value(phi, conj) == ((a * v0 + b * v1) % p, (c * v0 + d * v1) % p)
+               for (a, b, c, d), conj, cs in pairs for v0, v1 in [value(phi, cs)]):
+            maps.add(phi)
+    return maps, coords, value
+
+
+@pytest.mark.parametrize("case", ["trivial-action", "cyclic-quotient", "s3-quotient", "borel-shared"])
+def test_equivariant_homs_match_a_brute_force_oracle(case):
+    if case == "trivial-action":
+        g = close_group([[[1, 5], [0, 1]], [[6, 0], [0, 21]]], CTX25)
+        sub = frozenset(range(len(g)))
+    else:
+        build = {"cyclic-quotient": build_cyclic_quotient_group, "s3-quotient": build_s3_quotient_group,
+                 "borel-shared": build_borel_shared_group}[case]
+        g = build(5)
+        sub = reduction_kernel(g)
+    hom = equivariant_homs(g, sub)
+    oracle, coords, value = _equivariant_hom_oracle(g, sub, hom.h_basis)
+    maps = list(hom.enumerate_maps())
+    assert len(maps) == 5**hom.dimension == len(set(maps))
+    assert set(maps) == oracle
+    for phi in maps:
+        assert hom.map_values(phi) == {h: value(phi, cs) for h, cs in coords.items()}
+    injective = any(all(any(value(phi, cs)) for h, cs in coords.items() if h != 0) for phi in oracle)
+    assert hom.injective_exists == injective
+
+
+def test_equivariant_homs_on_the_trivial_subgroup():
+    hom = equivariant_homs(build_cyclic_quotient_group(5), [0])
+    assert hom.dimension == 0 and not hom.injective_exists
+    assert list(hom.enumerate_maps()) == [((), ())]
+
+
 def test_equivariant_homs_rejects_non_elementary():
     g = close_group([[[1, 1], [0, 1]]], CTX25)  # order 25, cyclic
     from h1loc import InputError

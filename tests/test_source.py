@@ -190,6 +190,51 @@ def test_a_quotients_relations_are_one_kernel():
     assert "dual_constraints" not in h1loc.__all__ and not hasattr(h1loc, "dual_constraints")
 
 
+def _method(tree, class_name, name):
+    (node,) = [node for top in tree.body if isinstance(top, ast.ClassDef) and top.name == class_name
+               for node in top.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_the_paper_checks_run_on_the_engines_own_code():
+    # The random power-identity trials are drawn in one place, which both
+    # the power-identity command and the borel-shared report call; a hom
+    # space lists its maps as the span of its kernel basis; the criterion
+    # keeps no hom-space dimension nobody reads.
+    modules = dict(parsed_modules())
+    draws = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "randrange"
+             and isinstance(node.value, ast.Name) and node.value.id == "rng"]
+    trials = _top_function(modules["groups.py"], "power_identity_trials")
+    assert draws and all(name == "groups.py" and trials.lineno <= line <= trials.end_lineno
+                         for name, line in draws)
+    assert _names(_top_function(modules["cli.py"], "_cmd_power_identity"), "power_identity_trials")
+    assert _names(_top_function(modules["constructions.py"], "report_borel_shared"), "power_identity_trials")
+    assert _names(_method(modules["constructions.py"], "HomSpace", "enumerate_maps"), "enumerate_span")
+    from h1loc.constructions import CriterionChecks, HomSpace
+
+    assert "hom_space_dimension" not in CriterionChecks._fields
+    assert {"basis_matrices", "subgroup_indices"}.isdisjoint(HomSpace._fields)
+
+
+def test_verify_all_builds_one_system_per_group_and_module(monkeypatch):
+    # Two groups with the same generator keys are the same group, so no two
+    # cocycle systems of one verify run share generator keys, modulus and
+    # module kind.
+    from h1loc.constructions import verify_all
+
+    built = []
+    init = cohomology.CocycleSystem.__init__
+
+    def recording_init(self, group, module):
+        built.append((tuple(group._keys[i] for i in group.generators), group.ctx.modulus, module.kind))
+        init(self, group, module)
+
+    monkeypatch.setattr(cohomology.CocycleSystem, "__init__", recording_init)
+    verify_all([5])
+    assert built and len(built) == len(set(built))
+
+
 def test_no_per_element_class():
     # A group element is its index and its key; no module defines a class
     # that wraps one, and the package exports none.
