@@ -20,6 +20,25 @@ module, errors, ring and groups, ``scan`` loads classify; ``h1`` and
 constructions; ``power-identity`` loads nothing more.  The handlers import
 the layers they alone use, and ``power-identity`` the stdlib ``random``.
 
+Nor does a valid run load argparse.  One table, ``_commands()``, lists each
+subcommand's handler, help, fixed namespace values and options, and both
+parsers read it.  ``_parse_fast`` takes the plain grammar: a known
+subcommand, then exact ``--flag value`` pairs (one or more values for
+``--primes``), no value starting with "-", every int value accepted by
+``int()``, every required flag present, a repeated flag keeping its last
+value.  For such argv it returns the namespace argparse would.  Anything
+else, from ``--help`` and a usage error to an abbreviation,
+``--flag=value``, ``--`` or a negative number, goes to ``build_parser()``,
+which imports argparse (with gettext and locale) only then, so help text,
+error messages and exit codes stay argparse's own.  With Python 3.11 on a
+2-CPU Xeon that import and parse took 5-8 ms of a 57-66 ms ``scan``
+process.  Reports are written by ``_json_text``, which gives the text of
+``json.dumps(payload, indent=2, sort_keys=True)`` without the pure-Python
+encoder that ``indent`` selects, and without importing json: only ``h1``
+and ``h1loc``, which read a group file, load it.  On the same host, with
+``re`` already loaded at start-up, ``import json`` took 2.9 ms and
+``import argparse`` 3.3 ms over a 46 ms ``python -c pass``.
+
 ``main()`` is the in-process API: it returns the exit code.  ``run()`` is
 the process entry point (``python -m h1loc.cli`` and the ``h1loc`` script):
 it calls ``main()``, flushes stdout and stderr, and ends with ``os._exit``.
@@ -32,11 +51,10 @@ on borel-shared p=17: 66.9 vs 60.6 ms, where the group's closure takes
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from typing import NoReturn, Optional, Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 from .errors import ContractError, InputError, ResourceLimitError
 from .groups import DEFAULT_GROUP_CAP, group_from_json, power_identity_trials
@@ -53,53 +71,6 @@ POWER_IDENTITY_EXPONENTS = (2, 3)
 POWER_IDENTITY_TRIALS = 200
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        # argparse swallows an OSError here, so help into a closed stdout
-        # would exit 0 with nothing written; _write_stdout raises instead.
-        if file is sys.stdout:
-            _write_stdout(message)
-        else:
-            super()._print_message(message, file)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="h1loc", description="exact group cohomology over Z/p^n")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("h1", "first cohomology of a group definition"),
-                            ("h1loc", "first local cohomology of a group definition")):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(run=_cmd_cohomology, local=name == "h1loc")
-        cmd.add_argument("--input", required=True, help="group definition JSON file")
-        cmd.add_argument("--module", default="V", help="coefficient module: V, V[p] or V/V[p]")
-        cmd.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP, help="group size cap")
-        cmd.add_argument("--output", default=None, help="write the report here instead of stdout")
-
-    cmd = sub.add_parser("verify", help="run the construction verification suite")
-    cmd.set_defaults(run=_cmd_verify)
-    cmd.add_argument("--primes", type=int, nargs="+", default=[5, 7, 11])
-    cmd.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
-    cmd.add_argument("--output", default=None)
-
-    cmd = sub.add_parser("scan", help="classify candidate subgroups of GL_2(F_p)")
-    cmd.set_defaults(run=_cmd_scan)
-    cmd.add_argument("--p", type=int, required=True)
-    cmd.add_argument("--output", default=None)
-
-    cmd = sub.add_parser("power-identity", help="randomized unipotent power identity runs")
-    cmd.set_defaults(run=_cmd_power_identity)
-    cmd.add_argument("--primes", type=int, nargs="+", default=list(POWER_IDENTITY_PRIMES))
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--output", default=None)
-    return parser
-
-
 def _write_stdout(text: str) -> None:
     """Write and flush text to stdout; InputError when that fails."""
     if sys.stdout is None:  # the process started with file descriptor 1 closed
@@ -111,8 +82,53 @@ def _write_stdout(text: str) -> None:
         raise InputError(f"cannot write stdout: {exc}") from exc
 
 
+try:  # json.encoder's own string encoder, without importing json
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    indent makes json fall back from its C encoder to the pure-Python one,
+    which takes 5.2 ms on the report of h1loc on borel-shared p=11, where
+    this takes 3.6 ms (Python 3.11, 2-CPU Xeon; verify --primes 7: 3.2 and
+    2.1 ms).  This writes dicts with str keys, lists, tuples, str, int, bool
+    and None itself, a list of plain ints in one join, and hands anything
+    else (a float, a dict with other keys, an unknown type) to json.dumps,
+    re-indented: JSON text holds no raw newline outside its layout.
+    newline is a newline followed by the indent of the line value starts on.
+    """
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):  # first: most values are short lists
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        items = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    import json
+
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(payload, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if path is None:
         _write_stdout(text + "\n")
     else:
@@ -129,6 +145,8 @@ def _check_cap(cap: int) -> None:
 
 
 def _load_group(path: str, cap: int):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -198,11 +216,127 @@ def _cmd_power_identity(args) -> int:
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
+class _Option(NamedTuple):
+    """One option of a subcommand, as argparse's add_argument takes it."""
+
+    flag: str
+    type: object = None
+    nargs: Optional[str] = None
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+
+
+def _commands() -> dict:
+    """The one table both parsers read: each subcommand's handler, help,
+    the values set_defaults gives its namespace, and its options.
+
+    It is built on each call, so each namespace gets its own default lists
+    and runs the handler the module holds now, even one replaced on the
+    module after import (as a tracer or a test may do)."""
+    cohomology = (
+        _Option("--input", required=True, help="group definition JSON file"),
+        _Option("--module", default="V", help="coefficient module: V, V[p] or V/V[p]"),
+        _Option("--cap", int, default=DEFAULT_GROUP_CAP, help="group size cap"),
+        _Option("--output", help="write the report here instead of stdout"),
+    )
+    return {
+        "h1": (_cmd_cohomology, "first cohomology of a group definition", {"local": False}, cohomology),
+        "h1loc": (_cmd_cohomology, "first local cohomology of a group definition", {"local": True},
+                  cohomology),
+        "verify": (_cmd_verify, "run the construction verification suite", {}, (
+            _Option("--primes", int, "+", default=[5, 7, 11]),
+            _Option("--cap", int, default=DEFAULT_GROUP_CAP),
+            _Option("--output"),
+        )),
+        "scan": (_cmd_scan, "classify candidate subgroups of GL_2(F_p)", {}, (
+            _Option("--p", int, required=True),
+            _Option("--output"),
+        )),
+        "power-identity": (_cmd_power_identity, "randomized unipotent power identity runs", {}, (
+            _Option("--primes", int, "+", default=list(POWER_IDENTITY_PRIMES)),
+            _Option("--seed", int, default=0),
+            _Option("--output"),
+        )),
+    }
+
+
+def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for argv, or None when argv is not in
+    the plain grammar: a known subcommand, then exact ``--flag value``
+    pairs, with one or more values for a ``nargs="+"`` flag, no value
+    starting with "-", every int value accepted by int(), every required
+    flag present and a repeated flag keeping its last value.  On None
+    argparse parses argv, so help, usage errors and every unusual form
+    (an abbreviation, ``--flag=value``, ``-h``, ``--``, a negative number)
+    are argparse's own."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    run, _, fixed, options = command
+    by_flag = {opt.flag: opt for opt in options}
+    values = {"command": argv[0], "run": run, **fixed}
+    values.update((opt.flag[2:], opt.default) for opt in options)
+    given = set()
+    i = 1
+    while i < len(argv):
+        opt = by_flag.get(argv[i])
+        if opt is None:
+            return None
+        end = i + 1
+        while end < len(argv) and not argv[end].startswith("-") and (end == i + 1 or opt.nargs == "+"):
+            end += 1
+        if end == i + 1:
+            return None
+        try:
+            parsed = [text if opt.type is None else opt.type(text) for text in argv[i + 1:end]]
+        except ValueError:
+            return None
+        values[opt.flag[2:]] = parsed if opt.nargs == "+" else parsed[0]
+        given.add(opt.flag)
+        i = end
+    if any(opt.required and opt.flag not in given for opt in options):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser for the table.  argparse (with gettext and
+    locale) is imported here, so a process loads it only when _parse_fast
+    leaves argv to it: for help, a usage error or an unusual form."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse swallows an OSError here, so help into a closed stdout
+            # would exit 0 with nothing written; _write_stdout raises instead.
+            if file is sys.stdout:
+                _write_stdout(message)
+            else:
+                super()._print_message(message, file)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
+    parser = _Parser(prog="h1loc", description="exact group cohomology over Z/p^n")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, fixed, options) in _commands().items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run, **fixed)
+        for opt in options:
+            cmd.add_argument(opt.flag, type=opt.type, nargs=opt.nargs, default=opt.default,
+                             required=opt.required, help=opt.help)
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_fast(argv) or build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return args.run(args)

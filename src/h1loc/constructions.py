@@ -532,14 +532,7 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
     else:
         embeds = equivariant_homs(group, kernel).injective_exists
 
-    failing = None
-    for idx in sorted(kernel):
-        if idx == 0:
-            continue
-        if not _invertible4(kernel_displacement(group, idx), p):
-            failing = idx
-            break
-
+    failing = _first_singular_displacement(group, kernel)
     quotient_ok = (len(group) // len(kernel)) % p != 0
 
     return CriterionChecks(
@@ -551,6 +544,16 @@ def check_nonvanishing_criterion(group: FiniteMatrixGroup) -> CriterionChecks:
         failing_kernel_index=failing,
         explanation=explanation,
     )
+
+
+def _first_singular_displacement(group: FiniteMatrixGroup, kernel) -> Optional[int]:
+    """The least non-identity index h = Id + pN of the reduction kernel
+    whose N is singular mod p, or None: hypothesis 3 of the criterion."""
+    p = group.ctx.p
+    for idx in sorted(kernel):
+        if idx != 0 and not _invertible4(kernel_displacement(group, idx), p):
+            return idx
+    return None
 
 
 def kernel_displacement(group: FiniteMatrixGroup, index: int) -> tuple[int, int, int, int]:
@@ -827,13 +830,9 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
             bool(shift_sols) and all(s[1] % p == 1 for s in shift_sols),
         )
     )
-    crit = check_nonvanishing_criterion(group)
+    failing = _first_singular_displacement(group, kernel)
     checks.append(
-        Check(
-            "criterion_hypothesis_3_fails_here",
-            not crit.kernel_displacement_invertible,
-            f"failing kernel index {crit.failing_kernel_index}",
-        )
+        Check("criterion_hypothesis_3_fails_here", failing is not None, f"failing kernel index {failing}")
     )
 
     rep = h1_loc(group, full_module(ctx))

@@ -19,10 +19,14 @@ shortcut, and mat_vec the matrix-vector product their results are
 checked with.  dual_constraint_relations keeps the route by which
 quotient_structure once built its relations, through the dual
 constraints of the smaller span, as the oracle of the one kernel that
-replaced it.
+replaced it.  Every report that a test writes through cli._emit is
+checked against json.dumps(indent=2, sort_keys=True), the oracle of
+cli._json_text, by the autouse fixture reports_match_json_dumps.
 """
 
 import itertools
+import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -46,6 +50,7 @@ from h1loc import (
     restrict_cocycle,
     torsion_module,
 )
+from h1loc import cli
 from h1loc.groups import _rows
 from h1loc.zmod import _howell_raw
 
@@ -453,6 +458,22 @@ def construction_groups(p):
 def small_group(p, n, gens, label=None):
     ctx = ModulusContext(p, n)
     return close_group(gens, ctx, label=label)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_json_dumps(monkeypatch):
+    """Checks the text of every report written in process by cli._emit."""
+    emit = cli._emit
+
+    def checked_emit(payload, path):
+        text, expected = cli._json_text(payload), json.dumps(payload, indent=2, sort_keys=True)
+        if text != expected:  # not assert: pytest's diff of two long reports takes minutes
+            at = len(os.path.commonprefix([text, expected]))
+            pytest.fail(f"cli._json_text departs from json.dumps at offset {at}: "
+                        f"{text[max(at - 20, 0):at + 20]!r} != {expected[max(at - 20, 0):at + 20]!r}")
+        emit(payload, path)
+
+    monkeypatch.setattr(cli, "_emit", checked_emit)
 
 
 @pytest.fixture(scope="session")

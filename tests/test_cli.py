@@ -361,13 +361,13 @@ def test_large_prime_modulus_is_fast(tmp_path, capsys):
 
 
 # Runs h1loc.cli.main on its arguments in a fresh interpreter, then prints
-# the exit code and every h1loc module that the run loaded.
+# the exit code and every module that the run loaded.
 SCOPE_PROBE = """
 import contextlib, io, sys
 import h1loc.cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = h1loc.cli.main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.startswith("h1loc")))
+print(code, *sorted(sys.modules))
 """
 
 
@@ -387,6 +387,17 @@ BASE = {"h1loc", "h1loc.cli", "h1loc.errors", "h1loc.ring", "h1loc.groups"}
 COHOMOLOGY = BASE | {"h1loc.zmod", "h1loc.cohomology"}
 
 
+# The stdlib modules that argparse brings, none of them loaded by an
+# interpreter that starts and exits, nor is json.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.fixture(scope="module")
+def start_up_modules():
+    """The modules that `python -c pass` loads."""
+    return set(loaded_modules("import sys; print(*sys.modules)"))
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -398,13 +409,32 @@ COHOMOLOGY = BASE | {"h1loc.zmod", "h1loc.cohomology"}
     ],
     ids=["h1loc", "h1", "scan", "power-identity", "verify"],
 )
-def test_subcommand_loads_only_the_layers_it_runs(tmp_path, argv, expected):
+def test_subcommand_loads_only_the_layers_it_runs(tmp_path, start_up_modules, argv, expected):
+    # A valid run is parsed without argparse, so it loads none of the
+    # modules argparse brings, and only h1 and h1loc, which read a group
+    # file, load json.
     group = tmp_path / "group.json"
     group.write_text(json.dumps(BOREL_SHARED_5))
+    reads_group = "GROUP" in argv
     argv = [str(group) if a == "GROUP" else a for a in argv]
     code, *modules = loaded_modules(SCOPE_PROBE, *argv)
     assert code == str(EXIT_OK)
-    assert set(modules) == expected
+    assert {name for name in modules if name.startswith("h1loc")} == expected
+    assert start_up_modules.isdisjoint(ARGPARSE | {"json"})
+    assert ARGPARSE.isdisjoint(modules)
+    assert ("json" in modules) == reads_group
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], EXIT_OK), (["scan", "--help"], EXIT_OK), (["scan", "--p", "x"], EXIT_USAGE),
+     (["scan", "--p=5"], EXIT_OK)],
+    ids=["help", "scan-help", "usage-error", "unusual-form"],
+)
+def test_argparse_loads_for_help_usage_errors_and_unusual_forms(start_up_modules, argv, code):
+    loaded_code, *modules = loaded_modules(SCOPE_PROBE, *argv)
+    assert loaded_code == str(code)
+    assert ARGPARSE <= set(modules) - start_up_modules
 
 
 def test_import_h1loc_loads_no_submodule():
@@ -416,14 +446,17 @@ def test_import_h1loc_loads_no_submodule():
 # The process entry point, `python -m h1loc.cli`, which ends with os._exit.
 
 
-def run_process(argv, stdout=subprocess.PIPE, unbuffered=False):
+def run_process(argv, stdout=subprocess.PIPE, unbuffered=False, columns=None):
     """``python -m h1loc.cli`` on argv, with the package under test first on
     the path.  PYTHONUNBUFFERED is removed, so the child's stdout is
     block-buffered and a byte that the process entry leaves unflushed is
-    lost; unbuffered=True sets it to 1 instead."""
+    lost; unbuffered=True sets it to 1 instead.  columns sets COLUMNS, the
+    width argparse wraps help to."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if columns is not None:
+        env["COLUMNS"] = str(columns)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(h1loc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, "-m", "h1loc.cli", *argv], env=env, stdout=stdout,
@@ -565,3 +598,210 @@ def test_arbitrary_json_input_exits_cleanly(group, command, module):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--input", str(path), "--module", module, "--cap", "200"])
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_RESOURCE)
+
+
+# ---------------------------------------------------------------------------
+# Help and usage errors: argparse's own text, as the parser printed it
+# before the fast argv parse took over the plain forms (Python 3.11).
+
+TOP_USAGE = "usage: h1loc [-h] {h1,h1loc,verify,scan,power-identity} ...\n"
+H1_USAGE = """\
+usage: h1loc h1 [-h] --input INPUT [--module MODULE] [--cap CAP]
+                [--output OUTPUT]
+"""
+H1LOC_USAGE = """\
+usage: h1loc h1loc [-h] --input INPUT [--module MODULE] [--cap CAP]
+                   [--output OUTPUT]
+"""
+COHOMOLOGY_OPTIONS = """
+options:
+  -h, --help       show this help message and exit
+  --input INPUT    group definition JSON file
+  --module MODULE  coefficient module: V, V[p] or V/V[p]
+  --cap CAP        group size cap
+  --output OUTPUT  write the report here instead of stdout
+"""
+VERIFY_USAGE = """\
+usage: h1loc verify [-h] [--primes PRIMES [PRIMES ...]] [--cap CAP]
+                    [--output OUTPUT]
+"""
+SCAN_USAGE = "usage: h1loc scan [-h] --p P [--output OUTPUT]\n"
+
+HELP = {
+    (): TOP_USAGE + """
+exact group cohomology over Z/p^n
+
+positional arguments:
+  {h1,h1loc,verify,scan,power-identity}
+    h1                  first cohomology of a group definition
+    h1loc               first local cohomology of a group definition
+    verify              run the construction verification suite
+    scan                classify candidate subgroups of GL_2(F_p)
+    power-identity      randomized unipotent power identity runs
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("h1",): H1_USAGE + COHOMOLOGY_OPTIONS,
+    ("h1loc",): H1LOC_USAGE + COHOMOLOGY_OPTIONS,
+    ("verify",): VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --primes PRIMES [PRIMES ...]
+  --cap CAP
+  --output OUTPUT
+""",
+    ("scan",): SCAN_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --p P
+  --output OUTPUT
+""",
+    ("power-identity",): """\
+usage: h1loc power-identity [-h] [--primes PRIMES [PRIMES ...]] [--seed SEED]
+                            [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --primes PRIMES [PRIMES ...]
+  --seed SEED
+  --output OUTPUT
+""",
+}
+
+USAGE_ERRORS = {
+    (): TOP_USAGE + "h1loc: error: the following arguments are required: command\n",
+    ("h1loc",): H1LOC_USAGE
+    + "h1loc h1loc: error: the following arguments are required: --input\n",
+    ("bogus",): TOP_USAGE + "h1loc: error: argument command: invalid choice: 'bogus' "
+    "(choose from 'h1', 'h1loc', 'verify', 'scan', 'power-identity')\n",
+    ("scan", "--p", "x"): SCAN_USAGE + "h1loc scan: error: argument --p: invalid int value: 'x'\n",
+    ("verify", "--primes"): VERIFY_USAGE
+    + "h1loc verify: error: argument --primes: expected at least one argument\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: " ".join(c) or "top")
+def test_help_text_is_pinned(command):
+    proc = run_process([*command, "--help"], columns=80)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (EXIT_OK, HELP[command], b"")
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS), ids=lambda a: " ".join(a) or "empty")
+def test_usage_errors_are_pinned(argv):
+    proc = run_process(list(argv), columns=80)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_USAGE, b"", USAGE_ERRORS[argv])
+
+
+# ---------------------------------------------------------------------------
+# The report writer is json.dumps(indent=2, sort_keys=True), byte for byte.
+
+_TEXT = st.one_of(st.text(max_size=6), st.text(st.characters(codec="utf-8", max_codepoint=0x9F), max_size=6),
+                  st.sampled_from(["", "\x00", "\n\t\"\\", "é中", "\U0001f600", "\ud800"]))
+_PAYLOAD_SCALARS = st.one_of(_TEXT, st.integers(), st.sampled_from([0, -1, 2**70]), st.booleans(), st.none(),
+                             st.floats(allow_nan=True, allow_infinity=True))
+_PAYLOADS = st.recursive(
+    _PAYLOAD_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(payload=_PAYLOADS)
+@example(payload={"a": [], "b": {}, "c": [[]], "d": [{}], "e": ()})
+@example(payload=[True, 1, False, 0])
+@example(payload={"x": {1: [1.5, None], 2: "y"}})
+def test_report_writer_is_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# The fast argv parse agrees with argparse wherever it answers.
+
+_JUNK = ["-h", "--help", "--", "-", "-5", "-x", "x", "1.5", "", " 7", "+3", "٣", "07", "bogus",
+         "--bogus", "--p", "--primes", "--input", "--cap", "5", "h1", "scan"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand's argv in the plain grammar, with required flags most
+    of the time, then up to three perturbations: an inserted, replaced or
+    deleted token, a ``--flag=value`` join or an abbreviated flag."""
+    commands = cli._commands()
+    name = draw(st.sampled_from(sorted(commands)))
+    options = commands[name][3]
+    chosen = draw(st.lists(st.sampled_from(options), max_size=4))
+    if draw(st.integers(0, 4)):
+        chosen += [opt for opt in options if opt.required]
+    argv = [name]
+    for opt in draw(st.permutations(chosen)):
+        count = draw(st.integers(1, 3)) if opt.nargs == "+" else 1
+        value = st.integers(0, 30).map(str) if opt.type is int else st.sampled_from(["g.json", "V[p]", "a b"])
+        argv += [opt.flag, *draw(st.lists(value, min_size=count, max_size=count))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "join", "abbreviate"]))
+        if edit == "insert":
+            argv.insert(i, draw(st.sampled_from(_JUNK)))
+        elif i == len(argv):
+            continue
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(_JUNK))
+        elif edit == "delete":
+            del argv[i]
+        elif edit == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == "abbreviate" and len(argv[i]) > 3:
+            argv[i] = argv[i][:-1]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(argv=_argvs())
+@example(argv=["verify", "--primes", "5", "7", "--primes", "11", "--cap", "9"])
+@example(argv=["power-identity", "--p", "5"])
+@example(argv=["h1", "--cap", "-5", "--input", "g.json"])
+def test_fast_parse_agrees_with_argparse(argv):
+    fast = cli._parse_fast(argv)
+    expected = _argparse_vars(argv)
+    if fast is not None:
+        assert vars(fast) == expected
+    if expected is None:
+        assert fast is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["h1loc", "--input", "g.json", "--module", "V[p]", "--cap", "9", "--output", "o.json"],
+    ["verify"],
+    ["verify", "--primes", "5", "7", "--primes", "11"],
+    ["scan", "--output", "", "--p", "+13"],
+    ["power-identity", "--seed", "3", "--primes", "5", "7"],
+], ids=["h1loc", "defaults", "repeat", "empty-and-signed", "power-identity"])
+def test_fast_parse_takes_the_plain_grammar(argv):
+    assert vars(cli._parse_fast(argv)) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["h1loc"], ["scan", "--p", "x"], ["verify", "--primes"],
+    ["h1", "--inp", "g.json"], ["power-identity", "--p", "5"], ["scan", "--p=5"], ["scan", "-h"],
+    ["scan", "--", "--p", "5"], ["verify", "--cap", "-5"], ["verify", "--primes", "5", "-7"],
+    ["scan", "--p", "5", "7"], ["--help"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_fast_parse_leaves_the_rest_to_argparse(argv):
+    assert cli._parse_fast(argv) is None

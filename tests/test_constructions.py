@@ -441,3 +441,22 @@ def test_report_json_shape():
     assert data["group_order"] == 250
     assert data["h1loc"]["order"] == 5
     assert all(set(c) == {"name", "passed", "note"} for c in data["checks"])
+
+
+def test_verify_all_builds_each_kernels_hom_space_once(monkeypatch):
+    # The cyclic-quotient report reads hypothesis 3 of the criterion off
+    # the kernel it already has, so the hom space of its reduction kernel
+    # is built once: for its explicit hom, not again inside the criterion.
+    built = []
+    homs = constructions.equivariant_homs
+
+    def counting_homs(g, subgroup_indices):
+        built.append(g.label)
+        return homs(g, subgroup_indices)
+
+    monkeypatch.setattr(constructions, "equivariant_homs", counting_homs)
+    reports = {r.label: r for r in verify_all([5])}
+    assert sorted(built) == sorted([LABEL_CYCLIC, LABEL_S3])
+    crit = check_nonvanishing_criterion(build_cyclic_quotient_group(5))
+    (check,) = [c for c in reports[LABEL_CYCLIC].checks if c.name == "criterion_hypothesis_3_fails_here"]
+    assert check == ("criterion_hypothesis_3_fails_here", True, f"failing kernel index {crit.failing_kernel_index}")
