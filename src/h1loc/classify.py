@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import ConsistencyError, ContractError, InputError, ResourceLimitError
+from .errors import ConsistencyError, InputError, ResourceLimitError
 from .groups import (
     _IDENTITY,
     FiniteMatrixGroup,
@@ -64,9 +64,6 @@ SCAN_PRIMES = (5, 7, 11, 13)
 class CaseVerdict(NamedTuple):
     case: str
     evidence: dict
-
-    def to_json(self) -> dict:
-        return {"case": self.case, "evidence": self.evidence}
 
 
 def _require_level_one(g: FiniteMatrixGroup):
@@ -103,27 +100,23 @@ def _case_cyclic(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
 
 
 def _case_s3(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
+    """Z/3 or S_3 for p = 2 mod 3, by the order of g alone once S_3 is told
+    from the cyclic group of order 6.
+
+    A group of order 3 or 6 has an element of order 3 (Cauchy), and a group
+    of order 3 is cyclic.  Its order-3 elements act irreducibly: for
+    p = 2 mod 3 the only cube root of unity in F_p is 1, so an element of
+    order 3 has minimal polynomial t^2 + t + 1, which has no root in F_p.
+    """
     p = g.ctx.p
-    if p % 3 != 2:
-        return None
     n = len(g)
-    if n not in (3, 6):
+    if p % 3 != 2 or n not in (3, 6) or (n == 6 and g.is_abelian()):
         return None
-    order3 = [g._keys[i] for i, o in enumerate(orders) if o == 3]
-    if not order3 or any(not eigen_data(g.ctx, x).irreducible for x in order3):
-        return None
-    if n == 3:
-        if not _cyclic_generators(orders):
-            return None
-        iso = "C3"
-    else:
-        if g.is_abelian():
-            return None
-        iso = "S3"
+    order3 = next(g._keys[i] for i, o in enumerate(orders) if o == 3)
     return {
-        "isomorphism_type": iso,
+        "isomorphism_type": "C3" if n == 3 else "S3",
         "order": n,
-        "order_3_element": _rows(order3[0]),
+        "order_3_element": _rows(order3),
         "irreducible_characteristic_polynomial": True,
     }
 
@@ -254,24 +247,20 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
     p = g.ctx.p
     n = len(g)
     orders = cyclic_walk(g)[0]
-    reasons = []
     if n % p != 0:
+        if _case_cyclic(g, orders) is not None:
+            return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
         if (p - 1) % n == 0:
-            for idx in _cyclic_generators(orders):
-                if _has_eigenvalue_one(g.ctx, g._keys[idx]):
-                    return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
-            reasons.append("cyclic shape: no generator with eigenvalue 1")
+            reason = "cyclic shape: no generator with eigenvalue 1"
         else:
-            reasons.append("order prime to p but not dividing p - 1")
-        if p % 3 == 2 and n == 3 and _cyclic_generators(orders):
-            return FilterVerdict(True, ("cyclic-of-order-3",))
-        if p % 3 == 2 and n == 6 and not g.is_abelian():
-            return FilterVerdict(True, ("s3",))
-        reasons.append("not of S_3 type")
-        return FilterVerdict(False, tuple(reasons))
+            reason = "order prime to p but not dividing p - 1"
+        s3 = _case_s3(g, orders)
+        if s3 is not None:
+            return FilterVerdict(True, ("cyclic-of-order-3" if s3["isomorphism_type"] == "C3" else "s3",))
+        return FilterVerdict(False, (reason, "not of S_3 type"))
     if borel_check(g) is None:
         return FilterVerdict(False, ("order divisible by p but not contained in a Borel subgroup",))
-    if n == p and _cyclic_generators(orders):
+    if n == p:
         return FilterVerdict(True, ("cyclic-of-order-p",))
     minus_id = (p - 1, 0, 0, p - 1)
     order_p = [i for i, o in enumerate(orders) if o == p]
@@ -456,7 +445,7 @@ def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
         gen_rows = tuple(map(_rows, gens))
         group = close_group(gen_rows, ctx)
         if len(group) != size:
-            raise ContractError("scanner generators do not close to the recorded subgroup")
+            raise ConsistencyError("scanner generators do not close to the recorded subgroup")
         verdict = classify_mod_p_group(group)
         filt = necessary_shape_filter(group)
         entries.append(ScanEntry(order=size, generators=gen_rows, verdict=verdict, shape_filter=filt))

@@ -199,9 +199,10 @@ def _cmd_scan(args) -> int:
 def _cmd_power_identity(args) -> int:
     import random
 
-    # Every prime and modulus is checked before the first trial runs.
+    # Every prime and modulus is checked before the first trial runs, and
+    # each distinct prime runs once, as in verify.
     contexts = []
-    for p in sorted(args.primes):
+    for p in sorted(set(args.primes)):
         if not is_prime(p) or p < 5:
             raise InputError(f"--primes entries must be primes >= 5, got {p}")
         contexts += [ModulusContext(p, n) for n in POWER_IDENTITY_EXPONENTS]

@@ -101,12 +101,6 @@ class GModule(_Frozen):
             return group._keys
         return [self.action_entries(k) for k in group._keys]
 
-    def torsion_embedding_scale(self) -> int:
-        """Multiplier sending V[p] coordinates into V."""
-        if self.kind != TORSION:
-            raise ContractError("only the p-torsion module embeds by scaling")
-        return self.ctx.p ** (self.ctx.n - 1)
-
 
 def full_module(ctx: ModulusContext) -> GModule:
     return GModule(ctx, FULL)
@@ -134,14 +128,14 @@ class Cocycle(NamedTuple):
         return all(v == (0, 0) for v in self.values)
 
     def to_full_module(self) -> "Cocycle":
-        """Push a p-torsion valued cocycle into V along the inclusion."""
-        s = self.module.torsion_embedding_scale()
-        target = full_module(self.module.ctx)
-        q = target.coeff_modulus
-        return Cocycle(self.group, target, tuple(((s * a) % q, (s * b) % q) for a, b in self.values))
-
-    def value_table(self) -> list[list[int]]:
-        return [list(v) for v in self.values]
+        """Push a p-torsion valued cocycle into V along the inclusion, which
+        scales V[p] coordinates by p^(n-1)."""
+        if self.module.kind != TORSION:
+            raise ContractError("only the p-torsion module embeds by scaling")
+        ctx = self.module.ctx
+        s = ctx.p ** (ctx.n - 1)
+        q = ctx.modulus
+        return Cocycle(self.group, full_module(ctx), tuple(((s * a) % q, (s * b) % q) for a, b in self.values))
 
 
 def _walk(acts, targets, q: int, coords: Sequence[int]) -> tuple[Optional[tuple[int, int, int]], Optional[list]]:
@@ -583,7 +577,7 @@ class H1Report(NamedTuple):
             "module": self.module_label,
             "order": self.order,
             "invariant_factors": list(self.invariant_factors),
-            "witness": self.witness.value_table() if self.witness is not None else None,
+            "witness": [list(v) for v in self.witness.values] if self.witness is not None else None,
         }
 
 

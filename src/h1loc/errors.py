@@ -3,7 +3,9 @@
 The split mirrors how callers react: bad data from the outside world
 (InputError), an internal contract broken by the caller (ContractError and
 its refinements), and a configured resource cap being hit (ResourceLimitError).
-The command line maps these to distinct exit codes.
+The command line maps these to distinct exit codes.  A failed re-check, which
+no input can cause, raises ConsistencyError, which the command line does not
+catch.
 """
 
 

@@ -144,9 +144,6 @@ class SubmoduleBasis(NamedTuple):
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
 
-    def contains_basis(self, other: "SubmoduleBasis") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def enumerate_span(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Every span element exactly once (Howell coefficient ranges)."""
         q = self.ctx.modulus
@@ -349,7 +346,7 @@ def quotient_structure(big: SubmoduleBasis, small: SubmoduleBasis) -> list[tuple
     """
     if big.ctx != small.ctx or big.ambient_dim != small.ambient_dim:
         raise DimensionError("bases live in different ambient modules")
-    if not big.contains_basis(small):
+    if not all(big.contains(r) for r in small.rows):
         raise ContainmentError("the smaller submodule is not contained in the larger one")
     ctx = big.ctx
     q = ctx.modulus

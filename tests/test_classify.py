@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -30,7 +31,16 @@ from h1loc import (
     scan_prime_to_p_subgroups,
 )
 from h1loc import classify
-from h1loc.classify import SCAN_PRIMES, ScanEntry, _class_orders, _has_eigenvalue_one, _s3_order3_elements, _trdet
+from h1loc.classify import (
+    SCAN_PRIMES,
+    FilterVerdict,
+    ScanEntry,
+    _class_orders,
+    _cyclic_generators,
+    _has_eigenvalue_one,
+    _s3_order3_elements,
+    _trdet,
+)
 from h1loc.constructions import (
     build_borel_shared_group,
     build_cyclic_quotient_group,
@@ -529,3 +539,115 @@ def test_eigenvalue_one_closed_form_matches_eigen_data(p):
             assert _has_eigenvalue_one(ctx, x) == (1 in eigen_data(ctx, x).eigenvalues), x
             count += 1
     assert count == (p * p - 1) * (p * p - p)
+
+
+def test_scanner_recheck_catches_generators_that_close_to_another_group(monkeypatch):
+    # Closing only the first generator turns the S_3 entry (x, y0) into <x>.
+    close = classify.close_group
+    monkeypatch.setattr(classify, "close_group", lambda gens, ctx: close(gens[:1], ctx))
+    with pytest.raises(ConsistencyError, match="^scanner generators do not close to the recorded subgroup$"):
+        scan_prime_to_p_subgroups(5)
+
+
+# The S_3 case and the shape filter as they were before the tests that the
+# group order settles were dropped, kept as oracles for the shorter ones.
+
+
+def _parent_case_s3(g, orders):
+    p = g.ctx.p
+    if p % 3 != 2:
+        return None
+    n = len(g)
+    if n not in (3, 6):
+        return None
+    order3 = [g._keys[i] for i, o in enumerate(orders) if o == 3]
+    if not order3 or any(not eigen_data(g.ctx, x).irreducible for x in order3):
+        return None
+    if n == 3:
+        if not _cyclic_generators(orders):
+            return None
+        iso = "C3"
+    else:
+        if g.is_abelian():
+            return None
+        iso = "S3"
+    return {
+        "isomorphism_type": iso,
+        "order": n,
+        "order_3_element": _rows(order3[0]),
+        "irreducible_characteristic_polynomial": True,
+    }
+
+
+def _parent_shape_filter(g):
+    p = g.ctx.p
+    n = len(g)
+    orders = cyclic_walk(g)[0]
+    reasons = []
+    if n % p != 0:
+        if (p - 1) % n == 0:
+            for idx in _cyclic_generators(orders):
+                if _has_eigenvalue_one(g.ctx, g._keys[idx]):
+                    return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
+            reasons.append("cyclic shape: no generator with eigenvalue 1")
+        else:
+            reasons.append("order prime to p but not dividing p - 1")
+        if p % 3 == 2 and n == 3 and _cyclic_generators(orders):
+            return FilterVerdict(True, ("cyclic-of-order-3",))
+        if p % 3 == 2 and n == 6 and not g.is_abelian():
+            return FilterVerdict(True, ("s3",))
+        reasons.append("not of S_3 type")
+        return FilterVerdict(False, tuple(reasons))
+    if borel_check(g) is None:
+        return FilterVerdict(False, ("order divisible by p but not contained in a Borel subgroup",))
+    if n == p and _cyclic_generators(orders):
+        return FilterVerdict(True, ("cyclic-of-order-p",))
+    minus_id = (p - 1, 0, 0, p - 1)
+    order_p = [i for i, o in enumerate(orders) if o == p]
+    for si in order_p:
+        for i, o in enumerate(orders):
+            if o == 2 and g._keys[i] != minus_id:
+                if closure_indices(g, [si, i]) == frozenset(range(len(g))):
+                    return FilterVerdict(True, ("borel-order-p-and-order-2",))
+    return FilterVerdict(False, ("Borel but not generated by an order-p and an admissible order-2 element",))
+
+
+def _assert_matches_parent_predicates(g):
+    orders = cyclic_walk(g)[0]
+    assert classify._case_s3(g, orders) == _parent_case_s3(g, orders)
+    assert necessary_shape_filter(g) == _parent_shape_filter(g)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_s3_case_and_shape_filter_match_their_oracles_on_the_reference_scan(p):
+    ctx = ModulusContext(p, 1)
+    for _members, gens in _reference_winners(p).values():
+        _assert_matches_parent_predicates(close_group(list(map(_rows, gens)), ctx))
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_s3_case_and_shape_filter_match_their_oracles_on_random_subgroups(p):
+    # 100 draws per prime: one or two random elements of GL_2(F_p).
+    rng = random.Random(p)
+    elements = list(_gl2_elements(p))
+    ctx = ModulusContext(p, 1)
+    passes = set()
+    for _ in range(100):
+        gens = [_rows(rng.choice(elements)) for _ in range(rng.choice((1, 2)))]
+        g = close_group(gens, ctx)
+        _assert_matches_parent_predicates(g)
+        passes.add(necessary_shape_filter(g).reasons)
+    assert len(passes) >= 4
+
+
+@pytest.mark.parametrize("p", [5, 11, 17, 23])
+def test_order_3_elements_have_the_irreducible_polynomial_t2_t_1(p):
+    # For p = 2 mod 3 the only cube root of unity in F_p is 1, which is
+    # why the S_3 case needs no irreducibility test of its own.
+    ctx = ModulusContext(p, 1)
+    order3 = [x for x in _gl2_elements(p) if x != _IDENTITY and _mul4(x, _mul4(x, x, p), p) == _IDENTITY]
+    # The class of the companion matrix of t^2 + t + 1: |GL_2| / (p^2 - 1).
+    assert len(order3) == p * p - p
+    for x in order3:
+        assert _trdet(x, p) == (p - 1, 1)
+        assert eigen_data(ctx, x).irreducible

@@ -185,6 +185,14 @@ def test_power_identity_command(tmp_path, capsys):
     assert all(r["passed"] == r["trials"] == 200 for r in results)
 
 
+def test_power_identity_runs_each_distinct_prime_once(capsys):
+    assert main(["power-identity", "--primes", "5", "--seed", "0"]) == EXIT_OK
+    once = capsys.readouterr()
+    assert main(["power-identity", "--primes", "5", "5", "--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr() == once
+    assert [(r["p"], r["n"]) for r in json.loads(once.out)] == [(5, 2), (5, 3)]
+
+
 @pytest.mark.parametrize("primes, message", [
     (["5", "9"], "--primes entries must be primes >= 5, got 9"),
     (["1000000007"], "modulus p^n = 1000000007^3 does not fit a 63-bit word"),

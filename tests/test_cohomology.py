@@ -16,6 +16,7 @@ from h1loc import (
     CocycleSystem,
     ConsistencyError,
     ContractError,
+    DimensionError,
     FiniteMatrixGroup,
     GModule,
     InputError,
@@ -323,18 +324,45 @@ def test_inflation_rejects_cocycles_off_the_image():
     table = borel_shared_witness(g).class_table
     assert inflate_cocycle(g, table) == borel_shared_witness(g).inflated
     on_group = Cocycle(g, torsion_module(g.ctx), tuple((0, 0) for _ in range(len(g))))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^inflation takes a cocycle with values in F_p\\^2$"):
         inflate_cocycle(g, on_group)  # on g itself, not on its image
     other = build_borel_index2_group(5)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^the given group is larger than the mod-p image$"):
         inflate_cocycle(other, table)  # on the image of a larger group
     q_other = quotient_group(build_cyclic_quotient_group(5))
     zero_other = Cocycle(q_other, full_module(q_other.ctx), tuple((0, 0) for _ in range(len(q_other))))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^an element reduces outside the given group$"):
         inflate_cocycle(g, zero_other)  # on another group's image
     z = ModulusContext(5, 2)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^inflation takes a cocycle with values in F_p\\^2$"):
         inflate_cocycle(g, Cocycle(q, full_module(z), table.values))  # values over Z/25
+
+
+def test_inflation_rechecks_the_cocycle_identity():
+    # The class table with its reflection value zeroed is no cocycle, and
+    # neither is its pull-back.
+    g = build_borel_shared_group(5)
+    table = borel_shared_witness(g).class_table
+    broken = list(table.values)
+    broken[table.group.index_of([[1, 0], [0, -1]])] = (0, 0)
+    with pytest.raises(ContractError, match="^inflated table fails the cocycle identity$"):
+        inflate_cocycle(g, table._replace(values=tuple(broken)))
+
+
+def test_only_a_torsion_valued_cocycle_pushes_into_the_full_module():
+    g = build_borel_shared_group(5)
+    inflated = borel_shared_witness(g).inflated
+    pushed = inflated.to_full_module()
+    assert pushed.module == full_module(g.ctx)
+    assert pushed.values == tuple((5 * a % 25, 5 * b % 25) for a, b in inflated.values)
+    with pytest.raises(ContractError, match="^only the p-torsion module embeds by scaling$"):
+        pushed.to_full_module()
+
+
+def test_a_system_refuses_a_module_over_another_ring():
+    g = build_borel_shared_group(5)
+    with pytest.raises(DimensionError, match="^module coefficients do not match the group ring$"):
+        CocycleSystem(g, full_module(ModulusContext(5, 3)))
 
 
 def test_quotient_h1_examples():
@@ -551,6 +579,16 @@ def test_equivariant_homs_rejections_keep_their_messages():
     line = closure_indices(g, [min(kernel - {0})])
     with pytest.raises(ContractError, match="^subgroup is not normalized by the generators$"):
         equivariant_homs(g, line)
+
+
+def test_equivariant_homs_rechecks_that_its_basis_spans_the_subgroup(monkeypatch):
+    # A basis one element short spans p of the p^2 kernel elements.
+    g = build_s3_quotient_group(5)
+    kernel = reduction_kernel(g)
+    generators = FiniteMatrixGroup.subgroup_generators
+    monkeypatch.setattr(FiniteMatrixGroup, "subgroup_generators", lambda self, sub: generators(self, sub)[:-1])
+    with pytest.raises(ConsistencyError, match="^subgroup enumeration and basis span disagree$"):
+        equivariant_homs(g, kernel)
 
 
 def test_equivariant_homs_abelian_test_matches_all_pairs():

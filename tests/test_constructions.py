@@ -8,6 +8,7 @@ from h1loc import constructions, groups
 from h1loc import (
     CocycleSystem,
     ConsistencyError,
+    DimensionError,
     InputError,
     ModulusContext,
     build_borel_disjoint_group,
@@ -26,6 +27,7 @@ from h1loc import (
     is_coboundary,
     kernel_basis,
     kernel_displacement,
+    quotient_group,
     reduction_kernel,
     restrict_cocycle,
     s3_generators,
@@ -106,6 +108,26 @@ def test_borel_disjoint_variants():
     assert len(extra) == 250
     with pytest.raises(InputError):
         build_borel_disjoint_group(5, variant="nonsense")
+
+
+def test_disjoint_builder_rechecks_its_own_generators(monkeypatch):
+    # The builder's fixed generators, swapped or with g fixing e1 as sigma
+    # does, or a group that fails the Borel test, break the hypotheses
+    # that the borel-disjoint family rests on.
+    def generators(gens):
+        monkeypatch.setattr(constructions, "borel_disjoint_generators", lambda p, variant: gens)
+
+    generators([[[1, 1], [0, 1]], [[-1, 0], [0, 1]]])
+    with pytest.raises(ConsistencyError, match="^variant does not reduce to an order-2 and an order-p generator$"):
+        build_borel_disjoint_group(5)
+    generators([[[1, 0], [0, -1]], [[1, 1], [0, 1]]])
+    with pytest.raises(ConsistencyError,
+                       match="^variant violates the hypothesis: the generators fix a common torsion vector$"):
+        build_borel_disjoint_group(5)
+    monkeypatch.undo()
+    monkeypatch.setattr(constructions, "borel_check", lambda group: None)
+    with pytest.raises(ConsistencyError, match="^variant violates the Borel hypothesis: no common eigenvector mod p$"):
+        build_borel_disjoint_group(5)
 
 
 def test_shared_class_value_formula():
@@ -217,6 +239,13 @@ def test_criterion_checker_trivial_kernel_reports_reason():
     assert "trivial" in checks.explanation
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_criterion_checker_needs_level_two(n):
+    g = close_group([[[1, 1], [0, 1]]], ModulusContext(5, n))
+    with pytest.raises(InputError, match="^the criterion checker works over Z/p\\^2$"):
+        check_nonvanishing_criterion(g)
+
+
 def test_criterion_analogue_fails_for_one_mod_three():
     # p = 7 is 1 mod 3: the kernel family contains a singular displacement
     # at a parameter pair with a^2 - ab + b^2 = 0 mod 7.
@@ -306,6 +335,36 @@ def test_decompose_rejects_non_kernel_element():
         decompose_kernel_element(g, sigma, sigma)
 
 
+def test_decompose_refuses_a_reflection_as_sigma():
+    # A reflection with a unit top-right entry brings that unit into the
+    # element being cleared, on 10 of the 25 kernel elements; 10 others
+    # stop at the clearing's own re-check.
+    g = build_borel_shared_group(5)
+    reflection = g.index_of([[6, 1], [15, -6]])
+    assert element_order(g.ctx, g._keys[reflection]) == 2
+    refused = []
+    for tau in sorted(reduction_kernel(g)):
+        try:
+            decompose_kernel_element(g, tau, reflection)
+        except InputError:
+            refused.append(tau)
+        except ConsistencyError:
+            pass
+    assert len(refused) == 10
+    with pytest.raises(InputError, match="^element is not congruent to the identity mod p$"):
+        decompose_kernel_element(g, refused[0], reflection)
+
+
+def test_restriction_guards_its_subgroup():
+    w = borel_shared_witness(build_borel_shared_group(5)).witness
+    image = quotient_group(w.group)
+    with pytest.raises(DimensionError, match="^subgroup has a different coefficient ring$"):
+        restrict_cocycle(w, image)
+    swap = close_group([[[0, 1], [1, 0]]], w.group.ctx)
+    with pytest.raises(InputError, match="^the subgroup has an element outside the cocycle's group$"):
+        restrict_cocycle(w, swap)
+
+
 def test_restriction_keeps_nontriviality():
     parent = build_borel_shared_group(5)
     sub = build_borel_index2_group(5)
@@ -393,6 +452,19 @@ def test_verify_all_p7_skips_s3():
     assert by_label[LABEL_S3].skipped_reason
     others = [r for r in reports if r.label != LABEL_S3]
     assert all(r.status == "passed" for r in others)
+
+
+def test_every_report_with_an_h1loc_checks_its_order():
+    # ConstructionReport.status reads the verdict off the checks alone: a
+    # report that holds an h1loc holds one check of its order, and that
+    # check passes exactly when the order matches expected_nontrivial.
+    reports = [r for r in verify_all([5, 7, 11]) if r.h1loc is not None]
+    assert len(reports) == 14
+    for r in reports:
+        name = "h1loc_nontrivial" if r.expected_nontrivial else "h1loc_trivial[canonical]"
+        (check,) = [c for c in r.checks if c.name == name]
+        assert check.note == f"order {r.h1loc.order}"
+        assert check.passed == ((r.h1loc.order > 1) == r.expected_nontrivial)
 
 
 def test_verify_all_empty():

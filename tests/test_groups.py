@@ -252,13 +252,13 @@ def test_quotient_is_the_image_with_the_reduction_kernel(p):
 def test_image_indices_rejects_other_groups():
     g = close_group(borel_shared_generators(5), CTX25)
     image = quotient_group(g)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^the image must be a group over F_p for the same p$"):
         image_indices(g, g)  # not over F_p
     smaller = close_group([[[1, 1], [0, 1]]], ModulusContext(5, 1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^an element reduces outside the given group$"):
         image_indices(g, smaller)  # misses an element's reduction
     gl2 = close_group([[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]], ModulusContext(5, 1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^the given group is larger than the mod-p image$"):
         image_indices(g, gl2)  # larger than the image
     assert len(image_indices(g, image)) == len(g)
 

@@ -50,6 +50,12 @@ def test_modulus_context_validation():
         ModulusContext(3, 50)  # exceeds the word-size bound
 
 
+def test_unit_inverse_refuses_a_non_unit():
+    assert CTX25.unit_inverse(7) * 7 % 25 == 1
+    with pytest.raises(InputError, match="^10 is not a unit modulo 25$"):
+        CTX25.unit_inverse(35)
+
+
 def test_valuation_split():
     assert CTX25.valuation(10) == (1, 2)
     assert CTX25.valuation(0) == (2, 1)
@@ -150,9 +156,9 @@ def test_solve_identity_and_zero_matrix():
 def test_solve_dimension_mismatch():
     basis = kernel_basis(CTX25, 2, [])
     for wrong in ((1,), (1, 2, 3)):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^vector does not live in the ambient module$"):
             basis.reduce(wrong)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^vector does not live in the ambient module$"):
             basis.contains(wrong)
 
 
@@ -266,8 +272,15 @@ def test_quotient_structure_generators_have_stated_orders():
 
 def test_quotient_containment_error():
     pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
-    with pytest.raises(ContainmentError):
+    with pytest.raises(ContainmentError, match="^the smaller submodule is not contained in the larger one$"):
         quotient_structure(pv, kernel_basis(CTX25, 2, []))
+
+
+def test_quotient_structure_refuses_bases_of_other_modules():
+    pv = howell_from_rows(CTX25, 2, [[5, 0], [0, 5]])
+    for other in (kernel_basis(CTX25, 3, []), kernel_basis(ModulusContext(5, 3), 2, [])):
+        with pytest.raises(DimensionError, match="^bases live in different ambient modules$"):
+            quotient_structure(other, pv)
 
 
 def test_dual_constraints_examples():
@@ -322,9 +335,9 @@ def test_row_taking_functions_check_the_width():
     # Each row must have as many entries as the matrix has columns; a
     # mismatch in either direction is refused, not silently padded or cut.
     for rows, width in (([[1, 2, 3], [0, 5]], 2), ([[1, 2], [0, 5]], 3)):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^a row of . entries in a matrix of . columns$"):
             howell_from_rows(CTX25, width, rows)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^a row of . entries in a matrix of . columns$"):
             kernel_basis(CTX25, width, rows)
 
 
