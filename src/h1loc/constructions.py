@@ -81,9 +81,6 @@ LABEL_BOREL_INDEX2 = "borel-shared-index2"
 LABEL_BOREL_DISJOINT = "borel-disjoint"
 
 DISJOINT_VARIANTS = ("canonical", "extra-diagonal")
-# Cap on the solutions of (x - Id) v = b that _solution_set enumerates;
-# a larger solution set raises ResourceLimitError.
-SOLUTION_SET_LIMIT = 20000
 
 
 def _require_admissible_prime(p: int):
@@ -135,10 +132,10 @@ class HomSpace(NamedTuple):
     into the p-torsion of V.  A hom is its two rows against the fixed
     basis h_basis of H: row r holds coordinate r of the image of each
     basis element.  maps is the Howell basis over F_p of the homs, each
-    written as its two rows joined, and coordinates gives every element of
-    H in the basis h_basis."""
+    written as its two rows joined, coordinates gives every element of
+    H in the basis h_basis, and injective_exists whether some hom is
+    injective (_span_has_injective)."""
 
-    group: FiniteMatrixGroup
     h_basis: tuple[int, ...]
     coordinates: dict
     maps: SubmoduleBasis
@@ -148,24 +145,25 @@ class HomSpace(NamedTuple):
     def dimension(self) -> int:
         return len(self.maps.rows)
 
-    def enumerate_maps(self):
-        """Every hom in the space, as its two rows."""
-        dh = len(self.h_basis)
-        for vec in self.maps.enumerate_span():
-            yield vec[:dh], vec[dh:]
 
-    def map_values(self, phi) -> dict:
-        """The value of the hom phi, two rows, on every subgroup element."""
-        p = self.group.ctx.p
-        return {
-            idx: tuple(sum(x * y for x, y in zip(row, coords)) % p for row in phi)
-            for idx, coords in self.coordinates.items()
-        }
+def _span_has_injective(maps: SubmoduleBasis) -> bool:
+    """Whether the span over F_p of maps, each a hom as its two rows
+    joined, holds a hom with independent columns.
 
-
-def _is_injective_mod_p(ctx_p: ModulusContext, phi) -> bool:
-    """Whether the hom phi, two rows over F_p, has independent columns."""
-    return len(howell_from_rows(ctx_p, 2, zip(*phi)).rows) == len(phi[0])
+    Two rows have rank at most 2, so none does for dim H > 2.  For
+    dim H = 2 a hom is injective exactly when det != 0, and det is a
+    quadratic form in the coefficients c of sum c_i M_i: c_i^2 has the
+    coefficient det M_i, and c_i c_j (i < j) det(M_i + M_j) - det M_i -
+    det M_j.  The form vanishes identically exactly when it vanishes at
+    every M_i and M_i + M_j, so those maps decide it.  For dim H = 1 any
+    nonzero hom is injective, and the same maps decide it.
+    """
+    dh = maps.ambient_dim // 2
+    if dh > 2:
+        return False
+    candidates = list(maps.rows)
+    candidates += [tuple(x + y for x, y in zip(a, b)) for a, b in itertools.combinations(maps.rows, 2)]
+    return any(len(howell_from_rows(maps.ctx, 2, zip(m[:dh], m[dh:])).rows) == dh for m in candidates)
 
 
 def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
@@ -222,11 +220,8 @@ def equivariant_homs(g: FiniteMatrixGroup, subgroup_indices) -> HomSpace:
                 for s in range(2):
                     row[s * dh + j] -= rho[2 * r + s]
                 rows.append(row)
-    space = HomSpace(g, tuple(basis), coordinates, kernel_basis(ctx_p, 2 * dh, rows), False)
-    if dh > 2 or not space.maps.rows:
-        return space
-    injective = any(_is_injective_mod_p(ctx_p, phi) for phi in space.enumerate_maps())
-    return space._replace(injective_exists=injective)
+    maps = kernel_basis(ctx_p, 2 * dh, rows)
+    return HomSpace(tuple(basis), coordinates, maps, _span_has_injective(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +580,8 @@ def decompose_kernel_element(
     sigma^(p * exponent), by iteratively clearing the top-right entry with
     powers of sigma^p and then splitting off the diagonal part.
 
+    The clearing needs sigma^p = Id mod p with top-right entry exactly p,
+    as for the borel-shared sigma; any other sigma raises ContractError.
     All three factors are verified to lie in the kernel and to multiply
     back to the original element.  No CLI path calls it: its reader is
     acceptance criterion 7 (kernel decomposition round trip) in
@@ -592,10 +589,13 @@ def decompose_kernel_element(
     """
     ctx = group.ctx
     p, q = ctx.p, ctx.modulus
+    sigma = group._keys[sigma_index]
+    sig_p = _pow4(sigma, p, q)
+    if sig_p[1] != p or any((e - i) % p for e, i in zip(sig_p, (1, 0, 0, 1))):
+        raise ContractError("sigma^p is not Id mod p with top-right entry p")
     kernel = reduction_kernel(group)
     if tau_index not in kernel:
         raise InputError("element is not in the reduction kernel")
-    sigma = group._keys[sigma_index]
     tau = group._keys[tau_index]
 
     lam_acc = 0
@@ -608,7 +608,7 @@ def decompose_kernel_element(
             break
         v, _unit = ctx.valuation(t)
         if v == 0:
-            raise InputError("element is not congruent to the identity mod p")
+            raise ConsistencyError("element is not congruent to the identity mod p")
         gi = t // (p**v)
         step = -(p ** (v - 1)) * gi
         lam_acc += step
@@ -617,7 +617,6 @@ def decompose_kernel_element(
         raise ConsistencyError("top-right clearing did not terminate")
     diag = (cur[0], 0, 0, cur[3])
     unit = _mul4(_inv4(diag, q), cur, q)
-    sig_p = _pow4(sigma, p, q)
     period = element_order(ctx, sig_p)
     exponent = (-lam_acc) % period
     d_idx = group.index_of([diag[:2], diag[2:]])
@@ -701,16 +700,22 @@ def _h1loc_checks(rep: H1Report, p: int) -> list[Check]:
     ]
 
 
-def _solution_set(ctx: ModulusContext, key: tuple, b: tuple[int, int]):
-    """Every v with (x - Id) v = b, for the element x over ctx with this
-    key: one solution (zmod.solve2) plus the kernel of x - Id."""
+def _coordinate_mod_p(ctx: ModulusContext, key: tuple, b: tuple[int, int], i: int) -> Optional[int]:
+    """Coordinate i mod p shared by every v with (x - Id) v = b, for the
+    element x over ctx with this key; None when there is no such v or
+    the residue varies.
+
+    The solutions are one solution (zmod.solve2) plus the kernel of
+    x - Id (zmod.fixed_submodule).  The kernel's coordinates i mod p form
+    a subgroup of F_p, so {0} or all of F_p, and they are {0} exactly when
+    every Howell row of the kernel has coordinate i divisible by p.
+    """
     x00, x01, x10, x11 = key
     sol = solve2(ctx, (x00 - 1, x01, x10, x11 - 1), b)
-    if sol is None:
-        return []
-    q = ctx.modulus
-    kernel = fixed_submodule(ctx, [key])
-    return [((sol[0] + k0) % q, (sol[1] + k1) % q) for k0, k1 in kernel.enumerate_span(SOLUTION_SET_LIMIT)]
+    p = ctx.p
+    if sol is None or any(row[i] % p for row in fixed_submodule(ctx, [key]).rows):
+        return None
+    return sol[i] % p
 
 
 def report_s3_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> ConstructionReport:
@@ -797,12 +802,12 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
         )
     )
 
+    # The hom with h01 -> (1, 0) and h10 -> 0: h10 and h01 are a basis of
+    # the kernel, so their coordinate matrix c is invertible, and the hom's
+    # rows are the solutions x of c x = (0, 1) and c x = 0.
     hom = equivariant_homs(group, kernel)
-    target = {h01_i: (1, 0), h10_i: (0, 0)}
-    found = any(
-        all(hom.map_values(phi)[idx] == val for idx, val in target.items())
-        for phi in hom.enumerate_maps()
-    )
+    c = hom.coordinates[h10_i] + hom.coordinates[h01_i]
+    found = _invertible4(c, p) and hom.maps.contains(solve2(ModulusContext(p, 1), c, (0, 1)) + (0, 0))
     checks.append(Check("explicit_equivariant_hom_exists", found, f"hom space dim {hom.dimension}"))
 
     solvable_all = True
@@ -813,18 +818,16 @@ def report_cyclic_quotient(p: int, cap: int = DEFAULT_GROUP_CAP) -> Construction
                 solvable_all = False
     checks.append(Check("kernel_family_locally_solvable", solvable_all))
 
-    zero_sols = _solution_set(ctx, h10_key, (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_forces_divisibility",
-            all(s[0] % p == 0 and s[1] % p == 0 for s in zero_sols),
+            all(_coordinate_mod_p(ctx, h10_key, (0, 0), i) == 0 for i in (0, 1)),
         )
     )
-    shift_sols = _solution_set(ctx, h01_key, (p, 0))
     checks.append(
         Check(
             "unitriangular_target_forces_unit_coordinate",
-            bool(shift_sols) and all(s[1] % p == 1 for s in shift_sols),
+            _coordinate_mod_p(ctx, h01_key, (p, 0), 1) == 1,
         )
     )
     failing = _first_singular_displacement(group, kernel)
@@ -901,18 +904,16 @@ def report_borel_shared(bundle: BorelSharedWitness) -> ConstructionReport:
     shaped = all(torsion_shape_admits(ctx, k, v) for k, v in zip(group._keys, w.values))
     checks.append(Check("witness_locally_solvable_with_torsion_shape", shaped))
 
-    sig_sols = _solution_set(ctx, group._keys[sig_i], (0, p))
     checks.append(
         Check(
             "sigma_target_needs_unit_coordinate",
-            bool(sig_sols) and all(s[0] % p != 0 for s in sig_sols),
+            _coordinate_mod_p(ctx, group._keys[sig_i], (0, p), 0) not in (None, 0),
         )
     )
-    h_sols = _solution_set(ctx, group._keys[h_i], (0, 0))
     checks.append(
         Check(
             "diagonal_kernel_needs_divisible_coordinate",
-            all(s[0] % p == 0 for s in h_sols),
+            _coordinate_mod_p(ctx, group._keys[h_i], (0, 0), 0) == 0,
         )
     )
     checks.append(Check("witness_not_coboundary", is_coboundary(w) is None))

@@ -24,10 +24,9 @@ of zero divisors.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import ConsistencyError, ContainmentError, DimensionError, ResourceLimitError
+from .errors import ConsistencyError, ContainmentError, DimensionError
 from .ring import ModulusContext
 
 
@@ -143,20 +142,6 @@ class SubmoduleBasis(NamedTuple):
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
-
-    def enumerate_span(self, limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-        """Every span element exactly once (Howell coefficient ranges)."""
-        q = self.ctx.modulus
-        if limit is not None and self.span_size() > limit:
-            raise ResourceLimitError(f"span of size {self.span_size()} exceeds the cap of {limit}")
-        ranges = [range(q // piv) for _, piv in self.pivots()]
-        for combo in itertools.product(*ranges):
-            acc = [0] * self.ambient_dim
-            for c, row in zip(combo, self.rows):
-                if c:
-                    for j in range(self.ambient_dim):
-                        acc[j] = (acc[j] + c * row[j]) % q
-            yield tuple(acc)
 
     def is_zero(self) -> bool:
         return not self.rows

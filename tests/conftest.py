@@ -16,10 +16,13 @@ records.
 reference_solve is the general linear solver over Z/p^n, the oracle of
 zmod.solve2, least_valuation_solve2 the oracle of solve2's unit-pivot
 shortcut, and mat_vec the matrix-vector product their results are
-checked with.  dual_constraint_relations keeps the route by which
-quotient_structure once built its relations, through the dual
-constraints of the smaller span, as the oracle of the one kernel that
-replaced it.  Every report that a test writes through cli._emit is
+checked with.  enumerate_span lists every element of a span, the
+oracle of the checks that src decides from a basis instead: the paper
+checks on affine solution sets of (x - Id) v = b, and the injective and
+prescribed-value homs of a HomSpace.  dual_constraint_relations keeps
+the route by which quotient_structure once built its relations, through
+the dual constraints of the smaller span, as the oracle of the one
+kernel that replaced it.  Every report that a test writes through cli._emit is
 checked against json.dumps(indent=2, sort_keys=True), the oracle of
 cli._json_text, by the autouse fixture reports_match_json_dumps.
 """
@@ -228,7 +231,20 @@ def dual_constraint_relations(big, small):
     return [list(row) for row in kernel_basis(ctx, len(big.rows), t).rows]
 
 
-def all_solutions(ctx, a, b, limit=None):
+def enumerate_span(basis):
+    """Every element of the span of a SubmoduleBasis exactly once: one
+    combination of its Howell rows per choice of coefficients, the one of
+    a row with pivot p^v in range(p^(n-v))."""
+    q = basis.ctx.modulus
+    for combo in itertools.product(*(range(q // piv) for _, piv in basis.pivots())):
+        acc = [0] * basis.ambient_dim
+        for c, row in zip(combo, basis.rows):
+            for j in range(basis.ambient_dim):
+                acc[j] = (acc[j] + c * row[j]) % q
+        yield tuple(acc)
+
+
+def all_solutions(ctx, a, b):
     """Every x with a x = b over ctx for the matrix with rows a:
     reference_solve's solution plus each element of the kernel span,
     enumerated once; empty when there is none."""
@@ -237,7 +253,7 @@ def all_solutions(ctx, a, b, limit=None):
         return []
     q = ctx.modulus
     kernel = howell_from_rows(ctx, len(a[0]), kernel_rows)
-    return [tuple((s + k) % q for s, k in zip(solution, v)) for v in kernel.enumerate_span(limit)]
+    return [tuple((s + k) % q for s, k in zip(solution, v)) for v in enumerate_span(kernel)]
 
 
 def brute_cocycle_tables(group, module):
@@ -427,13 +443,13 @@ def basis_class_forms(system, basis):
     """The class forms of every element of a submodule of Z^1 that holds
     B^1, such as a field of InflationRestrictionReport."""
     b1 = system.b1()
-    return frozenset(b1.reduce(v) for v in basis.enumerate_span())
+    return frozenset(b1.reduce(v) for v in enumerate_span(basis))
 
 
 def engine_tables(group, module, basis):
     """Expand a generator-coordinate basis into the set of value tables."""
     system = CocycleSystem(group, module)
-    return {system.expand(v).values for v in basis.enumerate_span()}
+    return {system.expand(v).values for v in enumerate_span(basis)}
 
 
 def construction_groups(p):

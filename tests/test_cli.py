@@ -94,6 +94,17 @@ def test_cap_exceeded_is_resource_error(tmp_path, capsys):
     assert main(["scan", "--p", "17"]) == EXIT_RESOURCE
 
 
+def test_verify_p29_still_stops_at_the_cocycle_system_cap(capsys):
+    # cyclic-quotient decides its solution-set checks from a basis and has
+    # no cap of its own; verify stops at p = 29 where it did, on the
+    # borel-disjoint group's cocycle system.
+    assert main(["verify", "--primes", "29"]) == EXIT_RESOURCE
+    assert capsys.readouterr() == (
+        "",
+        "h1loc: resource limit: cocycle system: work |G|*dim = 48778*6 = 292668 exceeds the cap of 200000\n",
+    )
+
+
 def test_closure_edge_budget_is_resource_error(tmp_path, capsys):
     # Borel-shared p=5 (250 elements) given by all 249 of its non-identity
     # elements: the closure stays within the element cap of 250 but its

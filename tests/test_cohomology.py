@@ -41,7 +41,7 @@ from h1loc import (
     verify_all,
     verify_cocycle,
 )
-from h1loc import cohomology
+from h1loc import cohomology, constructions
 from h1loc.constructions import (
     borel_shared_generators,
     borel_shared_witness,
@@ -51,6 +51,7 @@ from h1loc.constructions import (
     build_cyclic_quotient_group,
     build_s3_quotient_group,
     cyclic_generators,
+    report_cyclic_quotient,
     s3_generators,
 )
 from h1loc.groups import _inv4, _rows
@@ -63,6 +64,7 @@ from conftest import (
     brute_local_tables,
     construction_groups,
     engine_tables,
+    enumerate_span,
     full_harvest,
     inflation_restriction_oracle,
     least_valuation_solve2,
@@ -478,17 +480,74 @@ def test_equivariant_homs_trivial_action():
     assert hom.injective_exists
 
 
-def test_equivariant_homs_cyclic_family():
-    g = build_cyclic_quotient_group(5)
-    kernel = reduction_kernel(g)
-    hom = equivariant_homs(g, kernel)
-    h01 = g.index_of([[1, 5], [0, 1]])
-    h10 = g.index_of([[6, 0], [0, 21]])
-    found = any(
-        hom.map_values(phi)[h01] == (1, 0) and hom.map_values(phi)[h10] == (0, 0)
-        for phi in hom.enumerate_maps()
-    )
-    assert found
+def test_equivariant_homs_cyclic_family(monkeypatch):
+    # The check reads the one hom with h01 -> (1, 0) and h10 -> 0 off a
+    # solve; the oracle searches every hom of the span for it, with each
+    # element's coordinates found by products of powers of the basis.
+    for p in (5, 7, 11, 13):
+        g = build_cyclic_quotient_group(p)
+        hom = equivariant_homs(g, reduction_kernel(g))
+        coords = _oracle_coordinates(g, hom.h_basis)
+        h01 = g.index_of([[1, p], [0, 1]])
+        h10 = g.index_of([[1 + p, 0], [0, 1 - p]])
+
+        def check(space):
+            monkeypatch.setattr(constructions, "equivariant_homs", lambda group, sub: space)
+            (passed,) = [c.passed for c in report_cyclic_quotient(p).checks
+                         if c.name == "explicit_equivariant_hom_exists"]
+            return passed
+
+        def search(space):
+            dh = len(space.h_basis)
+            return any(_hom_value(p, (v[:dh], v[dh:]), coords[h01]) == (1, 0)
+                       and _hom_value(p, (v[:dh], v[dh:]), coords[h10]) == (0, 0)
+                       for v in enumerate_span(space.maps))
+
+        assert check(hom) is search(hom) is True, p
+        # Planted faults: the zero space; the coordinates of h01 and h10
+        # swapped, under which h10 -> (1, 0) is not equivariant; and h10
+        # given the coordinates of h01, which no hom can tell apart.
+        zero = hom._replace(maps=howell_from_rows(hom.maps.ctx, hom.maps.ambient_dim, []))
+        assert check(zero) is search(zero) is False, p
+        c01, c10 = coords[h01], coords[h10]
+        swapped = hom._replace(coordinates={**hom.coordinates, h01: hom.coordinates[h10], h10: hom.coordinates[h01]})
+        coords[h01], coords[h10] = c10, c01
+        assert check(swapped) is search(swapped) is False, p
+        collapsed = hom._replace(coordinates={**hom.coordinates, h10: hom.coordinates[h01]})
+        coords[h01], coords[h10] = c01, c01
+        assert check(collapsed) is search(collapsed) is False, p
+
+
+def _span_has_injective_oracle(basis):
+    """Whether some hom of the span, two rows joined, has independent
+    columns: no nonzero combination of its columns vanishes."""
+    p, dh = basis.ctx.p, basis.ambient_dim // 2
+    combos = [c for c in itertools.product(range(p), repeat=dh) if any(c)]
+    return any(all(_hom_value(p, (v[:dh], v[dh:]), c) != (0, 0) for c in combos) for v in enumerate_span(basis))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_injective_homs_are_decided_by_the_basis_and_pairwise_sums(p):
+    ctx = ModulusContext(p, 1)
+    # Neither basis map is injective but their sum is; a span of rank-one
+    # maps; a nonzero dim-1 map; two rows never inject three columns.
+    planted = [(4, [[1, 0, 0, 0], [0, 0, 0, 1]]), (4, [[1, 0, 0, 0], [0, 1, 0, 0]]), (2, [[0, 3]]),
+               (6, [[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1]])]
+    rng = random.Random(p)
+    for _ in range(150):
+        dh = rng.choice([1, 2, 2, 2])
+        rows = [[rng.randrange(p) for _ in range(2 * dh)] for _ in range(rng.randrange(1, 2 * dh + 1))]
+        if rng.random() < 0.5:  # rank-one maps u v^T, so the span may hold no injective map
+            rows = [[a * b for a in (u0, u1) for b in v] for u0, u1, *v in
+                    ([rng.randrange(p) for _ in range(2 + dh)] for _ in rows)]
+        planted.append((2 * dh, rows))
+    outcomes = set()
+    for width, rows in planted:
+        basis = howell_from_rows(ctx, width, rows)
+        got = constructions._span_has_injective(basis)
+        assert got == _span_has_injective_oracle(basis), rows
+        outcomes.add((width, bool(basis.rows), got))
+    assert {(4, True, True), (4, True, False), (2, True, True), (6, True, False)} <= outcomes
 
 
 def test_equivariant_homs_s3_injective():
@@ -497,25 +556,36 @@ def test_equivariant_homs_s3_injective():
     assert hom.injective_exists
 
 
-def _equivariant_hom_oracle(g, sub, h_basis):
-    """Every 2 x dh matrix phi over F_p, against h_basis, with
-    phi(x h x^-1) = (x mod p) phi(h) for every x in g and h in sub, checked
-    by group multiplication; phi is extended to sub additively.  Returns
-    the maps and each element's coordinates, built from products of powers
-    of h_basis."""
-    p = g.ctx.p
-    dh = len(h_basis)
+def _oracle_coordinates(g, h_basis):
+    """Every element of the span of h_basis with its coordinates, built
+    from products of powers of h_basis."""
     coords = {}
-    for combo in itertools.product(range(p), repeat=dh):
+    for combo in itertools.product(range(g.ctx.p), repeat=len(h_basis)):
         cur = 0
         for c, b in zip(combo, h_basis):
             for _ in range(c):
                 cur = g.mult(cur, b)
         coords[cur] = combo
+    return coords
+
+
+def _hom_value(p, phi, cs):
+    """The value of the hom phi, two rows, at coordinates cs."""
+    return tuple(sum(e * c for e, c in zip(row, cs)) % p for row in phi)
+
+
+def _equivariant_hom_oracle(g, sub, h_basis):
+    """Every 2 x dh matrix phi over F_p, against h_basis, with
+    phi(x h x^-1) = (x mod p) phi(h) for every x in g and h in sub, checked
+    by group multiplication; phi is extended to sub additively.  Returns
+    the maps and each element's coordinates (_oracle_coordinates)."""
+    p = g.ctx.p
+    dh = len(h_basis)
+    coords = _oracle_coordinates(g, h_basis)
     assert set(coords) == set(sub) and len(coords) == p**dh
 
     def value(phi, cs):
-        return tuple(sum(e * c for e, c in zip(row, cs)) % p for row in phi)
+        return _hom_value(p, phi, cs)
 
     # (x mod p, coordinates of x h x^-1, coordinates of h) for every pair.
     pairs = []
@@ -544,11 +614,11 @@ def test_equivariant_homs_match_a_brute_force_oracle(case):
         sub = reduction_kernel(g)
     hom = equivariant_homs(g, sub)
     oracle, coords, value = _equivariant_hom_oracle(g, sub, hom.h_basis)
-    maps = list(hom.enumerate_maps())
+    dh = len(hom.h_basis)
+    maps = [(v[:dh], v[dh:]) for v in enumerate_span(hom.maps)]
     assert len(maps) == 5**hom.dimension == len(set(maps))
     assert set(maps) == oracle
-    for phi in maps:
-        assert hom.map_values(phi) == {h: value(phi, cs) for h, cs in coords.items()}
+    assert hom.coordinates == coords
     injective = any(all(any(value(phi, cs)) for h, cs in coords.items() if h != 0) for phi in oracle)
     assert hom.injective_exists == injective
 
@@ -556,7 +626,7 @@ def test_equivariant_homs_match_a_brute_force_oracle(case):
 def test_equivariant_homs_on_the_trivial_subgroup():
     hom = equivariant_homs(build_cyclic_quotient_group(5), [0])
     assert hom.dimension == 0 and not hom.injective_exists
-    assert list(hom.enumerate_maps()) == [((), ())]
+    assert list(enumerate_span(hom.maps)) == [()]
 
 
 def test_equivariant_homs_rejects_non_elementary():

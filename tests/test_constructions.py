@@ -1,5 +1,6 @@
 """Builders, proof-step checks, the criterion checker, and verify_all."""
 
+import random
 from array import array
 
 import pytest
@@ -8,6 +9,7 @@ from h1loc import constructions, groups
 from h1loc import (
     CocycleSystem,
     ConsistencyError,
+    ContractError,
     DimensionError,
     InputError,
     ModulusContext,
@@ -43,7 +45,7 @@ from h1loc.constructions import (
     report_borel_shared,
     report_cyclic_quotient,
 )
-from h1loc.groups import _apply4, _invertible4, _pow4
+from h1loc.groups import _apply4, _invertible4, _key, _pow4
 from conftest import oracle_power, oracle_product
 
 
@@ -293,11 +295,21 @@ def _decomposition_case():
 
 
 def test_decompose_recheck_catches_a_clearing_that_stalls(monkeypatch):
-    # Powers of sigma that are all the identity never clear the top-right entry.
+    # A product that drops its second factor never clears the top-right
+    # entry; sigma^p, computed by groups, still meets the contract.
     g, tau, sigma = _decomposition_case()
-    monkeypatch.setattr(constructions, "_pow4", lambda key, e, q: (1, 0, 0, 1))
+    monkeypatch.setattr(constructions, "_mul4", lambda x, y, q: x)
     with pytest.raises(ConsistencyError, match="top-right clearing did not terminate"):
         decompose_kernel_element(g, tau, sigma)
+
+
+def test_decompose_recheck_catches_an_element_outside_the_kernel(monkeypatch):
+    # A reduction kernel that lets sigma itself through hands the clearing
+    # a unit top-right entry.
+    g, _, sigma = _decomposition_case()
+    monkeypatch.setattr(constructions, "reduction_kernel", lambda group: frozenset(range(len(group))))
+    with pytest.raises(ConsistencyError, match="^element is not congruent to the identity mod p$"):
+        decompose_kernel_element(g, sigma, sigma)
 
 
 def test_decompose_recheck_catches_factors_outside_the_kernel(monkeypatch):
@@ -336,23 +348,40 @@ def test_decompose_rejects_non_kernel_element():
 
 
 def test_decompose_refuses_a_reflection_as_sigma():
-    # A reflection with a unit top-right entry brings that unit into the
-    # element being cleared, on 10 of the 25 kernel elements; 10 others
-    # stop at the clearing's own re-check.
+    # A reflection is its own p-th power, so sigma^p is not Id mod p: the
+    # contract refuses it before any clearing, on every kernel element.
     g = build_borel_shared_group(5)
     reflection = g.index_of([[6, 1], [15, -6]])
     assert element_order(g.ctx, g._keys[reflection]) == 2
-    refused = []
     for tau in sorted(reduction_kernel(g)):
-        try:
+        with pytest.raises(ContractError, match="^sigma\\^p is not Id mod p with top-right entry p$"):
             decompose_kernel_element(g, tau, reflection)
-        except InputError:
-            refused.append(tau)
-        except ConsistencyError:
-            pass
-    assert len(refused) == 10
-    with pytest.raises(InputError, match="^element is not congruent to the identity mod p$"):
-        decompose_kernel_element(g, refused[0], reflection)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_decompose_either_refuses_sigma_or_succeeds(p):
+    # Every group element as sigma against every kernel element: a sigma
+    # that meets the contract decomposes each one (p^2 of them, each a
+    # verified round trip), and any other is refused, never a re-check.
+    g = build_borel_shared_group(p)
+    q = g.ctx.modulus
+    kernel = sorted(reduction_kernel(g))
+    accepted = 0
+    for sigma in range(len(g)):
+        sig_p = oracle_power(g._keys[sigma], p, q)
+        meets = sig_p[1] == p and all((e - i) % p == 0 for e, i in zip(sig_p, (1, 0, 0, 1)))
+        accepted += meets
+        for tau in kernel:
+            if not meets:
+                with pytest.raises(ContractError):
+                    decompose_kernel_element(g, tau, sigma)
+                continue
+            dec = decompose_kernel_element(g, tau, sigma)
+            d, u = g._keys[dec.diagonal_index], g._keys[dec.unitriangular_index]
+            assert d[1] == d[2] == 0 and (u[0], u[1], u[3]) == (1, 0, 1)
+            s_pe = oracle_power(sig_p, dec.sigma_p_exponent, q)
+            assert oracle_product([d, u, s_pe], q) == g._keys[tau]
+    assert accepted == p * p
 
 
 def test_restriction_guards_its_subgroup():
@@ -413,27 +442,77 @@ def test_report_borel_shared_all_checks():
     assert "witness_locally_solvable_with_torsion_shape" in names
 
 
-@pytest.mark.parametrize("p", [5, 7])
+def _brute_solutions(ctx, key, rhs):
+    """Every v with (x - Id) v = rhs over ctx, for the key of x, by trying
+    every vector."""
+    a, b, c, d = key
+    q = ctx.modulus
+    return [(x, y) for x in range(q) for y in range(q)
+            if (((a - 1) * x + b * y) % q, (c * x + (d - 1) * y) % q) == rhs]
+
+
+@pytest.mark.parametrize("ctx", [ModulusContext(5, 2), ModulusContext(3, 3)], ids=["Z/25", "Z/27"])
+def test_coordinate_mod_p_matches_brute_force(ctx):
+    # Random x - Id and right-hand sides, about half their entries
+    # multiples of p so that x - Id is often singular mod p, against the
+    # brute-force solution set.
+    rng = random.Random(ctx.modulus)
+    p, q = ctx.p, ctx.modulus
+
+    def draw(k):
+        return tuple(rng.randrange(q) if rng.random() < 0.5 else p * rng.randrange(q // p) for _ in range(k))
+
+    outcomes = set()
+    for _ in range(150):
+        m, rhs = draw(4), draw(2)
+        key = (m[0] + 1, m[1], m[2], m[3] + 1)
+        brute = _brute_solutions(ctx, key, rhs)
+        for i in (0, 1):
+            residues = {v[i] % p for v in brute}
+            expected = residues.pop() if len(residues) == 1 else None
+            assert constructions._coordinate_mod_p(ctx, key, rhs, i) == expected, (key, rhs, i)
+            outcomes.add("none" if not brute else "varies" if expected is None else "constant")
+    assert outcomes == {"none", "varies", "constant"}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
 def test_solution_sets_match_brute_force(p, monkeypatch):
-    # Every (key, b) that the two reports pass to _solution_set, against the
-    # brute-force set {v : (x - Id) v = b}.
-    calls = []
-    original = constructions._solution_set
+    # Each of the four checks on affine solution sets against its original
+    # predicate on the brute-force set {v : (x - Id) v = b}, for the
+    # (key, b) that the two reports pass to _coordinate_mod_p.
+    ctx = ModulusContext(p, 2)
+    h = _key(ctx, [[1 + p, 0], [0, 1 - p]])
+    unitriangular = _key(ctx, [[1, p], [0, 1]])
+    sigma = _key(ctx, [[1 + p, 1], [2 * p, 1 + p]])
+    predicates = {
+        "diagonal_kernel_forces_divisibility":
+            (h, (0, 0), lambda sols: all(s[0] % p == 0 and s[1] % p == 0 for s in sols)),
+        "unitriangular_target_forces_unit_coordinate":
+            (unitriangular, (p, 0), lambda sols: bool(sols) and all(s[1] % p == 1 for s in sols)),
+        "sigma_target_needs_unit_coordinate":
+            (sigma, (0, p), lambda sols: bool(sols) and all(s[0] % p != 0 for s in sols)),
+        "diagonal_kernel_needs_divisible_coordinate":
+            (h, (0, 0), lambda sols: all(s[0] % p == 0 for s in sols)),
+    }
+    calls = set()
+    original = constructions._coordinate_mod_p
 
-    def recording(ctx, key, b, *args):
-        got = original(ctx, key, b, *args)
-        calls.append((ctx, key, b, got))
-        return got
+    def recording(ctx, key, b, i):
+        calls.add((key, b))
+        return original(ctx, key, b, i)
 
-    monkeypatch.setattr(constructions, "_solution_set", recording)
-    report_borel_shared(borel_shared_witness(build_borel_shared_group(p)))
-    report_cyclic_quotient(p)
-    assert len(calls) == 4
-    for ctx, (a, b, c, d), rhs, got in calls:
-        q = ctx.modulus
-        brute = [(x, y) for x in range(q) for y in range(q)
-                 if (((a - 1) * x + b * y) % q, (c * x + (d - 1) * y) % q) == rhs]
-        assert brute and sorted(got) == brute
+    monkeypatch.setattr(constructions, "_coordinate_mod_p", recording)
+    checks = {c.name: c.passed for c in report_borel_shared(borel_shared_witness(build_borel_shared_group(p))).checks}
+    checks.update((c.name, c.passed) for c in report_cyclic_quotient(p).checks)
+    assert calls == {(key, b) for key, b, _ in predicates.values()}
+    for name, (key, b, predicate) in predicates.items():
+        assert checks[name] is predicate(_brute_solutions(ctx, key, b)) is True, name
+
+
+def test_cyclic_quotient_passes_past_the_old_solution_set_cap():
+    # Its solution sets at p = 29 have p^3 = 24389 elements; the checks
+    # read a basis, so that size bounds no work.
+    assert report_cyclic_quotient(29).status == "passed"
 
 
 def test_verify_all_p5_shape():

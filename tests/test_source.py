@@ -190,17 +190,10 @@ def test_a_quotients_relations_are_one_kernel():
     assert "dual_constraints" not in h1loc.__all__ and not hasattr(h1loc, "dual_constraints")
 
 
-def _method(tree, class_name, name):
-    (node,) = [node for top in tree.body if isinstance(top, ast.ClassDef) and top.name == class_name
-               for node in top.body if isinstance(node, ast.FunctionDef) and node.name == name]
-    return node
-
-
 def test_the_paper_checks_run_on_the_engines_own_code():
     # The random power-identity trials are drawn in one place, which both
-    # the power-identity command and the borel-shared report call; a hom
-    # space lists its maps as the span of its kernel basis; the criterion
-    # keeps no hom-space dimension nobody reads.
+    # the power-identity command and the borel-shared report call; the
+    # criterion keeps no hom-space dimension nobody reads.
     modules = dict(parsed_modules())
     draws = [(name, node.lineno) for name, tree in modules.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "randrange"
@@ -210,7 +203,6 @@ def test_the_paper_checks_run_on_the_engines_own_code():
                          for name, line in draws)
     assert _names(_top_function(modules["cli.py"], "_cmd_power_identity"), "power_identity_trials")
     assert _names(_top_function(modules["constructions.py"], "report_borel_shared"), "power_identity_trials")
-    assert _names(_method(modules["constructions.py"], "HomSpace", "enumerate_maps"), "enumerate_span")
     from h1loc.constructions import CriterionChecks, HomSpace
 
     assert "hom_space_dimension" not in CriterionChecks._fields
@@ -386,11 +378,14 @@ def test_no_class_enumeration_in_src():
     # Inflation-restriction compares two Howell bases, so src lists no class
     # and does no cocycle arithmetic; a group keeps its generators distinct,
     # and the invariant factors of a quotient are read off quotient_structure.
+    # The paper checks on solution sets and hom spaces read a basis, so src
+    # lists no span either.
     package = Path(h1loc.__file__).parent
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         for name in ("def classes", "CLASS_ENUM_LIMIT", "zero_cocycle", "class_form",
-                     "distinct_generator_indices", "quotient_invariants"):
+                     "distinct_generator_indices", "quotient_invariants", "enumerate_span",
+                     "_solution_set", "SOLUTION_SET_LIMIT", "enumerate_maps", "map_values"):
             assert name not in source, (path.name, name)
     assert _defined_functions(dict(parsed_modules())["cohomology.py"], "Cocycle").isdisjoint(
         {"__add__", "__sub__", "scale"})
@@ -497,7 +492,7 @@ def test_every_self_check_fires_in_a_test():
     # by breaking the computation it guards.  Every site is reachable by an
     # injected fault, so none is exempt.  The count follows the design: it
     # changes when a re-check is added, retyped or deleted.
-    assert _unfired({"ConsistencyError": {"ConsistencyError"}}) == (28, [])
+    assert _unfired({"ConsistencyError": {"ConsistencyError"}}) == (29, [])
 
 
 def test_every_contract_guard_fires_in_a_test():
@@ -509,4 +504,4 @@ def test_every_contract_guard_fires_in_a_test():
         "ContractError": {"ContractError"},
         "DimensionError": {"DimensionError", "ContractError"},
         "ContainmentError": {"ContainmentError", "ContractError"},
-    }) == (14, [])
+    }) == (15, [])
