@@ -12,7 +12,7 @@ local-global divisibility by a power of p falls into one of three shapes:
 The classifier evaluates these as predicates (checked in this order) and
 records enough evidence to re-verify the verdict by direct matrix checks.
 The scanner enumerates the candidate subgroup shapes of order prime to p,
-classifies them, and also applies the coarser necessary-condition filter.
+classifies them, and reads the necessary-condition filter off each verdict.
 
 The scanner never walks all of GL_2(F_p).  An element of order prime to p
 is semisimple, so its order is a function of its class: of lambda for
@@ -135,10 +135,10 @@ def _case_borel(g: FiniteMatrixGroup, orders: list[int]) -> Optional[dict]:
     oracle.
     """
     p = g.ctx.p
-    v = borel_check(g)
+    order_p = [i for i, o in enumerate(orders) if o == p]
+    v = borel_check(g) if order_p else None
     if v is None:
         return None
-    order_p = [i for i, o in enumerate(orders) if o == p]
     involutions = [i for i, o in enumerate(orders) if o in (1, 2)]
     for si in order_p:
         s_key = g._keys[si]
@@ -237,31 +237,22 @@ class FilterVerdict(NamedTuple):
 def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
     """Whether the group matches a shape that non-vanishing allows at all.
 
-    Order prime to p: cyclic of order dividing p - 1 generated by an
-    element fixing a torsion point (eigenvalue 1), or, for p = 2 mod 3,
-    isomorphic to Z/3 or S_3.  Order divisible by p: contained in a Borel
-    and either cyclic of order p or generated by an order-p element and an
-    order-2 element distinct from -Id.
+    Order prime to p, read off classify_mod_p_group's verdict: cyclic of
+    order dividing p - 1 generated by an element fixing a torsion point
+    (eigenvalue 1), or, for p = 2 mod 3, isomorphic to Z/3 or S_3.  Order
+    divisible by p: contained in a Borel and either cyclic of order p or
+    generated by an order-p element and an order-2 element distinct from -Id.
     """
     _require_level_one(g)
     p = g.ctx.p
     n = len(g)
-    orders = cyclic_walk(g)[0]
     if n % p != 0:
-        if _case_cyclic(g, orders) is not None:
-            return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
-        if (p - 1) % n == 0:
-            reason = "cyclic shape: no generator with eigenvalue 1"
-        else:
-            reason = "order prime to p but not dividing p - 1"
-        s3 = _case_s3(g, orders)
-        if s3 is not None:
-            return FilterVerdict(True, ("cyclic-of-order-3" if s3["isomorphism_type"] == "C3" else "s3",))
-        return FilterVerdict(False, (reason, "not of S_3 type"))
+        return _prime_to_p_filter(classify_mod_p_group(g), n, p)
     if borel_check(g) is None:
         return FilterVerdict(False, ("order divisible by p but not contained in a Borel subgroup",))
     if n == p:
         return FilterVerdict(True, ("cyclic-of-order-p",))
+    orders = cyclic_walk(g)[0]
     minus_id = (p - 1, 0, 0, p - 1)
     order_p = [i for i, o in enumerate(orders) if o == p]
     for si in order_p:
@@ -270,6 +261,18 @@ def necessary_shape_filter(g: FiniteMatrixGroup) -> FilterVerdict:
                 if closure_indices(g, [si, i]) == frozenset(range(len(g))):
                     return FilterVerdict(True, ("borel-order-p-and-order-2",))
     return FilterVerdict(False, ("Borel but not generated by an order-p and an admissible order-2 element",))
+
+
+def _prime_to_p_filter(verdict: CaseVerdict, n: int, p: int) -> FilterVerdict:
+    """The filter of a group of order n prime to p, read off its verdict:
+    it passes in cases 1 and 2, as case 3 needs an element of order p."""
+    if verdict.case == CASE_CYCLIC:
+        return FilterVerdict(True, ("cyclic-with-fixed-torsion-point",))
+    if verdict.case == CASE_S3:
+        return FilterVerdict(True, ("cyclic-of-order-3" if verdict.evidence["isomorphism_type"] == "C3" else "s3",))
+    reason = ("cyclic shape: no generator with eigenvalue 1" if (p - 1) % n == 0
+              else "order prime to p but not dividing p - 1")
+    return FilterVerdict(False, (reason, "not of S_3 type"))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +450,7 @@ def scan_prime_to_p_subgroups(p: int) -> list[ScanEntry]:
         if len(group) != size:
             raise ConsistencyError("scanner generators do not close to the recorded subgroup")
         verdict = classify_mod_p_group(group)
-        filt = necessary_shape_filter(group)
+        filt = _prime_to_p_filter(verdict, size, p)
         entries.append(ScanEntry(order=size, generators=gen_rows, verdict=verdict, shape_filter=filt))
     entries.sort(key=lambda e: (e.order, e.generators))
     return entries

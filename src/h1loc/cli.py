@@ -191,6 +191,8 @@ def _cmd_scan(args) -> int:
 
     if not is_prime(args.p):
         raise InputError(f"--p must be prime, got {args.p}")
+    if args.p < 5:
+        raise InputError(f"--p must be a prime >= 5, got {args.p}")
     entries = scan_prime_to_p_subgroups(args.p)
     _emit([e.to_json() for e in entries], args.output)
     return EXIT_OK

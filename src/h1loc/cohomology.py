@@ -217,16 +217,16 @@ class CocycleSystem:
     harvested (constraint_basis).  The harvest is seeded with the rows of
     the k edges into the identity, (g_slot^-1, slot, 0), which are off the
     tree since no tree edge enters the root.  Each round takes K, the
-    kernel of the rows so far, and walks the probe, the sum of the rows of
-    K's Howell basis, then each row of K; a candidate that B^1 and the
-    candidates that passed in this or any earlier round already span is
-    not walked.  The first walk that breaks gives the rows of its edge to
-    the harvest; the rounds stop when nothing breaks.  Coboundaries are cocycles, so the rounds walk only
-    what B^1 does not give: on borel-shared p=17 (rank B^1 = 2,
-    rank Z^1 = 3) the seeded harvest makes three walks, and only its last,
-    the probe that passes, goes far into the group.  At the end B^1 must
-    lie in K (ConsistencyError otherwise), which is the check that
-    coboundaries are cocycles, so b1() does not need Z^1.
+    kernel of the rows so far, and walks each row of K's Howell basis that
+    B^1 and the rows that passed in this or any earlier round do not yet
+    span.  The first walk that breaks gives the rows of its edge to the
+    harvest; the rounds stop when nothing breaks.  Coboundaries are
+    cocycles, so the rounds walk only what B^1 does not give: on
+    borel-shared p=17 (rank B^1 = 2, rank Z^1 = 3) the seeded harvest makes
+    three walks, and only its last, a row that passes, goes far into the
+    group.  At the end B^1 must lie in K (ConsistencyError otherwise),
+    which is the check that coboundaries are cocycles, so b1() does not
+    need Z^1.
 
     Exactness: the harvested rows are some of the consistency rows, so
     Z^1 is in K.  The walk of u takes the value u_slot at generator slot,
@@ -322,15 +322,10 @@ class CocycleSystem:
         for s, tg in enumerate(self.targets):
             rows.extend(row for row in self.edge_rows(tg.index(0), s, 0) if any(row))
         b1 = self.b1()
-        # B^1 and the vectors that walked clean, kept across rounds: each is
-        # in Z^1, and so in every later K.
         spanned, passed = b1, list(b1.rows)
         for _ in range(cctx.n * dim + 1):
-            basis = _howell_raw(rows, dim, cctx)
-            kern = _kernel_raw(basis, dim, cctx)
-            # The probe, the sum of K's rows, then K's rows, each walked
-            # unless spanned already holds it.
-            for u in [[sum(col) % q for col in zip(*kern)]] + kern if kern else []:
+            kern = _kernel_raw(rows, dim, cctx)
+            for u in kern:
                 if spanned.contains(u):
                     continue
                 edge = _walk(self.acts, self.targets, q, u)[0]
@@ -342,7 +337,7 @@ class CocycleSystem:
                 z1 = SubmoduleBasis.from_raw(cctx, dim, kern)
                 if not all(z1.contains(r) for r in b1.rows):
                     raise ConsistencyError("coboundaries must be cocycles")
-                return basis, z1
+                return _howell_raw(rows, dim, cctx), z1
             pair = self.edge_rows(*edge)
             if not any(sum(x * y for x, y in zip(row, u)) % q for row in pair):
                 raise ConsistencyError(f"the rows of the broken Cayley edge {edge} vanish on the cocycle candidate")

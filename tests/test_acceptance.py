@@ -30,6 +30,7 @@ from h1loc import (
     is_coboundary,
     kernel_basis,
     kernel_displacement,
+    necessary_shape_filter,
     power_identity_check,
     quotient_group,
     reduction_kernel,
@@ -262,6 +263,16 @@ def test_criterion_8_scan():
     for builder, case in expected:
         reduced = quotient_group(builder(5))
         assert classify_mod_p_group(reduced).case == case
+
+    # The scan reads each entry's filter off its verdict; the filter run on
+    # the group its generators close to stays the oracle.
+    scans = {5: entries5, 7: entries7, 11: scan_prime_to_p_subgroups(11), 13: scan_prime_to_p_subgroups(13)}
+    for p, entries in scans.items():
+        ctx = ModulusContext(p, 1)
+        for entry in entries:
+            assert entry.shape_filter == necessary_shape_filter(close_group(entry.generators, ctx))
+    reduced = quotient_group(build_borel_shared_group(5))
+    assert necessary_shape_filter(reduced) == (True, ("borel-order-p-and-order-2",))
 
 
 @criterion(9, "linear-algebra kernel randomized checks")

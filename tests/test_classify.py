@@ -549,6 +549,21 @@ def test_scanner_recheck_catches_generators_that_close_to_another_group(monkeypa
         scan_prime_to_p_subgroups(5)
 
 
+def test_scan_walks_and_classifies_each_group_once(monkeypatch):
+    # Each entry's filter is read off its verdict, so each of the 42 groups
+    # at p = 13 gets one cyclic_walk (84 when the filter classified it
+    # again), and none has an element of order p, so no borel_check runs.
+    calls = {"cyclic_walk": 0, "borel_check": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(classify, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    assert len(scan_prime_to_p_subgroups(13)) == 42
+    assert calls == {"cyclic_walk": 42, "borel_check": 0}
+
+
 # The S_3 case and the shape filter as they were before the tests that the
 # group order settles were dropped, kept as oracles for the shorter ones.
 

@@ -88,6 +88,14 @@ def test_non_prime_p_is_input_error(tmp_path, capsys):
     assert main(["verify", "--primes", "6"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_scan_below_5_is_input_error(p, capsys):
+    # The classification needs p >= 5, as verify and power-identity do, so
+    # p = 2 and 3 are refused as input, not capped as a resource.
+    assert main(["scan", "--p", p]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"h1loc: input error: --p must be a prime >= 5, got {p}\n")
+
+
 def test_cap_exceeded_is_resource_error(tmp_path, capsys):
     path = write_group(tmp_path)
     assert main(["h1loc", "--input", path, "--cap", "10"]) == EXIT_RESOURCE
@@ -465,12 +473,13 @@ def test_import_h1loc_loads_no_submodule():
 # The process entry point, `python -m h1loc.cli`, which ends with os._exit.
 
 
-def run_process(argv, stdout=subprocess.PIPE, unbuffered=False, columns=None):
+def run_process(argv, stdout=subprocess.PIPE, unbuffered=False, columns=None, optimize=False):
     """``python -m h1loc.cli`` on argv, with the package under test first on
     the path.  PYTHONUNBUFFERED is removed, so the child's stdout is
     block-buffered and a byte that the process entry leaves unflushed is
     lost; unbuffered=True sets it to 1 instead.  columns sets COLUMNS, the
-    width argparse wraps help to."""
+    width argparse wraps help to.  optimize=True runs ``python -O``, which
+    strips assert statements."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -478,7 +487,8 @@ def run_process(argv, stdout=subprocess.PIPE, unbuffered=False, columns=None):
         env["COLUMNS"] = str(columns)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(h1loc.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "h1loc.cli", *argv], env=env, stdout=stdout,
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "h1loc.cli", *argv], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, timeout=120)
 
 
@@ -504,6 +514,15 @@ def test_process_stdout_matches_main(tmp_path, capsys, argv, digest):
     assert proc.stdout == expected
     if digest is not None:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["verify", "--primes", "5"], ["scan", "--p", "5"]], ids=["verify", "scan"])
+def test_process_output_is_the_same_under_python_O(argv):
+    # python -O strips assert statements, so an output that rested on one
+    # would change; no guarantee may.
+    plain, optimized = run_process(argv), run_process(argv, optimize=True)
+    assert plain.returncode == EXIT_OK and plain.stdout
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (EXIT_OK, plain.stdout, plain.stderr)
 
 
 @pytest.mark.parametrize(

@@ -1212,7 +1212,7 @@ def _harvest_visits(system, monkeypatch):
 
 def test_harvest_walks_the_whole_group_once_at_p17(monkeypatch):
     """On borel-shared p=17 (|G| = 9826, rank B^1 = 2, rank Z^1 = 3) the
-    seeded harvest makes one full walk, the probe that passes, and stays
+    seeded harvest makes one full walk, the row of K that passes, and stays
     within 1.2 |G| (9,854 visits in 3 walks; 15,951 in 6 before the seed
     rows and the kept clean walks, when one walk broke at element 6,087;
     35,603 when the verifying round walked every row of Z^1 but the
@@ -1287,7 +1287,9 @@ def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
     every row of B^1 walks clean; no vector is walked that B^1 and the
     vectors that walked clean before it, in any round, already span; and
     those vectors span Z^1 together with B^1.  Some system needs two clean
-    walks, so a harvest that kept only the probe would fail."""
+    walks, so a harvest that kept only the probe would fail.  Each walked
+    vector is a row of the round's K, the kernel of the rows harvested
+    when it is walked: the harvest walks no probe."""
     clean_walks = []
     for group, module in _harvest_cases(source):
         system = CocycleSystem(group, module)
@@ -1295,18 +1297,20 @@ def test_harvest_round_matches_the_all_rows_round(source, monkeypatch):
         walk = cohomology._walk
 
         def spy(acts, targets, q, u):
+            kern = _kernel_raw(system.constraints, system.dim, system.cctx)
             edge, values = walk(acts, targets, q, u)
-            walked.append((list(u), edge))
+            walked.append((list(u), edge, kern))
             return edge, values
 
         with monkeypatch.context() as m:
             m.setattr(cohomology, "_walk", spy)
             z1 = system.z1()
+        assert all(u in kern for u, _, kern in walked)
         assert (system.constraint_basis, z1) == _all_rows_harvest(system)
         b1 = system.b1()
         assert all(cohomology._walk(system.acts, system.targets, system.q, r)[0] is None for r in b1.rows)
         clean = []
-        for u, edge in walked:
+        for u, edge, _ in walked:
             assert not howell_from_rows(system.cctx, system.dim, list(b1.rows) + clean).contains(u)
             if edge is None:
                 clean.append(u)
